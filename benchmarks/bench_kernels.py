@@ -1,25 +1,30 @@
-"""Benchmark the numba and numpy twins of the hot kernels.
+"""Time the two exact-sum paths: the O(K) theta series and the O(K^2)
+direct pair sum.
 
-Usage: python benchmarks/bench_kernels.py [--n-cells N] [--times NT]
-                                          [--members M]
+Usage: python benchmarks/bench_kernels.py [--repeats N]
 
-Reports wall time for the coherent pair reduction and the ensemble
-position kernel under both backends (selected via QMSD_BACKEND), plus
-the maximum relative difference between backend results.
+For CO at 190 K on L = 10a, 20a and 40a (100 functions per cell) it times
+``msd_exact_curve``, which takes the theta series on these converged
+bases, and the direct pair sum (``pair_arrays`` + ``msd_reduce``) on the
+same 52 time points: 5 in (0, 0.05 t_b], 39 in (0, 100 t_b] and 8 in
+[3 t_c, 5 t_c]. It prints the best-of-N wall time of each and the maximum
+relative deviation of the theta series from the direct sum. At L = 80a it
+times the theta series alone: there the direct sum's pair arrays take
+about 0.9 GiB. Needs numpy only.
 """
 
 import argparse
-import os
 import time
+import warnings
 
 import numpy as np
 
-from qmsd import CONST, PhysicalSystem, build_basis, derive_scales, partition_function
-from qmsd.kernels import antisym_coupling_matrix, ensemble_positions, msd_reduce, pair_arrays
-from qmsd.montecarlo import sample_phases
+from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
+from qmsd.exact import msd_exact_curve
+from qmsd.kernels import msd_reduce, pair_arrays
 
 
-def timed(fn, repeats=3):
+def timed(fn, repeats):
     best = float("inf")
     out = None
     for _ in range(repeats):
@@ -29,70 +34,36 @@ def timed(fn, repeats=3):
     return out, best
 
 
-def with_backend(name, fn):
-    old = os.environ.get("QMSD_BACKEND")
-    os.environ["QMSD_BACKEND"] = name
-    try:
-        return timed(fn)
-    finally:
-        if old is None:
-            os.environ.pop("QMSD_BACKEND", None)
-        else:
-            os.environ["QMSD_BACKEND"] = old
+def direct_sum(basis, Q, times):
+    wprod, half_omega = pair_arrays(basis)
+    return 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-cells", type=int, default=20)
-    ap.add_argument("--times", type=int, default=100)
-    ap.add_argument("--members", type=int, default=2000)
+    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
+    warnings.simplefilter("error")  # a truncation warning would void the timing
 
-    sys_ = PhysicalSystem.from_user_units(28, 190, 256, args.n_cells)
-    s = derive_scales(sys_)
-    basis = build_basis(sys_, 100)
-    Q = partition_function(basis)
-    wprod, half_omega = pair_arrays(basis)
-    times = np.linspace(0.0, 30.0, args.times) * s.t_b
-
-    print(f"system: CO-like, L = {args.n_cells}a, K = {basis.K}, "
-          f"{wprod.size} pairs, {args.times} time points")
-    # warm up the jit cache before timing
-    with_backend("numba", lambda: msd_reduce(wprod, half_omega, times[:2]))
-    results = {}
-    for backend in ("numba", "numpy"):
-        out, dt = with_backend(
-            backend, lambda: msd_reduce(wprod, half_omega, times))
-        results[backend] = out
-        print(f"msd_reduce[{backend:5s}]: {dt:8.3f} s")
-    dev = np.max(np.abs(results["numba"] - results["numpy"])
-                 / np.maximum(np.abs(results["numpy"]), 1e-300))
-    print(f"msd_reduce backend max rel diff: {dev:.2e}")
-
-    mc_basis = build_basis(
-        PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
-        edge_weight_cutoff=1.0)
-    mc_Q = partition_function(mc_basis)
-    wt = np.sqrt(mc_basis.w)
-    eom = mc_basis.E / CONST.hbar
-    A = antisym_coupling_matrix(mc_basis.K)
-    thetas = sample_phases(mc_basis, args.members, seed=0)
-    tgrid = np.linspace(0.0, 20.0, 21) * s.t_b
-    pref = -mc_basis.L / (np.pi * mc_Q)
-
-    print(f"ensemble: K = {mc_basis.K}, {args.members} members, "
-          f"{tgrid.size} time points")
-    with_backend("numba", lambda: ensemble_positions(
-        wt, thetas[:2], eom, tgrid[:2], A, pref))
-    results = {}
-    for backend in ("numba", "numpy"):
-        out, dt = with_backend(backend, lambda: ensemble_positions(
-            wt, thetas, eom, tgrid, A, pref))
-        results[backend] = out
-        print(f"ensemble_positions[{backend:5s}]: {dt:8.3f} s")
-    scale = np.max(np.abs(results["numpy"]))
-    dev = np.max(np.abs(results["numba"] - results["numpy"])) / scale
-    print(f"ensemble_positions backend max diff / max |x|: {dev:.2e}")
+    print(f"{'L':>4} {'K':>6} {'path':>6} {'theta s':>9} {'direct s':>9} "
+          f"{'speedup':>8} {'max rel dev':>12}")
+    for n_cells in (10, 20, 40, 80):
+        sys_ = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
+        s = derive_scales(sys_)
+        basis = build_basis(sys_, 100)
+        Q = partition_function(basis)
+        times = np.sort(np.concatenate([
+            np.geomspace(1e-3, 0.05, 5) * s.t_b,
+            np.linspace(100 / 39, 100, 39) * s.t_b,
+            np.linspace(3 * s.t_c, 5 * s.t_c, 8)]))
+        curve, t_theta = timed(lambda: msd_exact_curve(basis, Q, times), args.repeats)
+        row = f"{n_cells:>3}a {basis.K:>6} {curve.params['path']:>6} {t_theta:>9.4f}"
+        if n_cells == 80:
+            print(row + f" {'-':>9} {'-':>8} {'-':>12}")
+            continue
+        ref, t_direct = timed(lambda: direct_sum(basis, Q, times), 1)
+        dev = float(np.max(np.abs(curve.values - ref) / ref))
+        print(row + f" {t_direct:>9.3f} {t_direct / t_theta:>7.0f}x {dev:>12.1e}")
 
 
 if __name__ == "__main__":

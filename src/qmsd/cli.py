@@ -45,6 +45,9 @@ DEFAULTS = {
     "q_inv_angstrom": 1.0,
 }
 
+# config keys that must hold whole numbers; int() would truncate 10.7 to 10
+INTEGER_KEYS = ("n_cells", "dimensionality", "funcs_per_cell", "members", "seed")
+
 
 class NumericalError(RuntimeError):
     """An internal numerical consistency assertion failed."""
@@ -139,6 +142,11 @@ def resolve_config(args) -> tuple[dict, set]:
     if bad:
         raise ValidationError(f"unknown output formats: {sorted(bad)}")
     cfg["formats"] = ",".join(sorted(fmts))
+    for k in INTEGER_KEYS:
+        v = cfg[k]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+            raise ValidationError(f"{k} must be an integer, got {v!r}")
+        cfg[k] = int(v)
     return cfg, explicit
 
 
@@ -158,13 +166,17 @@ class Run:
         self.formats = set(cfg["formats"].split(","))
         self.system = PhysicalSystem.from_user_units(
             cfg["mass_u"], cfg["temperature_K"], cfg["lattice_pm"],
-            int(cfg["n_cells"]), int(cfg["dimensionality"]))
+            cfg["n_cells"], cfg["dimensionality"])
         self.scales = derive_scales(self.system)
 
     def ensure_outdir(self):
         self.outdir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name, header, columns):
+        for col_name, col in zip(header, columns):
+            if not np.all(np.isfinite(np.asarray(col, dtype=float))):
+                raise NumericalError(f"non-finite values in column {col_name!r} "
+                                     f"of {name}; no file written")
         if "csv" in self.formats:
             write_csv(self.outdir / name, header, columns, self.hash)
 
@@ -222,7 +234,7 @@ def cmd_ideal(run: Run):
 def cmd_exact(run: Run):
     t_b = run.scales.t_b
     grid = make_grid(run.cfg["grid"], t_b, "linear:0:30:300")
-    basis = build_basis(run.system, int(run.cfg["funcs_per_cell"]))
+    basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     Q = partition_function(basis)
     curve = msd_exact_curve(basis, Q, grid)
     a2 = run.system.lattice_a**2
@@ -238,7 +250,7 @@ def cmd_exact(run: Run):
 
 
 def cmd_breve(run: Run):
-    basis = build_basis(run.system, int(run.cfg["funcs_per_cell"]))
+    basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     Q = partition_function(basis)
     bs = breve_sum(basis, Q)
     bc = breve_closed(run.system, run.scales)
@@ -272,11 +284,11 @@ def cmd_collision(run: Run):
 def cmd_mc_verify(run: Run):
     t_b = run.scales.t_b
     # the Monte-Carlo oracle is O(K^2) per member: keep K small unless asked
-    fpc = int(run.cfg["funcs_per_cell"]) if "funcs_per_cell" in run.explicit else 20
+    fpc = run.cfg["funcs_per_cell"] if "funcs_per_cell" in run.explicit else 20
     grid = make_grid(run.cfg["grid"], t_b, "linear:1:20:20")
     basis = build_basis(run.system, fpc, edge_weight_cutoff=1.0)
     Q = partition_function(basis)
-    res = sample_msd(basis, Q, grid, int(run.cfg["members"]), int(run.cfg["seed"]))
+    res = sample_msd(basis, Q, grid, run.cfg["members"], run.cfg["seed"])
     exact = msd_exact_curve(basis, Q, grid, weight_floor=0.0)
     mismatch = np.abs(res.mean_msd - exact.values) > 3.0 * res.stderr
     if mismatch.any():
@@ -284,7 +296,7 @@ def cmd_mc_verify(run: Run):
             f"Monte-Carlo estimate departs from the exact sum by more than "
             f"3 stderr at {int(mismatch.sum())} of {grid.size} points")
     est, err, t_used = sample_msd_rerandomized(
-        basis, Q, int(run.cfg["members"]), int(run.cfg["seed"]))
+        basis, Q, run.cfg["members"], run.cfg["seed"])
     bs = breve_sum(basis, Q, weight_floor=0.0)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
@@ -355,14 +367,14 @@ def cmd_figure2(run: Run):
     s = run.scales
     a2 = run.system.lattice_a**2
     grid = make_grid(run.cfg["grid"], s.t_b, "linear:0:30:300")
-    fpc = int(run.cfg["funcs_per_cell"])
+    fpc = run.cfg["funcs_per_cell"]
     alpha = float(run.cfg["alpha"])
     series = []
     plateaus = {}
     for n_cells in (10, 20, 40):
         sysN = PhysicalSystem.from_user_units(
             run.cfg["mass_u"], run.cfg["temperature_K"], run.cfg["lattice_pm"],
-            n_cells, int(run.cfg["dimensionality"]))
+            n_cells, run.cfg["dimensionality"])
         scN = derive_scales(sysN)
         basis = build_basis(sysN, fpc)
         Q = partition_function(basis)
@@ -380,6 +392,9 @@ def cmd_figure2(run: Run):
         plateaus[f"L={n_cells}a"] = {
             "breve_sum_over_a2": bs / a2,
             "breve_closed_over_a2": bc / a2,
+            "path": curve.params["path"],
+            "edge_weight": curve.params["edge_weight"],
+            "weight_floor": curve.params["weight_floor"],
         }
         series.append({"x": grid / s.t_b, "y": curve.values / a2,
                        "label": f"exact, L={n_cells}a", "color": "#000000",

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, CharacteristicScales, PhysicalSystem, ValidationError
+from .constants import (CONST, CharacteristicScales, PhysicalSystem, ValidationError,
+                        _require_positive)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -73,8 +74,7 @@ class CollisionModelParams:
 
     def __post_init__(self):
         for name in ("alpha", "L", "v_T", "t_b"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
+            _require_positive(name, getattr(self, name))
 
 
 def msd_collision_model(p: CollisionModelParams, t: float) -> float:

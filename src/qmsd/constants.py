@@ -39,8 +39,8 @@ J_TO_MEV = 1e3 / 1.602176634e-19
 
 
 def _require_positive(name: str, value) -> None:
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ class ScatteringParams:
             raise ValidationError("v_T must be positive")
         if not self.D_q > 0:
             raise ValidationError("D_q must be positive")
+        if not math.isfinite(self.q):
+            raise ValidationError(f"q must be finite, got {self.q!r}")
 
 
 def pair_correlation_self(p: ScatteringParams, x, t: float):

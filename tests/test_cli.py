@@ -74,6 +74,52 @@ class TestExitCodes:
         assert run_cli("scales", "--out", str(tmp_path),
                        "--config", str(tmp_path / "none.json")) == 3
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("exact", "--mass-u", "inf"), ("exact", "--mass-u", "nan"),
+        ("exact", "--temperature-K", "inf"), ("exact", "--lattice-pm", "inf"),
+        ("collision", "--alpha", "inf"), ("scattering", "--q-inv-angstrom", "inf"),
+        ("scattering", "--q-inv-angstrom", "nan")])
+    def test_config_error_non_finite(self, tmp_path, capsys, command, flag, value):
+        assert run_cli(command, "--out", str(tmp_path), f"{flag}={value}") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_cells", 10.7), ("funcs_per_cell", 100.5), ("dimensionality", 1.5),
+        ("members", 1500.5), ("seed", 4.2), ("n_cells", True), ("seed", "42")])
+    def test_config_error_non_integral(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        assert run_cli("scales", "--out", str(tmp_path / "o"),
+                       "--config", str(cfgfile)) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"n_cells": 20.0}))
+
+        class Args:
+            config = str(cfgfile)
+
+        cfg, _ = resolve_config(Args())
+        assert cfg["n_cells"] == 20 and isinstance(cfg["n_cells"], int)
+
+    def test_numerical_error_non_finite_output(self, tmp_path, capsys, monkeypatch):
+        import qmsd.cli
+        real = qmsd.cli.msd_exact_curve
+
+        def poisoned(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            curve.values[3] = np.nan
+            return curve
+
+        monkeypatch.setattr(qmsd.cli, "msd_exact_curve", poisoned)
+        assert run_cli("exact", "--out", str(tmp_path),
+                       "--grid", "linear:0:5:8") == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "exact.csv").exists()
+
 
 class TestConfigResolution:
     def test_file_overrides_defaults_flag_overrides_file(self, tmp_path):
@@ -163,6 +209,13 @@ class TestArtifacts:
                        "--grid", "linear:0.1:10:32") == 0
         assert "generated" in (tmp_path / "ideal.svg").read_text()
 
+    def test_exact_meta_records_path(self, tmp_path):
+        assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:5:8",
+                       "--formats", "json-meta") == 0
+        params = json.loads((tmp_path / "exact.json").read_text())["params"]
+        assert params["path"] == "theta"
+        assert params["edge_weight"] < params["weight_floor"] == 1e-18
+
     def test_breve_sum_close_to_closed_form(self, tmp_path):
         assert run_cli("breve", "--out", str(tmp_path),
                        "--formats", "json-meta") == 0
@@ -198,6 +251,10 @@ class TestArtifacts:
                        "--formats", "csv,json-meta") == 0
         meta = json.loads((tmp_path / "figure2.json").read_text())
         assert set(meta["plateaus"]) == {"L=10a", "L=20a", "L=40a"}
+        for entry in meta["plateaus"].values():
+            # 40 functions per cell leave the edge weight above the floor
+            assert entry["path"] == "direct"
+            assert entry["edge_weight"] > entry["weight_floor"] == 1e-18
         for n in (10, 20, 40):
             assert (tmp_path / f"figure2_exact_L{n}a.csv").exists()
             assert (tmp_path / f"figure2_collision_L{n}a.csv").exists()

@@ -6,6 +6,7 @@ import pytest
 from qmsd import (CONST, IdealMsdParams, PhysicalSystem, breve_sum,
                   build_basis, derive_scales, msd_exact, msd_exact_curve,
                   msd_ideal, partition_function, x_element)
+from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
 
 
 def brute_force_msd(basis, Q, t):
@@ -19,6 +20,16 @@ def brute_force_msd(basis, Q, t):
             arg = (basis.E[i] - basis.E[k]) * t / (2 * CONST.hbar)
             total += basis.w[i] * basis.w[k] * abs(x) ** 2 * math.sin(arg) ** 2
     return 4.0 / Q**2 * total
+
+
+def direct_sum(basis, Q, times, weight_floor=1e-18):
+    """The O(K^2) pair sum over n < j, the oracle for the theta series."""
+    wprod, half_omega = pair_arrays(basis, weight_floor)
+    return 8.0 / Q**2 * msd_reduce(wprod, half_omega, np.asarray(times, dtype=float))
+
+
+def direct_breve(basis, Q, weight_floor=1e-18):
+    return 4.0 / Q**2 * blocked_sum(pair_arrays(basis, weight_floor)[0])
 
 
 def test_zero_at_zero(co_basis, co_Q):
@@ -139,3 +150,70 @@ class TestBreveSum:
                 total += small_basis.w[i] * small_basis.w[k] * abs(x) ** 2
         assert breve_sum(small_basis, Q, weight_floor=0.0) == pytest.approx(
             2.0 / Q**2 * total, rel=1e-12, abs=0)
+
+
+class TestThetaPath:
+    """The O(K) theta series against the direct pair sum as oracle."""
+
+    @pytest.mark.parametrize("n_cells", [1, 10, 20, 40])
+    def test_matches_direct_sum(self, n_cells):
+        sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
+        s = derive_scales(sys)
+        basis = build_basis(sys, 100)
+        Q = partition_function(basis)
+        times = np.concatenate([
+            np.geomspace(1e-4, 0.05, 5) * s.t_b,
+            np.linspace(100 / 39, 100, 39) * s.t_b,
+            np.linspace(3 * s.t_c, 5 * s.t_c, 8)])
+        times.sort()
+        curve = msd_exact_curve(basis, Q, times)
+        assert curve.params["path"] == "theta"
+        np.testing.assert_allclose(curve.values, direct_sum(basis, Q, times),
+                                   rtol=1e-12, atol=0)
+        assert msd_exact(basis, Q, 0.0) == 0.0
+        assert breve_sum(basis, Q) == pytest.approx(direct_breve(basis, Q),
+                                                    rel=1e-12, abs=0)
+
+    def test_revivals(self, co_system, co_basis, co_Q):
+        # at the revival time m L^2 / (2 pi hbar) every sin^2 is 0 or 1, and
+        # at twice it every one is 0; the images nu >= 1 carry these points
+        t_rev = co_system.mass * co_system.L**2 / (2 * math.pi * CONST.hbar)
+        times = t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
+                                  1.99, 1.999, 2.0, 2.001, 2.01])
+        got = msd_exact_curve(co_basis, co_Q, times).values
+        bs = breve_sum(co_basis, co_Q)
+        assert np.max(np.abs(got - direct_sum(co_basis, co_Q, times))) <= 1e-12 * bs
+        assert got[7] <= 1e-12 * bs
+        assert got[2] > 0.5 * bs
+
+    @pytest.mark.parametrize("fixture", ["small_basis", "mc_basis"])
+    def test_under_truncated_bases_stay_direct(self, request, fixture):
+        basis = request.getfixturevalue(fixture)
+        Q = partition_function(basis)
+        times = np.linspace(0.0, 20.0, 11) * CONST.hbar * basis.beta
+        curve = msd_exact_curve(basis, Q, times)
+        assert curve.params["path"] == "direct"
+        assert curve.params["edge_weight"] == basis.w[0] > 1e-18
+        np.testing.assert_array_equal(curve.values, direct_sum(basis, Q, times))
+        assert msd_exact(basis, Q, times[4]) == direct_sum(basis, Q, times[4:5])[0]
+        assert breve_sum(basis, Q) == direct_breve(basis, Q)
+
+    def test_zero_weight_floor_stays_direct(self, co_basis, co_Q, co_scales):
+        times = np.linspace(0.0, 5.0, 4) * co_scales.t_b
+        curve = msd_exact_curve(co_basis, co_Q, times, weight_floor=0.0)
+        assert curve.params["path"] == "direct"
+        assert curve.params["weight_floor"] == 0.0
+        np.testing.assert_array_equal(curve.values,
+                                      direct_sum(co_basis, co_Q, times, 0.0))
+        assert breve_sum(co_basis, co_Q, weight_floor=0.0) == direct_breve(
+            co_basis, co_Q, 0.0)
+
+    def test_short_cell_stays_direct(self):
+        # H at 10 K on one 256 pm cell, about 5 thermal lengths long: the
+        # basis is converged but the theta images would overlap and cancel
+        sys = PhysicalSystem.from_user_units(1, 10, 256, 1)
+        basis = build_basis(sys, 100)
+        assert basis.w[0] < 1e-18
+        curve = msd_exact_curve(basis, partition_function(basis),
+                                np.array([0.0, CONST.hbar * basis.beta]))
+        assert curve.params["path"] == "direct"
