@@ -1,5 +1,5 @@
-"""Time the two exact-sum paths: the O(K) theta series and the O(K^2)
-direct pair sum.
+"""Time the two exact-sum paths (the O(K) theta series and the O(K^2)
+direct pair sum) and the Monte-Carlo ensemble kernel.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 
@@ -10,7 +10,12 @@ same 52 time points: 5 in (0, 0.05 t_b], 39 in (0, 100 t_b] and 8 in
 [3 t_c, 5 t_c]. It prints the best-of-N wall time of each and the maximum
 relative deviation of the theta series from the direct sum. At L = 80a it
 times the theta series alone: there the direct sum's pair arrays take
-about 0.9 GiB. Needs numpy only.
+about 0.9 GiB.
+
+It then times ``ensemble_positions`` for the ``mc-verify`` defaults (K = 201,
+10 000 members, 21 times: 0 and 1..20 t_b) against the plain per-time
+expression (phi = theta - E t/hbar, u @ A.T per time), and prints the
+maximum deviation relative to max |x|. Needs numpy only.
 """
 
 import argparse
@@ -21,7 +26,8 @@ import numpy as np
 
 from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
 from qmsd.exact import msd_exact_curve
-from qmsd.kernels import msd_reduce, pair_arrays
+from qmsd.kernels import ensemble_positions, msd_reduce, pair_arrays
+from qmsd.montecarlo import _ensemble_setup, sample_phases
 
 
 def timed(fn, repeats):
@@ -37,6 +43,33 @@ def timed(fn, repeats):
 def direct_sum(basis, Q, times):
     wprod, half_omega = pair_arrays(basis)
     return 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
+
+
+def plain_positions(wt, thetas, eom, times, A, pref):
+    out = np.empty((thetas.shape[0], times.size))
+    for it, t in enumerate(times):
+        phi = thetas - eom[None, :] * t
+        u = wt[None, :] * np.cos(phi)
+        v = wt[None, :] * np.sin(phi)
+        out[:, it] = pref * np.einsum("mk,mk->m", v, u @ A.T)
+    return out
+
+
+def bench_ensemble(repeats):
+    sys_ = PhysicalSystem.from_user_units(28, 190, 256, 10)
+    s = derive_scales(sys_)
+    basis = build_basis(sys_, 20, edge_weight_cutoff=1.0)
+    Q = partition_function(basis)
+    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    thetas = sample_phases(basis, 10000, seed=42)
+    times = np.concatenate(([0.0], np.linspace(1.0, 20.0, 20))) * s.t_b
+    X, t_new = timed(lambda: ensemble_positions(wt, thetas, eom, times, A, pref), repeats)
+    ref, t_plain = timed(lambda: plain_positions(wt, thetas, eom, times, A, pref), 1)
+    dev = float(np.max(np.abs(X - ref)) / np.max(np.abs(ref)))
+    print(f"\nensemble_positions, K = {basis.K}, {thetas.shape[0]} members, "
+          f"{times.size} times")
+    print(f"{'kernel s':>9} {'plain s':>9} {'speedup':>8} {'max dev / max|x|':>17}")
+    print(f"{t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x {dev:>17.1e}")
 
 
 def main():
@@ -64,6 +97,7 @@ def main():
         ref, t_direct = timed(lambda: direct_sum(basis, Q, times), 1)
         dev = float(np.max(np.abs(curve.values - ref) / ref))
         print(row + f" {t_direct:>9.3f} {t_direct / t_theta:>7.0f}x {dev:>12.1e}")
+    bench_ensemble(args.repeats)
 
 
 if __name__ == "__main__":

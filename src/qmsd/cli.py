@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backend import backend_name
 from .basis import build_basis, partition_function
 from .closedforms import CollisionModelParams, breve_closed, msd_collision_model
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
@@ -47,6 +46,12 @@ DEFAULTS = {
 
 # config keys that must hold whole numbers; int() would truncate 10.7 to 10
 INTEGER_KEYS = ("n_cells", "dimensionality", "funcs_per_cell", "members", "seed")
+# config keys that must hold real numbers (a JSON string or bool is refused)
+FLOAT_KEYS = ("mass_u", "temperature_K", "lattice_pm", "alpha", "q_inv_angstrom")
+
+# family-wise false-alarm rate of the mc-verify gate: a correct program is
+# refused with this probability over all of its grid points together
+MC_GATE_FALSE_ALARM = 1e-3
 
 
 class NumericalError(RuntimeError):
@@ -147,6 +152,10 @@ def resolve_config(args) -> tuple[dict, set]:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
             raise ValidationError(f"{k} must be an integer, got {v!r}")
         cfg[k] = int(v)
+    for k in FLOAT_KEYS:
+        v = cfg[k]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{k} must be a number, got {v!r}")
     return cfg, explicit
 
 
@@ -189,7 +198,6 @@ class Run:
             payload = {
                 "command": self.command,
                 "config": self.cfg,
-                "backend": backend_name(),
                 "version": __version__,
             }
             payload.update(extra)
@@ -281,6 +289,25 @@ def cmd_collision(run: Run):
     run.meta("collision.json", {"alpha": run.cfg["alpha"]})
 
 
+def _mc_gate(mean, stderr, exact) -> tuple[float, float]:
+    """(max |z|, z*) of a Monte-Carlo curve against the exact sum.
+
+    z = (mean - exact) / stderr per point. Refusing when max |z| > z* =
+    Phi^-1(1 - alpha / 2n) over n points refuses a correct estimate with
+    probability at most alpha when each z is standard normal (Bonferroni,
+    alpha = MC_GATE_FALSE_ALARM). A point with zero stderr (t = 0)
+    has z = 0 when the two agree exactly and infinite z otherwise.
+    """
+    # imported here: statistics loads decimal and fractions, which only
+    # mc-verify needs (about 4 ms and 0.4 MiB at start-up otherwise)
+    from statistics import NormalDist
+    diff = np.abs(mean - exact)
+    with np.errstate(divide="ignore"):
+        z = np.where(diff == 0.0, 0.0, diff / stderr)
+    z_star = NormalDist().inv_cdf(1.0 - MC_GATE_FALSE_ALARM / (2 * np.size(z)))
+    return float(np.max(z)), z_star
+
+
 def cmd_mc_verify(run: Run):
     t_b = run.scales.t_b
     # the Monte-Carlo oracle is O(K^2) per member: keep K small unless asked
@@ -290,13 +317,14 @@ def cmd_mc_verify(run: Run):
     Q = partition_function(basis)
     res = sample_msd(basis, Q, grid, run.cfg["members"], run.cfg["seed"])
     exact = msd_exact_curve(basis, Q, grid, weight_floor=0.0)
-    mismatch = np.abs(res.mean_msd - exact.values) > 3.0 * res.stderr
-    if mismatch.any():
+    max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact.values)
+    if not max_z <= z_star:  # a NaN z refuses too
         raise NumericalError(
-            f"Monte-Carlo estimate departs from the exact sum by more than "
-            f"3 stderr at {int(mismatch.sum())} of {grid.size} points")
+            f"Monte-Carlo estimate departs from the exact sum: max |z| = "
+            f"{max_z:.2f} over {grid.size} points exceeds z* = {z_star:.2f} "
+            f"(family-wise false-alarm rate {MC_GATE_FALSE_ALARM:g})")
     est, err, t_used = sample_msd_rerandomized(
-        basis, Q, run.cfg["members"], run.cfg["seed"])
+        basis, Q, run.cfg["members"], run.cfg["seed"], x0=res.x0)
     bs = breve_sum(basis, Q, weight_floor=0.0)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
@@ -305,8 +333,12 @@ def cmd_mc_verify(run: Run):
         "K": basis.K, "members": res.n_members, "seed": res.seed,
         "rerandomized_estimate_m2": est, "rerandomized_stderr_m2": err,
         "rerandomized_t_s": t_used, "breve_sum_m2": bs,
+        "max_abs_z": max_z, "gate_z": z_star,
+        "gate_false_alarm": MC_GATE_FALSE_ALARM,
     })
-    print(f"MC vs exact: all {grid.size} points within 3 stderr")
+    print(f"MC vs exact: max |z| = {max_z:.2f} over {grid.size} points, "
+          f"below z* = {z_star:.2f} (family-wise false-alarm rate "
+          f"{MC_GATE_FALSE_ALARM:g})")
     print(f"rerandomized plateau = {est:.4e} +- {err:.1e} m^2 "
           f"(breve_sum = {bs:.4e} m^2)")
 

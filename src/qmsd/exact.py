@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from .backend import backend_name
 from .basis import EigenBasis
 from .constants import CONST
 from .curves import MsdCurve, validate_grid
@@ -140,7 +139,6 @@ def msd_exact_curve(basis: EigenBasis, Q: float, grid,
             "edge_weight": float(basis.w[0]),
             "weight_floor": weight_floor,
             "reduction_block": BLOCK,
-            "backend": backend_name(),
         },
     )
 

@@ -1,32 +1,21 @@
-"""Hot O(K^2) reduction kernels, in numba and pure-numpy twins.
+"""Hot kernels: the O(K^2) pair reduction behind the direct exact sum and
+the per-member position evaluation behind the Monte-Carlo sampler.
 
-Both backends use a fixed-block reduction (BLOCK pairs per partial sum,
-blocks combined in index order), so results are reproducible run to run
-and independent of thread count. The active twin is chosen per call via
-qmsd.backend.
+The pair reduction uses a fixed-block sum (BLOCK pairs per partial sum,
+blocks combined in index order), so results are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import use_numba
 from .constants import CONST
 
 BLOCK = 4096
-
-try:
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
-
-    prange = range
+# ensemble members per block of the position kernel; its six
+# (MEMBER_BLOCK, K) work buffers take 0.4 MiB each at K = 201; 128-512
+# rows ran within 8 % of each other (1 BLAS thread, 2-core Xeon)
+MEMBER_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -57,52 +46,20 @@ def pair_arrays(basis, weight_floor: float = 1e-18):
 # coherent MSD reduction: sum_p wprod_p * sin^2(half_omega_p * t)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, parallel=True)
-def _msd_reduce_numba(wprod, half_omega, times):  # pragma: no cover - jitted
-    nt = times.size
-    n = wprod.size
-    out = np.empty(nt)
-    nblocks = (n + BLOCK - 1) // BLOCK
-    for it in prange(nt):
-        t = times[it]
-        total = 0.0
-        for b in range(nblocks):
-            lo = b * BLOCK
-            hi = min(lo + BLOCK, n)
-            acc = 0.0
-            for p in range(lo, hi):
-                s = np.sin(half_omega[p] * t)
-                acc += wprod[p] * s * s
-            total += acc
-        out[it] = total
-    return out
-
-
-def _msd_reduce_numpy(wprod, half_omega, times):
-    nt = times.size
-    n = wprod.size
-    out = np.empty(nt)
-    nblocks = (n + BLOCK - 1) // BLOCK
-    for it in range(nt):
-        t = times[it]
-        total = 0.0
-        for b in range(nblocks):
-            lo = b * BLOCK
-            hi = min(lo + BLOCK, n)
-            s = np.sin(half_omega[lo:hi] * t)
-            total += float(np.sum(wprod[lo:hi] * s * s))
-        out[it] = total
-    return out
-
-
 def msd_reduce(wprod, half_omega, times) -> np.ndarray:
-    """sum_p wprod_p sin^2(half_omega_p t) for each t, backend-dispatched."""
+    """sum_p wprod_p sin^2(half_omega_p t) for each t, in BLOCK partial sums."""
     wprod = np.ascontiguousarray(wprod, dtype=np.float64)
     half_omega = np.ascontiguousarray(half_omega, dtype=np.float64)
     times = np.ascontiguousarray(np.atleast_1d(times), dtype=np.float64)
-    if use_numba() and _HAVE_NUMBA:
-        return _msd_reduce_numba(wprod, half_omega, times)
-    return _msd_reduce_numpy(wprod, half_omega, times)
+    n = wprod.size
+    out = np.empty(times.size)
+    for it, t in enumerate(times):
+        total = 0.0
+        for lo in range(0, n, BLOCK):
+            s = np.sin(half_omega[lo:lo + BLOCK] * t)
+            total += float(np.sum(wprod[lo:lo + BLOCK] * s * s))
+        out[it] = total
+    return out
 
 
 def blocked_sum(values) -> float:
@@ -129,54 +86,47 @@ def antisym_coupling_matrix(K: int) -> np.ndarray:
     return A
 
 
-@njit(cache=True, parallel=True)
-def _positions_numba(wt, thetas, eom, times, A, pref):  # pragma: no cover
-    m = thetas.shape[0]
-    K = wt.size
-    nt = times.size
-    out = np.empty((m, nt))
-    for im in prange(m):
-        u = np.empty(K)
-        v = np.empty(K)
-        for it in range(nt):
-            t = times[it]
-            for k in range(K):
-                phi = thetas[im, k] - eom[k] * t
-                u[k] = wt[k] * np.cos(phi)
-                v[k] = wt[k] * np.sin(phi)
-            acc = 0.0
-            for n in range(K):
-                row = 0.0
-                for j in range(K):
-                    row += A[n, j] * u[j]
-                acc += v[n] * row
-            out[im, it] = pref * acc
-    return out
-
-
-def _positions_numpy(wt, thetas, eom, times, A, pref):
-    m = thetas.shape[0]
-    nt = times.size
-    out = np.empty((m, nt))
-    for it in range(nt):
-        phi = thetas - eom[None, :] * times[it]
-        u = wt[None, :] * np.cos(phi)
-        v = wt[None, :] * np.sin(phi)
-        out[:, it] = pref * np.einsum("mk,mk->m", v, u @ A.T)
-    return out
-
-
 def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     """Position expectation values, shape (members, times).
 
     wt: e^(-beta E/2) amplitudes; thetas: random phases per member;
     eom: E/hbar; A: antisymmetric coupling matrix; pref: L/(pi Q).
+
+    With phi = theta - eom t, u = wt cos(phi) and v = wt sin(phi), the
+    position is pref * v^T A u. Angle addition splits each phase: with
+    C = wt cos(theta) and S = wt sin(theta), computed once per member,
+    u = C cos(eom t) + S sin(eom t) and v = S cos(eom t) - C sin(eom t),
+    so each time point costs two K-vector trig calls, not two per member
+    and state. Members are processed MEMBER_BLOCK at a time in reused
+    buffers.
     """
     wt = np.ascontiguousarray(wt, dtype=np.float64)
     thetas = np.ascontiguousarray(np.atleast_2d(thetas), dtype=np.float64)
     eom = np.ascontiguousarray(eom, dtype=np.float64)
     times = np.ascontiguousarray(np.atleast_1d(times), dtype=np.float64)
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    if use_numba() and _HAVE_NUMBA:
-        return _positions_numba(wt, thetas, eom, times, A, float(pref))
-    return _positions_numpy(wt, thetas, eom, times, A, float(pref))
+    AT = np.ascontiguousarray(np.asarray(A, dtype=np.float64).T)
+    pref = float(pref)
+    m, K = thetas.shape
+    coswt = np.cos(eom[None, :] * times[:, None])
+    sinwt = np.sin(eom[None, :] * times[:, None])
+    out = np.empty((m, times.size))
+    rows = max(1, min(m, MEMBER_BLOCK))
+    C, S, u, v, tmp, Au = (np.empty((rows, K)) for _ in range(6))
+    for lo in range(0, m, rows):
+        b = min(rows, m - lo)
+        Cb, Sb, ub, vb, tb, Aub = C[:b], S[:b], u[:b], v[:b], tmp[:b], Au[:b]
+        np.cos(thetas[lo:lo + b], out=Cb)
+        np.sin(thetas[lo:lo + b], out=Sb)
+        Cb *= wt
+        Sb *= wt
+        for it in range(times.size):
+            c, s = coswt[it], sinwt[it]
+            np.multiply(Cb, c, out=ub)
+            np.multiply(Sb, s, out=tb)
+            ub += tb
+            np.multiply(Sb, c, out=vb)
+            np.multiply(Cb, s, out=tb)
+            vb -= tb
+            np.matmul(ub, AT, out=Aub)
+            out[lo:lo + b, it] = pref * np.einsum("mk,mk->m", vb, Aub)
+    return out

@@ -43,6 +43,7 @@ class EnsembleResult:
     n_members: int
     seed: int
     params: dict = field(default_factory=dict)
+    x0: np.ndarray | None = None  # each member's x(0) (m), stream-0 phases
 
 
 def _member_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
@@ -101,16 +102,22 @@ def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
         times=times, mean_msd=mean, stderr=stderr,
         n_members=n_members, seed=seed,
         params={"K": basis.K, "L": basis.L, "Q": Q},
+        x0=X[:, 0].copy(),
     )
 
 
 def sample_msd_rerandomized(basis: EigenBasis, Q: float, n_members: int,
-                            seed: int = 42, t: float | None = None):
+                            seed: int = 42, t: float | None = None,
+                            x0: np.ndarray | None = None):
     """Plateau estimate with independent phase sets before and after.
 
     Draws uncorrelated phases for time 0 and time t, so the averaged
     squared difference is time-independent and estimates the decohered
     plateau. Returns (estimate, stderr, t_used).
+
+    x0, if given, is the members' x(0) from ``sample_msd`` with the same
+    basis, Q, n_members and seed (``EnsembleResult.x0``); the stream-0
+    phases are then not drawn again.
     """
     if n_members < 2:
         raise ValueError("n_members must be >= 2")
@@ -118,9 +125,12 @@ def sample_msd_rerandomized(basis: EigenBasis, Q: float, n_members: int,
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta
     wt, eom, A, pref = _ensemble_setup(basis, Q)
-    thetas_before = sample_phases(basis, n_members, seed, stream=0)
+    if x0 is None:
+        thetas_before = sample_phases(basis, n_members, seed, stream=0)
+        x0 = ensemble_positions(wt, thetas_before, eom, np.array([0.0]), A, pref)[:, 0]
+    elif np.shape(x0) != (n_members,):
+        raise ValueError(f"x0 has shape {np.shape(x0)}, expected ({n_members},)")
     thetas_after = sample_phases(basis, n_members, seed, stream=1)
-    x0 = ensemble_positions(wt, thetas_before, eom, np.array([0.0]), A, pref)[:, 0]
     xt = ensemble_positions(wt, thetas_after, eom, np.array([float(t)]), A, pref)[:, 0]
     disp_sq = (xt - x0) ** 2
     estimate = float(disp_sq.mean())

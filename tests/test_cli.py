@@ -95,6 +95,17 @@ class TestExitCodes:
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("mass_u", "28"), ("temperature_K", "190"), ("lattice_pm", [256]),
+        ("alpha", True), ("q_inv_angstrom", None)])
+    def test_config_error_non_numeric(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        assert run_cli("scales", "--out", str(tmp_path / "o"),
+                       "--config", str(cfgfile)) == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"n_cells": 20.0}))
@@ -235,10 +246,34 @@ class TestArtifacts:
         assert run_cli("mc-verify", "--out", str(tmp_path),
                        "--members", "1500", "--grid", "linear:1:10:5") == 0
         out = capsys.readouterr().out
-        assert "within 3 stderr" in out
         meta = json.loads((tmp_path / "mc_verify.json").read_text())
+        assert (f"MC vs exact: max |z| = {meta['max_abs_z']:.2f} over 5 points, "
+                f"below z* = {meta['gate_z']:.2f} (family-wise false-alarm rate 0.001)"
+                in out)
+        assert meta["max_abs_z"] < meta["gate_z"]
+        # z* = Phi^-1(1 - alpha / 2n) for alpha = 1e-3 over n = 5 points
+        assert meta["gate_z"] == pytest.approx(3.7190, abs=1e-4)
+        assert meta["gate_false_alarm"] == 1e-3
         assert meta["members"] == 1500
         assert meta["K"] == 201
+
+    def test_mc_verify_gate_refuses_scaled_exact_sum(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a 10 % scale error in the exact sum is refused at the defaults
+        import dataclasses
+
+        import qmsd.cli
+        real = qmsd.cli.msd_exact_curve
+
+        def scaled(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            return dataclasses.replace(curve, values=1.10 * curve.values)
+
+        monkeypatch.setattr(qmsd.cli, "msd_exact_curve", scaled)
+        assert run_cli("mc-verify", "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert "Monte-Carlo estimate departs from the exact sum" in err
+        assert not (tmp_path / "mc_verify.csv").exists()
 
     def test_figure1_and_figure2(self, tmp_path):
         assert run_cli("figure1", "--out", str(tmp_path),

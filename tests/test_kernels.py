@@ -1,40 +1,9 @@
-import importlib.util
-
 import numpy as np
 import pytest
 
-from qmsd.backend import backend_name, use_numba
-from qmsd.kernels import (BLOCK, antisym_coupling_matrix, blocked_sum,
-                          ensemble_positions, msd_reduce, pair_arrays)
-
-requires_numba = pytest.mark.skipif(importlib.util.find_spec("numba") is None,
-                                    reason="numba not installed")
-
-
-class TestBackendSelection:
-    def test_default_prefers_numba(self, monkeypatch):
-        # unset, numba is used exactly when it is importable
-        monkeypatch.delenv("QMSD_BACKEND", raising=False)
-        monkeypatch.setattr("qmsd.backend._NUMBA_OK", True)
-        assert backend_name() == "numba"
-        assert use_numba()
-        monkeypatch.setattr("qmsd.backend._NUMBA_OK", False)
-        assert backend_name() == "numpy"
-        assert not use_numba()
-
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv("QMSD_BACKEND", "numpy")
-        assert backend_name() == "numpy"
-        assert not use_numba()
-
-    def test_case_and_whitespace_tolerant(self, monkeypatch):
-        monkeypatch.setenv("QMSD_BACKEND", "  NumPy ")
-        assert backend_name() == "numpy"
-
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("QMSD_BACKEND", "fortran")
-        with pytest.raises(ValueError):
-            backend_name()
+from qmsd.kernels import (BLOCK, MEMBER_BLOCK, antisym_coupling_matrix,
+                          blocked_sum, ensemble_positions, msd_reduce,
+                          pair_arrays)
 
 
 class TestPairArrays:
@@ -65,27 +34,14 @@ def reduce_data(co_basis, co_scales):
 
 
 class TestMsdReduceTwins:
-    @requires_numba
-    def test_backends_agree(self, reduce_data, monkeypatch):
+    def test_deterministic_across_calls(self, reduce_data):
         wprod, half_omega, times = reduce_data
-        monkeypatch.setenv("QMSD_BACKEND", "numba")
-        a = msd_reduce(wprod, half_omega, times)
-        monkeypatch.setenv("QMSD_BACKEND", "numpy")
-        b = msd_reduce(wprod, half_omega, times)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("backend", [
-        pytest.param("numba", marks=requires_numba), "numpy"])
-    def test_deterministic_across_calls(self, reduce_data, monkeypatch, backend):
-        wprod, half_omega, times = reduce_data
-        monkeypatch.setenv("QMSD_BACKEND", backend)
         a = msd_reduce(wprod, half_omega, times)
         b = msd_reduce(wprod, half_omega, times)
         assert np.array_equal(a, b)
 
-    def test_matches_plain_sum(self, reduce_data, monkeypatch):
+    def test_matches_plain_sum(self, reduce_data):
         wprod, half_omega, times = reduce_data
-        monkeypatch.setenv("QMSD_BACKEND", "numpy")
         got = msd_reduce(wprod, half_omega, times)
         want = np.array([np.sum(wprod * np.sin(half_omega * t) ** 2)
                          for t in times])
@@ -140,19 +96,63 @@ def position_data(mc_basis):
 
 
 class TestEnsemblePositionsTwins:
-    @requires_numba
-    def test_backends_agree(self, position_data, monkeypatch):
-        wt, thetas, eom, times, A, pref = position_data
-        monkeypatch.setenv("QMSD_BACKEND", "numba")
-        a = ensemble_positions(wt, thetas, eom, times, A, pref)
-        monkeypatch.setenv("QMSD_BACKEND", "numpy")
-        b = ensemble_positions(wt, thetas, eom, times, A, pref)
-        assert a.shape == b.shape == (32, 5)
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.abs(a).max())
-
     def test_single_member_row_vector_promoted(self, position_data):
         wt, thetas, eom, times, A, pref = position_data
         one = ensemble_positions(wt, thetas[0], eom, times, A, pref)
         assert one.shape == (1, 5)
         full = ensemble_positions(wt, thetas, eom, times, A, pref)
         np.testing.assert_allclose(one[0], full[0], rtol=1e-13)
+
+
+def plain_positions(wt, thetas, eom, times, A, pref):
+    """Oracle: the position form evaluated directly at each time."""
+    out = np.empty((thetas.shape[0], times.size))
+    for it, t in enumerate(times):
+        phi = thetas - eom[None, :] * t
+        u = wt[None, :] * np.cos(phi)
+        v = wt[None, :] * np.sin(phi)
+        out[:, it] = pref * np.einsum("mk,mk->m", v, u @ A.T)
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_data(mc_basis):
+    from qmsd import CONST, partition_function
+    from qmsd.montecarlo import _ensemble_setup, sample_phases
+    Q = partition_function(mc_basis)
+    wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+    thetas = sample_phases(mc_basis, 1030, seed=23)
+    t_b = CONST.hbar * mc_basis.beta
+    times = np.concatenate(([0.0], np.geomspace(1e-2, 1e3, 12))) * t_b
+    return wt, thetas, eom, times, A, pref
+
+
+class TestEnsemblePositionsOracle:
+    @pytest.mark.parametrize("members", [1, 513, 1030])
+    def test_matches_per_time_formula(self, oracle_data, members):
+        # member counts that leave a partial last block
+        assert members % MEMBER_BLOCK
+        wt, thetas, eom, times, A, pref = oracle_data
+        got = ensemble_positions(wt, thetas[:members], eom, times, A, pref)
+        want = plain_positions(wt, thetas[:members], eom, times, A, pref)
+        assert got.shape == (members, times.size)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+class TestStreamZeroReuse:
+    def test_rerandomized_with_x0_bit_identical(self, mc_basis):
+        from qmsd import CONST, partition_function, sample_msd, sample_msd_rerandomized
+        Q = partition_function(mc_basis)
+        grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
+        res = sample_msd(mc_basis, Q, grid, n_members=600, seed=3)
+        assert res.x0.shape == (600,)
+        reused = sample_msd_rerandomized(mc_basis, Q, 600, seed=3, x0=res.x0)
+        fresh = sample_msd_rerandomized(mc_basis, Q, 600, seed=3)
+        assert reused == fresh
+
+    def test_x0_of_wrong_length_rejected(self, mc_basis):
+        from qmsd import partition_function, sample_msd_rerandomized
+        Q = partition_function(mc_basis)
+        with pytest.raises(ValueError):
+            sample_msd_rerandomized(mc_basis, Q, 600, seed=3, x0=np.zeros(599))
