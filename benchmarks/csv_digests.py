@@ -1,0 +1,61 @@
+"""Print the SHA-256 of every CSV the nine CLI commands write.
+
+Usage: PYTHONPATH=src python benchmarks/csv_digests.py
+
+Runs each command in-process (``qmsd.cli.main``) with ``--formats csv``,
+once at the defaults and once at a non-default configuration, each into a
+fresh temporary directory. For each CSV it prints one line:
+
+    <config> <file> <sha256 of the file> <sha256 of the body>
+
+where the body is the file without its first line, the config hash. Two
+checkouts write the same numbers when their outputs agree line for line;
+the body digest tells a changed hash from changed numbers. Needs numpy
+only.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from qmsd.cli import main
+
+COMMANDS = ("scales", "ideal", "exact", "breve", "collision", "mc-verify",
+            "scattering", "figure1", "figure2")
+CONFIGS = {
+    "defaults": [],
+    "custom": ["--n-cells", "20", "--temperature-K", "300", "--alpha", "0.5",
+               "--funcs-per-cell", "60", "--grid", "linear:0.5:12:17",
+               "--members", "3000", "--seed", "7", "--q-inv-angstrom", "2.0"],
+}
+
+
+def digests(outdir: Path):
+    """(file name, file digest, body digest) of each CSV in outdir."""
+    for path in sorted(outdir.glob("*.csv")):
+        data = path.read_bytes()
+        body = data.split(b"\n", 1)[1]
+        yield (path.name, hashlib.sha256(data).hexdigest(),
+               hashlib.sha256(body).hexdigest())
+
+
+def run(command: str, flags: list[str], outdir: Path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main([command, "--formats", "csv", "--out", str(outdir), *flags])
+
+
+if __name__ == "__main__":
+    failed = 0
+    for label, flags in CONFIGS.items():
+        for command in COMMANDS:
+            with tempfile.TemporaryDirectory() as tmp:
+                rc = run(command, flags, Path(tmp))
+                if rc != 0:
+                    print(f"{label} {command} exit {rc}", file=sys.stderr)
+                    failed += 1
+                for name, file_sha, body_sha in digests(Path(tmp)):
+                    print(f"{label} {name} {file_sha} {body_sha}", flush=True)
+    sys.exit(1 if failed else 0)

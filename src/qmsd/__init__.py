@@ -7,12 +7,12 @@ scattering observables and a Monte-Carlo random-phase oracle.
 __version__ = "0.1.0"
 
 from .basis import EigenBasis, build_basis, partition_function, x_element, x_element_general
-from .closedforms import (CollisionModelParams, I_ab, J, breve_closed, erf,
+from .closedforms import (CollisionModelParams, I_ab, J, breve_closed,
                           maxwell_boltzmann_pdf, msd_collision_model)
 from .constants import (CONST, CharacteristicScales, PhysicalConstants,
                         PhysicalSystem, ValidationError, derive_scales)
 from .curves import MsdCurve, geometric_grid, linear_grid
-from .exact import breve_sum, msd_exact, msd_exact_curve
+from .exact import breve_sum, msd_exact_curve
 from .ideal import IdealMsdParams, complex_squared_length, msd_ideal, msd_ideal_curve
 from .montecarlo import (EnsembleResult, ThermalMember, position_expectation,
                          sample_msd, sample_msd_rerandomized, sample_phases)
@@ -23,9 +23,9 @@ __all__ = [
     "EnsembleResult", "I_ab", "IdealMsdParams", "J", "MsdCurve",
     "PhysicalConstants", "PhysicalSystem", "ScatteringParams",
     "ThermalMember", "ValidationError", "breve_closed", "breve_sum",
-    "build_basis", "complex_squared_length", "derive_scales", "dsf", "erf",
+    "build_basis", "complex_squared_length", "derive_scales", "dsf",
     "geometric_grid", "isf", "isf_phase", "linear_grid",
-    "maxwell_boltzmann_pdf", "msd_collision_model", "msd_exact",
+    "maxwell_boltzmann_pdf", "msd_collision_model",
     "msd_exact_curve", "msd_ideal", "msd_ideal_curve",
     "pair_correlation_self", "partition_function", "position_expectation",
     "sample_msd", "sample_msd_rerandomized", "sample_phases", "x_element",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, PhysicalSystem
+from .constants import CONST, PhysicalSystem, ValidationError
 
 
 class TruncationWarning(UserWarning):
@@ -48,8 +48,10 @@ def build_basis(sys: PhysicalSystem, funcs_per_cell: int,
 
     Warns (does not fail) if the edge Boltzmann weight exceeds the cutoff.
     """
+    if sys.dimensionality != 1:
+        raise ValidationError("the plane-wave basis is 1-D: dimensionality must be 1")
     if funcs_per_cell < 1:
-        raise ValueError("funcs_per_cell must be >= 1")
+        raise ValidationError("funcs_per_cell must be >= 1")
     K = funcs_per_cell * sys.n_cells
     if K % 2 == 0:
         K += 1

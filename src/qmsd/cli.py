@@ -27,27 +27,25 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-DEFAULTS = {
-    "mass_u": 28.0,
-    "temperature_K": 190.0,
-    "lattice_pm": 256.0,
-    "n_cells": 10,
-    "dimensionality": 1,
-    "funcs_per_cell": 100,
-    "alpha": 0.35,
-    "members": 10000,
-    "seed": 42,
-    "grid": None,
-    "out": "out",
-    "formats": "csv,svg,json-meta",
-    "no_timestamp": False,
-    "q_inv_angstrom": 1.0,
+# config key -> (default, type, help). Each key is also the flag
+# --<key with - for _>; resolve_config checks each value against its type
+CONFIG_KEYS = {
+    "mass_u": (28.0, float, "particle mass (u)"),
+    "temperature_K": (190.0, float, "temperature (K)"),
+    "lattice_pm": (256.0, float, "lattice constant a (pm)"),
+    "n_cells": (10, int, "super-cell length L in lattice constants"),
+    "dimensionality": (1, int, "spatial dimension; only ideal and figure1 accept d != 1"),
+    "funcs_per_cell": (100, int, "plane waves per lattice cell"),
+    "alpha": (0.35, float, "collision-model free flight, in units of L"),
+    "members": (10000, int, "Monte-Carlo ensemble members"),
+    "seed": (42, int, "Monte-Carlo seed, >= 0"),
+    "grid": (None, str, "{linear|geometric}:<start>:<stop>:<count>, in t_b units"),
+    "out": ("out", str, "output directory"),
+    "formats": ("csv,svg,json-meta", str, "comma list of csv,svg,json-meta"),
+    "no_timestamp": (False, bool, "leave the timestamp out of SVG files"),
+    "q_inv_angstrom": (1.0, float, "momentum transfer wavenumber (1/Angstrom)"),
 }
-
-# config keys that must hold whole numbers; int() would truncate 10.7 to 10
-INTEGER_KEYS = ("n_cells", "dimensionality", "funcs_per_cell", "members", "seed")
-# config keys that must hold real numbers (a JSON string or bool is refused)
-FLOAT_KEYS = ("mass_u", "temperature_K", "lattice_pm", "alpha", "q_inv_angstrom")
+DEFAULTS = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
 
 # family-wise false-alarm rate of the mc-verify gate: a correct program is
 # refused with this probability over all of its grid points together
@@ -69,13 +67,9 @@ def parse_grid(spec: str):
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {spec!r}: {exc}") from exc
+    if not np.all(np.isfinite([start, stop])):
+        raise ValidationError(f"bad grid spec {spec!r}: bounds must be finite")
     return kind, start, stop, count
-
-
-def make_grid(spec, t_b, default_spec):
-    kind, start, stop, count = parse_grid(spec if spec else default_spec)
-    fn = linear_grid if kind == "linear" else geometric_grid
-    return fn(start * t_b, stop * t_b, count)
 
 
 def _build_parser():
@@ -87,85 +81,64 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, help="flat JSON config file")
-    common.add_argument("--mass-u", type=float, dest="mass_u")
-    common.add_argument("--temperature-K", type=float, dest="temperature_K")
-    common.add_argument("--lattice-pm", type=float, dest="lattice_pm")
-    common.add_argument("--n-cells", type=int, dest="n_cells")
-    common.add_argument("--dimensionality", type=int, dest="dimensionality")
-    common.add_argument("--funcs-per-cell", type=int, dest="funcs_per_cell")
-    common.add_argument("--alpha", type=float, dest="alpha")
-    common.add_argument("--members", type=int, dest="members")
-    common.add_argument("--seed", type=int, dest="seed")
-    common.add_argument("--grid", type=str, dest="grid",
-                        help="{linear|geometric}:<start>:<stop>:<count>, in t_b units")
-    common.add_argument("--out", type=str, dest="out")
-    common.add_argument("--formats", type=str, dest="formats",
-                        help="comma list of csv,svg,json-meta")
-    common.add_argument("--no-timestamp", action="store_const", const=True,
-                        dest="no_timestamp")
-    common.add_argument("--q-inv-angstrom", type=float, dest="q_inv_angstrom",
-                        help="momentum transfer wavenumber (1/Angstrom)")
+    for key, (_, kind, help_) in CONFIG_KEYS.items():
+        # an unset flag stays None, so that it does not override the file
+        how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_, **how)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("scales", "derived characteristic scales"),
-        ("ideal", "closed-form ideal MSD curve"),
-        ("exact", "exact coherent double-sum MSD curve"),
-        ("breve", "decohered plateau: direct sum and closed form"),
-        ("collision", "velocity-averaged collision-model curve"),
-        ("mc-verify", "Monte-Carlo random-phase oracle vs exact sum"),
-        ("scattering", "ISF, ISF phase and DSF slices"),
-        ("figure1", "ideal-particle MSD crossover figure"),
-        ("figure2", "quasi-ideal plateaus figure (L = 10a, 20a, 40a)"),
-    ]:
-        sub.add_parser(name, parents=[common], help=help_)
+    for name, (command, _) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=(command.__doc__ or "").split("\n")[0])
     return parser
 
 
-def resolve_config(args) -> tuple[dict, set]:
-    """Merge defaults <- config file <- CLI flags. Returns (cfg, explicit keys)."""
-    cfg = dict(DEFAULTS)
-    explicit = set()
+def resolve_config(args) -> dict:
+    """Merge DEFAULTS <- the command's defaults <- config file <- CLI flags."""
+    loaded = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except OSError:
-            raise
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file is not valid JSON: {exc}") from exc
-        for k, v in loaded.items():
+        if not isinstance(loaded, dict):
+            raise ValidationError("config file must hold one JSON object")
+        for k in loaded:
             if k not in DEFAULTS:
                 raise ValidationError(f"unknown config key {k!r}")
-            cfg[k] = v
-            explicit.add(k)
+    cfg = {**DEFAULTS, **COMMANDS[args.command][1], **loaded}
     for k in DEFAULTS:
         v = getattr(args, k, None)
         if v is not None:
             cfg[k] = v
-            explicit.add(k)
     fmts = set(str(cfg["formats"]).split(","))
     bad = fmts - {"csv", "svg", "json-meta"}
     if bad:
         raise ValidationError(f"unknown output formats: {sorted(bad)}")
     cfg["formats"] = ",".join(sorted(fmts))
-    for k in INTEGER_KEYS:
+    for k, (default, kind, _) in CONFIG_KEYS.items():
         v = cfg[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-            raise ValidationError(f"{k} must be an integer, got {v!r}")
-        cfg[k] = int(v)
-    for k in FLOAT_KEYS:
-        v = cfg[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{k} must be a number, got {v!r}")
-    return cfg, explicit
+        # a JSON string or bool is not a number
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if kind is int:
+            # int() would truncate 10.7 to 10
+            if not (number and float(v).is_integer()):
+                raise ValidationError(f"{k} must be an integer, got {v!r}")
+            cfg[k] = int(v)
+        elif kind is float:
+            if not number:
+                raise ValidationError(f"{k} must be a number, got {v!r}")
+        elif not (isinstance(v, kind) or v is None and default is None):
+            raise ValidationError(f"{k} must be a {kind.__name__}, got {v!r}")
+    if cfg["seed"] < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
+    return cfg
 
 
 class Run:
     """One CLI invocation: resolved config, output directory and writers."""
 
-    def __init__(self, command: str, cfg: dict, explicit: set):
+    def __init__(self, command: str, cfg: dict):
         self.command = command
         self.cfg = cfg
-        self.explicit = explicit
         # presentation keys do not affect the numbers; keep them out of
         # the hash so re-runs into another directory stay byte-identical
         hashed = {k: v for k, v in cfg.items()
@@ -173,13 +146,20 @@ class Run:
         self.hash = config_hash({"command": command, **hashed})
         self.outdir = Path(cfg["out"])
         self.formats = set(cfg["formats"].split(","))
-        self.system = PhysicalSystem.from_user_units(
-            cfg["mass_u"], cfg["temperature_K"], cfg["lattice_pm"],
-            cfg["n_cells"], cfg["dimensionality"])
+        self.system = self.cell(cfg["n_cells"])
         self.scales = derive_scales(self.system)
 
-    def ensure_outdir(self):
-        self.outdir.mkdir(parents=True, exist_ok=True)
+    def cell(self, n_cells: int) -> PhysicalSystem:
+        """The configured particle on a super-cell of n_cells lattice constants."""
+        c = self.cfg
+        return PhysicalSystem.from_user_units(
+            c["mass_u"], c["temperature_K"], c["lattice_pm"], n_cells, c["dimensionality"])
+
+    def grid(self, default_spec: str) -> np.ndarray:
+        """The times (s) of --grid, or of default_spec when it is unset."""
+        kind, start, stop, count = parse_grid(self.cfg["grid"] or default_spec)
+        fn = linear_grid if kind == "linear" else geometric_grid
+        return fn(start * self.scales.t_b, stop * self.scales.t_b, count)
 
     def csv(self, name, header, columns):
         for col_name, col in zip(header, columns):
@@ -189,9 +169,19 @@ class Run:
         if "csv" in self.formats:
             write_csv(self.outdir / name, header, columns, self.hash)
 
-    def svg(self, name, svg_text):
+    def msd_csv(self, name, times, values, **style):
+        """Write an MSD curve (m^2) at times (s), also in units of t_b and
+        a^2, and return it in those units as a plot series."""
+        x = times / self.scales.t_b
+        y = values / self.system.lattice_a**2
+        self.csv(name, ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"], [times, x, values, y])
+        return {"x": x, "y": y, **style}
+
+    def svg(self, name, series, xlabel="t / t_b", ylabel="MSD / a^2", **kw):
         if "svg" in self.formats:
-            (self.outdir / name).write_text(svg_text)
+            (self.outdir / name).write_text(line_plot(
+                series, xlabel=xlabel, ylabel=ylabel,
+                timestamp=not self.cfg["no_timestamp"], **kw))
 
     def meta(self, name, extra):
         if "json-meta" in self.formats:
@@ -203,17 +193,30 @@ class Run:
             payload.update(extra)
             write_json_meta(self.outdir / name, payload, self.hash)
 
-    def plot(self, series, **kw):
-        kw.setdefault("timestamp", not self.cfg["no_timestamp"])
-        return line_plot(series, **kw)
-
 
 def _ideal_params(run: Run) -> IdealMsdParams:
     return IdealMsdParams(mass=run.system.mass, t_b=run.scales.t_b,
                           dimensionality=run.system.dimensionality)
 
 
+def _basis(run: Run, system: PhysicalSystem, **kw):
+    """(basis, Q) of one cell at the configured functions per cell."""
+    basis = build_basis(system, run.cfg["funcs_per_cell"], **kw)
+    return basis, partition_function(basis)
+
+
+def _collision(run: Run, system: PhysicalSystem, times) -> np.ndarray:
+    """Collision-model MSD (m^2) of one cell at each time."""
+    if system.dimensionality != 1:
+        raise ValidationError("the collision model is 1-D: dimensionality must be 1")
+    # v_T and t_b do not depend on the cell length
+    p = CollisionModelParams(alpha=float(run.cfg["alpha"]), L=system.L,
+                             v_T=run.scales.v_T, t_b=run.scales.t_b)
+    return msd_collision_model(p, times)
+
+
 def cmd_scales(run: Run):
+    """Derived characteristic scales."""
     s = run.scales
     run.csv("scales.csv",
             ["beta_per_J", "t_b_s", "t_c_s", "v_T_m_per_s",
@@ -225,41 +228,27 @@ def cmd_scales(run: Run):
 
 
 def cmd_ideal(run: Run):
-    t_b = run.scales.t_b
-    grid = make_grid(run.cfg["grid"], t_b, "geometric:0.01:100:512")
-    curve = msd_ideal_curve(_ideal_params(run), grid)
-    a2 = run.system.lattice_a**2
-    run.csv("ideal.csv",
-            ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-            [curve.times, curve.times / t_b, curve.values, curve.values / a2])
-    run.svg("ideal.svg", run.plot(
-        [{"x": curve.times / t_b, "y": curve.values / a2, "label": "ideal"}],
-        xlabel="t / t_b", ylabel="MSD / a^2", xscale="log", yscale="log",
-        title="Ideal-particle MSD"))
+    """Closed-form ideal MSD curve."""
+    curve = msd_ideal_curve(_ideal_params(run), run.grid("geometric:0.01:100:512"))
+    series = run.msd_csv("ideal.csv", curve.times, curve.values, label="ideal")
+    run.svg("ideal.svg", [series], xscale="log", yscale="log", title="Ideal-particle MSD")
     run.meta("ideal.json", {"method": curve.method, "points": int(curve.times.size)})
 
 
 def cmd_exact(run: Run):
-    t_b = run.scales.t_b
-    grid = make_grid(run.cfg["grid"], t_b, "linear:0:30:300")
-    basis = build_basis(run.system, run.cfg["funcs_per_cell"])
-    Q = partition_function(basis)
-    curve = msd_exact_curve(basis, Q, grid)
-    a2 = run.system.lattice_a**2
-    run.csv("exact.csv",
-            ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-            [curve.times, curve.times / t_b, curve.values, curve.values / a2])
-    run.svg("exact.svg", run.plot(
-        [{"x": curve.times / t_b, "y": curve.values / a2,
-          "label": f"exact sum, L={run.system.n_cells}a"}],
-        xlabel="t / t_b", ylabel="MSD / a^2", title="Exact coherent MSD"))
+    """Exact coherent double-sum MSD curve."""
+    basis, Q = _basis(run, run.system)
+    curve = msd_exact_curve(basis, Q, run.grid("linear:0:30:300"))
+    series = run.msd_csv("exact.csv", curve.times, curve.values,
+                         label=f"exact sum, L={run.system.n_cells}a")
+    run.svg("exact.svg", [series], title="Exact coherent MSD")
     run.meta("exact.json", {"method": curve.method, "K": basis.K,
                             "Q": Q, "params": curve.params})
 
 
 def cmd_breve(run: Run):
-    basis = build_basis(run.system, run.cfg["funcs_per_cell"])
-    Q = partition_function(basis)
+    """Decohered plateau: direct sum and closed form."""
+    basis, Q = _basis(run, run.system)
     bs = breve_sum(basis, Q)
     bc = breve_closed(run.system, run.scales)
     a2 = run.system.lattice_a**2
@@ -273,19 +262,11 @@ def cmd_breve(run: Run):
 
 
 def cmd_collision(run: Run):
-    s = run.scales
-    grid = make_grid(run.cfg["grid"], s.t_b, "linear:0:30:300")
-    p = CollisionModelParams(alpha=float(run.cfg["alpha"]), L=run.system.L,
-                             v_T=s.v_T, t_b=s.t_b)
-    values = np.array([msd_collision_model(p, t) for t in grid])
-    a2 = run.system.lattice_a**2
-    run.csv("collision.csv",
-            ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-            [grid, grid / s.t_b, values, values / a2])
-    run.svg("collision.svg", run.plot(
-        [{"x": grid / s.t_b, "y": values / a2,
-          "label": f"collision model, alpha={run.cfg['alpha']}"}],
-        xlabel="t / t_b", ylabel="MSD / a^2", title="Collision-model MSD"))
+    """Velocity-averaged collision-model curve."""
+    grid = run.grid("linear:0:30:300")
+    series = run.msd_csv("collision.csv", grid, _collision(run, run.system, grid),
+                         label=f"collision model, alpha={run.cfg['alpha']}")
+    run.svg("collision.svg", [series], title="Collision-model MSD")
     run.meta("collision.json", {"alpha": run.cfg["alpha"]})
 
 
@@ -309,12 +290,9 @@ def _mc_gate(mean, stderr, exact) -> tuple[float, float]:
 
 
 def cmd_mc_verify(run: Run):
-    t_b = run.scales.t_b
-    # the Monte-Carlo oracle is O(K^2) per member: keep K small unless asked
-    fpc = run.cfg["funcs_per_cell"] if "funcs_per_cell" in run.explicit else 20
-    grid = make_grid(run.cfg["grid"], t_b, "linear:1:20:20")
-    basis = build_basis(run.system, fpc, edge_weight_cutoff=1.0)
-    Q = partition_function(basis)
+    """Monte-Carlo random-phase oracle vs exact sum."""
+    grid = run.grid("linear:1:20:20")
+    basis, Q = _basis(run, run.system, edge_weight_cutoff=1.0)
     res = sample_msd(basis, Q, grid, run.cfg["members"], run.cfg["seed"])
     exact = msd_exact_curve(basis, Q, grid, weight_floor=0.0)
     max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact.values)
@@ -328,7 +306,7 @@ def cmd_mc_verify(run: Run):
     bs = breve_sum(basis, Q, weight_floor=0.0)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
-            [grid, grid / t_b, res.mean_msd, res.stderr, exact.values])
+            [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact.values])
     run.meta("mc_verify.json", {
         "K": basis.K, "members": res.n_members, "seed": res.seed,
         "rerandomized_estimate_m2": est, "rerandomized_stderr_m2": err,
@@ -344,10 +322,11 @@ def cmd_mc_verify(run: Run):
 
 
 def cmd_scattering(run: Run):
+    """ISF, ISF phase and DSF slices."""
     s = run.scales
     q = float(run.cfg["q_inv_angstrom"]) / ANGSTROM_TO_M
     p = ScatteringParams(v_T=s.v_T, D_q=s.D_q, q=q)
-    grid = make_grid(run.cfg["grid"], s.t_b, "linear:0:10:256")
+    grid = run.grid("linear:0:10:256")
     amp = np.abs(isf(p, grid))
     phase = isf_phase(p, grid)
     omega0 = s.D_q * q * q
@@ -358,13 +337,13 @@ def cmd_scattering(run: Run):
             [grid, amp, phase])
     run.csv("dsf.csv", ["omega_per_s", "hbar_omega_meV", "dsf_s"],
             [omegas, CONST.hbar * omegas * J_TO_MEV, svals])
-    run.svg("isf.svg", run.plot(
-        [{"x": grid / s.t_b, "y": amp, "label": "|ISF|"},
-         {"x": grid / s.t_b, "y": phase, "label": "phase (rad)", "dash": "6 3"}],
-        xlabel="t / t_b", ylabel="", title=f"ISF, q = {run.cfg['q_inv_angstrom']} 1/A"))
-    run.svg("dsf.svg", run.plot(
-        [{"x": CONST.hbar * omegas * J_TO_MEV, "y": svals, "label": "DSF"}],
-        xlabel="hbar omega (meV)", ylabel="S(q, omega) (s)", title="DSF"))
+    run.svg("isf.svg",
+            [{"x": grid / s.t_b, "y": amp, "label": "|ISF|"},
+             {"x": grid / s.t_b, "y": phase, "label": "phase (rad)", "dash": "6 3"}],
+            ylabel="", title=f"ISF, q = {run.cfg['q_inv_angstrom']} 1/A")
+    run.svg("dsf.svg",
+            [{"x": CONST.hbar * omegas * J_TO_MEV, "y": svals, "label": "DSF"}],
+            xlabel="hbar omega (meV)", ylabel="S(q, omega) (s)", title="DSF")
     run.meta("scattering.json", {
         "q_per_m": q,
         "recoil_energy_meV": CONST.hbar * omega0 * J_TO_MEV,
@@ -373,10 +352,10 @@ def cmd_scattering(run: Run):
 
 
 def cmd_figure1(run: Run):
+    """Ideal-particle MSD crossover figure."""
     s = run.scales
-    p = _ideal_params(run)
-    grid = make_grid(run.cfg["grid"], s.t_b, "linear:0:10:512")
-    curve = msd_ideal_curve(p, grid)
+    grid = run.grid("linear:0:10:512")
+    curve = msd_ideal_curve(_ideal_params(run), grid)
     unit = CONST.hbar * s.t_b / run.system.mass  # MSD unit hbar t_b / m
     asym = run.system.dimensionality * 2.0 * s.D_q * grid
     run.csv("figure1.csv",
@@ -389,96 +368,75 @@ def cmd_figure1(run: Run):
          "y": np.array([0.0, float(np.max(asym / unit))]),
          "label": "t = t_b", "dash": "2 3", "color": "#808080"},
     ]
-    run.svg("figure1.svg", run.plot(
-        series, xlabel="t / t_b", ylabel="MSD / (hbar t_b / m)",
-        title="Ideal-particle MSD: ballistic to Brownian crossover"))
+    run.svg("figure1.svg", series, ylabel="MSD / (hbar t_b / m)",
+            title="Ideal-particle MSD: ballistic to Brownian crossover")
     run.meta("figure1.json", {"points": int(grid.size)})
 
 
 def cmd_figure2(run: Run):
-    s = run.scales
+    """Quasi-ideal plateaus figure (L = 10a, 20a, 40a)."""
     a2 = run.system.lattice_a**2
-    grid = make_grid(run.cfg["grid"], s.t_b, "linear:0:30:300")
-    fpc = run.cfg["funcs_per_cell"]
-    alpha = float(run.cfg["alpha"])
+    grid = run.grid("linear:0:30:300")
     series = []
     plateaus = {}
-    for n_cells in (10, 20, 40):
-        sysN = PhysicalSystem.from_user_units(
-            run.cfg["mass_u"], run.cfg["temperature_K"], run.cfg["lattice_pm"],
-            n_cells, run.cfg["dimensionality"])
-        scN = derive_scales(sysN)
-        basis = build_basis(sysN, fpc)
-        Q = partition_function(basis)
+    for n_cells, dash in ((10, "8 4"), (20, "3 3"), (40, "8 3 3 3")):
+        system = run.cell(n_cells)
+        basis, Q = _basis(run, system)
         curve = msd_exact_curve(basis, Q, grid)
-        bs = breve_sum(basis, Q)
-        bc = breve_closed(sysN, scN)
-        cm = CollisionModelParams(alpha=alpha, L=sysN.L, v_T=scN.v_T, t_b=scN.t_b)
-        cvals = np.array([msd_collision_model(cm, t) for t in grid])
-        run.csv(f"figure2_exact_L{n_cells}a.csv",
-                ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-                [grid, grid / s.t_b, curve.values, curve.values / a2])
-        run.csv(f"figure2_collision_L{n_cells}a.csv",
-                ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-                [grid, grid / s.t_b, cvals, cvals / a2])
+        series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid, curve.values,
+                                  label=f"exact, L={n_cells}a", color="#000000", dash=dash))
+        series.append(run.msd_csv(f"figure2_collision_L{n_cells}a.csv", grid,
+                                  _collision(run, system, grid),
+                                  label=f"model, L={n_cells}a", color="#c02020", dash=dash))
         plateaus[f"L={n_cells}a"] = {
-            "breve_sum_over_a2": bs / a2,
-            "breve_closed_over_a2": bc / a2,
+            "breve_sum_over_a2": breve_sum(basis, Q) / a2,
+            "breve_closed_over_a2": breve_closed(system, derive_scales(system)) / a2,
             "path": curve.params["path"],
             "edge_weight": curve.params["edge_weight"],
             "weight_floor": curve.params["weight_floor"],
         }
-        series.append({"x": grid / s.t_b, "y": curve.values / a2,
-                       "label": f"exact, L={n_cells}a", "color": "#000000",
-                       "dash": {10: "8 4", 20: "3 3", 40: "8 3 3 3"}[n_cells]})
-        series.append({"x": grid / s.t_b, "y": cvals / a2,
-                       "label": f"model, L={n_cells}a", "color": "#c02020",
-                       "dash": {10: "8 4", 20: "3 3", 40: "8 3 3 3"}[n_cells]})
-    ideal_curve = msd_ideal_curve(_ideal_params(run), grid)
-    run.csv("figure2_ideal.csv",
-            ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"],
-            [grid, grid / s.t_b, ideal_curve.values, ideal_curve.values / a2])
+    ideal = msd_ideal_curve(_ideal_params(run), grid)
+    series.insert(0, run.msd_csv("figure2_ideal.csv", grid, ideal.values,
+                                 label="ideal", color="#2050c0"))
     run.csv("figure2_breve.csv",
             ["n_cells", "breve_sum_over_a2", "breve_closed_over_a2"],
             [[10, 20, 40],
-             [plateaus[f"L={n}a"]["breve_sum_over_a2"] for n in (10, 20, 40)],
-             [plateaus[f"L={n}a"]["breve_closed_over_a2"] for n in (10, 20, 40)]])
-    series.insert(0, {"x": grid / s.t_b, "y": ideal_curve.values / a2,
-                      "label": "ideal", "color": "#2050c0"})
-    run.svg("figure2.svg", run.plot(
-        series, xlabel="t / t_b", ylabel="MSD / a^2",
-        title="Quasi-ideal MSD plateaus (CO on flat Cu(100))"))
-    run.meta("figure2.json", {"alpha": alpha, "funcs_per_cell": fpc,
+             [p["breve_sum_over_a2"] for p in plateaus.values()],
+             [p["breve_closed_over_a2"] for p in plateaus.values()]])
+    run.svg("figure2.svg", series, title="Quasi-ideal MSD plateaus (CO on flat Cu(100))")
+    run.meta("figure2.json", {"alpha": float(run.cfg["alpha"]),
+                              "funcs_per_cell": run.cfg["funcs_per_cell"],
                               "plateaus": plateaus})
 
 
+# command -> (function, config defaults that differ from DEFAULTS)
 COMMANDS = {
-    "scales": cmd_scales,
-    "ideal": cmd_ideal,
-    "exact": cmd_exact,
-    "breve": cmd_breve,
-    "collision": cmd_collision,
-    "mc-verify": cmd_mc_verify,
-    "scattering": cmd_scattering,
-    "figure1": cmd_figure1,
-    "figure2": cmd_figure2,
+    "scales": (cmd_scales, {}),
+    "ideal": (cmd_ideal, {}),
+    "exact": (cmd_exact, {}),
+    "breve": (cmd_breve, {}),
+    "collision": (cmd_collision, {}),
+    # the Monte-Carlo oracle is O(K^2) per member: keep K small unless asked
+    "mc-verify": (cmd_mc_verify, {"funcs_per_cell": 20}),
+    "scattering": (cmd_scattering, {}),
+    "figure1": (cmd_figure1, {}),
+    "figure2": (cmd_figure2, {}),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg, explicit = resolve_config(args)
-        run = Run(args.command, cfg, explicit)
-        run.ensure_outdir()
-        COMMANDS[args.command](run)
-    except (ValidationError, ValueError) as exc:
+        run = Run(args.command, resolve_config(args))
+        run.outdir.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command][0](run)
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalError, AssertionError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical assertion failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -16,11 +16,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 J_AT_ZERO = math.sqrt(2.0) * math.pi / 12.0
 
 
-def erf(x: float) -> float:
-    """Error function (odd; erf(0)=0, erf(inf)=1), accurate to < 1e-15."""
-    return math.erf(x)
-
-
 def J(y: float) -> float:
     """Plateau shape function, continuous at 0 with J(0) = sqrt(2) pi / 12,
     decreasing to 0 as y -> infinity.
@@ -77,24 +72,29 @@ class CollisionModelParams:
             _require_positive(name, getattr(self, name))
 
 
-def msd_collision_model(p: CollisionModelParams, t: float) -> float:
-    """Velocity-averaged MSD of the collision model (m^2).
+def msd_collision_model(p: CollisionModelParams, t):
+    """Velocity-averaged MSD of the collision model at time(s) t (m^2).
 
     An erf-weighted blend of the free (ideal) MSD and the decohered
     plateau: particles of speed v move freely until alpha L / v, then
     a collision pins the MSD at the plateau value; the blend averages
     over the one-sided Maxwell-Boltzmann speed distribution.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValidationError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    g = math.erf(p.alpha * p.L / (math.sqrt(2.0) * p.v_T * t))
+    with np.errstate(divide="ignore"):
+        z = p.alpha * p.L / (math.sqrt(2.0) * p.v_T * t)
+    # math.erf per point: numpy has none, and math.erf keeps the numbers
+    # of the scalar form
+    g = np.vectorize(math.erf, otypes=[float])(z)
     x = t / p.t_b
-    free = p.v_T**2 * p.t_b**2 * (x * x / (math.sqrt(x * x + 1.0) + 1.0))
+    free = p.v_T**2 * p.t_b**2 * (x * x / (np.sqrt(x * x + 1.0) + 1.0))
     plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
                * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
-    return g * free + (1.0 - g) * plateau
+    # t = 0 (also -0.0, where z is -inf) is exactly 0
+    out = np.where(t == 0.0, 0.0, g * free + (1.0 - g) * plateau)
+    return out if out.ndim else float(out)
 
 
 def maxwell_boltzmann_pdf(v, v_T: float):

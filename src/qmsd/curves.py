@@ -6,27 +6,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import ValidationError
+
 VALID_METHODS = (
     "ideal-analytic",
     "exact-sum",
-    "breve-sum",
-    "breve-closed",
-    "collision-model",
-    "monte-carlo",
 )
 
 
 def linear_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count < 1:
-        raise ValueError("grid count must be >= 1")
+        raise ValidationError("grid count must be >= 1")
     return np.linspace(start, stop, count)
 
 
 def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count < 1:
-        raise ValueError("grid count must be >= 1")
+        raise ValidationError("grid count must be >= 1")
     if start <= 0 or stop <= 0:
-        raise ValueError("geometric grid requires positive endpoints")
+        raise ValidationError("geometric grid requires positive endpoints")
     return np.geomspace(start, stop, count)
 
 
@@ -34,11 +32,11 @@ def validate_grid(times: np.ndarray) -> np.ndarray:
     """Check a time grid is nonempty, nonnegative and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
-        raise ValueError("empty time grid")
+        raise ValidationError("empty time grid")
     if times[0] < 0:
-        raise ValueError("time grid must be nonnegative")
+        raise ValidationError("time grid must be nonnegative")
     if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("time grid must be strictly increasing")
+        raise ValidationError("time grid must be strictly increasing")
     return times
 
 

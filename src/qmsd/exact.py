@@ -97,26 +97,6 @@ def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_msd(basis, Q, times, weight_floor):
-    wprod, half_omega = pair_arrays(basis, weight_floor)
-    return 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
-
-
-def msd_exact(basis: EigenBasis, Q: float, t: float,
-              weight_floor: float = 1e-18) -> float:
-    """Coherent MSD at a single time (m^2).
-
-    A converged basis takes the theta series; otherwise the ordered pairs
-    n < j are summed directly and doubled (the sum is symmetric).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    times = np.array([t], dtype=float)
-    if _use_theta(basis, weight_floor):
-        return float(_theta_msd(basis, Q, times)[0])
-    return float(_direct_msd(basis, Q, times, weight_floor)[0])
-
-
 def msd_exact_curve(basis: EigenBasis, Q: float, grid,
                     weight_floor: float = 1e-18) -> MsdCurve:
     """Coherent MSD over a time grid; params["path"] names the path taken."""
@@ -125,7 +105,9 @@ def msd_exact_curve(basis: EigenBasis, Q: float, grid,
     if theta:
         values = _theta_msd(basis, Q, times)
     else:
-        values = _direct_msd(basis, Q, times, weight_floor)
+        # the ordered pairs n < j, doubled (the sum is symmetric)
+        wprod, half_omega = pair_arrays(basis, weight_floor)
+        values = 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
     return MsdCurve(
         times=times,
         values=values,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis
-from .constants import CONST
+from .constants import CONST, ValidationError
 from .curves import validate_grid
 from .kernels import antisym_coupling_matrix, ensemble_positions
 
@@ -88,7 +88,7 @@ def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
                seed: int = 42) -> EnsembleResult:
     """Ensemble-averaged MSD over a time grid, with standard errors."""
     if n_members < 2:
-        raise ValueError("n_members must be >= 2")
+        raise ValidationError("n_members must be >= 2")
     times = validate_grid(grid)
     wt, eom, A, pref = _ensemble_setup(basis, Q)
     thetas = sample_phases(basis, n_members, seed)
@@ -120,7 +120,7 @@ def sample_msd_rerandomized(basis: EigenBasis, Q: float, n_members: int,
     phases are then not drawn again.
     """
     if n_members < 2:
-        raise ValueError("n_members must be >= 2")
+        raise ValidationError("n_members must be >= 2")
     if t is None:
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta

@@ -111,10 +111,66 @@ class TestExitCodes:
         cfgfile.write_text(json.dumps({"n_cells": 20.0}))
 
         class Args:
+            command = "scales"
             config = str(cfgfile)
 
-        cfg, _ = resolve_config(Args())
+        cfg = resolve_config(Args())
         assert cfg["n_cells"] == 20 and isinstance(cfg["n_cells"], int)
+
+    @pytest.mark.parametrize("argv", [
+        ["ideal", "--grid", "linear:0:1:0"],
+        ["ideal", "--grid", "geometric:0:1:5"],
+        ["ideal", "--grid", "linear:-1:1:3"],
+        ["exact", "--grid", "linear:5:1:4"],
+        ["ideal", "--grid", "linear:nan:1:1"],
+        ["ideal", "--grid", "linear:0:inf:3"],
+        ["exact", "--funcs-per-cell", "0"],
+        ["mc-verify", "--members", "1"],
+        ["mc-verify", "--seed", "-1"]], ids=" ".join)
+    def test_config_error_bad_input(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"grid": 5}', "grid must be a str"),
+        ('{"no_timestamp": "yes"}', "no_timestamp must be a bool"),
+        ("[1, 2]", "one JSON object")])
+    def test_config_error_bad_file(self, tmp_path, capsys, content, message):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(content)
+        assert run_cli("scales", "--out", str(tmp_path / "o"),
+                       "--config", str(cfgfile)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        import qmsd.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal defect")
+
+        monkeypatch.setattr(qmsd.cli, "msd_exact_curve", broken)
+        with pytest.raises(ValueError, match="internal defect"):
+            run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:5:8")
+
+    @pytest.mark.parametrize("command", ["exact", "breve", "collision", "mc-verify",
+                                         "figure2"])
+    def test_dimensionality_other_than_one_rejected(self, tmp_path, capsys, command):
+        assert run_cli(command, "--out", str(tmp_path), "--dimensionality", "3") == 2
+        assert "dimensionality must be 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_ideal_scales_with_dimensionality(self, tmp_path):
+        msd = {}
+        for d in (1, 3):
+            out = tmp_path / str(d)
+            assert run_cli("ideal", "--out", str(out), "--formats", "csv",
+                           "--dimensionality", str(d)) == 0
+            rows = (out / "ideal.csv").read_text().splitlines()[2:]
+            msd[d] = np.array([float(row.split(",")[2]) for row in rows])
+        assert msd[1][0] > 0
+        np.testing.assert_allclose(msd[3], 3 * msd[1], rtol=1e-15, atol=0)
 
     def test_numerical_error_non_finite_output(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
@@ -138,15 +194,23 @@ class TestConfigResolution:
         cfgfile.write_text(json.dumps({"n_cells": 20, "seed": 7}))
 
         class Args:
+            command = "scales"
             config = str(cfgfile)
             n_cells = None
             seed = 9
 
-        cfg, explicit = resolve_config(Args())
+        cfg = resolve_config(Args())
         assert cfg["n_cells"] == 20
         assert cfg["seed"] == 9
-        assert {"n_cells", "seed"} <= explicit
         assert cfg["mass_u"] == 28.0
+        # a command's own default sits between DEFAULTS and the file
+        assert cfg["funcs_per_cell"] == 100
+        Args.command = "mc-verify"
+        assert resolve_config(Args())["funcs_per_cell"] == 20
+        cfgfile.write_text(json.dumps({"funcs_per_cell": 60}))
+        assert resolve_config(Args())["funcs_per_cell"] == 60
+        Args.funcs_per_cell = 80
+        assert resolve_config(Args())["funcs_per_cell"] == 80
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "c.json"
@@ -256,6 +320,23 @@ class TestArtifacts:
         assert meta["gate_false_alarm"] == 1e-3
         assert meta["members"] == 1500
         assert meta["K"] == 201
+
+    def test_mc_verify_hash_records_its_funcs_per_cell(self, tmp_path):
+        # mc-verify's own default of 20 functions per cell is in its config
+        # and hash, so a run at 100 is told apart from one at the default
+        hashes = {}
+        for fpc in (None, "100"):
+            out = tmp_path / str(fpc)
+            argv = ["mc-verify", "--out", str(out), "--formats", "csv,json-meta",
+                    "--members", "200", "--grid", "linear:1:2:2"]
+            assert run_cli(*argv, *(["--funcs-per-cell", fpc] if fpc else [])) == 0
+            meta = json.loads((out / "mc_verify.json").read_text())
+            assert meta["config"]["funcs_per_cell"] == int(fpc or 20)
+            assert meta["K"] == 10 * int(fpc or 20) + 1
+            line = (out / "mc_verify.csv").read_text().splitlines()[0]
+            assert line == f"# config_hash: {meta['config_hash']}"
+            hashes[fpc] = meta["config_hash"]
+        assert hashes[None] != hashes["100"]
 
     def test_mc_verify_gate_refuses_scaled_exact_sum(self, tmp_path, capsys,
                                                      monkeypatch):

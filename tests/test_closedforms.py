@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qmsd import (CONST, CollisionModelParams, IdealMsdParams, PhysicalSystem,
-                  ValidationError, breve_closed, derive_scales, erf,
+                  ValidationError, breve_closed, derive_scales,
                   msd_collision_model, msd_ideal)
 from qmsd.closedforms import I_ab, J, J_AT_ZERO, maxwell_boltzmann_pdf
 
@@ -25,13 +25,13 @@ ERF_TABLE = [
 class TestErf:
     @pytest.mark.parametrize("x,expected", ERF_TABLE)
     def test_reference_values(self, x, expected):
-        assert erf(x) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert math.erf(x) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_odd_and_endpoints(self):
-        assert erf(0.0) == 0.0
+        assert math.erf(0.0) == 0.0
         for x in (0.3, 1.7, 4.0):
-            assert erf(-x) == -erf(x)
-        assert erf(50.0) == 1.0
+            assert math.erf(-x) == -math.erf(x)
+        assert math.erf(50.0) == 1.0
 
 
 def J_quadrature(y):
@@ -202,6 +202,30 @@ class TestCollisionModel:
     def test_validation(self):
         with pytest.raises(ValidationError):
             CollisionModelParams(alpha=0.0, L=1e-9, v_T=200.0, t_b=4e-14)
+
+    @pytest.mark.parametrize("n_cells,alpha", [(1, 0.05), (10, 0.35), (80, 3.0)])
+    def test_array_equals_scalar_formula(self, co, n_cells, alpha):
+        # the array form keeps math.erf and the scalar arithmetic, so it
+        # equals the scalar formula bit for bit, t = 0 and -0.0 included
+        sys, s, _ = co
+        p = CollisionModelParams(alpha=alpha, L=n_cells * sys.lattice_a,
+                                 v_T=s.v_T, t_b=s.t_b)
+
+        def scalar(t):
+            if t == 0.0:
+                return 0.0
+            g = math.erf(p.alpha * p.L / (math.sqrt(2.0) * p.v_T * t))
+            x = t / p.t_b
+            free = p.v_T**2 * p.t_b**2 * (x * x / (math.sqrt(x * x + 1.0) + 1.0))
+            plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
+                       * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
+            return g * free + (1.0 - g) * plateau
+
+        ts = np.concatenate(([0.0, -0.0], np.linspace(0.0, 30.0, 301) * s.t_b,
+                             np.geomspace(1e-3, 1e5, 300) * s.t_b))
+        got = msd_collision_model(p, ts)
+        np.testing.assert_array_equal(got, [scalar(t) for t in ts])
+        assert isinstance(msd_collision_model(p, ts[5]), float)
 
 
 class TestMaxwellBoltzmann:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmsd import (CONST, IdealMsdParams, PhysicalSystem, breve_sum,
-                  build_basis, derive_scales, msd_exact, msd_exact_curve,
+                  build_basis, derive_scales, msd_exact_curve,
                   msd_ideal, partition_function, x_element)
 from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
 
@@ -33,20 +33,21 @@ def direct_breve(basis, Q, weight_floor=1e-18):
 
 
 def test_zero_at_zero(co_basis, co_Q):
-    assert msd_exact(co_basis, co_Q, 0.0) == 0.0
+    assert msd_exact_curve(co_basis, co_Q, [0.0]).values[0] == 0.0
 
 
 def test_negative_time_rejected(co_basis, co_Q):
     with pytest.raises(ValueError):
-        msd_exact(co_basis, co_Q, -1e-15)
+        msd_exact_curve(co_basis, co_Q, [-1e-15])
 
 
 def test_folded_sum_matches_brute_force(small_basis):
     Q = partition_function(small_basis)
     t_b = CONST.hbar * small_basis.beta
     for t in [0.0, 0.3 * t_b, 2.7 * t_b, 40 * t_b]:
-        assert msd_exact(small_basis, Q, t, weight_floor=0.0) == pytest.approx(
-            brute_force_msd(small_basis, Q, t), rel=1e-12, abs=1e-40)
+        got = msd_exact_curve(small_basis, Q, [t], weight_floor=0.0).values[0]
+        assert got == pytest.approx(brute_force_msd(small_basis, Q, t),
+                                    rel=1e-12, abs=1e-40)
 
 
 def test_short_time_quadratic_coefficient():
@@ -56,7 +57,7 @@ def test_short_time_quadratic_coefficient():
     basis = build_basis(sys, 100)
     Q = partition_function(basis)
     ts = np.linspace(0.01, 0.1, 5) * s.t_b
-    ratios = np.array([msd_exact(basis, Q, t) / t**2 for t in ts])
+    ratios = np.array([msd_exact_curve(basis, Q, [t]).values[0] / t**2 for t in ts])
     expected = 1.0 / (2 * s.beta * sys.mass)
     np.testing.assert_allclose(ratios, expected, rtol=0.02)
 
@@ -170,7 +171,7 @@ class TestThetaPath:
         assert curve.params["path"] == "theta"
         np.testing.assert_allclose(curve.values, direct_sum(basis, Q, times),
                                    rtol=1e-12, atol=0)
-        assert msd_exact(basis, Q, 0.0) == 0.0
+        assert msd_exact_curve(basis, Q, [0.0]).values[0] == 0.0
         assert breve_sum(basis, Q) == pytest.approx(direct_breve(basis, Q),
                                                     rel=1e-12, abs=0)
 
@@ -195,7 +196,8 @@ class TestThetaPath:
         assert curve.params["path"] == "direct"
         assert curve.params["edge_weight"] == basis.w[0] > 1e-18
         np.testing.assert_array_equal(curve.values, direct_sum(basis, Q, times))
-        assert msd_exact(basis, Q, times[4]) == direct_sum(basis, Q, times[4:5])[0]
+        assert (msd_exact_curve(basis, Q, [times[4]]).values[0]
+                == direct_sum(basis, Q, times[4:5])[0])
         assert breve_sum(basis, Q) == direct_breve(basis, Q)
 
     def test_zero_weight_floor_stays_direct(self, co_basis, co_Q, co_scales):

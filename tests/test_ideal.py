@@ -75,8 +75,10 @@ def test_bounded_by_linear_envelope(x):
     assert msd_ideal(CO, t) <= (CONST.hbar / CO.mass) * t * (1 + 1e-12)
 
 
+# x is 0 or at least 1e-100: below about 7e-142 the MSD (4.6e-23 x^2 / c m^2)
+# is subnormal at c = 1e3, and no subnormal carries 12 significant digits
 @given(st.floats(min_value=1e-3, max_value=1e3),
-       st.floats(min_value=0.0, max_value=1e2))
+       st.just(0.0) | st.floats(min_value=1e-100, max_value=1e2))
 @settings(max_examples=100)
 def test_mass_scaling(c, x):
     t = x * CO.t_b
