@@ -15,7 +15,10 @@ about 0.9 GiB.
 It then times ``ensemble_positions`` for the ``mc-verify`` defaults (K = 201,
 10 000 members, 21 times: 0 and 1..20 t_b) against the plain per-time
 expression (phi = theta - E t/hbar, u @ A.T per time), and prints the
-maximum deviation relative to max |x|. Needs numpy only.
+maximum deviation relative to max |x|. Last it times ``sample_phases`` for
+the same 10 000 members and K = 201 against one
+``default_rng([seed, i, stream])`` per member, and prints the maximum
+|difference|, which must be 0. Needs numpy only.
 """
 
 import argparse
@@ -72,6 +75,23 @@ def bench_ensemble(repeats):
     print(f"{t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x {dev:>17.1e}")
 
 
+def member_loop_phases(n_members, K, seed, stream=0):
+    return np.array([np.random.default_rng([seed, i, stream])
+                     .uniform(0.0, 2.0 * np.pi, K) for i in range(n_members)])
+
+
+def bench_phases(repeats):
+    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
+                        edge_weight_cutoff=1.0)
+    n_members = 10000
+    thetas, t_vec = timed(lambda: sample_phases(basis, n_members, seed=42), repeats)
+    ref, t_loop = timed(lambda: member_loop_phases(n_members, basis.K, 42), 1)
+    diff = float(np.max(np.abs(thetas - ref)))
+    print(f"\nsample_phases, K = {basis.K}, {n_members} members, one stream")
+    print(f"{'vector s':>9} {'loop s':>9} {'speedup':>8} {'max |diff|':>11}")
+    print(f"{t_vec:>9.3f} {t_loop:>9.3f} {t_loop / t_vec:>7.1f}x {diff:>11.1e}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
@@ -98,6 +118,7 @@ def main():
         dev = float(np.max(np.abs(curve.values - ref) / ref))
         print(row + f" {t_direct:>9.3f} {t_direct / t_theta:>7.0f}x {dev:>12.1e}")
     bench_ensemble(args.repeats)
+    bench_phases(args.repeats)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .basis import build_basis, partition_function
 from .closedforms import CollisionModelParams, breve_closed, msd_collision_model
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
                         ValidationError, derive_scales)
-from .curves import geometric_grid, linear_grid
+from .curves import geometric_grid, linear_grid, validate_grid
 from .exact import breve_sum, msd_exact_curve
 from .ideal import IdealMsdParams, msd_ideal_curve
 from .montecarlo import sample_msd, sample_msd_rerandomized
@@ -126,6 +126,8 @@ def resolve_config(args) -> dict:
         elif kind is float:
             if not number:
                 raise ValidationError(f"{k} must be a number, got {v!r}")
+            # 28 and 28.0 are one configuration and must hash alike
+            cfg[k] = float(v)
         elif not (isinstance(v, kind) or v is None and default is None):
             raise ValidationError(f"{k} must be a {kind.__name__}, got {v!r}")
     if cfg["seed"] < 0:
@@ -159,7 +161,7 @@ class Run:
         """The times (s) of --grid, or of default_spec when it is unset."""
         kind, start, stop, count = parse_grid(self.cfg["grid"] or default_spec)
         fn = linear_grid if kind == "linear" else geometric_grid
-        return fn(start * self.scales.t_b, stop * self.scales.t_b, count)
+        return validate_grid(fn(start * self.scales.t_b, stop * self.scales.t_b, count))
 
     def csv(self, name, header, columns):
         for col_name, col in zip(header, columns):

@@ -132,6 +132,25 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["collision", "scattering"])
+    def test_decreasing_grid_rejected(self, tmp_path, capsys, command):
+        # the same grid rule as exact: times must increase
+        assert run_cli(command, "--out", str(tmp_path), "--grid", "linear:10:0:5") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_hash_independent_of_number_spelling(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"mass_u": 28}))
+        for name, extra in (("defaults", []), ("int", ["--config", str(cfgfile)])):
+            assert run_cli("scales", "--out", str(tmp_path / name),
+                           "--formats", "csv", *extra) == 0
+        lines = [(tmp_path / name / "scales.csv").read_text().splitlines()
+                 for name in ("defaults", "int")]
+        assert lines[0] == lines[1]
+        # the default configuration keeps its hash
+        assert lines[0][0] == "# config_hash: a4795e8c67b3115b"
+
     @pytest.mark.parametrize("content,message", [
         ('{"grid": 5}', "grid must be a str"),
         ('{"no_timestamp": "yes"}', "no_timestamp must be a bool"),

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qmsd import (CONST, ThermalMember, breve_sum, msd_exact_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
                   sample_phases, x_element)
+from qmsd.constants import ValidationError
 from qmsd.montecarlo import position_expectation
 
 
@@ -97,6 +99,27 @@ class TestSamplePhases:
         a = sample_phases(mc_basis, 50, seed=1)
         assert np.all(a >= 0) and np.all(a < 2 * math.pi)
         assert abs(a.mean() - math.pi) < 0.05
+
+    # seeds of one to five 32-bit words: 2**64 + 5 and 3**90 take the
+    # SeedSequence mixing loop for entropy beyond its pool of four words
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90])
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("n,K", [(1, 1), (300, 201), (7, 1001)])
+    def test_bit_identical_to_default_rng(self, seed, stream, n, K):
+        got = sample_phases(SimpleNamespace(K=K), n, seed, stream)
+        want = np.array([np.random.default_rng([seed, i, stream])
+                         .uniform(0.0, 2.0 * math.pi, K) for i in range(n)])
+        assert got.shape == (n, K) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_negative_seed_rejected(self, mc_basis):
+        with pytest.raises(ValidationError):
+            sample_phases(mc_basis, 4, seed=-1)
+
+    def test_more_members_than_member_streams_rejected(self, mc_basis):
+        # member indices are one 32-bit entropy word
+        with pytest.raises(ValidationError):
+            sample_phases(mc_basis, 2**32 + 1, seed=42)
 
 
 @pytest.fixture(scope="module")
