@@ -13,9 +13,13 @@ times the theta series alone: there the direct sum's pair arrays take
 about 0.9 GiB.
 
 It then times ``ensemble_positions`` for the ``mc-verify`` defaults (K = 201,
-10 000 members, 21 times: 0 and 1..20 t_b) against the plain per-time
-expression (phi = theta - E t/hbar, u @ A.T per time), and prints the
-maximum deviation relative to max |x|. Last it times ``sample_phases`` for
+10 000 members, 21 times: 0 and 1..20 t_b), and again with the times
+stretched to 0 and 50..1000 t_b, against the plain per-time expression
+(phi = theta - E t/hbar, u @ A.T per time). It prints the maximum
+deviation relative to max |x|, and the matmul flops per member and time
+of the plain K x K form (2 K^2) and of the kernel, which folds the basis
+by n -> -n into one real (M x M+1) product for the real and imaginary
+parts together (4 M (M + 1) = K^2 - 1). Last it times ``sample_phases`` for
 the same 10 000 members and K = 201 against one
 ``default_rng([seed, i, stream])`` per member, and prints the maximum
 |difference|, which must be 0. Needs numpy only.
@@ -65,14 +69,20 @@ def bench_ensemble(repeats):
     Q = partition_function(basis)
     wt, eom, A, pref = _ensemble_setup(basis, Q)
     thetas = sample_phases(basis, 10000, seed=42)
-    times = np.concatenate(([0.0], np.linspace(1.0, 20.0, 20))) * s.t_b
-    X, t_new = timed(lambda: ensemble_positions(wt, thetas, eom, times, A, pref), repeats)
-    ref, t_plain = timed(lambda: plain_positions(wt, thetas, eom, times, A, pref), 1)
-    dev = float(np.max(np.abs(X - ref)) / np.max(np.abs(ref)))
-    print(f"\nensemble_positions, K = {basis.K}, {thetas.shape[0]} members, "
-          f"{times.size} times")
-    print(f"{'kernel s':>9} {'plain s':>9} {'speedup':>8} {'max dev / max|x|':>17}")
-    print(f"{t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x {dev:>17.1e}")
+    K, M = basis.K, basis.M
+    flops_plain, flops_folded = 2 * K * K, 4 * M * (M + 1)
+    print(f"\nensemble_positions, K = {K}, {thetas.shape[0]} members, 21 times; "
+          f"flops are matmul flops per member and time")
+    print(f"{'t_max/t_b':>9} {'kernel s':>9} {'plain s':>9} {'speedup':>8} "
+          f"{'plain flops':>11} {'kernel flops':>12} {'max dev / max|x|':>17}")
+    for t_first, t_max in ((1.0, 20.0), (50.0, 1000.0)):
+        times = np.concatenate(([0.0], np.linspace(t_first, t_max, 20))) * s.t_b
+        X, t_new = timed(lambda: ensemble_positions(wt, thetas, eom, times, A, pref),
+                         repeats)
+        ref, t_plain = timed(lambda: plain_positions(wt, thetas, eom, times, A, pref), 1)
+        dev = float(np.max(np.abs(X - ref)) / np.max(np.abs(ref)))
+        print(f"{t_max:>9.0f} {t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x "
+              f"{flops_plain:>11} {flops_folded:>12} {dev:>17.1e}")
 
 
 def member_loop_phases(n_members, K, seed, stream=0):

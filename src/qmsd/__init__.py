@@ -14,20 +14,19 @@ from .constants import (CONST, CharacteristicScales, PhysicalConstants,
 from .curves import MsdCurve, geometric_grid, linear_grid
 from .exact import breve_sum, msd_exact_curve
 from .ideal import IdealMsdParams, complex_squared_length, msd_ideal, msd_ideal_curve
-from .montecarlo import (EnsembleResult, ThermalMember, position_expectation,
-                         sample_msd, sample_msd_rerandomized, sample_phases)
+from .montecarlo import (EnsembleResult, sample_msd, sample_msd_rerandomized,
+                         sample_phases)
 from .scattering import ScatteringParams, dsf, isf, isf_phase, pair_correlation_self
 
 __all__ = [
     "CONST", "CharacteristicScales", "CollisionModelParams", "EigenBasis",
     "EnsembleResult", "I_ab", "IdealMsdParams", "J", "MsdCurve",
     "PhysicalConstants", "PhysicalSystem", "ScatteringParams",
-    "ThermalMember", "ValidationError", "breve_closed", "breve_sum",
-    "build_basis", "complex_squared_length", "derive_scales", "dsf",
-    "geometric_grid", "isf", "isf_phase", "linear_grid",
-    "maxwell_boltzmann_pdf", "msd_collision_model",
-    "msd_exact_curve", "msd_ideal", "msd_ideal_curve",
-    "pair_correlation_self", "partition_function", "position_expectation",
-    "sample_msd", "sample_msd_rerandomized", "sample_phases", "x_element",
+    "ValidationError", "breve_closed", "breve_sum", "build_basis",
+    "complex_squared_length", "derive_scales", "dsf", "geometric_grid",
+    "isf", "isf_phase", "linear_grid", "maxwell_boltzmann_pdf",
+    "msd_collision_model", "msd_exact_curve", "msd_ideal", "msd_ideal_curve",
+    "pair_correlation_self", "partition_function", "sample_msd",
+    "sample_msd_rerandomized", "sample_phases", "x_element",
     "x_element_general",
 ]

@@ -285,8 +285,10 @@ def _mc_gate(mean, stderr, exact) -> tuple[float, float]:
     # mc-verify needs (about 4 ms and 0.4 MiB at start-up otherwise)
     from statistics import NormalDist
     diff = np.abs(mean - exact)
+    z = np.zeros_like(diff)
+    moved = diff != 0.0
     with np.errstate(divide="ignore"):
-        z = np.where(diff == 0.0, 0.0, diff / stderr)
+        z[moved] = diff[moved] / stderr[moved]
     z_star = NormalDist().inv_cdf(1.0 - MC_GATE_FALSE_ALARM / (2 * np.size(z)))
     return float(np.max(z)), z_star
 

@@ -22,19 +22,6 @@ from .kernels import antisym_coupling_matrix, ensemble_positions
 _HBAR = CONST.hbar
 
 
-@dataclass(frozen=True)
-class ThermalMember:
-    """One random-phase member; phases match basis indices in order."""
-
-    phases: np.ndarray  # theta_n in [0, 2 pi)
-
-    def amplitudes(self, basis: EigenBasis, Q: float) -> np.ndarray:
-        """c_n = exp(-beta E_n / 2 + i theta_n) / sqrt(Q)."""
-        if self.phases.size != basis.K:
-            raise ValueError("member phase count does not match basis size")
-        return np.exp(-basis.beta * basis.E / 2.0 + 1j * self.phases) / math.sqrt(Q)
-
-
 @dataclass
 class EnsembleResult:
     times: np.ndarray
@@ -152,21 +139,6 @@ def sample_phases(basis: EigenBasis, n_members: int, seed: int,
         x = (x >> rot) | (x << (-rot & np.uint64(63)))
         thetas[:, j] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
     return thetas
-
-
-def position_expectation(member: ThermalMember, basis: EigenBasis, Q: float,
-                         t: float) -> float:
-    """Position expectation value of one member at time t (m).
-
-    Evaluated through the real antisymmetric quadratic form equivalent
-    to the trace of x rho(t); the complex residue cancels identically.
-    """
-    if member.phases.size != basis.K:
-        raise ValueError("member phase count does not match basis size")
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
-    X = ensemble_positions(wt, member.phases[None, :], eom,
-                           np.array([float(t)]), A, pref)
-    return float(X[0, 0])
 
 
 def _ensemble_setup(basis: EigenBasis, Q: float):

@@ -340,6 +340,18 @@ class TestArtifacts:
         assert meta["members"] == 1500
         assert meta["K"] == 201
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mc_verify_grid_with_t_zero(self, tmp_path):
+        # t = 0 has mean = exact = 0 and stderr 0: z = 0, with no 0/0
+        # warning, so max |z| is that of the grid without it
+        z = {}
+        for grid in ("linear:0:4:5", "linear:1:4:4"):
+            out = tmp_path / grid.replace(":", "_")
+            assert run_cli("mc-verify", "--out", str(out), "--grid", grid,
+                           "--members", "2000", "--formats", "json-meta") == 0
+            z[grid] = json.loads((out / "mc_verify.json").read_text())["max_abs_z"]
+        assert z["linear:0:4:5"] == z["linear:1:4:4"]
+
     def test_mc_verify_hash_records_its_funcs_per_cell(self, tmp_path):
         # mc-verify's own default of 20 functions per cell is in its config
         # and hash, so a run at 100 is told apart from one at the default

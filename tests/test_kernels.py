@@ -128,9 +128,10 @@ def oracle_data(mc_basis):
 
 
 class TestEnsemblePositionsOracle:
-    @pytest.mark.parametrize("members", [1, 513, 1030])
+    @pytest.mark.parametrize("members", [1, 3 * MEMBER_BLOCK // 4, 513, 1030])
     def test_matches_per_time_formula(self, oracle_data, members):
-        # member counts that leave a partial last block
+        # member counts that leave a partial last block; 3/4 of a block
+        # is one short block
         assert members % MEMBER_BLOCK
         wt, thetas, eom, times, A, pref = oracle_data
         got = ensemble_positions(wt, thetas[:members], eom, times, A, pref)
@@ -156,3 +157,67 @@ class TestStreamZeroReuse:
         Q = partition_function(mc_basis)
         with pytest.raises(ValueError):
             sample_msd_rerandomized(mc_basis, Q, 600, seed=3, x0=np.zeros(599))
+
+
+def small_inputs(K, members, seed):
+    """Kernel inputs on a single-cell basis of K states, with phases."""
+    from qmsd import CONST, PhysicalSystem, build_basis, partition_function
+    from qmsd.montecarlo import _ensemble_setup, sample_phases
+    basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K,
+                        edge_weight_cutoff=1.0)
+    assert basis.K == K
+    wt, eom, A, pref = _ensemble_setup(basis, partition_function(basis))
+    thetas = sample_phases(basis, members, seed=seed)
+    times = np.array([0.0, 0.3, 2.0, 50.0]) * CONST.hbar * basis.beta
+    return wt, thetas, eom, times, A, pref
+
+
+class TestEnsemblePositionsParity:
+    """The kernel folds n -> -n; inputs without that parity are refused."""
+
+    def test_single_state_has_no_position(self):
+        # K = 1: the only state is n = 0 and A = [[0]]
+        wt, thetas, eom, times, A, pref = small_inputs(1, 5, seed=2)
+        got = ensemble_positions(wt, thetas, eom, times, A, pref)
+        assert got.shape == (5, times.size)
+        assert np.array_equal(got, np.zeros_like(got))
+        assert np.array_equal(plain_positions(wt, thetas, eom, times, A, pref),
+                              np.zeros_like(got))
+
+    def test_three_states_match_per_time_formula(self):
+        wt, thetas, eom, times, A, pref = small_inputs(3, 40, seed=5)
+        got = ensemble_positions(wt, thetas, eom, times, A, pref)
+        want = plain_positions(wt, thetas, eom, times, A, pref)
+        assert np.abs(want).max() > 0
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_even_K_rejected(self):
+        # reversal-symmetric inputs of even length: there is no n = 0
+        wt, eom, A = np.ones(4), np.zeros(4), antisym_coupling_matrix(4)
+        assert np.array_equal(A, -A[::-1, ::-1])
+        with pytest.raises(ValueError, match="n -> -n"):
+            ensemble_positions(wt, np.zeros((2, 4)), eom, [0.0, 1.0], A, 1.0)
+
+    @pytest.mark.parametrize("which", ["wt", "eom"])
+    def test_spectrum_one_ulp_off_rejected(self, position_data, which):
+        wt, thetas, eom, times, A, pref = position_data
+        args = {"wt": wt.copy(), "eom": eom.copy()}
+        args[which][-1] = np.nextafter(args[which][-1], np.inf)
+        with pytest.raises(ValueError, match="n -> -n"):
+            ensemble_positions(args["wt"], thetas, args["eom"], times, A, pref)
+
+    def test_coupling_not_reversal_odd_rejected(self, position_data):
+        # still antisymmetric, A = -A.T, but no longer odd under n -> -n
+        wt, thetas, eom, times, A, pref = position_data
+        bent = A.copy()
+        bent[0, 1] += 1e-3
+        bent[1, 0] -= 1e-3
+        assert np.array_equal(bent, -bent.T)
+        with pytest.raises(ValueError, match="n -> -n"):
+            ensemble_positions(wt, thetas, eom, times, bent, pref)
+
+    def test_phase_count_mismatch_rejected(self, position_data):
+        wt, thetas, eom, times, A, pref = position_data
+        with pytest.raises(ValueError, match="n -> -n"):
+            ensemble_positions(wt, thetas[:, :-2], eom, times, A, pref)

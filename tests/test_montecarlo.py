@@ -1,14 +1,44 @@
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qmsd import (CONST, ThermalMember, breve_sum, msd_exact_curve,
+from qmsd import (CONST, EigenBasis, breve_sum, msd_exact_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
                   sample_phases, x_element)
 from qmsd.constants import ValidationError
-from qmsd.montecarlo import position_expectation
+from qmsd.kernels import ensemble_positions
+from qmsd.montecarlo import _ensemble_setup
+
+
+@dataclass(frozen=True)
+class ThermalMember:
+    """One random-phase member; phases match basis indices in order."""
+
+    phases: np.ndarray  # theta_n in [0, 2 pi)
+
+    def amplitudes(self, basis: EigenBasis, Q: float) -> np.ndarray:
+        """c_n = exp(-beta E_n / 2 + i theta_n) / sqrt(Q)."""
+        if self.phases.size != basis.K:
+            raise ValueError("member phase count does not match basis size")
+        return np.exp(-basis.beta * basis.E / 2.0 + 1j * self.phases) / math.sqrt(Q)
+
+
+def position_expectation(member: ThermalMember, basis: EigenBasis, Q: float,
+                         t: float) -> float:
+    """Position expectation value of one member at time t (m).
+
+    Evaluated through the real antisymmetric quadratic form equivalent
+    to the trace of x rho(t); the complex residue cancels identically.
+    """
+    if member.phases.size != basis.K:
+        raise ValueError("member phase count does not match basis size")
+    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    X = ensemble_positions(wt, member.phases[None, :], eom,
+                           np.array([float(t)]), A, pref)
+    return float(X[0, 0])
 
 
 def brute_position(member, basis, Q, t):
