@@ -12,6 +12,16 @@ relative deviation of the theta series from the direct sum. At L = 80a it
 times the theta series alone: there the direct sum's pair arrays take
 about 0.9 GiB.
 
+Next it times the theta series (``_theta_msd``), which evaluates expm1 and
+the revival images only where they are not exactly 1 and 0, against the
+dense series that evaluates them on every (d, t) element
+(``dense_theta_msd`` in tests/test_exact.py), at L = 1a, 10a, 20a, 40a and
+80a on four grids: the figure2 benchmark's 30 points and figure2's default
+300 points on 0..30 t_b, 48 points in [3 t_c, 5 t_c], and the 52 points
+above. It prints the best-of-N wall time of each and the maximum
+|difference|, which must be 0. L = 1a has a between A_MAX/4 and A_MAX,
+so three images per element.
+
 It then times ``ensemble_positions`` for the ``mc-verify`` defaults (K = 201,
 10 000 members, 21 times: 0 and 1..20 t_b), and again with the times
 stretched to 0 and 50..1000 t_b, against the plain per-time expression
@@ -22,19 +32,26 @@ by n -> -n into one real (M x M+1) product for the real and imaginary
 parts together (4 M (M + 1) = K^2 - 1). Last it times ``sample_phases`` for
 the same 10 000 members and K = 201 against one
 ``default_rng([seed, i, stream])`` per member, and prints the maximum
-|difference|, which must be 0. Needs numpy only.
+|difference|, which must be 0. Needs numpy, and pytest for the test
+module it imports the dense series from.
 """
 
 import argparse
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
-from qmsd.exact import msd_exact_curve
+from qmsd.exact import _theta_msd, msd_exact_curve
 from qmsd.kernels import ensemble_positions, msd_reduce, pair_arrays
 from qmsd.montecarlo import _ensemble_setup, sample_phases
+
+# the dense theta series is the tests' oracle and lives with them
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_exact import dense_theta_msd  # noqa: E402
 
 
 def timed(fn, repeats):
@@ -102,6 +119,38 @@ def bench_phases(repeats):
     print(f"{t_vec:>9.3f} {t_loop:>9.3f} {t_loop / t_vec:>7.1f}x {diff:>11.1e}")
 
 
+def mixed_grid(s):
+    """52 times: 5 in (0, 0.05 t_b], 39 in (0, 100 t_b], 8 in [3 t_c, 5 t_c]."""
+    return np.sort(np.concatenate([
+        np.geomspace(1e-3, 0.05, 5) * s.t_b,
+        np.linspace(100 / 39, 100, 39) * s.t_b,
+        np.linspace(3 * s.t_c, 5 * s.t_c, 8)]))
+
+
+def co_cell(n_cells):
+    sys_ = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
+    basis = build_basis(sys_, 100)
+    return derive_scales(sys_), basis, partition_function(basis)
+
+
+def bench_theta(repeats):
+    print("\ntheta series against the dense series; speedup = dense s / theta s")
+    print(f"{'L':>4} {'grid':>12} {'theta s':>9} {'dense s':>9} {'speedup':>8} "
+          f"{'max |diff|':>11}")
+    for n_cells in (1, 10, 20, 40, 80):
+        s, basis, Q = co_cell(n_cells)
+        grids = {"0:30:30": np.linspace(0.0, 30.0 * s.t_b, 30),
+                 "0:30:300": np.linspace(0.0, 30.0 * s.t_b, 300),
+                 "3-5 t_c": np.linspace(3 * s.t_c, 5 * s.t_c, 48),
+                 "mixed 52": mixed_grid(s)}
+        for name, times in grids.items():
+            got, t_new = timed(lambda: _theta_msd(basis, Q, times), repeats)
+            want, t_dense = timed(lambda: dense_theta_msd(basis, Q, times), repeats)
+            diff = float(np.max(np.abs(got - want)))
+            print(f"{n_cells:>3}a {name:>12} {t_new:>9.5f} {t_dense:>9.5f} "
+                  f"{t_dense / t_new:>7.1f}x {diff:>11.1e}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
@@ -111,14 +160,8 @@ def main():
     print(f"{'L':>4} {'K':>6} {'path':>6} {'theta s':>9} {'direct s':>9} "
           f"{'speedup':>8} {'max rel dev':>12}")
     for n_cells in (10, 20, 40, 80):
-        sys_ = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-        s = derive_scales(sys_)
-        basis = build_basis(sys_, 100)
-        Q = partition_function(basis)
-        times = np.sort(np.concatenate([
-            np.geomspace(1e-3, 0.05, 5) * s.t_b,
-            np.linspace(100 / 39, 100, 39) * s.t_b,
-            np.linspace(3 * s.t_c, 5 * s.t_c, 8)]))
+        s, basis, Q = co_cell(n_cells)
+        times = mixed_grid(s)
         curve, t_theta = timed(lambda: msd_exact_curve(basis, Q, times), args.repeats)
         row = f"{n_cells:>3}a {basis.K:>6} {curve.params['path']:>6} {t_theta:>9.4f}"
         if n_cells == 80:
@@ -127,6 +170,7 @@ def main():
         ref, t_direct = timed(lambda: direct_sum(basis, Q, times), 1)
         dev = float(np.max(np.abs(curve.values - ref) / ref))
         print(row + f" {t_direct:>9.3f} {t_direct / t_theta:>7.0f}x {dev:>12.1e}")
+    bench_theta(args.repeats)
     bench_ensemble(args.repeats)
     bench_phases(args.repeats)
 

@@ -4,7 +4,10 @@ Usage: PYTHONPATH=src python benchmarks/csv_digests.py
 
 Runs each command in-process (``qmsd.cli.main``) with ``--formats csv``,
 once at the defaults and once at a non-default configuration, each into a
-fresh temporary directory. For each CSV it prints one line:
+fresh temporary directory. A third configuration runs ``exact`` and
+``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
+about 11 439 t_b, so that the theta series' revival images are in the
+digests. For each CSV it prints one line:
 
     <config> <file> <sha256 of the file> <sha256 of the body>
 
@@ -25,11 +28,13 @@ from qmsd.cli import main
 
 COMMANDS = ("scales", "ideal", "exact", "breve", "collision", "mc-verify",
             "scattering", "figure1", "figure2")
+# label -> (commands, flags)
 CONFIGS = {
-    "defaults": [],
-    "custom": ["--n-cells", "20", "--temperature-K", "300", "--alpha", "0.5",
-               "--funcs-per-cell", "60", "--grid", "linear:0.5:12:17",
-               "--members", "3000", "--seed", "7", "--q-inv-angstrom", "2.0"],
+    "defaults": (COMMANDS, []),
+    "custom": (COMMANDS, ["--n-cells", "20", "--temperature-K", "300", "--alpha", "0.5",
+                          "--funcs-per-cell", "60", "--grid", "linear:0.5:12:17",
+                          "--members", "3000", "--seed", "7", "--q-inv-angstrom", "2.0"]),
+    "revival": (("exact", "figure2"), ["--grid", "linear:0:24000:49"]),
 }
 
 
@@ -49,8 +54,8 @@ def run(command: str, flags: list[str], outdir: Path) -> int:
 
 if __name__ == "__main__":
     failed = 0
-    for label, flags in CONFIGS.items():
-        for command in COMMANDS:
+    for label, (commands, flags) in CONFIGS.items():
+        for command in commands:
             with tempfile.TemporaryDirectory() as tmp:
                 rc = run(command, flags, Path(tmp))
                 if rc != 0:

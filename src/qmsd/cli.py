@@ -150,6 +150,9 @@ class Run:
         self.formats = set(cfg["formats"].split(","))
         self.system = self.cell(cfg["n_cells"])
         self.scales = derive_scales(self.system)
+        # file writes wait here until the command returns, so that a CSV
+        # refused late in a command leaves no file from earlier ones
+        self.pending = []
 
     def cell(self, n_cells: int) -> PhysicalSystem:
         """The configured particle on a super-cell of n_cells lattice constants."""
@@ -169,7 +172,8 @@ class Run:
                 raise NumericalError(f"non-finite values in column {col_name!r} "
                                      f"of {name}; no file written")
         if "csv" in self.formats:
-            write_csv(self.outdir / name, header, columns, self.hash)
+            self.pending.append(lambda: write_csv(self.outdir / name, header, columns,
+                                                  self.hash))
 
     def msd_csv(self, name, times, values, **style):
         """Write an MSD curve (m^2) at times (s), also in units of t_b and
@@ -181,9 +185,9 @@ class Run:
 
     def svg(self, name, series, xlabel="t / t_b", ylabel="MSD / a^2", **kw):
         if "svg" in self.formats:
-            (self.outdir / name).write_text(line_plot(
-                series, xlabel=xlabel, ylabel=ylabel,
-                timestamp=not self.cfg["no_timestamp"], **kw))
+            text = line_plot(series, xlabel=xlabel, ylabel=ylabel,
+                             timestamp=not self.cfg["no_timestamp"], **kw)
+            self.pending.append(lambda: (self.outdir / name).write_text(text))
 
     def meta(self, name, extra):
         if "json-meta" in self.formats:
@@ -193,7 +197,14 @@ class Run:
                 "version": __version__,
             }
             payload.update(extra)
-            write_json_meta(self.outdir / name, payload, self.hash)
+            self.pending.append(lambda: write_json_meta(self.outdir / name, payload,
+                                                        self.hash))
+
+    def flush(self):
+        """Write the queued files, in the order the command made them."""
+        for write in self.pending:
+            write()
+        self.pending.clear()
 
 
 def _ideal_params(run: Run) -> IdealMsdParams:
@@ -434,6 +445,7 @@ def main(argv=None) -> int:
         run = Run(args.command, resolve_config(args))
         run.outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command][0](run)
+        run.flush()
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -44,6 +44,12 @@ TAIL = 92.0
 A_MAX = math.pi**2 / (4.0 * TAIL)
 # (d, t) elements per vectorised block of the theta series
 _BLOCK_ELEMS = 1 << 16
+# -expm1(-x) rounds to exactly 1.0 once e^{-x} < 2^-54 (x > 54 ln 2 = 37.4),
+# so the bracket's leading term is evaluated only where x = b^2/4a < X_CUT
+X_CUT = 38.0
+# relative slack on the bounds in b that select elements, far above the
+# few roundings in b, x and q
+_SLACK = 1e-9
 
 
 def _lattice_energy(basis: EigenBasis) -> float:
@@ -73,26 +79,67 @@ def _theta_outer(basis: EigenBasis, Q: float):
     return d, d % 2.0, g, eps / CONST.hbar, a
 
 
+def _row_prefixes(lengths: np.ndarray):
+    """(rows, cols) of the first lengths[i] columns of each row i."""
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return rows, cols
+
+
 def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
-    """Coherent MSD at each time by the theta series, O(K) per time."""
+    """Coherent MSD at each time by the theta series, O(K) per time.
+
+    Each block of the (d, t) bracket starts at 1.0, and the transcendental
+    terms are evaluated only where they can change it. b = (eps/hbar) d t
+    grows with d and with t, so:
+    - x = b^2/4a < X_CUT on the first columns of each row; only there is
+      -expm1(-x) evaluated, and beyond them it is exactly 1.0;
+    - an image nu != 0 with q = (b - pi nu)^2/4a <= TAIL needs
+      b >= pi - sqrt(4 a TAIL), so the images are scanned only in the
+      columns where the largest d reaches that, and exp runs only on the
+      terms that the cut keeps.
+    Every evaluated element sees the expressions of the dense series in
+    the same order, k = -width..width, and the cut terms there are exact
+    zeros, so every output bit equals the dense series.
+    """
     d, p, g, eps_over_hbar, a = _theta_outer(basis, Q)
-    p = p[:, None]
     inv4a = 0.25 / a
+    reach = math.sqrt(4.0 * a * TAIL)
     # the image nearest b/pi lies within pi/2 of b, the k-th next beyond
-    # pi (k - 1/2); those beyond sqrt(4 a TAIL) are cut
-    width = math.floor(math.sqrt(4.0 * a * TAIL) / math.pi + 0.5)
+    # pi (k - 1/2); those beyond reach are cut
+    width = math.floor(reach / math.pi + 0.5)
+    ed = eps_over_hbar * d
+    b_cut = math.sqrt(X_CUT / inv4a) * (1.0 + _SLACK)
+    b_image = (math.pi - reach) * (1.0 - _SLACK)
     out = np.empty(times.size)
     step = max(1, _BLOCK_ELEMS // d.size)
     for lo in range(0, times.size, step):
-        b = eps_over_hbar * d[:, None] * times[None, lo:lo + step]
-        bracket = -np.expm1(-b * b * inv4a)
-        centre = np.rint(b / math.pi)
-        for k in range(-width, width + 1):
-            nu = centre + k
+        t = times[lo:lo + step]
+        bracket = np.ones((d.size, t.size))
+        flat = bracket.ravel()
+        rows, cols = _row_prefixes(np.searchsorted(t, b_cut / ed, "right"))
+        b = ed[rows] * t[cols]
+        flat[rows * t.size + cols] = -np.expm1(-b * b * inv4a)
+        first = int(np.searchsorted(t, b_image / ed[-1]))
+        n = t.size - first
+        if n:
+            b = ed[:, None] * t[None, first:]
+            # one layer per k = -width..width
+            nu = np.rint(b / math.pi) + np.arange(-width, width + 1.0)[:, None, None]
             q = (b - math.pi * nu)**2 * inv4a
-            # nu = 0 is the expm1 term above; 1 - 2p(nu mod 2) = (-1)^(nu p)
-            bracket -= (np.exp(-q) * ((nu != 0.0) & (q <= TAIL))
-                        * (1.0 - 2.0 * p * (nu % 2.0)))
+            # nu = 0 is the expm1 term; a NaN q (b overflowed) is kept, as
+            # the dense series' NaN * 0 would be
+            i = np.flatnonzero((nu != 0.0) & ~(q > TAIL))
+            e = i % b.size
+            row = e // n
+            nu = nu.ravel()[i]
+            # (-1)^(nu p) = 1 - 2p(nu mod 2), with nu mod 2 taken exactly
+            # by floor: the same +-1 as %, at a fraction of its cost
+            parity = nu - 2.0 * np.floor(0.5 * nu)
+            term = np.exp(-q.ravel()[i]) * (1.0 - 2.0 * p[row] * parity)
+            # element e of b is bracket[row, first + e % n]; subtract.at
+            # applies the terms in the order of i, so k ascending per element
+            np.subtract.at(flat, e + first * (row + 1), term)
         out[lo:lo + step] = g @ bracket
     return out
 

@@ -91,7 +91,8 @@ def antisym_coupling_matrix(K: int) -> np.ndarray:
 def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     """Position expectation values, shape (members, times).
 
-    wt: e^(-beta E/2) amplitudes; thetas: random phases per member;
+    wt: e^(-beta E/2) amplitudes; thetas: random phases per member, read
+    as (n, member) rows, which is contiguous in sample_phases' layout;
     eom: E/hbar; A: antisymmetric coupling matrix; pref: L/(pi Q).
     wt, eom and A are over the basis n = -M..M, in order.
 
@@ -131,8 +132,10 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     M = K // 2
     pos, neg = slice(M, K), slice(M, None, -1)   # n = 0..M and n = 0..-M
     B = 0.5 * (A[M + 1:, pos] + A[M + 1:, neg])
-    wt_e = wt[pos].copy()
-    wt_e[0] *= 0.5   # ze_0 = wt_0 (e^(i theta_0) + e^(i theta_0)) / 2
+    # the weights of ze's rows p = 0..M, then of zo's rows p = 1..M; halved
+    # at p = 0, as ze_0 = wt_0 (e^(i theta_0) + e^(i theta_0)) / 2
+    wz = np.concatenate((wt[pos], wt[M + 1:]))[:, None]
+    wz[0] *= 0.5
     # ze and zo are rows 0..M and M+1..2M of one (K, members) buffer; the
     # rotation's rows are e^(-i eom_p t) for p = 0..M, then p = 1..M again
     phase = np.multiply.outer(times, eom[pos])
@@ -148,17 +151,18 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
         b = min(rows, m - lo)
         z0, zt = z0_buf[:K * b].reshape(K, b), zt_buf[:K * b].reshape(K, b)
         y = y_buf[:M * b].reshape(M, b)
-        # e^(i theta) as (member, n), in zt's buffer until the time loop
-        eith = zt_buf[:b * K].reshape(b, K)
-        np.cos(thetas[lo:lo + b], out=eith.real)
-        np.sin(thetas[lo:lo + b], out=eith.imag)
-        cp, cn = eith.real[:, pos], eith.real[:, neg]
-        sp, sn = eith.imag[:, pos], eith.imag[:, neg]
-        z0.real[:M + 1] = ((cp + cn) * wt_e).T
-        z0.imag[:M + 1] = ((sp + sn) * wt_e).T
+        # e^(i theta) as (n, member), in zt until the time loop
+        np.cos(thetas[lo:lo + b].T, out=zt.real)
+        np.sin(thetas[lo:lo + b].T, out=zt.imag)
+        cp, cn = zt.real[pos], zt.real[neg]
+        sp, sn = zt.imag[pos], zt.imag[neg]
+        np.add(cp, cn, out=z0.real[:M + 1])
+        np.add(sp, sn, out=z0.imag[:M + 1])
         # zo = -i wt (e^(i theta_p) - e^(i theta_-p)): re = Im(.), im = -Re(.)
-        z0.real[M + 1:] = ((sp - sn)[:, 1:] * wt[M + 1:]).T
-        z0.imag[M + 1:] = ((cn - cp)[:, 1:] * wt[M + 1:]).T
+        np.subtract(sp[1:], sn[1:], out=z0.real[M + 1:])
+        np.subtract(cn[1:], cp[1:], out=z0.imag[M + 1:])
+        np.multiply(z0.real, wz, out=z0.real)
+        np.multiply(z0.imag, wz, out=z0.imag)
         ze, zo = zt[:M + 1], zt[M + 1:]
         for it in range(times.size):
             np.multiply(z0, rot[it, :, None], out=zt)

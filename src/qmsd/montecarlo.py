@@ -131,14 +131,16 @@ def sample_phases(basis: EigenBasis, n_members: int, seed: int,
     lo = inc_lo + state_lo
     hi = inc_hi + state_hi + (lo < state_lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    thetas = np.empty((n_members, basis.K))
+    # each draw fills one contiguous row; the (members, K) result is the
+    # transpose, so a member block's phases are (n, member) rows too
+    thetas = np.empty((basis.K, n_members))
     for j in range(basis.K):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output, then next_double's 53 bits scaled to [0, 2 pi)
         x, rot = hi ^ lo, hi >> np.uint64(58)
         x = (x >> rot) | (x << (-rot & np.uint64(63)))
-        thetas[:, j] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
-    return thetas
+        thetas[j] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
+    return thetas.T
 
 
 def _ensemble_setup(basis: EigenBasis, Q: float):

@@ -206,6 +206,22 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "exact.csv").exists()
 
+    def test_late_non_finite_csv_leaves_no_earlier_file(self, tmp_path, capsys):
+        # the L = 10a exact sum is finite at 1e160 t_b, the collision model
+        # checked after it is not; neither file may be written
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run_cli("figure2", "--out", str(tmp_path), "--grid", "linear:0:1e160:3")
+        assert rc == 4
+        assert "figure2_collision_L10a.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
+        import qmsd.cli
+        monkeypatch.setattr(qmsd.cli, "dsf", lambda p, omegas: np.full(omegas.shape, np.nan))
+        assert run_cli("scattering", "--out", str(tmp_path)) == 4
+        assert "dsf.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigResolution:
     def test_file_overrides_defaults_flag_overrides_file(self, tmp_path):

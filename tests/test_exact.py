@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qmsd import (CONST, IdealMsdParams, PhysicalSystem, breve_sum,
                   build_basis, derive_scales, msd_exact_curve,
                   msd_ideal, partition_function, x_element)
+from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
 from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
 
 
@@ -30,6 +32,29 @@ def direct_sum(basis, Q, times, weight_floor=1e-18):
 
 def direct_breve(basis, Q, weight_floor=1e-18):
     return 4.0 / Q**2 * blocked_sum(pair_arrays(basis, weight_floor)[0])
+
+
+def dense_theta_msd(basis, Q, times):
+    """The theta series evaluated on every (d, t) element: expm1, rint, exp
+    and the image mask everywhere, in the same blocks. The oracle that the
+    pruned series in qmsd.exact must equal bit for bit."""
+    d, p, g, eps_over_hbar, a = _theta_outer(basis, Q)
+    p = p[:, None]
+    inv4a = 0.25 / a
+    width = math.floor(math.sqrt(4.0 * a * TAIL) / math.pi + 0.5)
+    out = np.empty(times.size)
+    step = max(1, _BLOCK_ELEMS // d.size)
+    for lo in range(0, times.size, step):
+        b = eps_over_hbar * d[:, None] * times[None, lo:lo + step]
+        bracket = -np.expm1(-b * b * inv4a)
+        centre = np.rint(b / math.pi)
+        for k in range(-width, width + 1):
+            nu = centre + k
+            q = (b - math.pi * nu)**2 * inv4a
+            bracket -= (np.exp(-q) * ((nu != 0.0) & (q <= TAIL))
+                        * (1.0 - 2.0 * p * (nu % 2.0)))
+        out[lo:lo + step] = g @ bracket
+    return out
 
 
 def test_zero_at_zero(co_basis, co_Q):
@@ -219,3 +244,62 @@ class TestThetaPath:
         curve = msd_exact_curve(basis, partition_function(basis),
                                 np.array([0.0, CONST.hbar * basis.beta]))
         assert curve.params["path"] == "direct"
+
+
+@functools.lru_cache(maxsize=None)
+def _co_cell(n_cells, temperature_K=190.0):
+    """(system, scales, basis, Q) of CO on n_cells lattice constants."""
+    sys = PhysicalSystem.from_user_units(28, temperature_K, 256, n_cells)
+    basis = build_basis(sys, 100)
+    return sys, derive_scales(sys), basis, partition_function(basis)
+
+
+def _pruning_grid(name, sys, s):
+    if name == "figure2-30":
+        return np.linspace(0.0, 30.0 * s.t_b, 30)
+    if name == "figure2-300":
+        return np.linspace(0.0, 30.0 * s.t_b, 300)
+    if name == "plateau":
+        return np.linspace(3 * s.t_c, 5 * s.t_c, 48)
+    if name == "revivals":
+        t_rev = sys.mass * sys.L**2 / (2 * math.pi * CONST.hbar)
+        return t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
+                                 1.99, 1.999, 2.0, 2.001, 2.01])
+    # 1e160 t_b: b^2 overflows, and pi nu rounds far from b
+    return np.linspace(0.0, 1e160 * s.t_b, 3)
+
+
+class TestPrunedThetaSeries:
+    """The theta series evaluates expm1 and the images only where they are
+    not exactly 1 and 0, and must equal the dense series bit for bit."""
+
+    # L = 1a has A_MAX/4 <= a < A_MAX: width 1, three images per element
+    @pytest.mark.parametrize("n_cells", [1, 10, 20, 40, 80])
+    @pytest.mark.parametrize("grid", ["figure2-30", "figure2-300", "plateau",
+                                      "revivals", "1e160"])
+    def test_bit_identical_to_dense_series(self, n_cells, grid):
+        self._check(*_co_cell(n_cells), grid)
+
+    # at 100 K on L = 1a, a = 0.97 A_MAX: both neighbours of the nearest
+    # image are kept on most elements, and the order in which the three
+    # images are subtracted shows in the output bits
+    @pytest.mark.parametrize("grid", ["figure2-300", "plateau"])
+    def test_bit_identical_near_a_max(self, grid):
+        self._check(*_co_cell(1, 100.0), grid)
+
+    @staticmethod
+    def _check(sys, s, basis, Q, grid):
+        times = _pruning_grid(grid, sys, s)
+        curve = msd_exact_curve(basis, Q, times)
+        assert curve.params["path"] == "theta"
+        with np.errstate(over="ignore"):
+            want = dense_theta_msd(basis, Q, times)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_array_equal(curve.values.view(np.uint64),
+                                      want.view(np.uint64))
+
+    def test_expm1_term_is_exactly_one_past_the_cut(self):
+        # beyond X_CUT the series leaves the bracket's leading term at 1.0
+        x = np.concatenate([np.linspace(X_CUT, X_CUT + 1.0, 1_000_001),
+                            np.linspace(X_CUT, 800.0, 1_000_001), [np.inf]])
+        assert np.all(-np.expm1(-x) == 1.0)

@@ -139,7 +139,8 @@ class TestSamplePhases:
         got = sample_phases(SimpleNamespace(K=K), n, seed, stream)
         want = np.array([np.random.default_rng([seed, i, stream])
                          .uniform(0.0, 2.0 * math.pi, K) for i in range(n)])
-        assert got.shape == (n, K) and got.flags.c_contiguous
+        # drawn as K contiguous rows of n and returned transposed
+        assert got.shape == (n, K) and got.flags.f_contiguous
         assert np.array_equal(got, want)
 
     def test_negative_seed_rejected(self, mc_basis):
