@@ -1,30 +1,38 @@
-"""Print the SHA-256 of every CSV the nine CLI commands write.
+"""Print the SHA-256 of every CSV and SVG the nine CLI commands write.
 
 Usage: PYTHONPATH=src python benchmarks/csv_digests.py
 
-Runs each command in-process (``qmsd.cli.main``) with ``--formats csv``,
-once at the defaults and once at a non-default configuration, each into a
-fresh temporary directory. A third configuration runs ``exact`` and
+Runs each command in-process (``qmsd.cli.main``) with ``--formats csv,svg
+--no-timestamp``, once at the defaults and once at a non-default
+configuration, each into a fresh temporary directory. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
 about 11 439 t_b, so that the theta series' revival images are in the
-digests. For each CSV it prints one line:
+digests. For each CSV, then each SVG, it prints one line:
 
     <config> <file> <sha256 of the file> <sha256 of the body>
 
-where the body is the file without its first line, the config hash. Two
-checkouts write the same numbers when their outputs agree line for line;
-the body digest tells a changed hash from changed numbers. Needs numpy
-only.
+where the body is the file without its first line, which in a CSV is the
+config hash. Two checkouts write the same numbers when their outputs agree
+line for line; the body digest tells a changed hash from changed numbers.
+
+BLAS is pinned to one thread before numpy is imported: the Monte-Carlo
+ensemble GEMM splits its sums differently across threads, so
+``mc_verify.csv`` would otherwise depend on the host's thread count.
+Needs numpy only.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from qmsd.cli import main
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from qmsd.cli import main  # noqa: E402  (after the BLAS pin)
 
 COMMANDS = ("scales", "ideal", "exact", "breve", "collision", "mc-verify",
             "scattering", "figure1", "figure2")
@@ -39,8 +47,8 @@ CONFIGS = {
 
 
 def digests(outdir: Path):
-    """(file name, file digest, body digest) of each CSV in outdir."""
-    for path in sorted(outdir.glob("*.csv")):
+    """(file name, file digest, body digest) of each CSV, then each SVG, in outdir."""
+    for path in [*sorted(outdir.glob("*.csv")), *sorted(outdir.glob("*.svg"))]:
         data = path.read_bytes()
         body = data.split(b"\n", 1)[1]
         yield (path.name, hashlib.sha256(data).hexdigest(),
@@ -49,7 +57,8 @@ def digests(outdir: Path):
 
 def run(command: str, flags: list[str], outdir: Path) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return main([command, "--formats", "csv", "--out", str(outdir), *flags])
+        return main([command, "--formats", "csv,svg", "--no-timestamp",
+                     "--out", str(outdir), *flags])
 
 
 if __name__ == "__main__":

@@ -89,7 +89,14 @@ def msd_collision_model(p: CollisionModelParams, t):
     # of the scalar form
     g = np.vectorize(math.erf, otypes=[float])(z)
     x = t / p.t_b
-    free = p.v_T**2 * p.t_b**2 * (x * x / (np.sqrt(x * x + 1.0) + 1.0))
+    with np.errstate(over="ignore"):
+        xx = x * x
+    # x^2 / (sqrt(x^2 + 1) + 1) tends to |x|; where x * x overflows (t beyond
+    # about 1.3e154 t_b) an overflow-free form takes over
+    over = np.isinf(xx) & np.isfinite(x)
+    xx = np.where(over, 1.0, xx)
+    free = p.v_T**2 * p.t_b**2 * np.where(over, x * (x / (np.hypot(x, 1.0) + 1.0)),
+                                          xx / (np.sqrt(xx + 1.0) + 1.0))
     plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
                * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
     # t = 0 (also -0.0, where z is -inf) is exactly 0

@@ -64,8 +64,14 @@ class _Axis:
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def to_pix(self, v):
-        x = math.log10(v) if self.scale == "log" else v
-        f = (x - self.lo) / (self.hi - self.lo)
+        """Pixel coordinates of the values v, each rounded as a Python
+        float would be."""
+        v = np.asarray(v, dtype=float)
+        if self.scale == "log":
+            # math.log10 per value: numpy's SIMD log10 can differ by an ulp,
+            # which could flip a .2f rounding
+            v = np.fromiter(map(math.log10, v.tolist()), float, v.size)
+        f = (v - self.lo) / (self.hi - self.lo)
         return self.pix_lo + f * (self.pix_hi - self.pix_lo)
 
 
@@ -95,13 +101,11 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
 
     xticks = _log_ticks(x0, x1) if xscale == "log" else _nice_ticks(x0, x1)
     yticks = _log_ticks(10**ay.lo, 10**ay.hi) if yscale == "log" else _nice_ticks(y0, y1)
-    for v in xticks:
-        px = ax.to_pix(v)
+    for v, px in zip(xticks, ax.to_pix(xticks).tolist()):
         out.append(f'<line x1="{px:.1f}" y1="{mt}" x2="{px:.1f}" y2="{height-mb}" '
                    'stroke="#dddddd"/>')
         out.append(f'<text x="{px:.1f}" y="{height-mb+16}" text-anchor="middle">{_fmt(v)}</text>')
-    for v in yticks:
-        py = ay.to_pix(v)
+    for v, py in zip(yticks, ay.to_pix(yticks).tolist()):
         out.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{width-mr}" y2="{py:.1f}" '
                    'stroke="#dddddd"/>')
         out.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{_fmt(v)}</text>')
@@ -116,8 +120,8 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
             ok &= x > 0
         if yscale == "log":
             ok &= y > 0
-        pts = " ".join(f"{ax.to_pix(xi):.2f},{ay.to_pix(yi):.2f}"
-                       for xi, yi in zip(x[ok], y[ok]))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(ax.to_pix(x[ok]).tolist(),
+                                                     ay.to_pix(y[ok]).tolist()))
         color = s.get("color", _COLORS[k % len(_COLORS)])
         dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '

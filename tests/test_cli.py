@@ -1,12 +1,62 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qmsd import svgplot
 from qmsd.cli import main, parse_grid, resolve_config
 from qmsd.constants import ValidationError
-from qmsd.output import config_hash, format_number, write_csv
+from qmsd.output import config_hash, write_csv
+
+
+def format_number(x) -> str:
+    """One CSV number, 17 significant digits: the per-value oracle of write_csv."""
+    return f"{float(x):.17g}"
+
+
+def csv_by_value(header, columns, cfg_hash) -> str:
+    """The CSV text write_csv gives, built one value at a time."""
+    cols = [list(c) for c in columns]
+    lines = [f"# config_hash: {cfg_hash}", ",".join(header)]
+    lines += [",".join(format_number(c[i]) for c in cols) for i in range(len(cols[0]))]
+    return "\n".join(lines) + "\n"
+
+
+def pix_by_point(axis, v: float) -> float:
+    """One value's pixel coordinate in Python float arithmetic: the
+    per-point oracle of _Axis.to_pix."""
+    x = math.log10(v) if axis.scale == "log" else v
+    f = (x - axis.lo) / (axis.hi - axis.lo)
+    return axis.pix_lo + f * (axis.pix_hi - axis.pix_lo)
+
+
+def polylines_by_point(series, monkeypatch, **kw):
+    """(polyline point lists of line_plot, the same built one point at a
+    time)."""
+    axes = []
+
+    class Recorded(svgplot._Axis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            axes.append(self)
+
+    monkeypatch.setattr(svgplot, "_Axis", Recorded)
+    text = svgplot.line_plot(series, timestamp=False, **kw)
+    ax, ay = axes
+    expected = []
+    for s in series:
+        x = np.asarray(s["x"], dtype=float)
+        y = np.asarray(s["y"], dtype=float)
+        ok = np.ones(x.size, dtype=bool)
+        if kw.get("xscale") == "log":
+            ok &= x > 0
+        if kw.get("yscale") == "log":
+            ok &= y > 0
+        expected.append(" ".join(f"{pix_by_point(ax, xi):.2f},{pix_by_point(ay, yi):.2f}"
+                                 for xi, yi in zip(x[ok], y[ok])))
+    return re.findall(r'<polyline points="([^"]*)"', text), expected
 
 
 class TestParseGrid:
@@ -40,6 +90,51 @@ class TestOutputHelpers:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0], [1.0, 2.0]],
                       "deadbeef")
+
+    @pytest.mark.parametrize("columns", [
+        [[10, 20, 40], [-0.0, 5e-324, 1.7976931348623157e308],
+         [0.1 + 0.2, -1e-300, 2.0**53 + 1]],
+        [np.array([0.1, 1 / 3, 7e-8], dtype=np.float32), np.array([1.0, np.pi, -2.5e17]),
+         [float("inf"), float("-inf"), float("nan")]],
+        [[math.pi], np.array([-0.0]), [3]],
+    ], ids=["python", "numpy", "one-row"])
+    def test_csv_equals_per_value_formatting(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "t.csv", header, columns, "0123456789abcdef")
+        assert (tmp_path / "t.csv").read_text() == csv_by_value(
+            header, columns, "0123456789abcdef")
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_axis_maps_arrays_like_floats(self, scale):
+        # bit for bit, on values where numpy's log10 and math.log10 differ
+        v = np.exp(np.random.default_rng(5).uniform(-40.0, 40.0, 4000))
+        axis = svgplot._Axis(1e-17, 1e17, 470, 30, scale)
+        assert axis.to_pix(v).tolist() == [pix_by_point(axis, u) for u in v.tolist()]
+
+    @pytest.mark.parametrize("xscale,yscale", [("linear", "linear"), ("log", "linear"),
+                                               ("linear", "log"), ("log", "log")])
+    def test_polylines_equal_per_point_rendering(self, monkeypatch, xscale, yscale):
+        rng = np.random.default_rng(11)
+        x = np.concatenate(([0.0, -1.0], np.geomspace(1e-3, 1e3, 97)))
+        series = [
+            {"x": x, "y": rng.uniform(-0.5, 3.0, x.size) * x, "label": "a"},
+            {"x": x[::-1], "y": np.cos(x), "dash": "6 3"},
+            {"x": [2.0], "y": [0.75], "label": "one point"},
+        ]
+        got, expected = polylines_by_point(series, monkeypatch, xscale=xscale,
+                                           yscale=yscale)
+        assert got == expected
+        # the log masks drop points, and the one-point series stays a point
+        assert (len(got[0].split()) < x.size) == ("log" in (xscale, yscale))
+        assert got[2].count(",") == 1
+
+    def test_log_polyline_rounding_uses_math_log10(self, monkeypatch):
+        # the middle point lands within an ulp of a .xx5 pixel: 333.33 with
+        # math.log10, 333.34 with numpy 2.4's SIMD log10 on AVX-512
+        series = [{"x": [1.0, 3.7766477332060533, 24.02501798281538],
+                   "y": [1.0, 2.0, 3.0]}]
+        got, expected = polylines_by_point(series, monkeypatch, xscale="log")
+        assert got == expected
 
 
 def run_cli(*argv):
@@ -206,14 +301,35 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "exact.csv").exists()
 
-    def test_late_non_finite_csv_leaves_no_earlier_file(self, tmp_path, capsys):
-        # the L = 10a exact sum is finite at 1e160 t_b, the collision model
-        # checked after it is not; neither file may be written
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = run_cli("figure2", "--out", str(tmp_path), "--grid", "linear:0:1e160:3")
+    def test_late_non_finite_csv_leaves_no_earlier_file(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the ideal curve is checked after the six per-cell CSVs; none of
+        # them may be written when it is refused
+        import qmsd.cli
+        real = qmsd.cli.msd_ideal_curve
+
+        def poisoned(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            curve.values[-1] = np.nan
+            return curve
+
+        monkeypatch.setattr(qmsd.cli, "msd_ideal_curve", poisoned)
+        rc = run_cli("figure2", "--out", str(tmp_path), "--grid", "linear:0:5:8")
         assert rc == 4
-        assert "figure2_collision_L10a.csv" in capsys.readouterr().err
+        assert "figure2_ideal.csv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,csv", [
+        ("collision", "collision.csv"), ("figure2", "figure2_collision_L10a.csv")])
+    def test_collision_finite_where_t_squared_overflows(self, tmp_path, command, csv):
+        # (t / t_b)^2 overflows beyond about 1.3e154; the model tends to
+        # its plateau there and must stay finite, without a warning
+        with np.errstate(over="raise", invalid="raise"):
+            assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
+                           "--grid", "linear:0:1e160:3") == 0
+        rows = (tmp_path / csv).read_text().splitlines()[2:]
+        msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, 2]
+        assert np.all(np.isfinite(msd)) and msd[1] == msd[2] > 0
 
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
@@ -429,3 +545,30 @@ class TestArtifacts:
             run_cli("--version")
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+class TestParserReuse:
+    """No main call may leak its flags or its failure into the next."""
+
+    def test_flag_does_not_carry_over(self, tmp_path):
+        assert run_cli("scales", "--seed", "7", "--n-cells", "20",
+                       "--out", str(tmp_path / "a")) == 0
+        assert run_cli("scales", "--out", str(tmp_path / "b")) == 0
+        first = json.loads((tmp_path / "a" / "scales.json").read_text())["config"]
+        second = json.loads((tmp_path / "b" / "scales.json").read_text())["config"]
+        assert (first["seed"], first["n_cells"]) == (7, 20)
+        assert (second["seed"], second["n_cells"]) == (42, 10)
+
+    def test_rejected_argv_and_version_leave_it_working(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scales", "--seed", "seven", "--out", str(tmp_path / "a"))
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--version")
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_cli("scales", "--out", str(tmp_path / "b")) == 0
+        assert "t_b" in capsys.readouterr().out
+        cfg = json.loads((tmp_path / "b" / "scales.json").read_text())["config"]
+        assert cfg["seed"] == 42
+        assert not (tmp_path / "a").exists()

@@ -203,6 +203,17 @@ class TestCollisionModel:
         with pytest.raises(ValidationError):
             CollisionModelParams(alpha=0.0, L=1e-9, v_T=200.0, t_b=4e-14)
 
+    def test_finite_where_t_squared_overflows(self, co):
+        # (t / t_b)^2 overflows beyond about 1.3e154; x^2 / (sqrt(x^2 + 1) + 1)
+        # tends to x there, and the model to its long-time limit
+        sys, s, p = co
+        limit = (breve_closed(sys, s)
+                 + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
+        x = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
+        with np.errstate(over="raise", invalid="raise"):
+            got = msd_collision_model(p, x * s.t_b)
+        np.testing.assert_allclose(got, limit, rtol=1e-6, atol=0)
+
     @pytest.mark.parametrize("n_cells,alpha", [(1, 0.05), (10, 0.35), (80, 3.0)])
     def test_array_equals_scalar_formula(self, co, n_cells, alpha):
         # the array form keeps math.erf and the scalar arithmetic, so it
