@@ -48,8 +48,6 @@ def build_basis(sys: PhysicalSystem, funcs_per_cell: int,
 
     Warns (does not fail) if the edge Boltzmann weight exceeds the cutoff.
     """
-    if sys.dimensionality != 1:
-        raise ValidationError("the plane-wave basis is 1-D: dimensionality must be 1")
     if funcs_per_cell < 1:
         raise ValidationError("funcs_per_cell must be >= 1")
     K = funcs_per_cell * sys.n_cells

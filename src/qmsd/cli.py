@@ -34,7 +34,6 @@ CONFIG_KEYS = {
     "temperature_K": (190.0, float, "temperature (K)"),
     "lattice_pm": (256.0, float, "lattice constant a (pm)"),
     "n_cells": (10, int, "super-cell length L in lattice constants"),
-    "dimensionality": (1, int, "spatial dimension; only ideal and figure1 accept d != 1"),
     "funcs_per_cell": (100, int, "plane waves per lattice cell"),
     "alpha": (0.35, float, "collision-model free flight, in units of L"),
     "members": (10000, int, "Monte-Carlo ensemble members"),
@@ -158,7 +157,7 @@ class Run:
         """The configured particle on a super-cell of n_cells lattice constants."""
         c = self.cfg
         return PhysicalSystem.from_user_units(
-            c["mass_u"], c["temperature_K"], c["lattice_pm"], n_cells, c["dimensionality"])
+            c["mass_u"], c["temperature_K"], c["lattice_pm"], n_cells)
 
     def grid(self, default_spec: str) -> np.ndarray:
         """The times (s) of --grid, or of default_spec when it is unset."""
@@ -208,8 +207,7 @@ class Run:
 
 
 def _ideal_params(run: Run) -> IdealMsdParams:
-    return IdealMsdParams(mass=run.system.mass, t_b=run.scales.t_b,
-                          dimensionality=run.system.dimensionality)
+    return IdealMsdParams(mass=run.system.mass, t_b=run.scales.t_b)
 
 
 def _basis(run: Run, system: PhysicalSystem, **kw):
@@ -220,8 +218,6 @@ def _basis(run: Run, system: PhysicalSystem, **kw):
 
 def _collision(run: Run, system: PhysicalSystem, times) -> np.ndarray:
     """Collision-model MSD (m^2) of one cell at each time."""
-    if system.dimensionality != 1:
-        raise ValidationError("the collision model is 1-D: dimensionality must be 1")
     # v_T and t_b do not depend on the cell length
     p = CollisionModelParams(alpha=float(run.cfg["alpha"]), L=system.L,
                              v_T=run.scales.v_T, t_b=run.scales.t_b)
@@ -372,7 +368,7 @@ def cmd_figure1(run: Run):
     grid = run.grid("linear:0:10:512")
     curve = msd_ideal_curve(_ideal_params(run), grid)
     unit = CONST.hbar * s.t_b / run.system.mass  # MSD unit hbar t_b / m
-    asym = run.system.dimensionality * 2.0 * s.D_q * grid
+    asym = 2.0 * s.D_q * grid
     run.csv("figure1.csv",
             ["t_over_tb", "msd_over_hbar_tb_per_m", "asymptote_over_hbar_tb_per_m"],
             [grid / s.t_b, curve.values / unit, asym / unit])

@@ -1,8 +1,8 @@
 """Physical constants, unit conversions and characteristic scales.
 
-Internal unit system is SI throughout. User-facing constructors accept
-atomic mass units, kelvin, picometres and femtoseconds and convert once
-at the boundary.
+Internal unit system is SI throughout. ``PhysicalSystem.from_user_units``
+accepts atomic mass units, kelvin and picometres and converts once at the
+boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ CONST = PhysicalConstants()
 # unit conversions (SI <-> user-facing units)
 U_TO_KG = CONST.amu
 PM_TO_M = 1e-12
-FS_TO_S = 1e-15
 ANGSTROM_TO_M = 1e-10
 J_TO_MEV = 1e3 / 1.602176634e-19
 
@@ -51,7 +50,6 @@ class PhysicalSystem:
     temperature: float   # K
     lattice_a: float     # m
     n_cells: int
-    dimensionality: int = 1
 
     def __post_init__(self):
         _require_positive("mass", self.mass)
@@ -59,8 +57,6 @@ class PhysicalSystem:
         _require_positive("lattice_a", self.lattice_a)
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise ValidationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
-        if self.dimensionality not in (1, 2, 3):
-            raise ValidationError(f"dimensionality must be 1, 2 or 3, got {self.dimensionality!r}")
 
     @property
     def L(self) -> float:
@@ -68,14 +64,12 @@ class PhysicalSystem:
         return self.n_cells * self.lattice_a
 
     @classmethod
-    def from_user_units(cls, mass_u, temperature_K, lattice_pm, n_cells,
-                        dimensionality=1) -> "PhysicalSystem":
+    def from_user_units(cls, mass_u, temperature_K, lattice_pm, n_cells) -> "PhysicalSystem":
         return cls(
             mass=mass_u * U_TO_KG,
             temperature=temperature_K,
             lattice_a=lattice_pm * PM_TO_M,
             n_cells=n_cells,
-            dimensionality=dimensionality,
         )
 
 

@@ -8,12 +8,6 @@ import numpy as np
 
 from .constants import ValidationError
 
-VALID_METHODS = (
-    "ideal-analytic",
-    "exact-sum",
-)
-
-
 def linear_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count < 1:
         raise ValidationError("grid count must be >= 1")
@@ -54,5 +48,3 @@ class MsdCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have equal length")
-        if self.method not in VALID_METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")

@@ -1,7 +1,7 @@
 """Closed-form MSD of the ideal (infinite-cell) thermalized free particle.
 
-The one-dimensional result is (hbar/m) * (sqrt(t^2 + t_b^2) - t_b);
-higher dimensionalities multiply by the integer dimension.
+The result, for one Cartesian component of the displacement, is
+(hbar/m) * (sqrt(t^2 + t_b^2) - t_b).
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ from .curves import MsdCurve, validate_grid
 class IdealMsdParams:
     mass: float  # kg
     t_b: float   # s
-    dimensionality: int = 1
 
     def __post_init__(self):
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass!r}")
         if not self.t_b > 0:
             raise ValidationError(f"t_b must be positive, got {self.t_b!r}")
-        if self.dimensionality not in (1, 2, 3):
-            raise ValidationError("dimensionality must be 1, 2 or 3")
 
 
 def _sqrt_diff(t, t_b):
@@ -41,7 +38,7 @@ def msd_ideal(p: IdealMsdParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("t must be nonnegative")
-    out = p.dimensionality * (CONST.hbar / p.mass) * _sqrt_diff(t, p.t_b)
+    out = (CONST.hbar / p.mass) * _sqrt_diff(t, p.t_b)
     return out if out.ndim else float(out)
 
 
@@ -53,7 +50,6 @@ def msd_ideal_curve(p: IdealMsdParams, grid) -> MsdCurve:
         times=times,
         values=np.atleast_1d(values),
         method="ideal-analytic",
-        params={"mass": p.mass, "t_b": p.t_b, "dimensionality": p.dimensionality},
     )
 
 

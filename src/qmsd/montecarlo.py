@@ -10,7 +10,7 @@ re-randomization plateau. This is an oracle path: K is kept small
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class EnsembleResult:
     stderr: np.ndarray    # m^2
     n_members: int
     seed: int
-    params: dict = field(default_factory=dict)
     x0: np.ndarray | None = None  # each member's x(0) (m), stream-0 phases
 
 
@@ -169,7 +168,6 @@ def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
     return EnsembleResult(
         times=times, mean_msd=mean, stderr=stderr,
         n_members=n_members, seed=seed,
-        params={"K": basis.K, "L": basis.L, "Q": Q},
         x0=X[:, 0].copy(),
     )
 

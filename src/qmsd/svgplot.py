@@ -12,15 +12,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 _COLORS = ["#000000", "#c02020", "#2050c0", "#108040", "#b07000", "#703090"]
+WIDTH, HEIGHT = 720, 480  # px
+N_TICKS = 6  # at most this many intervals between linear-axis ticks
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / N_TICKS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= N_TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -76,7 +78,7 @@ class _Axis:
 
 
 def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
-              yscale="linear", width=720, height=480, timestamp=True) -> str:
+              yscale="linear", timestamp=True) -> str:
     """Render series (dicts with x, y, label, optional dash) to an SVG string."""
     ml, mr, mt, mb = 70, 20, 30, 50
     xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
@@ -90,26 +92,26 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
     if yscale == "linear":
         pad = 0.05 * (y1 - y0 or abs(y1) or 1.0)
         y0, y1 = y0 - pad, y1 + pad
-    ax = _Axis(x0, x1, ml, width - mr, xscale)
-    ay = _Axis(y0, y1, height - mb, mt, yscale)
+    ax = _Axis(x0, x1, ml, WIDTH - mr, xscale)
+    ay = _Axis(y0, y1, HEIGHT - mb, mt, yscale)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">']
     if timestamp:
         out.append(f"<!-- generated {datetime.now(timezone.utc).isoformat()} -->")
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
 
     xticks = _log_ticks(x0, x1) if xscale == "log" else _nice_ticks(x0, x1)
     yticks = _log_ticks(10**ay.lo, 10**ay.hi) if yscale == "log" else _nice_ticks(y0, y1)
     for v, px in zip(xticks, ax.to_pix(xticks).tolist()):
-        out.append(f'<line x1="{px:.1f}" y1="{mt}" x2="{px:.1f}" y2="{height-mb}" '
+        out.append(f'<line x1="{px:.1f}" y1="{mt}" x2="{px:.1f}" y2="{HEIGHT-mb}" '
                    'stroke="#dddddd"/>')
-        out.append(f'<text x="{px:.1f}" y="{height-mb+16}" text-anchor="middle">{_fmt(v)}</text>')
+        out.append(f'<text x="{px:.1f}" y="{HEIGHT-mb+16}" text-anchor="middle">{_fmt(v)}</text>')
     for v, py in zip(yticks, ay.to_pix(yticks).tolist()):
-        out.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{width-mr}" y2="{py:.1f}" '
+        out.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{WIDTH-mr}" y2="{py:.1f}" '
                    'stroke="#dddddd"/>')
         out.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{_fmt(v)}</text>')
-    out.append(f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" height="{height-mt-mb}" '
+    out.append(f'<rect x="{ml}" y="{mt}" width="{WIDTH-ml-mr}" height="{HEIGHT-mt-mb}" '
                'fill="none" stroke="black"/>')
 
     for k, s in enumerate(series):
@@ -139,11 +141,11 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
         ly += 16
 
     if title:
-        out.append(f'<text x="{width/2:.0f}" y="18" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH/2:.0f}" y="18" text-anchor="middle" '
                    f'font-size="14">{title}</text>')
-    out.append(f'<text x="{(ml+width-mr)/2:.0f}" y="{height-12}" '
+    out.append(f'<text x="{(ml+WIDTH-mr)/2:.0f}" y="{HEIGHT-12}" '
                f'text-anchor="middle">{xlabel}</text>')
-    out.append(f'<text x="16" y="{(mt+height-mb)/2:.0f}" text-anchor="middle" '
-               f'transform="rotate(-90 16 {(mt+height-mb)/2:.0f})">{ylabel}</text>')
+    out.append(f'<text x="16" y="{(mt+HEIGHT-mb)/2:.0f}" text-anchor="middle" '
+               f'transform="rotate(-90 16 {(mt+HEIGHT-mb)/2:.0f})">{ylabel}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

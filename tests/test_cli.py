@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmsd import svgplot
-from qmsd.cli import main, parse_grid, resolve_config
+from qmsd.cli import COMMANDS, main, parse_grid, resolve_config
 from qmsd.constants import ValidationError
 from qmsd.output import config_hash, write_csv
 
@@ -180,8 +180,8 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("key,value", [
-        ("n_cells", 10.7), ("funcs_per_cell", 100.5), ("dimensionality", 1.5),
-        ("members", 1500.5), ("seed", 4.2), ("n_cells", True), ("seed", "42")])
+        ("n_cells", 10.7), ("funcs_per_cell", 100.5), ("members", 1500.5),
+        ("seed", 4.2), ("n_cells", True), ("seed", "42")])
     def test_config_error_non_integral(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({key: value}))
@@ -244,7 +244,7 @@ class TestExitCodes:
                  for name in ("defaults", "int")]
         assert lines[0] == lines[1]
         # the default configuration keeps its hash
-        assert lines[0][0] == "# config_hash: a4795e8c67b3115b"
+        assert lines[0][0] == "# config_hash: 1e0225327554a020"
 
     @pytest.mark.parametrize("content,message", [
         ('{"grid": 5}', "grid must be a str"),
@@ -268,23 +268,15 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal defect"):
             run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:5:8")
 
-    @pytest.mark.parametrize("command", ["exact", "breve", "collision", "mc-verify",
-                                         "figure2"])
-    def test_dimensionality_other_than_one_rejected(self, tmp_path, capsys, command):
-        assert run_cli(command, "--out", str(tmp_path), "--dimensionality", "3") == 2
-        assert "dimensionality must be 1" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_ideal_scales_with_dimensionality(self, tmp_path):
-        msd = {}
-        for d in (1, 3):
-            out = tmp_path / str(d)
-            assert run_cli("ideal", "--out", str(out), "--formats", "csv",
-                           "--dimensionality", str(d)) == 0
-            rows = (out / "ideal.csv").read_text().splitlines()[2:]
-            msd[d] = np.array([float(row.split(",")[2]) for row in rows])
-        assert msd[1][0] > 0
-        np.testing.assert_allclose(msd[3], 3 * msd[1], rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_dimensionality_other_than_one_rejected(self, tmp_path, command):
+        # every route computes one Cartesian component: there is no flag
+        # for the dimension, so argparse refuses it
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--out", str(out), "--dimensionality", "3")
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_numerical_error_non_finite_output(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
@@ -365,13 +357,14 @@ class TestConfigResolution:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"massive": 1}))
 
         class Args:
             config = str(cfgfile)
 
-        with pytest.raises(ValidationError):
-            resolve_config(Args())
+        for key in ("massive", "dimensionality"):
+            cfgfile.write_text(json.dumps({key: 1}))
+            with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
+                resolve_config(Args())
 
     def test_invalid_json_rejected(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -46,12 +46,6 @@ def test_negative_time_rejected():
         msd_ideal(CO, -1e-15)
 
 
-def test_dimensionality_multiplier():
-    p2 = IdealMsdParams(mass=CO.mass, t_b=CO.t_b, dimensionality=2)
-    assert msd_ideal(p2, 3 * CO.t_b) == pytest.approx(
-        2 * msd_ideal(CO, 3 * CO.t_b), rel=1e-14, abs=0)
-
-
 @given(st.floats(min_value=1e-3, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=200)

@@ -191,7 +191,6 @@ class TestSampleMsd:
         Q, grid, res = run
         assert res.n_members == 4000
         assert res.seed == 42
-        assert res.params["K"] == mc_basis.K
 
     def test_too_few_members_rejected(self, mc_basis):
         Q = partition_function(mc_basis)
