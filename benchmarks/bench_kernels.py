@@ -29,8 +29,12 @@ stretched to 0 and 50..1000 t_b, against the plain per-time expression
 deviation relative to max |x|, and the matmul flops per member and time
 of the plain K x K form (2 K^2) and of the kernel, which folds the basis
 by n -> -n into one real (M x M+1) product for the real and imaginary
-parts together (4 M (M + 1) = K^2 - 1). Last it times ``sample_phases`` for
-the same 10 000 members and K = 201 against one
+parts together (4 M (M + 1) = K^2 - 1). It times the kernel's phase
+factors e^(i theta) on one stream of the same 10 000 x 201 phases, in
+blocks of ``MEMBER_BLOCK`` members as the kernel takes them: the table
+(``_cis``) against ``np.cos`` + ``np.sin``, and prints both times and the
+maximum absolute deviation of the table from libm. Last it times
+``sample_phases`` for the same 10 000 members and K = 201 against one
 ``default_rng([seed, i, stream])`` per member, and prints the maximum
 |difference|, which must be 0. Needs numpy, and pytest for the test
 module it imports the dense series from.
@@ -46,7 +50,7 @@ import numpy as np
 
 from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
 from qmsd.exact import _theta_msd, msd_exact_curve
-from qmsd.kernels import ensemble_positions, msd_reduce, pair_arrays
+from qmsd.kernels import MEMBER_BLOCK, _cis, ensemble_positions, msd_reduce, pair_arrays
 from qmsd.montecarlo import _ensemble_setup, sample_phases
 
 # the dense theta series is the tests' oracle and lives with them
@@ -100,6 +104,40 @@ def bench_ensemble(repeats):
         dev = float(np.max(np.abs(X - ref)) / np.max(np.abs(ref)))
         print(f"{t_max:>9.0f} {t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x "
               f"{flops_plain:>11} {flops_folded:>12} {dev:>17.1e}")
+
+
+def bench_phase_factors(repeats):
+    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
+                        edge_weight_cutoff=1.0)
+    thetas = sample_phases(basis, 10000, seed=42).T     # (K, members)
+    K, m = thetas.shape
+    rows = MEMBER_BLOCK
+    w = np.empty(K * rows, dtype=np.complex128)
+    j = np.empty(K * rows, dtype=np.int64)
+
+    def table():
+        z = np.empty((K, m), dtype=np.complex128)
+        for lo in range(0, m, rows):
+            b = min(rows, m - lo)
+            _cis(thetas[:, lo:lo + b], z[:, lo:lo + b], w[:K * b].reshape(K, b),
+                 j[:K * b].reshape(K, b))
+        return z
+
+    def libm():
+        z = np.empty((K, m), dtype=np.complex128)
+        for lo in range(0, m, rows):
+            np.cos(thetas[:, lo:lo + rows], out=z.real[:, lo:lo + rows])
+            np.sin(thetas[:, lo:lo + rows], out=z.imag[:, lo:lo + rows])
+        return z
+
+    z_tab, t_tab = timed(table, repeats)
+    z_libm, t_libm = timed(libm, repeats)
+    dev = float(max(np.abs(z_tab.real - z_libm.real).max(),
+                    np.abs(z_tab.imag - z_libm.imag).max()))
+    print(f"\nphase factors e^(i theta), K = {K}, {m} members, one stream, "
+          f"{rows}-member blocks")
+    print(f"{'table s':>9} {'libm s':>9} {'speedup':>8} {'max |dev|':>10}")
+    print(f"{t_tab:>9.4f} {t_libm:>9.4f} {t_libm / t_tab:>7.1f}x {dev:>10.1e}")
 
 
 def member_loop_phases(n_members, K, seed, stream=0):
@@ -172,6 +210,7 @@ def main():
         print(row + f" {t_direct:>9.3f} {t_direct / t_theta:>7.0f}x {dev:>12.1e}")
     bench_theta(args.repeats)
     bench_ensemble(args.repeats)
+    bench_phase_factors(args.repeats)
     bench_phases(args.repeats)
 
 

@@ -6,7 +6,7 @@ scattering observables and a Monte-Carlo random-phase oracle.
 
 __version__ = "0.1.0"
 
-from .basis import EigenBasis, build_basis, partition_function, x_element, x_element_general
+from .basis import EigenBasis, build_basis, partition_function
 from .closedforms import (CollisionModelParams, I_ab, J, breve_closed,
                           maxwell_boltzmann_pdf, msd_collision_model)
 from .constants import (CONST, CharacteristicScales, PhysicalConstants,
@@ -27,6 +27,5 @@ __all__ = [
     "isf", "isf_phase", "linear_grid", "maxwell_boltzmann_pdf",
     "msd_collision_model", "msd_exact_curve", "msd_ideal", "msd_ideal_curve",
     "pair_correlation_self", "partition_function", "sample_msd",
-    "sample_msd_rerandomized", "sample_phases", "x_element",
-    "x_element_general",
+    "sample_msd_rerandomized", "sample_phases",
 ]

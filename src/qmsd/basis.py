@@ -1,8 +1,7 @@
 """Truncated plane-wave eigenbasis on the periodic super-cell.
 
 Wavenumbers q_n = 2 pi n / L, energies E_n = hbar^2 q_n^2 / 2m, Boltzmann
-weights, partition function and the closed-form position matrix elements.
-The position matrix is never materialized; entries are O(1) to compute.
+weights and the partition function.
 """
 
 from __future__ import annotations
@@ -67,36 +66,6 @@ def build_basis(sys: PhysicalSystem, funcs_per_cell: int,
             TruncationWarning,
         )
     return EigenBasis(indices=indices, q=q, E=E, w=w, L=L, beta=beta, mass=sys.mass)
-
-
-def x_element(n: int, j: int, L: float) -> complex:
-    """Position matrix element between plane-wave states n and j.
-
-    Zero on the diagonal, purely imaginary and Hermitian off it:
-    i (-1)^(n-j+1) / (q_n - q_j).
-    """
-    if n == j:
-        return 0j
-    sign = -1.0 if (n - j) % 2 == 0 else 1.0
-    return 1j * sign * L / (2.0 * math.pi * (n - j))
-
-
-def x_element_general(q: float, L: float) -> float:
-    """Off-lattice matrix-element profile X(q), defined for any real q.
-
-    X(q) = L * (2 sin(Lq/2)/(Lq)^2 - cos(Lq/2)/(Lq)); odd in q with a
-    removable zero at q = 0. At lattice gaps q_n - q_j its square equals
-    1/(q_n - q_j)^2.
-    """
-    z = L * q
-    if abs(z) < 1e-2:
-        # X = L (z/12 - z^3/480 + ...), from the Taylor expansion of
-        # 2 sin(z/2)/z^2 - cos(z/2)/z. The direct formula cancels to
-        # O(z) between terms of size O(1/z), losing ~2 digits per decade
-        # below z = 1; the truncated series error is O(z^5), so the
-        # crossover at z = 1e-2 keeps both branches below 1e-11 relative.
-        return L * z / 12.0 * (1.0 - z * z / 40.0)
-    return L * (2.0 * math.sin(z / 2.0) / (z * z) - math.cos(z / 2.0) / z)
 
 
 def partition_function(basis: EigenBasis) -> float:

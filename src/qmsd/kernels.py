@@ -1,12 +1,15 @@
 """Hot kernels: the O(K^2) pair reduction behind the direct exact sum and
 the per-member position evaluation behind the Monte-Carlo sampler, which
-folds the basis by its n -> -n parity.
+folds the basis by its n -> -n parity and takes its phase factors
+e^(i theta) from a table (_cis).
 
 The pair reduction uses a fixed-block sum (BLOCK pairs per partial sum,
 blocks combined in index order), so results are reproducible run to run.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,8 +18,9 @@ from .constants import CONST
 BLOCK = 4096
 # ensemble members per block of the position kernel; its two complex
 # (K, MEMBER_BLOCK) buffers take 0.8 MiB each at K = 201 and its complex
-# (M, MEMBER_BLOCK) GEMM output 0.4 MiB; 128-1024 rows ran within 10 % of
-# each other (1 BLAS thread, 2-core Xeon)
+# (M + 1, MEMBER_BLOCK) GEMM output 0.4 MiB, and the phase factors work in
+# these three, with no scratch of their own; 128-1024 rows ran within 10 %
+# of each other (1 BLAS thread, 2-core Xeon)
 MEMBER_BLOCK = 256
 
 
@@ -88,6 +92,68 @@ def antisym_coupling_matrix(K: int) -> np.ndarray:
     return A
 
 
+# e^(i theta) from a table at the nodes j 2pi/N, j = 0..N: theta = j 2pi/N
+# + d with |d| <= pi/N, where j 2pi/N = j _CIS_HI + j _CIS_LO is split
+# Cody-Waite style so that j _CIS_HI is exact (_CIS_HI has 24 bits and
+# j <= 2^12); P. T. P. Tang, ACM TOMS 15(2), 144-157 (1989)
+_TWO_PI = 2.0 * math.pi
+_CIS_N = 4096
+_CIS_HI = float(np.float32(_TWO_PI / _CIS_N))
+_CIS_LO = _TWO_PI / _CIS_N - _CIS_HI
+
+
+def _cis_table() -> np.ndarray:
+    """C_j + i S_j = e^(i j (_CIS_HI + _CIS_LO)), j = 0..N.
+
+    A node rounds to x; its remainder r = (j hi - x) + j lo is exact
+    (Fast2Sum, as j hi and j lo are exact) and enters to first order, so
+    each entry is within libm's error of the exact node's value.
+    """
+    j = np.arange(_CIS_N + 1.0)
+    x = j * _CIS_HI + j * _CIS_LO
+    r = (j * _CIS_HI - x) + j * _CIS_LO
+    return (np.cos(x) - r * np.sin(x)) + 1j * (np.sin(x) + r * np.cos(x))
+
+
+_CIS_TABLE = _cis_table()
+
+
+def _cis(theta, out, w, j) -> None:
+    """e^(i theta) into out, for theta in [0, 2 pi].
+
+    With j = rint(theta N / 2pi) and d = (theta - j hi) - j lo, sin d ~ s =
+    d - d^3/6 and 1 - cos d ~ h = d^2/2 - d^4/24 (truncation below 3e-18 at
+    |d| <= pi/N). With the table entry E_j = C_j + i S_j, out = E_j - E_j
+    (h - i s), that is cos theta = C_j - (C_j h + S_j s) and sin theta =
+    S_j - (S_j h - C_j s); within 2^-53 of libm on 2e6 uniform phases.
+
+    w (complex) and j (int64) are scratch of theta's shape; every step
+    writes into out, w or j. Raises ValueError for a phase outside
+    [0, 2 pi] or NaN.
+    """
+    if not (theta.min() >= 0.0 and theta.max() <= _TWO_PI):
+        raise ValueError("ensemble_positions needs phases in [0, 2 pi]")
+    d, v = w.real, w.imag
+    np.multiply(theta, _CIS_N / _TWO_PI, out=d)
+    np.rint(d, out=j, casting="unsafe")
+    np.multiply(j, _CIS_HI, out=d)
+    np.subtract(theta, d, out=d)
+    np.multiply(j, _CIS_LO, out=v)
+    np.subtract(d, v, out=d)
+    # j lies in [0, N], so "clip" never clips; unlike "raise" it is unbuffered
+    np.take(_CIS_TABLE, j, out=out, mode="clip")
+    d2 = j.view(np.float64)                       # j is read; reuse its memory
+    np.multiply(d, d, out=d2)
+    np.multiply(d2, 1.0 / 6.0, out=v)
+    np.subtract(v, 1.0, out=v)
+    np.multiply(v, d, out=v)                      # -s = d (d^2/6 - 1)
+    np.multiply(d2, -1.0 / 24.0, out=d)
+    np.add(d, 0.5, out=d)
+    np.multiply(d, d2, out=d)                     # h = d^2 (1/2 - d^2/24)
+    np.multiply(w, out, out=w)                    # (C h + S s) + i (S h - C s)
+    np.subtract(out, w, out=out)
+
+
 def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     """Position expectation values, shape (members, times).
 
@@ -112,10 +178,12 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     half the flops of the unfolded K x K product, and
     x = pref Re(zo . conj(y)). Members are processed MEMBER_BLOCK at a
     time in reused buffers stored (row, member), so the float view of ze
-    is the GEMM operand as it stands.
+    is the GEMM operand as it stands. Each block's e^(i theta) comes from
+    _cis, a 4097-node table with a two-term correction, within 2^-53 of
+    libm's cos and sin; the rotation factors are libm's.
 
     Raises ValueError unless K is odd and wt, eom and A have this parity
-    exactly.
+    exactly, and for a phase outside [0, 2 pi] or NaN.
     """
     wt = np.asarray(wt, dtype=np.float64)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
@@ -146,14 +214,16 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     rows = max(1, min(m, MEMBER_BLOCK))
     # flat buffers, so that a short last block is contiguous too
     z0_buf, zt_buf = (np.empty(rows * K, dtype=np.complex128) for _ in range(2))
-    y_buf = np.empty(rows * M, dtype=np.complex128)
+    # y has M rows; one more makes its int64 view hold _cis's K indices
+    # per member, as y is written only in the time loop
+    y_buf = np.empty(rows * (M + 1), dtype=np.complex128)
     for lo in range(0, m, rows):
         b = min(rows, m - lo)
         z0, zt = z0_buf[:K * b].reshape(K, b), zt_buf[:K * b].reshape(K, b)
         y = y_buf[:M * b].reshape(M, b)
-        # e^(i theta) as (n, member), in zt until the time loop
-        np.cos(thetas[lo:lo + b].T, out=zt.real)
-        np.sin(thetas[lo:lo + b].T, out=zt.imag)
+        # e^(i theta) as (n, member), in zt until the time loop; z0 is
+        # written only after it, so it is _cis's scratch
+        _cis(thetas[lo:lo + b].T, zt, z0, y_buf.view(np.int64)[:K * b].reshape(K, b))
         cp, cn = zt.real[pos], zt.real[neg]
         sp, sn = zt.imag[pos], zt.imag[neg]
         np.add(cp, cn, out=z0.real[:M + 1])

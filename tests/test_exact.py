@@ -6,9 +6,10 @@ import pytest
 
 from qmsd import (CONST, IdealMsdParams, PhysicalSystem, breve_sum,
                   build_basis, derive_scales, msd_exact_curve,
-                  msd_ideal, partition_function, x_element)
+                  msd_ideal, partition_function)
 from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
 from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
+from test_basis import x_element
 
 
 def brute_force_msd(basis, Q, t):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qmsd.kernels import (BLOCK, MEMBER_BLOCK, antisym_coupling_matrix,
-                          blocked_sum, ensemble_positions, msd_reduce,
-                          pair_arrays)
+from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis,
+                          antisym_coupling_matrix, blocked_sum,
+                          ensemble_positions, msd_reduce, pair_arrays)
 
 
 class TestPairArrays:
@@ -139,6 +139,100 @@ class TestEnsemblePositionsOracle:
         assert got.shape == (members, times.size)
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+def cis(theta):
+    """_cis on an array of phases, with its scratch allocated here."""
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    _cis(theta, out, np.empty_like(out), np.empty(theta.shape, dtype=np.int64))
+    return out
+
+
+class TestCis:
+    """The table phase factors against libm's cos and sin."""
+
+    def test_matches_libm_on_seeded_phases(self):
+        # sample_phases' values: k 2^-53 2pi, k up to 2^53
+        k = np.random.default_rng(2024).integers(0, 2**53, size=1_000_000,
+                                                 endpoint=True)
+        theta = k * (1.0 / 2**53) * _TWO_PI
+        z = cis(theta)
+        assert np.abs(z.real - np.cos(theta)).max() <= 2.0**-52
+        assert np.abs(z.imag - np.sin(theta)).max() <= 2.0**-52
+
+    def test_matches_libm_at_table_edges(self):
+        # each node j 2pi/N and each midpoint, where rint changes j, +- 1 ulp
+        j = np.arange(_CIS_N + 1)
+        step = _TWO_PI / _CIS_N
+        points = np.concatenate((j * step, (j[:-1] + 0.5) * step))
+        theta = np.concatenate((points, np.nextafter(points, -1.0),
+                                np.nextafter(points, 7.0),
+                                [0.0, _TWO_PI, np.nextafter(_TWO_PI, 0.0)]))
+        theta = theta[(theta >= 0.0) & (theta <= _TWO_PI)]
+        assert theta.size > 6 * _CIS_N
+        z = cis(theta)
+        assert np.abs(z.real - np.cos(theta)).max() <= 2.0**-52
+        assert np.abs(z.imag - np.sin(theta)).max() <= 2.0**-52
+        assert z[0] == 1.0
+
+    @pytest.mark.parametrize("quarter", [0, 1, 2, 3, 4])
+    def test_truncation_below_ulps_where_a_part_vanishes(self, quarter):
+        # within 3 nodes of a multiple of pi/2 the vanishing part is small,
+        # so its absolute error shows the series' truncation: d^5/120 <=
+        # 2.2e-18 at |d| <= pi/N, against 7e-17 if d ranged over 2pi/N
+        step = _TWO_PI / _CIS_N
+        centre = quarter * (_CIS_N // 4) * step
+        theta = centre + np.linspace(-3.0, 3.0, 60_001) * step
+        theta = theta[(theta >= 0.0) & (theta <= _TWO_PI)]
+        z = cis(theta)
+        got, want = (z.imag, np.sin(theta)) if quarter % 2 == 0 else (z.real, np.cos(theta))
+        assert np.abs(got - want).max() <= 5e-18
+
+
+class TestEnsemblePositionsDomain:
+    @pytest.mark.parametrize("bad", [-5e-324, np.nextafter(_TWO_PI, 7.0),
+                                     np.nan, np.inf])
+    def test_phase_outside_zero_two_pi_rejected(self, position_data, bad):
+        wt, thetas, eom, times, A, pref = position_data
+        thetas = thetas.copy()
+        thetas[3, 7] = bad
+        with pytest.raises(ValueError, match=r"\[0, 2 pi\]"):
+            ensemble_positions(wt, thetas, eom, times, A, pref)
+
+    def test_both_ends_accepted(self, position_data):
+        wt, thetas, eom, times, A, pref = position_data
+        thetas = thetas.copy()
+        thetas[3, :2] = 0.0, _TWO_PI
+        got = ensemble_positions(wt, thetas, eom, times, A, pref)
+        want = plain_positions(wt, thetas, eom, times, A, pref)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+class TestSampleMsdEstimator:
+    def test_matches_estimator_from_plain_positions(self, mc_basis):
+        # 1030 members: four whole blocks and a short one
+        from qmsd import CONST, partition_function, sample_msd
+        from qmsd.montecarlo import _ensemble_setup, sample_phases
+        members, seed = 1030, 11
+        assert members % MEMBER_BLOCK
+        Q = partition_function(mc_basis)
+        grid = np.linspace(1.0, 20.0, 20) * CONST.hbar * mc_basis.beta
+        res = sample_msd(mc_basis, Q, grid, n_members=members, seed=seed)
+        thetas = sample_phases(mc_basis, members, seed)
+        # the kernel's stated domain; the largest draw, (2^53 - 1) 2^-53
+        # 2pi, rounds to at most 2pi
+        assert thetas.min() >= 0.0 and thetas.max() <= _TWO_PI
+        assert (2**53 - 1) * (1.0 / 2**53) * _TWO_PI <= _TWO_PI
+        wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+        X = plain_positions(wt, thetas, eom, np.concatenate(([0.0], grid)), A, pref)
+        disp_sq = (X[:, 1:] - X[:, :1]) ** 2
+        np.testing.assert_allclose(res.mean_msd, disp_sq.mean(axis=0),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(res.stderr,
+                                   disp_sq.std(axis=0, ddof=1) / np.sqrt(members),
+                                   rtol=1e-13, atol=0)
 
 
 class TestStreamZeroReuse:

@@ -7,10 +7,11 @@ import pytest
 
 from qmsd import (CONST, EigenBasis, breve_sum, msd_exact_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
-                  sample_phases, x_element)
+                  sample_phases)
 from qmsd.constants import ValidationError
 from qmsd.kernels import ensemble_positions
 from qmsd.montecarlo import _ensemble_setup
+from test_basis import x_element
 
 
 @dataclass(frozen=True)
