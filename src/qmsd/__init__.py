@@ -8,12 +8,12 @@ __version__ = "0.1.0"
 
 from .basis import EigenBasis, build_basis, partition_function
 from .closedforms import (CollisionModelParams, I_ab, J, breve_closed,
-                          maxwell_boltzmann_pdf, msd_collision_model)
+                          msd_collision_model)
 from .constants import (CONST, CharacteristicScales, PhysicalConstants,
                         PhysicalSystem, ValidationError, derive_scales)
 from .curves import MsdCurve, geometric_grid, linear_grid
 from .exact import breve_sum, msd_exact_curve
-from .ideal import IdealMsdParams, complex_squared_length, msd_ideal, msd_ideal_curve
+from .ideal import IdealMsdParams, msd_ideal, msd_ideal_curve
 from .montecarlo import (EnsembleResult, sample_msd, sample_msd_rerandomized,
                          sample_phases)
 from .scattering import ScatteringParams, dsf, isf, isf_phase, pair_correlation_self
@@ -23,9 +23,8 @@ __all__ = [
     "EnsembleResult", "I_ab", "IdealMsdParams", "J", "MsdCurve",
     "PhysicalConstants", "PhysicalSystem", "ScatteringParams",
     "ValidationError", "breve_closed", "breve_sum", "build_basis",
-    "complex_squared_length", "derive_scales", "dsf", "geometric_grid",
-    "isf", "isf_phase", "linear_grid", "maxwell_boltzmann_pdf",
-    "msd_collision_model", "msd_exact_curve", "msd_ideal", "msd_ideal_curve",
-    "pair_correlation_self", "partition_function", "sample_msd",
-    "sample_msd_rerandomized", "sample_phases",
+    "derive_scales", "dsf", "geometric_grid", "isf", "isf_phase",
+    "linear_grid", "msd_collision_model", "msd_exact_curve", "msd_ideal",
+    "msd_ideal_curve", "pair_correlation_self", "partition_function",
+    "sample_msd", "sample_msd_rerandomized", "sample_phases",
 ]

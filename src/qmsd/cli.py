@@ -305,16 +305,15 @@ def cmd_mc_verify(run: Run):
     grid = run.grid("linear:1:20:20")
     basis, Q = _basis(run, run.system, edge_weight_cutoff=1.0)
     res = sample_msd(basis, Q, grid, run.cfg["members"], run.cfg["seed"])
-    exact = msd_exact_curve(basis, Q, grid, weight_floor=0.0)
+    exact = msd_exact_curve(basis, Q, grid)
     max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact.values)
     if not max_z <= z_star:  # a NaN z refuses too
         raise NumericalError(
             f"Monte-Carlo estimate departs from the exact sum: max |z| = "
             f"{max_z:.2f} over {grid.size} points exceeds z* = {z_star:.2f} "
             f"(family-wise false-alarm rate {MC_GATE_FALSE_ALARM:g})")
-    est, err, t_used = sample_msd_rerandomized(
-        basis, Q, run.cfg["members"], run.cfg["seed"], x0=res.x0)
-    bs = breve_sum(basis, Q, weight_floor=0.0)
+    est, err, t_used = sample_msd_rerandomized(basis, Q, res)
+    bs = breve_sum(basis, Q)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
             [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact.values])

@@ -102,13 +102,3 @@ def msd_collision_model(p: CollisionModelParams, t):
     # t = 0 (also -0.0, where z is -inf) is exactly 0
     out = np.where(t == 0.0, 0.0, g * free + (1.0 - g) * plateau)
     return out if out.ndim else float(out)
-
-
-def maxwell_boltzmann_pdf(v, v_T: float):
-    """One-sided Maxwell-Boltzmann speed density (s/m):
-    sqrt(2/pi) exp(-(v/v_T)^2 / 2) / v_T."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValidationError("v must be nonnegative")
-    out = math.sqrt(2.0 / math.pi) * np.exp(-((v / v_T) ** 2) / 2.0) / v_T
-    return out if out.ndim else float(out)

@@ -32,7 +32,7 @@ import numpy as np
 from .basis import EigenBasis
 from .constants import CONST
 from .curves import MsdCurve, validate_grid
-from .kernels import BLOCK, blocked_sum, msd_reduce, pair_arrays
+from .kernels import BLOCK, WEIGHT_FLOOR, blocked_sum, msd_reduce, pair_arrays
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
 TAIL = 92.0
@@ -57,11 +57,11 @@ def _lattice_energy(basis: EigenBasis) -> float:
     return CONST.hbar**2 * (2.0 * math.pi / basis.L)**2 / (2.0 * basis.mass)
 
 
-def _use_theta(basis: EigenBasis, weight_floor: float) -> bool:
+def _use_theta(basis: EigenBasis) -> bool:
     """Whether the theta series applies: the basis edge weight is below
-    the floor (the basis is converged) and a = beta eps/2 < A_MAX."""
+    WEIGHT_FLOOR (the basis is converged) and a = beta eps/2 < A_MAX."""
     a = 0.5 * basis.beta * _lattice_energy(basis)
-    return bool(basis.w[0] < weight_floor and a < A_MAX)
+    return bool(basis.w[0] < WEIGHT_FLOOR and a < A_MAX)
 
 
 def _theta_outer(basis: EigenBasis, Q: float):
@@ -144,16 +144,15 @@ def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def msd_exact_curve(basis: EigenBasis, Q: float, grid,
-                    weight_floor: float = 1e-18) -> MsdCurve:
+def msd_exact_curve(basis: EigenBasis, Q: float, grid) -> MsdCurve:
     """Coherent MSD over a time grid; params["path"] names the path taken."""
     times = validate_grid(grid)
-    theta = _use_theta(basis, weight_floor)
+    theta = _use_theta(basis)
     if theta:
         values = _theta_msd(basis, Q, times)
     else:
         # the ordered pairs n < j, doubled (the sum is symmetric)
-        wprod, half_omega = pair_arrays(basis, weight_floor)
+        wprod, half_omega = pair_arrays(basis)
         values = 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
     return MsdCurve(
         times=times,
@@ -166,21 +165,20 @@ def msd_exact_curve(basis: EigenBasis, Q: float, grid,
             "mass": basis.mass,
             "path": "theta" if theta else "direct",
             "edge_weight": float(basis.w[0]),
-            "weight_floor": weight_floor,
+            "weight_floor": WEIGHT_FLOOR,
             "reduction_block": BLOCK,
         },
     )
 
 
-def breve_sum(basis: EigenBasis, Q: float,
-              weight_floor: float = 1e-18) -> float:
+def breve_sum(basis: EigenBasis, Q: float) -> float:
     """Decohered plateau constant (m^2).
 
     Equals the coherent sum with every sin^2 factor replaced by 1/2; the
     path is chosen as in msd_exact_curve.
     """
-    if _use_theta(basis, weight_floor):
+    if _use_theta(basis):
         # the theta bracket's time mean is 1, leaving the outer weights
         return float(np.sum(_theta_outer(basis, Q)[2]))
-    wprod, _ = pair_arrays(basis, weight_floor)
+    wprod, _ = pair_arrays(basis)
     return float(4.0 / Q**2 * blocked_sum(wprod))

@@ -30,7 +30,14 @@ def _sqrt_diff(t, t_b):
     # sqrt(t^2 + t_b^2) - t_b, written so the small-t branch does not
     # cancel: t^2 / (sqrt(t^2 + t_b^2) + t_b)
     t = np.asarray(t, dtype=float)
-    return t * t / (np.sqrt(t * t + t_b * t_b) + t_b)
+    with np.errstate(over="ignore"):
+        tt = t * t
+    # the form tends to t; where t * t overflows (t beyond about 1.3e154 s)
+    # an overflow-free form takes over
+    over = np.isinf(tt) & np.isfinite(t)
+    tt = np.where(over, 1.0, tt)
+    return np.where(over, t * (t / (np.hypot(t, t_b) + t_b)),
+                    tt / (np.sqrt(tt + t_b * t_b) + t_b))
 
 
 def msd_ideal(p: IdealMsdParams, t):
@@ -51,13 +58,3 @@ def msd_ideal_curve(p: IdealMsdParams, grid) -> MsdCurve:
         values=np.atleast_1d(values),
         method="ideal-analytic",
     )
-
-
-def complex_squared_length(v_T: float, D_q: float, t) -> complex:
-    """Complex squared length v_T^2 t^2 - 2i D_q t of the ideal-gas
-    pair correlation function."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be nonnegative")
-    out = v_T * v_T * t * t - 2j * D_q * t
-    return out if out.ndim else complex(out)

@@ -22,22 +22,25 @@ BLOCK = 4096
 # these three, with no scratch of their own; 128-1024 rows ran within 10 %
 # of each other (1 BLAS thread, 2-core Xeon)
 MEMBER_BLOCK = 256
+# pair_arrays drops states of Boltzmann weight below this (their pairs are
+# below double precision in the sum); an edge weight below it marks a
+# converged basis, which the exact sum's path rule reads
+WEIGHT_FLOOR = 1e-18
 
 
 # ---------------------------------------------------------------------------
 # pair data: weights and transition frequencies over ordered pairs n < j
 # ---------------------------------------------------------------------------
 
-def pair_arrays(basis, weight_floor: float = 1e-18):
+def pair_arrays(basis):
     """Per-pair data for the coherent double sum.
 
     Returns (wprod, half_omega) over ordered index pairs n < j of the
-    basis, keeping only states with Boltzmann weight >= weight_floor
-    (dropped terms are below double precision in the total).
+    basis, keeping only states with Boltzmann weight >= WEIGHT_FLOOR.
 
     wprod = w_n w_j |x_nj|^2  (m^2), half_omega = (E_n - E_j)/(2 hbar).
     """
-    keep = basis.w >= weight_floor
+    keep = basis.w >= WEIGHT_FLOOR
     q = basis.q[keep]
     E = basis.E[keep]
     w = basis.w[keep]

@@ -29,7 +29,7 @@ class EnsembleResult:
     stderr: np.ndarray    # m^2
     n_members: int
     seed: int
-    x0: np.ndarray | None = None  # each member's x(0) (m), stream-0 phases
+    x0: np.ndarray        # each member's x(0) (m), stream-0 phases
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) and PCG64 (setseq-128,
@@ -172,33 +172,23 @@ def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
     )
 
 
-def sample_msd_rerandomized(basis: EigenBasis, Q: float, n_members: int,
-                            seed: int = 42, t: float | None = None,
-                            x0: np.ndarray | None = None):
+def sample_msd_rerandomized(basis: EigenBasis, Q: float, ensemble: EnsembleResult,
+                            t: float | None = None):
     """Plateau estimate with independent phase sets before and after.
 
-    Draws uncorrelated phases for time 0 and time t, so the averaged
-    squared difference is time-independent and estimates the decohered
-    plateau. Returns (estimate, stderr, t_used).
-
-    x0, if given, is the members' x(0) from ``sample_msd`` with the same
-    basis, Q, n_members and seed (``EnsembleResult.x0``); the stream-0
-    phases are then not drawn again.
+    Pairs each member's x(0) from ``ensemble``, the ``sample_msd`` result
+    on the same basis and Q (stream-0 phases), with x(t) from fresh
+    stream-1 phases of the same seed, so the averaged squared difference
+    is time-independent and estimates the decohered plateau. Returns
+    (estimate, stderr, t_used).
     """
-    if n_members < 2:
-        raise ValidationError("n_members must be >= 2")
     if t is None:
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta
     wt, eom, A, pref = _ensemble_setup(basis, Q)
-    if x0 is None:
-        thetas_before = sample_phases(basis, n_members, seed, stream=0)
-        x0 = ensemble_positions(wt, thetas_before, eom, np.array([0.0]), A, pref)[:, 0]
-    elif np.shape(x0) != (n_members,):
-        raise ValueError(f"x0 has shape {np.shape(x0)}, expected ({n_members},)")
-    thetas_after = sample_phases(basis, n_members, seed, stream=1)
+    thetas_after = sample_phases(basis, ensemble.n_members, ensemble.seed, stream=1)
     xt = ensemble_positions(wt, thetas_after, eom, np.array([float(t)]), A, pref)[:, 0]
-    disp_sq = (xt - x0) ** 2
+    disp_sq = (xt - ensemble.x0) ** 2
     estimate = float(disp_sq.mean())
-    stderr = float(disp_sq.std(ddof=1) / math.sqrt(n_members))
+    stderr = float(disp_sq.std(ddof=1) / math.sqrt(ensemble.n_members))
     return estimate, stderr, float(t)

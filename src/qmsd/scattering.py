@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ValidationError
-from .ideal import complex_squared_length
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -29,6 +28,12 @@ class ScatteringParams:
             raise ValidationError(f"q must be finite, got {self.q!r}")
 
 
+def _delta2(p: ScatteringParams, t):
+    """Complex squared length v_T^2 t^2 - 2i D_q t (m^2) of the ideal-gas
+    pair correlation function."""
+    return p.v_T**2 * t**2 - 2j * p.D_q * t
+
+
 def pair_correlation_self(p: ScatteringParams, x, t: float):
     """Self-part of the pair correlation function, a complex Gaussian
     with squared width v_T^2 t^2 - 2i D_q t (1/m).
@@ -37,7 +42,7 @@ def pair_correlation_self(p: ScatteringParams, x, t: float):
     """
     if t <= 0:
         raise ValidationError("t must be positive (t = 0 is a distributional limit)")
-    delta2 = complex_squared_length(p.v_T, p.D_q, t)
+    delta2 = _delta2(p, t)
     x = np.asarray(x, dtype=float)
     # principal sqrt: Re delta2 > 0 for t > 0, so Gs decays at large |x|
     out = np.exp(-x * x / (2.0 * delta2)) / np.sqrt(2.0 * math.pi * delta2)
@@ -62,8 +67,12 @@ def isf(p: ScatteringParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("t must be nonnegative")
-    delta2 = p.v_T**2 * t**2 - 2j * p.D_q * t
-    out = np.exp(-delta2 * p.q**2 / 4.0) / SQRT_2PI
+    with np.errstate(over="ignore"):
+        # -delta2 q^2 / 4 by parts: where v_T^2 t^2 overflows to inf, the
+        # complex product would make inf * 0 a NaN; exp(-inf) is 0
+        delta2 = _delta2(p, t)
+        arg = -delta2.real * p.q**2 / 4.0 + 1j * (-delta2.imag * p.q**2 / 4.0)
+    out = np.exp(arg) / SQRT_2PI
     return out if out.ndim else complex(out)
 
 

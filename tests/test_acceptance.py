@@ -156,10 +156,10 @@ def test_criterion_6_monte_carlo_oracle():
     Q = partition_function(basis)
     grid = np.linspace(1.0, 20.0, 20) * s.t_b
     res = sample_msd(basis, Q, grid, n_members=10000, seed=42)
-    exact = msd_exact_curve(basis, Q, grid, weight_floor=0.0).values
+    exact = msd_exact_curve(basis, Q, grid).values
     z = np.abs(res.mean_msd - exact) / res.stderr
-    est, err, _ = sample_msd_rerandomized(basis, Q, n_members=10000, seed=42)
-    bs = breve_sum(basis, Q, weight_floor=0.0)
+    est, err, _ = sample_msd_rerandomized(basis, Q, res)
+    bs = breve_sum(basis, Q)
     z_replat = abs(est - bs) / err
     elapsed = time.perf_counter() - t0
     report(6, float(z.max()) < 3.0 and z_replat < 3.0 and elapsed < 300.0,

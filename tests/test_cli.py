@@ -323,6 +323,19 @@ class TestExitCodes:
         msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, 2]
         assert np.all(np.isfinite(msd)) and msd[1] == msd[2] > 0
 
+    @pytest.mark.parametrize("command,csv,column", [
+        ("ideal", "ideal.csv", 2), ("figure1", "figure1.csv", 1),
+        ("figure2", "figure2_ideal.csv", 2), ("scattering", "isf.csv", 1)])
+    def test_ideal_finite_where_t_squared_overflows(self, tmp_path, command, csv, column):
+        # t^2 in seconds overflows beyond about 1.3e154 s (3.4e167 t_b);
+        # the ideal MSD tends to (hbar/m) t there and the ISF amplitude to 0
+        with np.errstate(over="raise", invalid="raise"):
+            assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
+                           "--grid", "linear:0:1e168:3") == 0
+        rows = (tmp_path / csv).read_text().splitlines()[2:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])[:, column]
+        assert np.all(np.isfinite(values))
+
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
         monkeypatch.setattr(qmsd.cli, "dsf", lambda p, omegas: np.full(omegas.shape, np.nan))

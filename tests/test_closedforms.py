@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from qmsd import (CONST, CollisionModelParams, IdealMsdParams, PhysicalSystem,
                   ValidationError, breve_closed, derive_scales,
                   msd_collision_model, msd_ideal)
-from qmsd.closedforms import I_ab, J, J_AT_ZERO, maxwell_boltzmann_pdf
+from qmsd.closedforms import I_ab, J, J_AT_ZERO
 
 # erf reference values computed once at 40 decimal digits and frozen
 ERF_TABLE = [
@@ -237,29 +237,6 @@ class TestCollisionModel:
         got = msd_collision_model(p, ts)
         np.testing.assert_array_equal(got, [scalar(t) for t in ts])
         assert isinstance(msd_collision_model(p, ts[5]), float)
-
-
-class TestMaxwellBoltzmann:
-    v_T = 237.4
-
-    def test_normalized(self):
-        val, _ = quad(lambda v: maxwell_boltzmann_pdf(v, self.v_T), 0, np.inf)
-        assert val == pytest.approx(1.0, rel=1e-10, abs=0)
-
-    def test_mean_square_speed(self):
-        val, _ = quad(lambda v: v * v * maxwell_boltzmann_pdf(v, self.v_T),
-                      0, np.inf)
-        assert val == pytest.approx(self.v_T**2, rel=1e-10, abs=0)
-
-    def test_density_at_origin(self):
-        assert maxwell_boltzmann_pdf(0.0, self.v_T) == pytest.approx(
-            math.sqrt(2 / math.pi) / self.v_T, rel=1e-14, abs=0)
-
-    def test_vectorized_and_validated(self):
-        out = maxwell_boltzmann_pdf(np.array([0.0, 100.0]), self.v_T)
-        assert out.shape == (2,)
-        with pytest.raises(ValidationError):
-            maxwell_boltzmann_pdf(-1.0, self.v_T)
 
 
 def test_collision_model_is_velocity_average(co_scales):

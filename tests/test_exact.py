@@ -25,14 +25,14 @@ def brute_force_msd(basis, Q, t):
     return 4.0 / Q**2 * total
 
 
-def direct_sum(basis, Q, times, weight_floor=1e-18):
+def direct_sum(basis, Q, times):
     """The O(K^2) pair sum over n < j, the oracle for the theta series."""
-    wprod, half_omega = pair_arrays(basis, weight_floor)
+    wprod, half_omega = pair_arrays(basis)
     return 8.0 / Q**2 * msd_reduce(wprod, half_omega, np.asarray(times, dtype=float))
 
 
-def direct_breve(basis, Q, weight_floor=1e-18):
-    return 4.0 / Q**2 * blocked_sum(pair_arrays(basis, weight_floor)[0])
+def direct_breve(basis, Q):
+    return 4.0 / Q**2 * blocked_sum(pair_arrays(basis)[0])
 
 
 def dense_theta_msd(basis, Q, times):
@@ -71,7 +71,7 @@ def test_folded_sum_matches_brute_force(small_basis):
     Q = partition_function(small_basis)
     t_b = CONST.hbar * small_basis.beta
     for t in [0.0, 0.3 * t_b, 2.7 * t_b, 40 * t_b]:
-        got = msd_exact_curve(small_basis, Q, [t], weight_floor=0.0).values[0]
+        got = msd_exact_curve(small_basis, Q, [t]).values[0]
         assert got == pytest.approx(brute_force_msd(small_basis, Q, t),
                                     rel=1e-12, abs=1e-40)
 
@@ -175,7 +175,7 @@ class TestBreveSum:
                     continue
                 x = x_element(n, j, small_basis.L)
                 total += small_basis.w[i] * small_basis.w[k] * abs(x) ** 2
-        assert breve_sum(small_basis, Q, weight_floor=0.0) == pytest.approx(
+        assert breve_sum(small_basis, Q) == pytest.approx(
             2.0 / Q**2 * total, rel=1e-12, abs=0)
 
 
@@ -225,16 +225,6 @@ class TestThetaPath:
         assert (msd_exact_curve(basis, Q, [times[4]]).values[0]
                 == direct_sum(basis, Q, times[4:5])[0])
         assert breve_sum(basis, Q) == direct_breve(basis, Q)
-
-    def test_zero_weight_floor_stays_direct(self, co_basis, co_Q, co_scales):
-        times = np.linspace(0.0, 5.0, 4) * co_scales.t_b
-        curve = msd_exact_curve(co_basis, co_Q, times, weight_floor=0.0)
-        assert curve.params["path"] == "direct"
-        assert curve.params["weight_floor"] == 0.0
-        np.testing.assert_array_equal(curve.values,
-                                      direct_sum(co_basis, co_Q, times, 0.0))
-        assert breve_sum(co_basis, co_Q, weight_floor=0.0) == direct_breve(
-            co_basis, co_Q, 0.0)
 
     def test_short_cell_stays_direct(self):
         # H at 10 K on one 256 pm cell, about 5 thermal lengths long: the

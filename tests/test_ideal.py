@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmsd import (CONST, IdealMsdParams, ValidationError,
-                  complex_squared_length, derive_scales, linear_grid,
-                  msd_ideal, msd_ideal_curve)
+from qmsd import (CONST, IdealMsdParams, ScatteringParams, ValidationError,
+                  derive_scales, linear_grid, msd_ideal, msd_ideal_curve)
+from qmsd.scattering import _delta2
 
 CO = IdealMsdParams(mass=28 * 1.66053906660e-27, t_b=4.020122411714599e-14)
 
@@ -44,6 +44,19 @@ def test_cancellation_safe_at_tiny_times():
 def test_negative_time_rejected():
     with pytest.raises(ValidationError):
         msd_ideal(CO, -1e-15)
+
+
+def test_finite_where_t_squared_overflows():
+    # t * t overflows beyond about 1.3e154 s, where the MSD tends to
+    # (hbar/m) t; below it every point keeps the bits of the plain form
+    t = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
+    with np.errstate(over="raise", invalid="raise"):
+        got = msd_ideal(CO, t)
+    np.testing.assert_allclose(got, CONST.hbar / CO.mass * t, rtol=1e-15, atol=0)
+    assert isinstance(msd_ideal(CO, 1e160), float)
+    t = np.concatenate((np.geomspace(1e-30, 1e154, 200), [0.0, 1.3e154]))
+    plain = CONST.hbar / CO.mass * (t * t / (np.sqrt(t * t + CO.t_b * CO.t_b) + CO.t_b))
+    np.testing.assert_array_equal(msd_ideal(CO, t), plain)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),
@@ -114,22 +127,25 @@ def test_curve_rejects_empty_and_decreasing():
 
 
 class TestComplexSquaredLength:
-    v_T = 237.4
-    D_q = 1.134e-9
+    """scattering._delta2, the squared width shared by isf and
+    pair_correlation_self."""
+    p = ScatteringParams(v_T=237.4, D_q=1.134e-9, q=1e10)
 
     def test_zero(self):
-        assert complex_squared_length(self.v_T, self.D_q, 0.0) == 0j
+        assert _delta2(self.p, 0.0) == 0j
 
     def test_components(self):
         t = 3e-14
-        z = complex_squared_length(self.v_T, self.D_q, t)
-        assert z.real == pytest.approx(self.v_T**2 * t**2, rel=1e-14, abs=0)
-        assert z.imag == pytest.approx(-2 * self.D_q * t, rel=1e-14, abs=0)
+        z = _delta2(self.p, t)
+        assert z.real == pytest.approx(self.p.v_T**2 * t**2, rel=1e-14, abs=0)
+        assert z.imag == pytest.approx(-2 * self.p.D_q * t, rel=1e-14, abs=0)
 
     def test_real_equals_abs_imag_at_thermal_time(self, co_scales):
-        z = complex_squared_length(co_scales.v_T, co_scales.D_q, co_scales.t_b)
+        p = ScatteringParams(v_T=co_scales.v_T, D_q=co_scales.D_q, q=1e10)
+        z = _delta2(p, co_scales.t_b)
         assert z.real == pytest.approx(abs(z.imag), rel=1e-10, abs=0)
 
     def test_classical_correspondence_at_long_times(self, co_scales):
-        z = complex_squared_length(co_scales.v_T, co_scales.D_q, 1e4 * co_scales.t_b)
+        p = ScatteringParams(v_T=co_scales.v_T, D_q=co_scales.D_q, q=1e10)
+        z = _delta2(p, 1e4 * co_scales.t_b)
         assert abs(z.imag) / z.real < 1e-3

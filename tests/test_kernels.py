@@ -1,29 +1,38 @@
 import numpy as np
 import pytest
 
-from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis,
-                          antisym_coupling_matrix, blocked_sum,
+from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, WEIGHT_FLOOR,
+                          _cis, antisym_coupling_matrix, blocked_sum,
                           ensemble_positions, msd_reduce, pair_arrays)
+
+
+def unpruned_wprod(basis):
+    """w_n w_j |x_nj|^2 over every pair n < j of the basis, none dropped."""
+    i, j = np.triu_indices(basis.K, k=1)
+    dq = basis.q[i] - basis.q[j]
+    return basis.w[i] * basis.w[j] / (dq * dq)
 
 
 class TestPairArrays:
     def test_counts_and_signs(self, small_basis):
-        wprod, half_omega = pair_arrays(small_basis, weight_floor=0.0)
+        # every state of this truncated basis is above the weight floor
+        assert small_basis.w.min() >= WEIGHT_FLOOR
+        wprod, half_omega = pair_arrays(small_basis)
         K = small_basis.K
         assert wprod.size == K * (K - 1) // 2
         assert half_omega.size == wprod.size
         assert np.all(wprod > 0)
 
     def test_weight_floor_prunes(self, co_basis):
-        full, _ = pair_arrays(co_basis, weight_floor=0.0)
         pruned, _ = pair_arrays(co_basis)
-        assert pruned.size < full.size
+        kept = np.count_nonzero(co_basis.w >= WEIGHT_FLOOR)
+        assert kept < co_basis.K
+        assert pruned.size == kept * (kept - 1) // 2
 
     def test_pruning_preserves_total(self, co_basis):
-        full, _ = pair_arrays(co_basis, weight_floor=0.0)
         pruned, _ = pair_arrays(co_basis)
-        assert blocked_sum(pruned) == pytest.approx(blocked_sum(full),
-                                                    rel=1e-12, abs=0)
+        assert blocked_sum(pruned) == pytest.approx(
+            blocked_sum(unpruned_wprod(co_basis)), rel=1e-12, abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -237,20 +246,23 @@ class TestSampleMsdEstimator:
 
 class TestStreamZeroReuse:
     def test_rerandomized_with_x0_bit_identical(self, mc_basis):
+        # the plateau from the ensemble's x(0) equals one built here from
+        # a stream 0 drawn afresh and evaluated at t = 0 alone
         from qmsd import CONST, partition_function, sample_msd, sample_msd_rerandomized
+        from qmsd.montecarlo import _ensemble_setup, sample_phases
         Q = partition_function(mc_basis)
         grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
         res = sample_msd(mc_basis, Q, grid, n_members=600, seed=3)
-        assert res.x0.shape == (600,)
-        reused = sample_msd_rerandomized(mc_basis, Q, 600, seed=3, x0=res.x0)
-        fresh = sample_msd_rerandomized(mc_basis, Q, 600, seed=3)
-        assert reused == fresh
-
-    def test_x0_of_wrong_length_rejected(self, mc_basis):
-        from qmsd import partition_function, sample_msd_rerandomized
-        Q = partition_function(mc_basis)
-        with pytest.raises(ValueError):
-            sample_msd_rerandomized(mc_basis, Q, 600, seed=3, x0=np.zeros(599))
+        t = 10.0 * CONST.hbar * mc_basis.beta
+        wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+        x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=0), eom,
+                                np.array([0.0]), A, pref)[:, 0]
+        xt = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=1), eom,
+                                np.array([t]), A, pref)[:, 0]
+        disp_sq = (xt - x0) ** 2
+        np.testing.assert_array_equal(res.x0, x0)
+        assert sample_msd_rerandomized(mc_basis, Q, res) == (
+            float(disp_sq.mean()), float(disp_sq.std(ddof=1) / np.sqrt(600)), t)
 
 
 def small_inputs(K, members, seed):

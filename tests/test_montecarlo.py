@@ -199,21 +199,26 @@ class TestSampleMsd:
             sample_msd(mc_basis, Q, np.array([1e-14]), n_members=1)
 
 
+def ensemble(basis, Q, n_members, seed):
+    """A sample_msd ensemble at one time; it carries the members' x(0)."""
+    return sample_msd(basis, Q, [CONST.hbar * basis.beta], n_members, seed)
+
+
 class TestRerandomized:
     def test_estimates_decohered_plateau(self, mc_basis):
         Q = partition_function(mc_basis)
         plateau = breve_sum(mc_basis, Q)
         est, err, t_used = sample_msd_rerandomized(mc_basis, Q,
-                                                   n_members=4000, seed=42)
+                                                   ensemble(mc_basis, Q, 4000, 42))
         assert abs(est - plateau) / err < 3.0
         assert t_used > 0
 
     def test_time_independent_in_expectation(self, mc_basis):
         Q = partition_function(mc_basis)
         t_b = CONST.hbar * mc_basis.beta
-        e1, s1, _ = sample_msd_rerandomized(mc_basis, Q, 3000, seed=5,
+        e1, s1, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 5),
                                             t=2 * t_b)
-        e2, s2, _ = sample_msd_rerandomized(mc_basis, Q, 3000, seed=6,
+        e2, s2, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 6),
                                             t=500 * t_b)
         assert abs(e1 - e2) / math.hypot(s1, s2) < 3.0
 
@@ -221,5 +226,6 @@ class TestRerandomized:
         # fresh phases kill the coherent suppression at small t
         Q = partition_function(mc_basis)
         t = 0.5 * CONST.hbar * mc_basis.beta
-        est, err, _ = sample_msd_rerandomized(mc_basis, Q, 3000, seed=9, t=t)
+        est, err, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 9),
+                                              t=t)
         assert est - 3 * err > msd_exact_curve(mc_basis, Q, [t]).values[0]
