@@ -33,16 +33,22 @@ parts together (4 M (M + 1) = K^2 - 1). It times the kernel's phase
 factors e^(i theta) on one stream of the same 10 000 x 201 phases, in
 blocks of ``MEMBER_BLOCK`` members as the kernel takes them: the table
 (``_cis``) against ``np.cos`` + ``np.sin``, and prints both times and the
-maximum absolute deviation of the table from libm. Last it times
-``sample_phases`` for the same 10 000 members and K = 201 against one
+maximum absolute deviation of the table from libm. Then it times the
+phase draw for the same 10 000 members and K = 201, one stream: the
+8-lane jump-ahead of ``sample_phases`` in ``PHASE_CHUNK``-member chunks,
+as ``sample_msd`` draws them, against the row-by-row draw of every
+member at once (one PCG64 step per row, no lanes) and against one
 ``default_rng([seed, i, stream])`` per member, and prints the maximum
-|difference|, which must be 0. Needs numpy, and pytest for the test
-module it imports the dense series from.
+|difference| of each from the last, which must be 0. Last it prints the
+tracemalloc peak of ``sample_msd`` at 10 000 and 100 000 members (K = 201,
+20 times). Needs numpy, and pytest for the test module it imports the
+dense series from.
 """
 
 import argparse
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -51,7 +57,8 @@ import numpy as np
 from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
 from qmsd.exact import _theta_msd, msd_exact_curve
 from qmsd.kernels import MEMBER_BLOCK, _cis, ensemble_positions, msd_reduce, pair_arrays
-from qmsd.montecarlo import _ensemble_setup, sample_phases
+from qmsd.montecarlo import (_PCG_MULT, PHASE_CHUNK, _ensemble_setup, _lcg_advance,
+                             _seeded_states, _uniform_rows, sample_msd, sample_phases)
 
 # the dense theta series is the tests' oracle and lives with them
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -145,16 +152,60 @@ def member_loop_phases(n_members, K, seed, stream=0):
                      .uniform(0.0, 2.0 * np.pi, K) for i in range(n_members)])
 
 
+def row_by_row_phases(basis, n_members, seed, stream=0, first=0):
+    """One PCG64 step per row of K rows for all n members at once, no lanes."""
+    hi, lo, inc_hi, inc_lo = _seeded_states(n_members, seed, stream, first)
+    scratch = np.empty((4, n_members), np.uint64)
+    thetas = np.empty((basis.K, n_members))
+    for j in range(basis.K):
+        _lcg_advance(hi, lo, _PCG_MULT, inc_hi, inc_lo, scratch)
+        _uniform_rows(hi, lo, thetas[j], scratch[:3])
+    return thetas.T
+
+
+def in_chunks(draw, basis, n_members, seed):
+    """draw's phases, PHASE_CHUNK members at a time, as the samplers take them."""
+    for lo in range(0, n_members, PHASE_CHUNK):
+        yield draw(basis, min(PHASE_CHUNK, n_members - lo), seed, 0, lo)
+
+
 def bench_phases(repeats):
     basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
                         edge_weight_cutoff=1.0)
     n_members = 10000
-    thetas, t_vec = timed(lambda: sample_phases(basis, n_members, seed=42), repeats)
     ref, t_loop = timed(lambda: member_loop_phases(n_members, basis.K, 42), 1)
-    diff = float(np.max(np.abs(thetas - ref)))
-    print(f"\nsample_phases, K = {basis.K}, {n_members} members, one stream")
-    print(f"{'vector s':>9} {'loop s':>9} {'speedup':>8} {'max |diff|':>11}")
-    print(f"{t_vec:>9.3f} {t_loop:>9.3f} {t_loop / t_vec:>7.1f}x {diff:>11.1e}")
+    print(f"\nphase draw, K = {basis.K}, {n_members} members, one stream; each chunk "
+          f"is dropped before the next, as in sample_msd; max |diff| from one "
+          f"default_rng per member")
+    print(f"{'draw':>34} {'s':>9} {'max |diff|':>11}")
+    draws = {f"8 lanes, {PHASE_CHUNK}-member chunks":
+             lambda: in_chunks(sample_phases, basis, n_members, 42),
+             f"row by row, {PHASE_CHUNK}-member chunks":
+             lambda: in_chunks(row_by_row_phases, basis, n_members, 42),
+             "row by row, all members at once":
+             lambda: iter([row_by_row_phases(basis, n_members, 42)])}
+    for name, draw in draws.items():
+        _, t_draw = timed(lambda: [chunk.shape for chunk in draw()], repeats)
+        diff = float(np.max(np.abs(np.concatenate(list(draw())) - ref)))
+        print(f"{name:>34} {t_draw:>9.4f} {diff:>11.1e}")
+    print(f"{'default_rng per member':>34} {t_loop:>9.4f} {0.0:>11.1e}")
+
+
+def bench_sample_msd_memory():
+    sys_ = PhysicalSystem.from_user_units(28, 190, 256, 10)
+    basis = build_basis(sys_, 20, edge_weight_cutoff=1.0)
+    Q = partition_function(basis)
+    grid = np.linspace(1.0, 20.0, 20) * derive_scales(sys_).t_b
+    print(f"\nsample_msd tracemalloc peak, K = {basis.K}, 20 times")
+    print(f"{'members':>9} {'peak MB':>9}")
+    for n_members in (10000, 100000):
+        tracemalloc.start()
+        try:
+            sample_msd(basis, Q, grid, n_members, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"{n_members:>9} {peak / 1e6:>9.1f}")
 
 
 def mixed_grid(s):
@@ -212,6 +263,7 @@ def main():
     bench_ensemble(args.repeats)
     bench_phase_factors(args.repeats)
     bench_phases(args.repeats)
+    bench_sample_msd_memory()
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ import numpy as np
 from .basis import EigenBasis
 from .constants import CONST
 from .curves import MsdCurve, validate_grid
-from .kernels import BLOCK, WEIGHT_FLOOR, blocked_sum, msd_reduce, pair_arrays
+from .kernels import (BLOCK, WEIGHT_FLOOR, blocked_sum, msd_reduce, pair_arrays,
+                      weight_floor)
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
 TAIL = 92.0
@@ -59,9 +60,9 @@ def _lattice_energy(basis: EigenBasis) -> float:
 
 def _use_theta(basis: EigenBasis) -> bool:
     """Whether the theta series applies: the basis edge weight is below
-    WEIGHT_FLOOR (the basis is converged) and a = beta eps/2 < A_MAX."""
+    weight_floor(basis) (the basis is converged) and a = beta eps/2 < A_MAX."""
     a = 0.5 * basis.beta * _lattice_energy(basis)
-    return bool(basis.w[0] < WEIGHT_FLOOR and a < A_MAX)
+    return bool(basis.w[0] < weight_floor(basis) and a < A_MAX)
 
 
 def _theta_outer(basis: EigenBasis, Q: float):

@@ -22,9 +22,10 @@ BLOCK = 4096
 # these three, with no scratch of their own; 128-1024 rows ran within 10 %
 # of each other (1 BLAS thread, 2-core Xeon)
 MEMBER_BLOCK = 256
-# pair_arrays drops states of Boltzmann weight below this (their pairs are
-# below double precision in the sum); an edge weight below it marks a
-# converged basis, which the exact sum's path rule reads
+# pair_arrays drops states of Boltzmann weight below this times w(n = 1)
+# (their pairs are below double precision of the largest pairs, (0, +-1));
+# an edge weight below that marks a converged basis, which the exact sum's
+# path rule reads
 WEIGHT_FLOOR = 1e-18
 
 
@@ -32,15 +33,25 @@ WEIGHT_FLOOR = 1e-18
 # pair data: weights and transition frequencies over ordered pairs n < j
 # ---------------------------------------------------------------------------
 
+def weight_floor(basis) -> float:
+    """WEIGHT_FLOOR times w(n = 1), the Boltzmann weight below which a
+    state's pairs are below WEIGHT_FLOOR of the largest pairs (0, +-1).
+
+    Relative, so that a cold basis, where w(n = 1) itself is far below
+    WEIGHT_FLOOR, keeps its pairs; 1.0 stands for w(n = 1) when K = 1.
+    """
+    return WEIGHT_FLOOR * (float(basis.w[basis.M + 1]) if basis.M else 1.0)
+
+
 def pair_arrays(basis):
     """Per-pair data for the coherent double sum.
 
     Returns (wprod, half_omega) over ordered index pairs n < j of the
-    basis, keeping only states with Boltzmann weight >= WEIGHT_FLOOR.
+    basis, keeping only states with Boltzmann weight >= weight_floor(basis).
 
     wprod = w_n w_j |x_nj|^2  (m^2), half_omega = (E_n - E_j)/(2 hbar).
     """
-    keep = basis.w >= WEIGHT_FLOOR
+    keep = basis.w >= weight_floor(basis)
     q = basis.q[keep]
     E = basis.E[keep]
     w = basis.w[keep]
@@ -177,7 +188,7 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     e^(i theta_-p)) (ze_0 = wt_0 e^(i theta_0)) and zo = -i wt_p
     (e^(i theta_p) - e^(i theta_-p)) are formed once. Since eom is even,
     each time point rotates both by e^(-i eom_p t) in one complex multiply
-    over K rows; then y = B ze is one real GEMM for re and im together,
+    over K rows (t = 0 reads them unrotated); then y = B ze is one real GEMM for re and im together,
     half the flops of the unfolded K x K product, and
     x = pref Re(zo . conj(y)). Members are processed MEMBER_BLOCK at a
     time in reused buffers stored (row, member), so the float view of ze
@@ -236,9 +247,14 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
         np.subtract(cn[1:], cp[1:], out=z0.imag[M + 1:])
         np.multiply(z0.real, wz, out=z0.real)
         np.multiply(z0.imag, wz, out=z0.imag)
-        ze, zo = zt[:M + 1], zt[M + 1:]
         for it in range(times.size):
-            np.multiply(z0, rot[it, :, None], out=zt)
+            if times[it] == 0.0:
+                # the rotation by 1 + 0i gives z0 up to the sign of a zero part
+                z = z0
+            else:
+                z = zt
+                np.multiply(z0, rot[it, :, None], out=zt)
+            ze, zo = z[:M + 1], z[M + 1:]
             np.matmul(B, ze.view(np.float64), out=y.view(np.float64))
             col = np.einsum("pk,pk->k", zo.view(np.float64), y.view(np.float64))
             out[lo:lo + b, it] = pref * (col[0::2] + col[1::2])

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import EigenBasis
 from .constants import CONST, ValidationError
 from .curves import validate_grid
-from .kernels import antisym_coupling_matrix, ensemble_positions
+from .kernels import MEMBER_BLOCK, antisym_coupling_matrix, ensemble_positions
 
 _HBAR = CONST.hbar
 
@@ -39,7 +39,21 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# each member's stream is drawn in _LANES lanes, lane l holding states
+# l + 1, l + 1 + r, ...: s_(j+r) = a^r s_j + C_r inc with C_r = sum_(i<r) a^i
+# (F. B. Brown, Trans. Am. Nucl. Soc. 71, 202 (1994)), exact mod 2**128
+_LANES = 8
+_LANE_MULT = pow(_PCG_MULT, _LANES, 1 << 128)
+_LANE_INC = sum(pow(_PCG_MULT, i, 1 << 128) for i in range(_LANES)) % (1 << 128)
+# 53-bit uniform to [0, 2 pi): 2 pi / 2**53 is exact, so one product gives
+# next_double's bits times 2 pi
+_TWO_PI_ULP = 2.0 * math.pi / 9007199254740992.0
+_MAX_MEMBERS = 2**32
+# members per phase draw in sample_msd and sample_msd_rerandomized: whole
+# ensemble_positions blocks, so each block holds the same members as in one
+# draw of all members and every output bit is the same
+PHASE_CHUNK = 8 * MEMBER_BLOCK
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -87,58 +101,117 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [out32[2 * k] | (out32[2 * k + 1] << np.uint64(32)) for k in range(4)]
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of a * b, from 32-bit limbs (Hacker's Delight 8-2)."""
-    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    t = a1 * b0 + ((a0 * b0) >> np.uint64(32))
-    w = (t & np.uint64(_MASK32)) + a0 * b1
-    return a1 * b1 + (t >> np.uint64(32)) + (w >> np.uint64(32))
+def _lcg_advance(hi, lo, mult: int, add_hi, add_lo, scratch) -> None:
+    """(hi, lo) <- mult (hi, lo) + (add_hi, add_lo) mod 2**128, in place.
 
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """The PCG64 state (hi, lo) times its multiplier plus inc, mod 2**128."""
-    new_lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
-    carry = new_lo < inc_lo
-    new_hi = (_mulhi64(lo, _PCG_MULT_LO) + hi * np.uint64(_PCG_MULT_LO)
-              + lo * np.uint64(_PCG_MULT_HI) + inc_hi + carry)
-    return new_hi, new_lo
-
-
-def sample_phases(basis: EigenBasis, n_members: int, seed: int,
-                  stream: int = 0) -> np.ndarray:
-    """Member i's K phases, uniform on [0, 2 pi), drawn for all members at once.
-
-    Row i is bit for bit ``np.random.default_rng([seed, i, stream])
-    .uniform(0, 2 pi, K)``: each member has its own stream, so a member's
-    phases do not depend on how many members are drawn.
+    A 128-bit number is a (hi, lo) pair of uint64 arrays; mult is a Python
+    int. The high word of lo times mult's low word is taken from 32-bit
+    limbs (Hacker's Delight 8-2). scratch is four uint64 arrays of hi's
+    shape; every step writes into hi, lo or scratch.
     """
-    seed, stream = int(seed), int(stream)
-    if seed < 0 or stream < 0:
-        raise ValidationError(f"seed and stream must be >= 0, got {seed}, {stream}")
-    if n_members > 2**32:
-        raise ValidationError(f"at most 2**32 members, got {n_members}")
-    # every member's entropy words: [seed words..., i, stream words...]
-    seed_words = [np.full(n_members, w, np.uint32) for w in _uint32_words(seed)]
-    stream_words = [np.full(n_members, w, np.uint32) for w in _uint32_words(stream)]
-    entropy = seed_words + [np.arange(n_members, dtype=np.uint32)] + stream_words
-    state_hi, state_lo, seq_hi, seq_lo = _seed_words(entropy)
+    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & 0xFFFFFFFFFFFFFFFF)
+    b0, b1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
+    mask, half = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, t, w = scratch
+    np.bitwise_and(lo, mask, out=a0)
+    np.right_shift(lo, half, out=a1)
+    np.multiply(a1, b0, out=t)
+    np.multiply(a0, b0, out=w)
+    np.right_shift(w, half, out=w)
+    np.add(t, w, out=t)                           # t = a1 b0 + (a0 b0 >> 32)
+    np.bitwise_and(t, mask, out=w)
+    np.multiply(a0, b1, out=a0)
+    np.add(w, a0, out=w)                          # w = (t & mask) + a0 b1
+    np.multiply(a1, b1, out=a1)
+    np.right_shift(t, half, out=t)
+    np.add(a1, t, out=a1)
+    np.right_shift(w, half, out=w)
+    np.add(a1, w, out=a1)                         # high word of lo m_lo
+    np.multiply(hi, m_lo, out=hi)
+    np.add(hi, a1, out=hi)
+    np.multiply(lo, m_hi, out=a1)
+    np.add(hi, a1, out=hi)
+    np.multiply(lo, m_lo, out=lo)
+    np.add(lo, add_lo, out=lo)
+    np.less(lo, add_lo, out=a0)                   # the carry out of lo
+    np.add(hi, add_hi, out=hi)
+    np.add(hi, a0, out=hi)
+
+
+def _uniform_rows(hi, lo, out, scratch) -> None:
+    """PCG64's XSL-RR output of each state, as next_double's 53 bits scaled
+    to [0, 2 pi), into out; scratch is three uint64 arrays of hi's shape."""
+    x, rot, y = scratch
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, np.uint64(58), out=rot)
+    np.right_shift(x, rot, out=y)
+    np.negative(rot, out=rot)
+    np.bitwise_and(rot, np.uint64(63), out=rot)
+    np.left_shift(x, rot, out=x)
+    np.bitwise_or(x, y, out=x)
+    np.right_shift(x, np.uint64(11), out=x)
+    np.multiply(x, _TWO_PI_ULP, out=out)
+
+
+def _check_members(first: int, n_members: int) -> None:
+    """Members first..first+n-1 must have one 32-bit entropy word each."""
+    if first < 0 or first + n_members > _MAX_MEMBERS:
+        raise ValidationError(f"members {first}..{first + n_members - 1} lie outside "
+                              f"the 2**32 member streams 0..{_MAX_MEMBERS - 1}")
+
+
+def _seeded_states(n_members: int, seed: int, stream: int, first: int):
+    """PCG64 (hi, lo) states and (inc_hi, inc_lo) increments of members
+    first..first+n-1 as seeded by default_rng([seed, first + i, stream]),
+    before their first draw."""
+    n = n_members
+    # every member's entropy words: [seed words..., first + i, stream words...]
+    seed_words = [np.full(n, w, np.uint32) for w in _uint32_words(seed)]
+    stream_words = [np.full(n, w, np.uint32) for w in _uint32_words(stream)]
+    index = (np.arange(n, dtype=np.uint64) + np.uint64(first)).astype(np.uint32)
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed_words + [index] + stream_words)
     # pcg_setseq_128_srandom_r: inc = 2 initseq + 1; step; add initstate; step
     one = np.uint64(1)
     inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
     inc_lo = (seq_lo << one) | one
     lo = inc_lo + state_lo
     hi = inc_hi + state_hi + (lo < state_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    _lcg_advance(hi, lo, _PCG_MULT, inc_hi, inc_lo, np.empty((4, n), np.uint64))
+    return hi, lo, inc_hi, inc_lo
+
+
+def sample_phases(basis: EigenBasis, n_members: int, seed: int,
+                  stream: int = 0, first: int = 0) -> np.ndarray:
+    """Phases of members first..first+n-1, K each, uniform on [0, 2 pi).
+
+    Row i is bit for bit ``np.random.default_rng([seed, first + i, stream])
+    .uniform(0, 2 pi, K)``: each member has its own stream, so a member's
+    phases do not depend on which members are drawn with it. The draws are
+    made _LANES at a time: lane l holds draws l, l + r, l + 2r, ... of every
+    member and jumps r states per step.
+    """
+    seed, stream, first = int(seed), int(stream), int(first)
+    if seed < 0 or stream < 0:
+        raise ValidationError(f"seed and stream must be >= 0, got {seed}, {stream}")
+    _check_members(first, n_members)
+    hi, lo, inc_hi, inc_lo = _seeded_states(n_members, seed, stream, first)
+    hi_l, lo_l, *scratch = np.empty((6, _LANES, n_members), np.uint64)
+    row_scratch = [a[0] for a in scratch]
+    # lane l starts at draw l's state, stepped one at a time
+    for lane in range(_LANES):
+        _lcg_advance(hi, lo, _PCG_MULT, inc_hi, inc_lo, row_scratch)
+        hi_l[lane], lo_l[lane] = hi, lo
+    # from here the lanes step r draws at a time: inc becomes D = C_r inc
+    zero = np.uint64(0)
+    _lcg_advance(inc_hi, inc_lo, _LANE_INC, zero, zero, row_scratch)
     # each draw fills one contiguous row; the (members, K) result is the
     # transpose, so a member block's phases are (n, member) rows too
     thetas = np.empty((basis.K, n_members))
-    for j in range(basis.K):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output, then next_double's 53 bits scaled to [0, 2 pi)
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        x = (x >> rot) | (x << (-rot & np.uint64(63)))
-        thetas[j] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0) * (2.0 * math.pi)
+    for j0 in range(0, basis.K, _LANES):
+        r = min(_LANES, basis.K - j0)
+        _uniform_rows(hi_l[:r], lo_l[:r], thetas[j0:j0 + r], [a[:r] for a in scratch[:3]])
+        if j0 + _LANES < basis.K:
+            _lcg_advance(hi_l, lo_l, _LANE_MULT, inc_hi, inc_lo, scratch)
     return thetas.T
 
 
@@ -151,18 +224,36 @@ def _ensemble_setup(basis: EigenBasis, Q: float):
     return wt, eom, A, pref
 
 
+def _ensemble_chunks(basis: EigenBasis, Q: float, n_members: int, seed: int,
+                     stream: int, times: np.ndarray) -> np.ndarray:
+    """x(t) of members 0..n-1 of one stream, shape (members, times).
+
+    The members are drawn and evaluated PHASE_CHUNK at a time, so no
+    (K x members) phase array is held.
+    """
+    _check_members(0, n_members)
+    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    X = np.empty((n_members, times.size))
+    for lo in range(0, n_members, PHASE_CHUNK):
+        b = min(PHASE_CHUNK, n_members - lo)
+        # the phases are freed before the next chunk's are drawn, so their
+        # memory is reused; two chunks alive at once cost mc-verify about
+        # 1 800 more page faults per run
+        X[lo:lo + b] = ensemble_positions(
+            wt, sample_phases(basis, b, seed, stream, first=lo), eom, times, A, pref)
+    return X
+
+
 def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
                seed: int = 42) -> EnsembleResult:
     """Ensemble-averaged MSD over a time grid, with standard errors."""
     if n_members < 2:
         raise ValidationError("n_members must be >= 2")
     times = validate_grid(grid)
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
-    thetas = sample_phases(basis, n_members, seed)
     # baseline x(0) prepended so displacements share one evaluation pass
-    eval_times = np.concatenate(([0.0], times))
-    X = ensemble_positions(wt, thetas, eom, eval_times, A, pref)
-    disp_sq = (X[:, 1:] - X[:, :1]) ** 2
+    X = _ensemble_chunks(basis, Q, n_members, seed, 0, np.concatenate(([0.0], times)))
+    disp_sq = X[:, 1:] - X[:, :1]
+    np.multiply(disp_sq, disp_sq, out=disp_sq)
     mean = disp_sq.mean(axis=0)
     stderr = disp_sq.std(axis=0, ddof=1) / math.sqrt(n_members)
     return EnsembleResult(
@@ -185,9 +276,8 @@ def sample_msd_rerandomized(basis: EigenBasis, Q: float, ensemble: EnsembleResul
     if t is None:
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
-    thetas_after = sample_phases(basis, ensemble.n_members, ensemble.seed, stream=1)
-    xt = ensemble_positions(wt, thetas_after, eom, np.array([float(t)]), A, pref)[:, 0]
+    xt = _ensemble_chunks(basis, Q, ensemble.n_members, ensemble.seed, 1,
+                          np.array([float(t)]))[:, 0]
     disp_sq = (xt - ensemble.x0) ** 2
     estimate = float(disp_sq.mean())
     stderr = float(disp_sq.std(ddof=1) / math.sqrt(ensemble.n_members))

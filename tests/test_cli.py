@@ -221,6 +221,7 @@ class TestExitCodes:
         ["ideal", "--grid", "linear:0:inf:3"],
         ["exact", "--funcs-per-cell", "0"],
         ["mc-verify", "--members", "1"],
+        ["mc-verify", "--members", "4294967297"],
         ["mc-verify", "--seed", "-1"]], ids=" ".join)
     def test_config_error_bad_input(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
@@ -477,6 +478,17 @@ class TestArtifacts:
         assert meta["gate_false_alarm"] == 1e-3
         assert meta["members"] == 1500
         assert meta["K"] == 201
+
+    def test_mc_verify_cold_basis_passes(self, tmp_path):
+        # at 1 mK the exact sum keeps the (0, +-1) pairs, whose weight
+        # w(n = 1) ~ 7e-46 is below WEIGHT_FLOOR itself; it reads max |z| = 1.06
+        assert run_cli("mc-verify", "--out", str(tmp_path), "--temperature-K", "1e-3",
+                       "--members", "2000", "--formats", "csv,json-meta") == 0
+        meta = json.loads((tmp_path / "mc_verify.json").read_text())
+        assert meta["max_abs_z"] < meta["gate_z"]
+        exact = np.loadtxt(tmp_path / "mc_verify.csv", delimiter=",", skiprows=2,
+                           usecols=4)
+        assert np.all(exact > 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mc_verify_grid_with_t_zero(self, tmp_path):

@@ -140,6 +140,24 @@ def test_curve_metadata_and_validation(co_basis, co_Q, co_scales):
     assert "reduction_block" in c.params
 
 
+def test_cold_basis_keeps_its_pairs():
+    # at 1 mK, w(n = +-1) is ~7e-46, far below WEIGHT_FLOOR; the floor is
+    # relative to it, so the (0, +-1) pairs are kept and the sum equals the
+    # one over every pair of the basis
+    basis = build_basis(PhysicalSystem.from_user_units(28, 1e-3, 256, 10), 100)
+    Q = partition_function(basis)
+    times = np.linspace(0.0, 2.0, 9) * CONST.hbar * basis.beta
+    curve = msd_exact_curve(basis, Q, times)
+    i, j = np.triu_indices(basis.K, k=1)
+    dq = basis.q[i] - basis.q[j]
+    wprod = basis.w[i] * basis.w[j] / (dq * dq)
+    half_omega = (basis.E[i] - basis.E[j]) / (2.0 * CONST.hbar)
+    want = [8.0 / Q**2 * np.sum(wprod * np.sin(half_omega * t) ** 2) for t in times]
+    assert curve.params["path"] == "direct"
+    assert np.all(curve.values[1:] > 0)
+    np.testing.assert_allclose(curve.values, want, rtol=1e-12, atol=0)
+
+
 class TestBreveSum:
     def test_co_plateau_values(self):
         # published plateaus: 0.11, 0.22, 0.44 a^2 for L = 10a, 20a, 40a

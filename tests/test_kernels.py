@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, WEIGHT_FLOOR,
-                          _cis, antisym_coupling_matrix, blocked_sum,
-                          ensemble_positions, msd_reduce, pair_arrays)
+from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis,
+                          antisym_coupling_matrix, blocked_sum, ensemble_positions,
+                          msd_reduce, pair_arrays, weight_floor)
 
 
 def unpruned_wprod(basis):
@@ -16,7 +16,7 @@ def unpruned_wprod(basis):
 class TestPairArrays:
     def test_counts_and_signs(self, small_basis):
         # every state of this truncated basis is above the weight floor
-        assert small_basis.w.min() >= WEIGHT_FLOOR
+        assert small_basis.w.min() >= weight_floor(small_basis)
         wprod, half_omega = pair_arrays(small_basis)
         K = small_basis.K
         assert wprod.size == K * (K - 1) // 2
@@ -25,7 +25,7 @@ class TestPairArrays:
 
     def test_weight_floor_prunes(self, co_basis):
         pruned, _ = pair_arrays(co_basis)
-        kept = np.count_nonzero(co_basis.w >= WEIGHT_FLOOR)
+        kept = np.count_nonzero(co_basis.w >= weight_floor(co_basis))
         assert kept < co_basis.K
         assert pruned.size == kept * (kept - 1) // 2
 

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qmsd.montecarlo
 from qmsd import (CONST, EigenBasis, breve_sum, msd_exact_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
                   sample_phases)
 from qmsd.constants import ValidationError
-from qmsd.kernels import ensemble_positions
-from qmsd.montecarlo import _ensemble_setup
+from qmsd.kernels import MEMBER_BLOCK, ensemble_positions
+from qmsd.montecarlo import PHASE_CHUNK, _ensemble_setup
 from test_basis import x_element
 
 
@@ -153,6 +155,21 @@ class TestSamplePhases:
         with pytest.raises(ValidationError):
             sample_phases(mc_basis, 2**32 + 1, seed=42)
 
+    # K = 21 is two whole 8-lane steps and a partial one; the last case
+    # ends at member 2**32 - 1, the last member stream
+    @pytest.mark.parametrize("n,first", [(5, 3), (9, 2047), (4, 2**32 - 4)])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_first_offsets_the_member_streams(self, n, first, stream):
+        got = sample_phases(SimpleNamespace(K=21), n, 42, stream, first=first)
+        want = np.array([np.random.default_rng([42, first + i, stream])
+                         .uniform(0.0, 2.0 * math.pi, 21) for i in range(n)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,first", [(4, -1), (2, 2**32 - 1), (1, 2**32)])
+    def test_members_beyond_the_member_streams_rejected(self, mc_basis, n, first):
+        with pytest.raises(ValidationError):
+            sample_phases(mc_basis, n, seed=42, first=first)
+
 
 @pytest.fixture(scope="module")
 def run(mc_basis):
@@ -197,6 +214,75 @@ class TestSampleMsd:
         Q = partition_function(mc_basis)
         with pytest.raises(ValueError):
             sample_msd(mc_basis, Q, np.array([1e-14]), n_members=1)
+
+
+def one_draw_positions(basis, Q, times, n_members, seed, stream):
+    """x(t) of every member from one draw of all members and one kernel call."""
+    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    thetas = sample_phases(basis, n_members, seed, stream)
+    return ensemble_positions(wt, thetas, eom, np.asarray(times), A, pref)
+
+
+class TestPhaseChunks:
+    @pytest.mark.parametrize("n", [2, 255, 2047, 2048, 2049, 5000])
+    def test_bit_identical_to_one_draw(self, mc_basis, n):
+        Q = partition_function(mc_basis)
+        grid = np.array([0.5, 3.0, 11.0]) * CONST.hbar * mc_basis.beta
+        res = sample_msd(mc_basis, Q, grid, n, seed=7)
+        X = one_draw_positions(mc_basis, Q, np.concatenate(([0.0], grid)), n, 7, 0)
+        disp_sq = (X[:, 1:] - X[:, :1]) ** 2
+        assert np.array_equal(res.x0, X[:, 0])
+        assert np.array_equal(res.mean_msd, disp_sq.mean(axis=0))
+        assert np.array_equal(res.stderr, disp_sq.std(axis=0, ddof=1) / math.sqrt(n))
+        est, err, t = sample_msd_rerandomized(mc_basis, Q, res)
+        xt = one_draw_positions(mc_basis, Q, [t], n, 7, 1)[:, 0]
+        disp_sq = (xt - X[:, 0]) ** 2
+        assert est == float(disp_sq.mean())
+        assert err == float(disp_sq.std(ddof=1) / math.sqrt(n))
+
+    def test_chunks_are_whole_kernel_blocks(self, mc_basis, monkeypatch):
+        # a chunk of whole MEMBER_BLOCK blocks gives each kernel block the
+        # members of one draw of all members
+        assert PHASE_CHUNK % MEMBER_BLOCK == 0
+        calls = []
+        real = qmsd.montecarlo.sample_phases
+
+        def recording(basis, n_members, seed, stream=0, first=0):
+            calls.append((first, n_members, stream))
+            return real(basis, n_members, seed, stream, first)
+
+        monkeypatch.setattr(qmsd.montecarlo, "sample_phases", recording)
+        Q = partition_function(mc_basis)
+        res = sample_msd(mc_basis, Q, [CONST.hbar * mc_basis.beta], 5000, seed=7)
+        sample_msd_rerandomized(mc_basis, Q, res)
+        assert calls == [(lo, min(PHASE_CHUNK, 5000 - lo), stream)
+                         for stream in (0, 1) for lo in range(0, 5000, PHASE_CHUNK)]
+
+    def test_too_many_members_rejected_before_allocating(self, mc_basis):
+        # x(0) and x(t) of 2**32 + 1 members would take 68 GB
+        Q = partition_function(mc_basis)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                sample_msd(mc_basis, Q, [CONST.hbar * mc_basis.beta], 2**32 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26
+
+    def test_peak_memory_bounded(self, mc_basis):
+        # 20 000 members x 20 times: x(t) takes 3.4 MB and the squared
+        # displacements 3.2 MB, while one (K x members) draw of all members
+        # would take 32 MB
+        Q = partition_function(mc_basis)
+        grid = np.linspace(1.0, 20.0, 20) * CONST.hbar * mc_basis.beta
+        tracemalloc.start()
+        try:
+            sample_msd(mc_basis, Q, grid, 20000, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def ensemble(basis, Q, n_members, seed):

@@ -49,3 +49,8 @@ def test_traced_commands_count_their_work(spans, tmp_path):
     for count in ("kernels.pairs", "kernels.member_evals",
                   "montecarlo.phase_draws", "basis.K"):
         assert metrics[count] > 0, count
+    # only mc-verify draws members: K = 201 phases for each of 200 members
+    # in streams 0 and 1, x(t) at 0 and 20 grid times, then x(t) once
+    K = 201
+    assert metrics["montecarlo.phase_draws"] == 2 * 200 * K
+    assert metrics["kernels.member_evals"] == 200 * 21 + 200
