@@ -29,7 +29,12 @@ stretched to 0 and 50..1000 t_b, against the plain per-time expression
 deviation relative to max |x|, and the matmul flops per member and time
 of the plain K x K form (2 K^2) and of the kernel, which folds the basis
 by n -> -n into one real (M x M+1) product for the real and imaginary
-parts together (4 M (M + 1) = K^2 - 1). It times the kernel's phase
+parts together (4 M (M + 1) = K^2 - 1). At the ``mc-verify`` defaults
+it times the kernel again with one worker and with its thread pool
+(``kernels._pool_size``: one worker per core that BLAS leaves free, so
+two on a 2-core host with OPENBLAS_NUM_THREADS=1 and one at the default
+BLAS thread count), and prints both times and the maximum |difference|,
+which must be 0. It times the kernel's phase
 factors e^(i theta) on one stream of the same 10 000 x 201 phases, in
 blocks of ``MEMBER_BLOCK`` members as the kernel takes them: the table
 (``_cis``) against ``np.cos`` + ``np.sin``, and prints both times and the
@@ -54,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+import qmsd.kernels
 from qmsd import PhysicalSystem, build_basis, derive_scales, partition_function
 from qmsd.exact import _theta_msd, msd_exact_curve
 from qmsd.kernels import MEMBER_BLOCK, _cis, ensemble_positions, msd_reduce, pair_arrays
@@ -111,6 +117,23 @@ def bench_ensemble(repeats):
         dev = float(np.max(np.abs(X - ref)) / np.max(np.abs(ref)))
         print(f"{t_max:>9.0f} {t_new:>9.3f} {t_plain:>9.3f} {t_plain / t_new:>7.1f}x "
               f"{flops_plain:>11} {flops_folded:>12} {dev:>17.1e}")
+
+    # the mc-verify times again, with one worker and with the thread pool
+    times = np.concatenate(([0.0], np.linspace(1.0, 20.0, 20))) * s.t_b
+    workers = qmsd.kernels._pool_size(-(-thetas.shape[0] // MEMBER_BLOCK))
+    X_pool, t_pool = timed(lambda: ensemble_positions(wt, thetas, eom, times, A, pref),
+                           repeats)
+    pool_size = qmsd.kernels._pool_size
+    qmsd.kernels._pool_size = lambda n_blocks: 1
+    try:
+        X_one, t_one = timed(lambda: ensemble_positions(wt, thetas, eom, times, A, pref),
+                             repeats)
+    finally:
+        qmsd.kernels._pool_size = pool_size
+    diff = float(np.max(np.abs(X_pool - X_one)))
+    print(f"\nensemble_positions thread pool, t_max = 20 t_b, {MEMBER_BLOCK}-member blocks")
+    print(f"{'1 worker s':>10} {f'{workers} workers s':>11} {'speedup':>8} {'max |diff|':>11}")
+    print(f"{t_one:>10.3f} {t_pool:>11.3f} {t_one / t_pool:>7.2f}x {diff:>11.1e}")
 
 
 def bench_phase_factors(repeats):

@@ -10,18 +10,21 @@ blocks combined in index order), so results are reproducible run to run.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
 from .constants import CONST
 
 BLOCK = 4096
-# ensemble members per block of the position kernel; its two complex
-# (K, MEMBER_BLOCK) buffers take 0.8 MiB each at K = 201 and its complex
-# (M + 1, MEMBER_BLOCK) GEMM output 0.4 MiB, and the phase factors work in
-# these three, with no scratch of their own; 128-1024 rows ran within 10 %
-# of each other (1 BLAS thread, 2-core Xeon)
-MEMBER_BLOCK = 256
+# ensemble members per block of the position kernel; each worker thread's
+# two complex (K, MEMBER_BLOCK) buffers take 0.4 MiB each at K = 201 and its
+# complex (M + 1, MEMBER_BLOCK) GEMM output 0.2 MiB, and the phase factors
+# work in these three, with no scratch of their own; 128-1024 rows ran
+# within 10 % of each other on one thread (1 BLAS thread, 2-core Xeon), and
+# two workers at 128 rows hold what one held at 256
+MEMBER_BLOCK = 128
 # pair_arrays drops states of Boltzmann weight below this times w(n = 1)
 # (their pairs are below double precision of the largest pairs, (0, +-1));
 # an edge weight below that marks a converged basis, which the exact sum's
@@ -142,11 +145,9 @@ def _cis(theta, out, w, j) -> None:
     S_j - (S_j h - C_j s); within 2^-53 of libm on 2e6 uniform phases.
 
     w (complex) and j (int64) are scratch of theta's shape; every step
-    writes into out, w or j. Raises ValueError for a phase outside
-    [0, 2 pi] or NaN.
+    writes into out, w or j. The caller checks the domain: a phase outside
+    [0, 2 pi] or NaN would index outside the table.
     """
-    if not (theta.min() >= 0.0 and theta.max() <= _TWO_PI):
-        raise ValueError("ensemble_positions needs phases in [0, 2 pi]")
     d, v = w.real, w.imag
     np.multiply(theta, _CIS_N / _TWO_PI, out=d)
     np.rint(d, out=j, casting="unsafe")
@@ -168,13 +169,41 @@ def _cis(theta, out, w, j) -> None:
     np.subtract(out, w, out=out)
 
 
-def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
+def _pool_size(n_blocks: int) -> int:
+    """Threads for ensemble_positions' member blocks: one per core that BLAS
+    leaves free, max(1, cores // blas_threads), and no more than n_blocks.
+
+    cores is the process's CPU affinity (the CPU count where the platform
+    has no affinity call). blas_threads is the first positive integer among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, OpenBLAS's
+    own order; unset, it is cores, as OpenBLAS then takes every core for
+    each GEMM. Reads the environment, sets nothing.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas_threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(cores // blas_threads, n_blocks))
+
+
+def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
     """Position expectation values, shape (members, times).
 
     wt: e^(-beta E/2) amplitudes; thetas: random phases per member, read
     as (n, member) rows, which is contiguous in sample_phases' layout;
     eom: E/hbar; A: antisymmetric coupling matrix; pref: L/(pi Q).
-    wt, eom and A are over the basis n = -M..M, in order.
+    wt, eom and A are over the basis n = -M..M, in order. out, if given,
+    is a float64 (members, times) array that receives the result and is
+    returned.
 
     The position is pref * v^T A u with u = Re z, v = Im z and
     z = wt e^(i(theta - eom t)). The spectrum is even under n -> -n and A
@@ -196,6 +225,11 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     _cis, a 4097-node table with a two-term correction, within 2^-53 of
     libm's cos and sin; the rotation factors are libm's.
 
+    The blocks are shared out whole over _pool_size threads, worker k
+    taking blocks k, k + n, ...; the caller is worker 0 and joins the
+    others before returning. Each worker has its own buffers, and a
+    block's result does not depend on which worker computes it.
+
     Raises ValueError unless K is odd and wt, eom and A have this parity
     exactly, and for a phase outside [0, 2 pi] or NaN.
     """
@@ -211,6 +245,13 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
             and np.array_equal(A, -A[::-1, ::-1])):
         raise ValueError("ensemble_positions needs K phases on a basis n = -M..M, "
                          "with wt and eom even and A odd under n -> -n")
+    if m and not (thetas.min() >= 0.0 and thetas.max() <= _TWO_PI):
+        raise ValueError("ensemble_positions needs phases in [0, 2 pi]")
+    if out is None:
+        out = np.empty((m, times.size))
+    elif out.shape != (m, times.size) or out.dtype != np.float64:
+        raise ValueError(f"ensemble_positions needs out of shape {(m, times.size)} "
+                         f"and dtype float64, got {out.shape} and {out.dtype}")
     M = K // 2
     pos, neg = slice(M, K), slice(M, None, -1)   # n = 0..M and n = 0..-M
     B = 0.5 * (A[M + 1:, pos] + A[M + 1:, neg])
@@ -224,38 +265,71 @@ def ensemble_positions(wt, thetas, eom, times, A, pref) -> np.ndarray:
     rot = np.empty((times.size, K), dtype=np.complex128)
     rot[:, :M + 1] = np.cos(phase) - 1j * np.sin(phase)
     rot[:, M + 1:] = rot[:, 1:M + 1]
-    out = np.empty((m, times.size))
     rows = max(1, min(m, MEMBER_BLOCK))
-    # flat buffers, so that a short last block is contiguous too
-    z0_buf, zt_buf = (np.empty(rows * K, dtype=np.complex128) for _ in range(2))
-    # y has M rows; one more makes its int64 view hold _cis's K indices
-    # per member, as y is written only in the time loop
-    y_buf = np.empty(rows * (M + 1), dtype=np.complex128)
-    for lo in range(0, m, rows):
-        b = min(rows, m - lo)
-        z0, zt = z0_buf[:K * b].reshape(K, b), zt_buf[:K * b].reshape(K, b)
-        y = y_buf[:M * b].reshape(M, b)
-        # e^(i theta) as (n, member), in zt until the time loop; z0 is
-        # written only after it, so it is _cis's scratch
-        _cis(thetas[lo:lo + b].T, zt, z0, y_buf.view(np.int64)[:K * b].reshape(K, b))
-        cp, cn = zt.real[pos], zt.real[neg]
-        sp, sn = zt.imag[pos], zt.imag[neg]
-        np.add(cp, cn, out=z0.real[:M + 1])
-        np.add(sp, sn, out=z0.imag[:M + 1])
-        # zo = -i wt (e^(i theta_p) - e^(i theta_-p)): re = Im(.), im = -Re(.)
-        np.subtract(sp[1:], sn[1:], out=z0.real[M + 1:])
-        np.subtract(cn[1:], cp[1:], out=z0.imag[M + 1:])
-        np.multiply(z0.real, wz, out=z0.real)
-        np.multiply(z0.imag, wz, out=z0.imag)
-        for it in range(times.size):
-            if times[it] == 0.0:
-                # the rotation by 1 + 0i gives z0 up to the sign of a zero part
-                z = z0
-            else:
-                z = zt
-                np.multiply(z0, rot[it, :, None], out=zt)
-            ze, zo = z[:M + 1], z[M + 1:]
-            np.matmul(B, ze.view(np.float64), out=y.view(np.float64))
-            col = np.einsum("pk,pk->k", zo.view(np.float64), y.view(np.float64))
-            out[lo:lo + b, it] = pref * (col[0::2] + col[1::2])
+    starts = range(0, m, rows)
+    n_workers = _pool_size(len(starts))
+
+    def buffers():
+        # flat, so that a short last block is contiguous too; y has M rows,
+        # and one more makes its int64 view hold _cis's K indices per
+        # member, as y is written only in the time loop; cols holds each
+        # time's re and im parts of zo . conj(y), interleaved
+        return (np.empty(rows * K, dtype=np.complex128),
+                np.empty(rows * K, dtype=np.complex128),
+                np.empty(rows * (M + 1), dtype=np.complex128),
+                np.empty(times.size * 2 * rows))
+
+    def work(k, z0_buf, zt_buf, y_buf, col_buf):
+        for lo in starts[k::n_workers]:
+            b = min(rows, m - lo)
+            z0, zt = z0_buf[:K * b].reshape(K, b), zt_buf[:K * b].reshape(K, b)
+            y = y_buf[:M * b].reshape(M, b)
+            cols = col_buf[:times.size * 2 * b].reshape(times.size, 2 * b)
+            # e^(i theta) as (n, member), in zt until the time loop; z0 is
+            # written only after it, so it is _cis's scratch
+            _cis(thetas[lo:lo + b].T, zt, z0, y_buf.view(np.int64)[:K * b].reshape(K, b))
+            cp, cn = zt.real[pos], zt.real[neg]
+            sp, sn = zt.imag[pos], zt.imag[neg]
+            np.add(cp, cn, out=z0.real[:M + 1])
+            np.add(sp, sn, out=z0.imag[:M + 1])
+            # zo = -i wt (e^(i theta_p) - e^(i theta_-p)): re = Im(.), im = -Re(.)
+            np.subtract(sp[1:], sn[1:], out=z0.real[M + 1:])
+            np.subtract(cn[1:], cp[1:], out=z0.imag[M + 1:])
+            np.multiply(z0.real, wz, out=z0.real)
+            np.multiply(z0.imag, wz, out=z0.imag)
+            for it in range(times.size):
+                if times[it] == 0.0:
+                    # the rotation by 1 + 0i gives z0 up to the sign of a zero part
+                    z = z0
+                else:
+                    z = zt
+                    np.multiply(z0, rot[it, :, None], out=zt)
+                ze, zo = z[:M + 1], z[M + 1:]
+                np.matmul(B, ze.view(np.float64), out=y.view(np.float64))
+                np.einsum("pk,pk->k", zo.view(np.float64), y.view(np.float64),
+                          out=cols[it])
+            x = cols[:, 0::2]
+            np.add(x, cols[:, 1::2], out=x)
+            np.multiply(x, pref, out=x)
+            out[lo:lo + b] = x.T
+
+    errors = []
+
+    def worker(k, bufs):
+        try:
+            work(k, *bufs)
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k, buffers()))
+               for k in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0, *buffers())
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out

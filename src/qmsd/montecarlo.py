@@ -53,7 +53,7 @@ _MAX_MEMBERS = 2**32
 # members per phase draw in sample_msd and sample_msd_rerandomized: whole
 # ensemble_positions blocks, so each block holds the same members as in one
 # draw of all members and every output bit is the same
-PHASE_CHUNK = 8 * MEMBER_BLOCK
+PHASE_CHUNK = 16 * MEMBER_BLOCK
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -239,8 +239,8 @@ def _ensemble_chunks(basis: EigenBasis, Q: float, n_members: int, seed: int,
         # the phases are freed before the next chunk's are drawn, so their
         # memory is reused; two chunks alive at once cost mc-verify about
         # 1 800 more page faults per run
-        X[lo:lo + b] = ensemble_positions(
-            wt, sample_phases(basis, b, seed, stream, first=lo), eom, times, A, pref)
+        ensemble_positions(wt, sample_phases(basis, b, seed, stream, first=lo), eom,
+                           times, A, pref, out=X[lo:lo + b])
     return X
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmsd import PhysicalSystem, build_basis, partition_function
+from qmsd import CONST, PhysicalSystem, build_basis, partition_function
 from qmsd.basis import TruncationWarning
 
 
@@ -164,6 +164,24 @@ class TestPartitionFunction:
         Q1 = partition_function(co_basis)
         Q2 = partition_function(build_basis(co_system, 200))
         assert Q2 == pytest.approx(Q1, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mass_u,temperature_K,n_cells,funcs_per_cell", [
+        (28, 190, 1, 100), (28, 190, 10, 100), (28, 190, 20, 100),
+        (28, 190, 40, 100), (28, 190, 80, 100),
+        # c = 14.5 (H) and 7.3 (4He): the nu >= 1 terms carry 53 % and 34 %
+        # of the dual's bracket, so the images are tested, not only nu = 0
+        (1.008, 10, 1, 21), (4.0026, 5, 1, 21)])
+    def test_equals_its_jacobi_dual(self, mass_u, temperature_K, n_cells, funcs_per_cell):
+        # Q = sum_n e^(-c n^2) is theta_3; by Jacobi's imaginary transformation
+        # (DLMF §20.7) it equals sqrt(pi/c) (1 + 2 sum_nu e^(-pi^2 nu^2/c)),
+        # c = beta hbar^2 (2 pi/L)^2 / 2m; nu <= 15 is exact in double at c <= 15
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, n_cells)
+        basis = build_basis(sys, funcs_per_cell)
+        assert basis.w[0] < 1e-17
+        c = basis.beta * CONST.hbar**2 * (2.0 * math.pi / basis.L) ** 2 / (2.0 * basis.mass)
+        nu = np.arange(1, 16)
+        dual = math.sqrt(math.pi / c) * (1.0 + 2.0 * np.sum(np.exp(-math.pi**2 * nu**2 / c)))
+        assert partition_function(basis) == pytest.approx(dual, rel=1e-14, abs=0)
 
     def test_at_least_one_and_monotone_in_L(self):
         prev = 0.0

@@ -1,7 +1,12 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis,
+import qmsd.kernels
+from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis, _pool_size,
                           antisym_coupling_matrix, blocked_sum, ensemble_positions,
                           msd_reduce, pair_arrays, weight_floor)
 
@@ -137,10 +142,10 @@ def oracle_data(mc_basis):
 
 
 class TestEnsemblePositionsOracle:
-    @pytest.mark.parametrize("members", [1, 3 * MEMBER_BLOCK // 4, 513, 1030])
+    @pytest.mark.parametrize("members", [1, 96, 192, 513, 1030])
     def test_matches_per_time_formula(self, oracle_data, members):
-        # member counts that leave a partial last block; 3/4 of a block
-        # is one short block
+        # member counts that leave a partial last block; 96 is one short
+        # block
         assert members % MEMBER_BLOCK
         wt, thetas, eom, times, A, pref = oracle_data
         got = ensemble_positions(wt, thetas[:members], eom, times, A, pref)
@@ -219,9 +224,179 @@ class TestEnsemblePositionsDomain:
                                    atol=1e-13 * np.abs(want).max())
 
 
+def with_workers(monkeypatch, n):
+    """Make ensemble_positions share its blocks over n workers, or fewer
+    when there are fewer blocks."""
+    monkeypatch.setattr(qmsd.kernels, "_pool_size", lambda n_blocks: min(n, n_blocks))
+
+
+@pytest.fixture(scope="module")
+def pool_data(mc_basis):
+    from qmsd import partition_function
+    from qmsd.montecarlo import _ensemble_setup, sample_phases
+    wt, eom, A, pref = _ensemble_setup(mc_basis, partition_function(mc_basis))
+    thetas = sample_phases(mc_basis, 4101, seed=29)
+    times = np.array([0.0, 1.0, 7.0, 300.0]) / eom[2]
+    return wt, thetas, eom, times, A, pref
+
+
+class TestEnsemblePositionsPool:
+    """The member blocks shared out over worker threads."""
+
+    @pytest.mark.parametrize("members", [1, MEMBER_BLOCK - 1, MEMBER_BLOCK,
+                                         MEMBER_BLOCK + 1, 1030, 4101])
+    def test_bit_identical_across_pool_sizes(self, pool_data, monkeypatch, members):
+        # each call writes into NaN, so a block that no worker computes shows
+        wt, thetas, eom, times, A, pref = pool_data
+        got = {}
+        for n in (1, 2):
+            with_workers(monkeypatch, n)
+            out = np.full((members, times.size), np.nan)
+            ensemble_positions(wt, thetas[:members], eom, times, A, pref, out=out)
+            got[n] = out
+        assert np.array_equal(got[1], got[2])
+        want = plain_positions(wt, thetas[:members], eom, times, A, pref)
+        np.testing.assert_allclose(got[2], want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_more_workers_than_cores_under_fast_switching(self, pool_data, monkeypatch):
+        # four workers on 4101 members (33 blocks), switching threads every
+        # microsecond: a buffer or row shared between workers would show
+        wt, thetas, eom, times, A, pref = pool_data
+        with_workers(monkeypatch, 1)
+        want = ensemble_positions(wt, thetas, eom, times, A, pref)
+        with_workers(monkeypatch, 4)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ensemble_positions(wt, thetas, eom, times, A, pref)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert np.array_equal(got, want)
+
+    def test_no_members_gives_an_empty_result(self, pool_data):
+        wt, thetas, eom, times, A, pref = pool_data
+        got = ensemble_positions(wt, thetas[:0], eom, times, A, pref)
+        assert got.shape == (0, times.size)
+
+    def test_bad_phase_in_second_workers_block_raises(self, pool_data, monkeypatch):
+        wt, thetas, eom, times, A, pref = pool_data
+        thetas = thetas[:4 * MEMBER_BLOCK].copy()
+        thetas[MEMBER_BLOCK + 5, 7] = np.nan          # block 1, worker 1's
+        with_workers(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"\[0, 2 pi\]"):
+            ensemble_positions(wt, thetas, eom, times, A, pref)
+        assert threading.active_count() == before
+
+    def test_worker_exception_raised_in_caller(self, pool_data, monkeypatch):
+        # an error inside a worker thread reaches the caller once every
+        # worker is joined
+        wt, thetas, eom, times, A, pref = pool_data
+        real = qmsd.kernels._cis
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            real(*args)
+
+        monkeypatch.setattr(qmsd.kernels, "_cis", failing_off_main)
+        with_workers(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            ensemble_positions(wt, thetas[:4 * MEMBER_BLOCK], eom, times, A, pref)
+        assert threading.active_count() == before
+
+    def test_writes_into_out_rows(self, pool_data, monkeypatch):
+        wt, thetas, eom, times, A, pref = pool_data
+        with_workers(monkeypatch, 2)
+        want = ensemble_positions(wt, thetas[:1030], eom, times, A, pref)
+        X = np.full((1100, times.size), -1.0)
+        rows = X[40:1070]
+        got = ensemble_positions(wt, thetas[:1030], eom, times, A, pref, out=rows)
+        assert got is rows
+        assert np.array_equal(X[40:1070], want)
+        assert np.all(X[:40] == -1.0) and np.all(X[1070:] == -1.0)
+
+    @pytest.mark.parametrize("shape,dtype", [((1030, 3), np.float64),
+                                             ((1029, 4), np.float64),
+                                             ((1030, 4), np.float32)])
+    def test_out_of_wrong_shape_or_dtype_rejected(self, pool_data, shape, dtype):
+        wt, thetas, eom, times, A, pref = pool_data
+        with pytest.raises(ValueError, match="out of shape"):
+            ensemble_positions(wt, thetas[:1030], eom, times, A, pref,
+                               out=np.empty(shape, dtype))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the affinity _pool_size reads to n cores, with no BLAS variable."""
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cores
+
+
+class TestPoolSize:
+    """One worker per core that BLAS leaves free, never more than the blocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_unset_is_one_worker(self, cores, n):
+        cores(n)
+        assert _pool_size(100) == 1
+
+    @pytest.mark.parametrize("var", BLAS_VARS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_one_blas_thread_gives_a_worker_per_core(self, cores, monkeypatch, var, n):
+        cores(n)
+        monkeypatch.setenv(var, "1")
+        assert _pool_size(100) == n
+
+    def test_two_blas_threads_on_two_cores_is_one_worker(self, cores, monkeypatch):
+        cores(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _pool_size(100) == 1
+
+    def test_openblas_order_of_precedence(self, cores, monkeypatch):
+        cores(8)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("GOTO_NUM_THREADS", "4")
+        assert _pool_size(100) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert _pool_size(100) == 1
+
+    @pytest.mark.parametrize("value", ["", "two", "1.5", "0", "-1"])
+    def test_value_not_a_positive_integer_counts_as_unset(self, cores, monkeypatch,
+                                                          value):
+        cores(4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert _pool_size(100) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert _pool_size(100) == 2
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, cores, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _pool_size(100) == 2
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_never_more_workers_than_blocks(self, cores, monkeypatch, n_blocks):
+        cores(8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _pool_size(n_blocks) == n_blocks
+
+
 class TestSampleMsdEstimator:
     def test_matches_estimator_from_plain_positions(self, mc_basis):
-        # 1030 members: four whole blocks and a short one
+        # 1030 members: eight whole blocks and a short one
         from qmsd import CONST, partition_function, sample_msd
         from qmsd.montecarlo import _ensemble_setup, sample_phases
         members, seed = 1030, 11
