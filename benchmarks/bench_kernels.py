@@ -99,7 +99,7 @@ def plain_positions(wt, thetas, eom, times, A, pref):
 def bench_ensemble(repeats):
     sys_ = PhysicalSystem.from_user_units(28, 190, 256, 10)
     s = derive_scales(sys_)
-    basis = build_basis(sys_, 20, edge_weight_cutoff=1.0)
+    basis = build_basis(sys_, 20)
     Q = partition_function(basis)
     wt, eom, A, pref = _ensemble_setup(basis, Q)
     thetas = sample_phases(basis, 10000, seed=42)
@@ -137,8 +137,7 @@ def bench_ensemble(repeats):
 
 
 def bench_phase_factors(repeats):
-    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
-                        edge_weight_cutoff=1.0)
+    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20)
     thetas = sample_phases(basis, 10000, seed=42).T     # (K, members)
     K, m = thetas.shape
     rows = MEMBER_BLOCK
@@ -193,8 +192,7 @@ def in_chunks(draw, basis, n_members, seed):
 
 
 def bench_phases(repeats):
-    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20,
-                        edge_weight_cutoff=1.0)
+    basis = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 10), 20)
     n_members = 10000
     ref, t_loop = timed(lambda: member_loop_phases(n_members, basis.K, 42), 1)
     print(f"\nphase draw, K = {basis.K}, {n_members} members, one stream; each chunk "
@@ -216,7 +214,7 @@ def bench_phases(repeats):
 
 def bench_sample_msd_memory():
     sys_ = PhysicalSystem.from_user_units(28, 190, 256, 10)
-    basis = build_basis(sys_, 20, edge_weight_cutoff=1.0)
+    basis = build_basis(sys_, 20)
     Q = partition_function(basis)
     grid = np.linspace(1.0, 20.0, 20) * derive_scales(sys_).t_b
     print(f"\nsample_msd tracemalloc peak, K = {basis.K}, 20 times")
@@ -267,7 +265,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    warnings.simplefilter("error")  # a truncation warning would void the timing
+    warnings.simplefilter("error")  # a numpy overflow warning would void the timing
 
     print(f"{'L':>4} {'K':>6} {'path':>6} {'theta s':>9} {'direct s':>9} "
           f"{'speedup':>8} {'max rel dev':>12}")

@@ -1,6 +1,9 @@
 """Print the SHA-256 of every CSV and SVG the nine CLI commands write.
 
-Usage: PYTHONPATH=src python benchmarks/csv_digests.py
+Usage: python benchmarks/csv_digests.py
+
+It imports qmsd from the ``src`` of the checkout it belongs to, ahead of
+any other qmsd on the path, so that each checkout digests its own code.
 
 Runs each command in-process (``qmsd.cli.main``) with ``--formats csv,svg
 --no-timestamp``, once at the defaults and once at a non-default
@@ -32,6 +35,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qmsd.cli import main  # noqa: E402  (after the BLAS pin)
 
 COMMANDS = ("scales", "ideal", "exact", "breve", "collision", "mc-verify",

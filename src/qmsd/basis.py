@@ -7,16 +7,17 @@ weights and the partition function.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONST, PhysicalSystem, ValidationError
 
+WEIGHT_FLOOR = 1e-18  # relative to w(n = 1); see EigenBasis.weight_floor
+
 
 class TruncationWarning(UserWarning):
-    """Boltzmann weight at the basis edge exceeds the adequacy cutoff."""
+    """The basis is not converged: its edge weight is not below its floor."""
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,26 @@ class EigenBasis:
     def M(self) -> int:
         return (self.K - 1) // 2
 
+    @property
+    def weight_floor(self) -> float:
+        """WEIGHT_FLOOR times w(n = 1), the Boltzmann weight below which a
+        state's pairs are below WEIGHT_FLOOR of the largest pairs (0, +-1).
 
-def build_basis(sys: PhysicalSystem, funcs_per_cell: int,
-                edge_weight_cutoff: float = 1e-12) -> EigenBasis:
+        Relative, so that a cold basis, where w(n = 1) itself is far below
+        WEIGHT_FLOOR, keeps its pairs; 1.0 stands for w(n = 1) when K = 1.
+        """
+        return WEIGHT_FLOOR * (float(self.w[self.M + 1]) if self.M else 1.0)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the edge weight w[0] is below weight_floor, so that the
+        truncated basis sums the infinite lattice to double precision."""
+        return bool(self.w[0] < self.weight_floor)
+
+
+def build_basis(sys: PhysicalSystem, funcs_per_cell: int) -> EigenBasis:
     """Build a basis with K = funcs_per_cell * n_cells functions, rounded
-    up to the nearest odd 2M+1 and centered on n = 0.
-
-    Warns (does not fail) if the edge Boltzmann weight exceeds the cutoff.
-    """
+    up to the nearest odd 2M+1 and centered on n = 0."""
     if funcs_per_cell < 1:
         raise ValidationError("funcs_per_cell must be >= 1")
     K = funcs_per_cell * sys.n_cells
@@ -59,12 +72,6 @@ def build_basis(sys: PhysicalSystem, funcs_per_cell: int,
     q = 2.0 * math.pi * indices / L
     E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
     w = np.exp(-beta * E)
-    if M > 0 and w[0] > edge_weight_cutoff:
-        warnings.warn(
-            f"edge Boltzmann weight {w[0]:.3e} exceeds cutoff "
-            f"{edge_weight_cutoff:.1e}; basis may be under-truncated",
-            TruncationWarning,
-        )
     return EigenBasis(indices=indices, q=q, E=E, w=w, L=L, beta=beta, mass=sys.mass)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .constants import (CONST, CharacteristicScales, PhysicalSystem, ValidationError,
                         _require_positive)
+from .ideal import _sqrt_diff
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -88,15 +89,8 @@ def msd_collision_model(p: CollisionModelParams, t):
     # math.erf per point: numpy has none, and math.erf keeps the numbers
     # of the scalar form
     g = np.vectorize(math.erf, otypes=[float])(z)
-    x = t / p.t_b
-    with np.errstate(over="ignore"):
-        xx = x * x
-    # x^2 / (sqrt(x^2 + 1) + 1) tends to |x|; where x * x overflows (t beyond
-    # about 1.3e154 t_b) an overflow-free form takes over
-    over = np.isinf(xx) & np.isfinite(x)
-    xx = np.where(over, 1.0, xx)
-    free = p.v_T**2 * p.t_b**2 * np.where(over, x * (x / (np.hypot(x, 1.0) + 1.0)),
-                                          xx / (np.sqrt(xx + 1.0) + 1.0))
+    # the ideal MSD, v_T^2 t_b^2 (sqrt(x^2 + 1) - 1) at x = t / t_b
+    free = p.v_T**2 * p.t_b**2 * _sqrt_diff(t / p.t_b, 1.0)
     plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
                * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
     # t = 0 (also -0.0, where z is -inf) is exactly 0

@@ -57,6 +57,9 @@ class PhysicalSystem:
         _require_positive("lattice_a", self.lattice_a)
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise ValidationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
+        # MSDs are reported over a^2 and the plateau takes L^2 (a <= L)
+        _require_positive("lattice_a^2", self.lattice_a * self.lattice_a)
+        _require_positive("L^2", self.L * self.L)
 
     @property
     def L(self) -> float:
@@ -85,6 +88,11 @@ class CharacteristicScales:
     D_q: float       # m^2/s, hbar/2m
     Q_approx: float  # dimensionless, continuum partition function
 
+    def __post_init__(self):
+        # positive for every valid system, but they can leave the float range
+        for name, value in vars(self).items():
+            _require_positive(f"derived scale {name}", value)
+
 
 def derive_scales(sys: PhysicalSystem) -> CharacteristicScales:
     """Derive all characteristic scales from a physical system."""
@@ -95,7 +103,9 @@ def derive_scales(sys: PhysicalSystem) -> CharacteristicScales:
     v_T = 1.0 / math.sqrt(beta * sys.mass)
     lambda_T = math.sqrt(hbar**2 * beta / (2.0 * math.pi * sys.mass))
     D_q = hbar / (2.0 * sys.mass)
-    Q_approx = sys.L * math.sqrt(sys.mass / (2.0 * math.pi * beta * hbar**2))
+    # 2 pi beta hbar^2 underflows to 0 above about 2e279 K
+    den = 2.0 * math.pi * beta * hbar**2
+    Q_approx = sys.L * math.sqrt(sys.mass / den) if den else math.inf
     return CharacteristicScales(
         beta=beta, t_b=t_b, t_c=t_c, v_T=v_T,
         lambda_T=lambda_T, D_q=D_q, Q_approx=Q_approx,

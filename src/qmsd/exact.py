@@ -32,8 +32,7 @@ import numpy as np
 from .basis import EigenBasis
 from .constants import CONST
 from .curves import MsdCurve, validate_grid
-from .kernels import (BLOCK, WEIGHT_FLOOR, blocked_sum, msd_reduce, pair_arrays,
-                      weight_floor)
+from .kernels import BLOCK, blocked_sum, msd_reduce, pair_arrays
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
 TAIL = 92.0
@@ -59,10 +58,10 @@ def _lattice_energy(basis: EigenBasis) -> float:
 
 
 def _use_theta(basis: EigenBasis) -> bool:
-    """Whether the theta series applies: the basis edge weight is below
-    weight_floor(basis) (the basis is converged) and a = beta eps/2 < A_MAX."""
+    """Whether the theta series applies: the basis is converged and
+    a = beta eps/2 < A_MAX."""
     a = 0.5 * basis.beta * _lattice_energy(basis)
-    return bool(basis.w[0] < weight_floor(basis) and a < A_MAX)
+    return basis.converged and a < A_MAX
 
 
 def _theta_outer(basis: EigenBasis, Q: float):
@@ -166,7 +165,7 @@ def msd_exact_curve(basis: EigenBasis, Q: float, grid) -> MsdCurve:
             "mass": basis.mass,
             "path": "theta" if theta else "direct",
             "edge_weight": float(basis.w[0]),
-            "weight_floor": WEIGHT_FLOOR,
+            "weight_floor": basis.weight_floor,
             "reduction_block": BLOCK,
         },
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, ValidationError
+from .constants import CONST, ValidationError, _require_positive
 from .curves import MsdCurve, validate_grid
 
 
@@ -20,10 +20,8 @@ class IdealMsdParams:
     t_b: float   # s
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValidationError(f"mass must be positive, got {self.mass!r}")
-        if not self.t_b > 0:
-            raise ValidationError(f"t_b must be positive, got {self.t_b!r}")
+        _require_positive("mass", self.mass)
+        _require_positive("t_b", self.t_b)
 
 
 def _sqrt_diff(t, t_b):

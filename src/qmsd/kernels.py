@@ -25,36 +25,21 @@ BLOCK = 4096
 # within 10 % of each other on one thread (1 BLAS thread, 2-core Xeon), and
 # two workers at 128 rows hold what one held at 256
 MEMBER_BLOCK = 128
-# pair_arrays drops states of Boltzmann weight below this times w(n = 1)
-# (their pairs are below double precision of the largest pairs, (0, +-1));
-# an edge weight below that marks a converged basis, which the exact sum's
-# path rule reads
-WEIGHT_FLOOR = 1e-18
 
 
 # ---------------------------------------------------------------------------
 # pair data: weights and transition frequencies over ordered pairs n < j
 # ---------------------------------------------------------------------------
 
-def weight_floor(basis) -> float:
-    """WEIGHT_FLOOR times w(n = 1), the Boltzmann weight below which a
-    state's pairs are below WEIGHT_FLOOR of the largest pairs (0, +-1).
-
-    Relative, so that a cold basis, where w(n = 1) itself is far below
-    WEIGHT_FLOOR, keeps its pairs; 1.0 stands for w(n = 1) when K = 1.
-    """
-    return WEIGHT_FLOOR * (float(basis.w[basis.M + 1]) if basis.M else 1.0)
-
-
 def pair_arrays(basis):
     """Per-pair data for the coherent double sum.
 
     Returns (wprod, half_omega) over ordered index pairs n < j of the
-    basis, keeping only states with Boltzmann weight >= weight_floor(basis).
+    basis, keeping only states with Boltzmann weight >= basis.weight_floor.
 
     wprod = w_n w_j |x_nj|^2  (m^2), half_omega = (E_n - E_j)/(2 hbar).
     """
-    keep = basis.w >= weight_floor(basis)
+    keep = basis.w >= basis.weight_floor
     q = basis.q[keep]
     E = basis.E[keep]
     w = basis.w[keep]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ValidationError
+from .constants import ValidationError, _require_positive
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -20,10 +20,8 @@ class ScatteringParams:
     q: float    # 1/m, momentum transfer wavenumber
 
     def __post_init__(self):
-        if not self.v_T > 0:
-            raise ValidationError("v_T must be positive")
-        if not self.D_q > 0:
-            raise ValidationError("D_q must be positive")
+        _require_positive("v_T", self.v_T)
+        _require_positive("D_q", self.D_q)
         if not math.isfinite(self.q):
             raise ValidationError(f"q must be finite, got {self.q!r}")
 

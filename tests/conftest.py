@@ -30,14 +30,14 @@ def co_Q(co_basis):
 def small_basis():
     """K = 21 single-cell basis for brute-force oracles."""
     sys1 = PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1)
-    return build_basis(sys1, 21, edge_weight_cutoff=1.0)
+    return build_basis(sys1, 21)
 
 
 @pytest.fixture(scope="session")
 def mc_basis():
     """K = 201 basis for the Monte-Carlo oracle (deliberately small)."""
     sys10 = PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10)
-    return build_basis(sys10, 20, edge_weight_cutoff=1.0)
+    return build_basis(sys10, 20)
 
 
 @pytest.fixture(scope="session")

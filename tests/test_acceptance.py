@@ -151,7 +151,7 @@ def test_criterion_6_monte_carlo_oracle():
     t0 = time.perf_counter()
     sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
     s = derive_scales(sys)
-    basis = build_basis(sys, 20, edge_weight_cutoff=1.0)
+    basis = build_basis(sys, 20)
     assert basis.K == 201
     Q = partition_function(basis)
     grid = np.linspace(1.0, 20.0, 20) * s.t_b

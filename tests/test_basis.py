@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qmsd import CONST, PhysicalSystem, build_basis, partition_function
-from qmsd.basis import TruncationWarning
 
 
 # The closed-form position matrix elements. No command evaluates them (the
@@ -72,10 +72,19 @@ def test_edge_weight_converged(co_basis):
     assert co_basis.w[0] < 1e-12
 
 
-def test_under_truncated_basis_warns():
-    sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
-    with pytest.warns(TruncationWarning):
-        build_basis(sys, 5)
+def test_converged_reads_the_relative_floor(co_basis, mc_basis):
+    # the floor is 1e-18 w(n = 1), and a basis is converged when its edge
+    # weight lies strictly below it
+    for basis in (co_basis, mc_basis):
+        assert basis.weight_floor == 1e-18 * basis.w[basis.M + 1]
+    assert co_basis.converged
+    assert not mc_basis.converged
+    edge = dataclasses.replace(co_basis, w=np.where(co_basis.w < co_basis.weight_floor,
+                                                    co_basis.weight_floor, co_basis.w))
+    assert edge.w[0] == edge.weight_floor and not edge.converged
+    # a one-state basis has no n = 1; its floor reads 1.0 in its place
+    one = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 1), 1)
+    assert one.K == 1 and one.weight_floor == 1e-18 and not one.converged
 
 
 class TestXElement:
@@ -153,7 +162,7 @@ class TestXElementGeneral:
 class TestPartitionFunction:
     def test_ground_state_limit(self):
         sys = PhysicalSystem.from_user_units(28, 1e-3, 256, 1)
-        basis = build_basis(sys, 21, edge_weight_cutoff=1.0)
+        basis = build_basis(sys, 21)
         assert partition_function(basis) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_matches_continuum_estimate(self, co_basis, co_scales):

@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qmsd import svgplot
+from qmsd.basis import TruncationWarning
 from qmsd.cli import COMMANDS, main, parse_grid, resolve_config
 from qmsd.constants import ValidationError
 from qmsd.output import config_hash, write_csv
@@ -141,6 +143,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def co_weight_floor(n_cells: int) -> float:
+    """1e-18 w(n = 1) of CO at 190 K on a cell of n_cells 256 pm lattice
+    constants, from the definitions, in build_basis's float operations."""
+    L = n_cells * (256.0 * 1e-12)
+    mass = 28.0 * 1.66053906660e-27
+    beta = 1.0 / (1.380649e-23 * 190.0)
+    hbar = 6.62607015e-34 / (2.0 * math.pi)
+    q = 2.0 * math.pi * np.array([1]) / L
+    w1 = np.exp(-beta * (hbar**2 * q**2 / (2.0 * mass)))
+    return 1e-18 * float(w1[0])
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
         assert run_cli("scales", "--out", str(tmp_path)) == 0
@@ -227,6 +241,21 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["scales", "--temperature-K", "1e280"],    # beta hbar^2 underflows to 0
+        ["breve", "--lattice-pm", "1e300"],        # L^2 overflows
+        ["exact", "--lattice-pm", "1e200", "--grid", "linear:0:1:3"],  # a^2 overflows
+        ["scales", "--mass-u", "1e300"],           # Q_approx overflows
+        ["scales", "--temperature-K", "1e-300"],   # beta overflows
+    ], ids=" ".join)
+    def test_config_error_scale_out_of_range(self, tmp_path, capsys, argv):
+        # finite flags whose derived scales or squared lengths are not
+        # finite and non-zero
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["collision", "scattering"])
     def test_decreasing_grid_rejected(self, tmp_path, capsys, command):
@@ -447,7 +476,30 @@ class TestArtifacts:
                        "--formats", "json-meta") == 0
         params = json.loads((tmp_path / "exact.json").read_text())["params"]
         assert params["path"] == "theta"
-        assert params["edge_weight"] < params["weight_floor"] == 1e-18
+        assert params["edge_weight"] < params["weight_floor"] == co_weight_floor(10)
+
+    @pytest.mark.parametrize("funcs_per_cell,path", [
+        (63, "direct"), (64, "direct"), (70, "direct"), (77, "direct"),
+        (78, "theta"), (100, "theta")])
+    def test_truncation_warning_reads_the_path_rule(self, tmp_path, funcs_per_cell, path):
+        # CO at 190 K on L = 10a: the edge weight falls below the floor
+        # between 77 and 78 functions per cell
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:1:2",
+                           "--funcs-per-cell", str(funcs_per_cell),
+                           "--formats", "json-meta") == 0
+        warned = [TruncationWarning] if path == "direct" else []
+        assert [w.category for w in caught] == warned
+        params = json.loads((tmp_path / "exact.json").read_text())["params"]
+        assert params["path"] == path
+
+    def test_mc_verify_truncated_basis_is_silent(self, tmp_path):
+        # its K = 201 basis is truncated on purpose (edge weight 0.064)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("mc-verify", "--out", str(tmp_path), "--members", "200",
+                           "--formats", "json-meta") == 0
 
     def test_breve_sum_close_to_closed_form(self, tmp_path):
         assert run_cli("breve", "--out", str(tmp_path),
@@ -548,10 +600,11 @@ class TestArtifacts:
                        "--formats", "csv,json-meta") == 0
         meta = json.loads((tmp_path / "figure2.json").read_text())
         assert set(meta["plateaus"]) == {"L=10a", "L=20a", "L=40a"}
-        for entry in meta["plateaus"].values():
+        for n_cells in (10, 20, 40):
+            entry = meta["plateaus"][f"L={n_cells}a"]
             # 40 functions per cell leave the edge weight above the floor
             assert entry["path"] == "direct"
-            assert entry["edge_weight"] > entry["weight_floor"] == 1e-18
+            assert entry["edge_weight"] > entry["weight_floor"] == co_weight_floor(n_cells)
         for n in (10, 20, 40):
             assert (tmp_path / f"figure2_exact_L{n}a.csv").exists()
             assert (tmp_path / f"figure2_collision_L{n}a.csv").exists()

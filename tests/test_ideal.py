@@ -104,6 +104,18 @@ def test_classical_limit_vanishes_linearly(eps):
         eps * (CONST.hbar / CO.mass) * t, rel=eps, abs=0)
 
 
+@pytest.mark.parametrize("params,field", [
+    (IdealMsdParams, "mass"), (IdealMsdParams, "t_b"),
+    (ScatteringParams, "v_T"), (ScatteringParams, "D_q")])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_params_reject_non_finite(params, field, value):
+    # the positivity rule of PhysicalSystem: positive and finite
+    good = {IdealMsdParams: dict(mass=CO.mass, t_b=CO.t_b),
+            ScatteringParams: dict(v_T=237.4, D_q=1.134e-9, q=1e10)}[params]
+    with pytest.raises(ValidationError, match=field):
+        params(**{**good, field: value})
+
+
 def test_curve_single_point_and_consistency():
     c0 = msd_ideal_curve(CO, np.array([0.0]))
     assert c0.values.tolist() == [0.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -8,7 +9,7 @@ import pytest
 import qmsd.kernels
 from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis, _pool_size,
                           antisym_coupling_matrix, blocked_sum, ensemble_positions,
-                          msd_reduce, pair_arrays, weight_floor)
+                          msd_reduce, pair_arrays)
 
 
 def unpruned_wprod(basis):
@@ -21,7 +22,7 @@ def unpruned_wprod(basis):
 class TestPairArrays:
     def test_counts_and_signs(self, small_basis):
         # every state of this truncated basis is above the weight floor
-        assert small_basis.w.min() >= weight_floor(small_basis)
+        assert small_basis.w.min() >= small_basis.weight_floor
         wprod, half_omega = pair_arrays(small_basis)
         K = small_basis.K
         assert wprod.size == K * (K - 1) // 2
@@ -30,9 +31,18 @@ class TestPairArrays:
 
     def test_weight_floor_prunes(self, co_basis):
         pruned, _ = pair_arrays(co_basis)
-        kept = np.count_nonzero(co_basis.w >= weight_floor(co_basis))
+        kept = np.count_nonzero(co_basis.w >= co_basis.weight_floor)
         assert kept < co_basis.K
         assert pruned.size == kept * (kept - 1) // 2
+
+    def test_state_at_the_floor_is_kept(self, small_basis):
+        # n = +-10 moved to exactly the floor, which reads w(n = 1) alone
+        w = small_basis.w.copy()
+        w[0] = w[-1] = small_basis.weight_floor
+        basis = dataclasses.replace(small_basis, w=w)
+        assert basis.weight_floor == small_basis.weight_floor
+        K = basis.K
+        assert pair_arrays(basis)[0].size == K * (K - 1) // 2
 
     def test_pruning_preserves_total(self, co_basis):
         pruned, _ = pair_arrays(co_basis)
@@ -444,8 +454,7 @@ def small_inputs(K, members, seed):
     """Kernel inputs on a single-cell basis of K states, with phases."""
     from qmsd import CONST, PhysicalSystem, build_basis, partition_function
     from qmsd.montecarlo import _ensemble_setup, sample_phases
-    basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K,
-                        edge_weight_cutoff=1.0)
+    basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K)
     assert basis.K == K
     wt, eom, A, pref = _ensemble_setup(basis, partition_function(basis))
     thetas = sample_phases(basis, members, seed=seed)
