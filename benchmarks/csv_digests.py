@@ -1,13 +1,14 @@
-"""Print the SHA-256 of every CSV and SVG the nine CLI commands write.
+"""Print the SHA-256 of every CSV and SVG the CLI commands write.
 
 Usage: python benchmarks/csv_digests.py
 
 It imports qmsd from the ``src`` of the checkout it belongs to, ahead of
 any other qmsd on the path, so that each checkout digests its own code.
 
-Runs each command in-process (``qmsd.cli.main``) with ``--formats csv,svg
---no-timestamp``, once at the defaults and once at a non-default
-configuration, each into a fresh temporary directory. A third configuration runs ``exact`` and
+Runs each command of ``qmsd.cli.COMMANDS``, in its order, in-process
+(``qmsd.cli.main``) with ``--formats csv,svg --no-timestamp``, once at
+the defaults and once at a non-default configuration, each into a fresh
+temporary directory. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
 about 11 439 t_b, so that the theta series' revival images are in the
 digests. For each CSV, then each SVG, it prints one line:
@@ -36,10 +37,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from qmsd.cli import main  # noqa: E402  (after the BLAS pin)
+from qmsd.cli import COMMANDS, main  # noqa: E402  (after the BLAS pin)
 
-COMMANDS = ("scales", "ideal", "exact", "breve", "collision", "mc-verify",
-            "scattering", "figure1", "figure2")
 # label -> (commands, flags)
 CONFIGS = {
     "defaults": (COMMANDS, []),

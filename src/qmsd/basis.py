@@ -53,8 +53,13 @@ class EigenBasis:
     @property
     def converged(self) -> bool:
         """Whether the edge weight w[0] is below weight_floor, so that the
-        truncated basis sums the infinite lattice to double precision."""
-        return bool(self.w[0] < self.weight_floor)
+        truncated basis sums the infinite lattice to double precision.
+
+        An edge weight of exactly 0 is converged too: on an ultra-cold
+        basis w(n = 1) underflows, the floor is 0, and every state past
+        n = 0 already contributes nothing.
+        """
+        return bool(self.w[0] < self.weight_floor or self.w[0] == 0.0)
 
 
 def build_basis(sys: PhysicalSystem, funcs_per_cell: int) -> EigenBasis:

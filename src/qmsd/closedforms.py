@@ -90,7 +90,13 @@ def msd_collision_model(p: CollisionModelParams, t):
     # of the scalar form
     g = np.vectorize(math.erf, otypes=[float])(z)
     # the ideal MSD, v_T^2 t_b^2 (sqrt(x^2 + 1) - 1) at x = t / t_b
-    free = p.v_T**2 * p.t_b**2 * _sqrt_diff(t / p.t_b, 1.0)
+    # associated as (v_T^2 t_b) t_b where t_b^2 overflows, which it does at
+    # a low enough temperature (t_b = hbar beta)
+    if math.isfinite(p.t_b * p.t_b):
+        scale = p.v_T**2 * p.t_b**2
+    else:
+        scale = p.v_T**2 * p.t_b * p.t_b
+    free = scale * _sqrt_diff(t / p.t_b, 1.0)
     plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
                * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
     # t = 0 (also -0.0, where z is -inf) is exactly 0

@@ -16,9 +16,20 @@ WIDTH, HEIGHT = 720, 480  # px
 N_TICKS = 6  # at most this many intervals between linear-axis ticks
 
 
+def _widen(lo: float, hi: float):
+    """(lo, hi), or (lo, lo + max(1, |lo|)) when the range has collapsed to
+    the one value lo: lo + 1 would round back to lo once |lo| >= 2**53."""
+    return (lo, hi) if hi > lo else (lo, lo + max(1.0, abs(lo)))
+
+
+def _extent(v: np.ndarray):
+    """(min, max) of an axis's plottable values; a log axis with no
+    positive value collapses to 1, which _widen opens to a decade."""
+    return (float(v.min()), float(v.max())) if v.size else (1.0, 1.0)
+
+
 def _nice_ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / N_TICKS))
     for mult in (1, 2, 5, 10):
@@ -61,8 +72,7 @@ class _Axis:
             self.lo, self.hi = math.log10(lo), math.log10(hi)
         else:
             self.lo, self.hi = lo, hi
-        if self.hi == self.lo:
-            self.hi = self.lo + 1.0
+        self.lo, self.hi = _widen(self.lo, self.hi)
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def to_pix(self, v):
@@ -87,8 +97,8 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
         xs = xs[xs > 0]
     if yscale == "log":
         ys = ys[ys > 0]
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    x0, x1 = _extent(xs)
+    y0, y1 = _extent(ys)
     if yscale == "linear":
         pad = 0.05 * (y1 - y0 or abs(y1) or 1.0)
         y0, y1 = y0 - pad, y1 + pad

@@ -85,6 +85,10 @@ def test_converged_reads_the_relative_floor(co_basis, mc_basis):
     # a one-state basis has no n = 1; its floor reads 1.0 in its place
     one = build_basis(PhysicalSystem.from_user_units(28, 190, 256, 1), 1)
     assert one.K == 1 and one.weight_floor == 1e-18 and not one.converged
+    # below about 70 uK w(n = 1) underflows: the floor is 0, and an edge
+    # weight of exactly 0 counts as converged
+    cold = build_basis(PhysicalSystem.from_user_units(28, 5e-5, 256, 10), 100)
+    assert cold.w[0] == cold.weight_floor == 0.0 and cold.converged
 
 
 class TestXElement:

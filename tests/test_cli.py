@@ -143,12 +143,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def co_weight_floor(n_cells: int) -> float:
-    """1e-18 w(n = 1) of CO at 190 K on a cell of n_cells 256 pm lattice
-    constants, from the definitions, in build_basis's float operations."""
+def co_weight_floor(n_cells: int, temperature: float = 190.0) -> float:
+    """1e-18 w(n = 1) of CO at the temperature (K) on a cell of n_cells
+    256 pm lattice constants, from the definitions, in build_basis's float
+    operations."""
     L = n_cells * (256.0 * 1e-12)
     mass = 28.0 * 1.66053906660e-27
-    beta = 1.0 / (1.380649e-23 * 190.0)
+    beta = 1.0 / (1.380649e-23 * temperature)
     hbar = 6.62607015e-34 / (2.0 * math.pi)
     q = 2.0 * math.pi * np.array([1]) / L
     w1 = np.exp(-beta * (hbar**2 * q**2 / (2.0 * mass)))
@@ -366,6 +367,29 @@ class TestExitCodes:
         values = np.array([[float(v) for v in row.split(",")] for row in rows])[:, column]
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("command,grid", [
+        ("collision", "linear:0:100:8"), ("figure2", "linear:0:1:3")])
+    def test_collision_finite_where_t_b_squared_overflows(self, tmp_path, command, grid):
+        # t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows
+        assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
+                       "--temperature-K", "1e-200", "--grid", grid) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert any("collision" in path.name for path in csvs)
+        for path in csvs:
+            rows = path.read_text().splitlines()[2:]
+            assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
+
+    @pytest.mark.parametrize("argv,svgs", [
+        # every hbar omega of the DSF rounds to one value near 3e200 meV
+        (["scattering", "--mass-u", "1e-200"], ["dsf.svg", "isf.svg"]),
+        # the one time is t = 0, so the log axes have no positive point
+        (["ideal", "--grid", "linear:0:1:1"], ["ideal.svg"])])
+    def test_svg_on_collapsed_axis(self, tmp_path, argv, svgs):
+        assert run_cli(*argv, "--out", str(tmp_path), "--formats", "svg") == 0
+        for name in svgs:
+            text = (tmp_path / name).read_text()
+            assert "nan" not in text and "inf" not in text
+
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
         monkeypatch.setattr(qmsd.cli, "dsf", lambda p, omegas: np.full(omegas.shape, np.nan))
@@ -493,6 +517,25 @@ class TestArtifacts:
         assert [w.category for w in caught] == warned
         params = json.loads((tmp_path / "exact.json").read_text())["params"]
         assert params["path"] == path
+
+    @pytest.mark.parametrize("temperature", [5e-5, 1e-3])
+    def test_ultra_cold_basis_is_silent(self, tmp_path, temperature):
+        # CO on L = 10a: below about 70 uK w(n = 1) underflows to 0, and so
+        # does the floor, yet the basis is exact and its MSD of 0 correctly
+        # rounded; at 1 mK the floor is still positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:1:3",
+                           "--temperature-K", str(temperature),
+                           "--formats", "csv,json-meta") == 0
+        params = json.loads((tmp_path / "exact.json").read_text())["params"]
+        floor = co_weight_floor(10, temperature)
+        assert (floor == 0.0) == (temperature < 7e-5)
+        assert params["path"] == "direct"
+        assert params["edge_weight"] == 0.0 and params["weight_floor"] == floor
+        rows = (tmp_path / "exact.csv").read_text().splitlines()[3:]
+        msd = [float(row.split(",")[2]) for row in rows]
+        assert all(v == 0.0 for v in msd) if floor == 0.0 else all(v > 0.0 for v in msd)
 
     def test_mc_verify_truncated_basis_is_silent(self, tmp_path):
         # its K = 201 basis is truncated on purpose (edge weight 0.064)
