@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -72,6 +73,9 @@ def parse_grid(spec: str):
     return kind, start, stop, count
 
 
+# built on the first main call, not at import, and reused by every later
+# call in the process: parse_args makes a fresh namespace on each call
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qmsd",

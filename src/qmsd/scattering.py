@@ -4,6 +4,7 @@ dynamic structure factor, intermediate scattering function and its phase."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class ScatteringParams:
         _require_positive("D_q", self.D_q)
         if not math.isfinite(self.q):
             raise ValidationError(f"q must be finite, got {self.q!r}")
+        # q^2 is a factor of every observable here; a Python float power
+        # raises OverflowError where a product would give inf
+        if not math.isfinite(self.q * self.q):
+            raise ValidationError(f"q^2 overflows: q = {self.q!r} 1/m")
 
 
 def _delta2(p: ScatteringParams, t):
@@ -54,7 +59,14 @@ def dsf(p: ScatteringParams, omega):
         raise ValidationError("q must be nonzero for the DSF")
     omega = np.asarray(omega, dtype=float)
     var = p.v_T**2 * p.q**2
-    out = np.exp(-((omega - p.D_q * p.q**2) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    if var < sys.float_info.min:
+        # v_T^2 q^2 is subnormal or 0 while the width v_T |q| is not: form
+        # the Gaussian in z = (omega - omega0) / (v_T |q|), not in var
+        width = p.v_T * abs(p.q)
+        z = (omega - p.D_q * p.q**2) / width
+        out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
+    else:
+        out = np.exp(-((omega - p.D_q * p.q**2) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return out if out.ndim else float(out)
 
 

@@ -1,14 +1,19 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmsd
 from qmsd import svgplot
 from qmsd.basis import TruncationWarning
-from qmsd.cli import COMMANDS, main, parse_grid, resolve_config
+from qmsd.cli import COMMANDS, DEFAULTS, _build_parser, main, parse_grid, resolve_config
 from qmsd.constants import ValidationError
 from qmsd.output import config_hash, write_csv
 
@@ -143,6 +148,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's qmsd."""
+    src = str(Path(qmsd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
 def co_weight_floor(n_cells: int, temperature: float = 190.0) -> float:
     """1e-18 w(n = 1) of CO at the temperature (K) on a cell of n_cells
     256 pm lattice constants, from the definitions, in build_basis's float
@@ -249,6 +262,8 @@ class TestExitCodes:
         ["exact", "--lattice-pm", "1e200", "--grid", "linear:0:1:3"],  # a^2 overflows
         ["scales", "--mass-u", "1e300"],           # Q_approx overflows
         ["scales", "--temperature-K", "1e-300"],   # beta overflows
+        ["scattering", "--q-inv-angstrom", "1e145"],   # q^2 overflows
+        ["scattering", "--q-inv-angstrom=-1e150"],
     ], ids=" ".join)
     def test_config_error_scale_out_of_range(self, tmp_path, capsys, argv):
         # finite flags whose derived scales or squared lengths are not
@@ -390,6 +405,18 @@ class TestExitCodes:
             text = (tmp_path / name).read_text()
             assert "nan" not in text and "inf" not in text
 
+    def test_dsf_finite_where_q_squared_underflows(self, tmp_path):
+        # v_T^2 q^2 underflows to 0 at 1e-300 / Angstrom, while the width
+        # v_T |q| is a normal double
+        assert run_cli("scattering", "--out", str(tmp_path), "--formats", "csv",
+                       "--q-inv-angstrom", "1e-300") == 0
+        rows = (tmp_path / "dsf.csv").read_text().splitlines()[2:]
+        omega, _, s = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+        assert np.all(np.isfinite(s)) and np.all(s > 0)
+        # the 256 points span omega0 +- 5 widths: all but 5.7e-7 of the area
+        area = np.sum((s[1:] + s[:-1]) * np.diff(omega)) / 2
+        assert area == pytest.approx(1.0, rel=1e-5, abs=0)
+
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
         monkeypatch.setattr(qmsd.cli, "dsf", lambda p, omegas: np.full(omegas.shape, np.nan))
@@ -477,9 +504,11 @@ class TestArtifacts:
 
     def test_csv_rerun_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
+        # 50 functions per cell leave the edge weight above the floor
         for d in (d1, d2):
-            assert run_cli("breve", "--out", str(d), "--formats", "csv",
-                           "--funcs-per-cell", "50") == 0
+            with pytest.warns(TruncationWarning):
+                assert run_cli("breve", "--out", str(d), "--formats", "csv",
+                               "--funcs-per-cell", "50") == 0
         assert (d1 / "breve.csv").read_bytes() == (d2 / "breve.csv").read_bytes()
 
     def test_no_timestamp_svg_reproducible(self, tmp_path):
@@ -638,9 +667,10 @@ class TestArtifacts:
                        "--no-timestamp") == 0
         assert (tmp_path / "figure1.csv").exists()
         assert (tmp_path / "figure1.svg").exists()
-        assert run_cli("figure2", "--out", str(tmp_path),
-                       "--grid", "linear:0:5:16", "--funcs-per-cell", "40",
-                       "--formats", "csv,json-meta") == 0
+        with pytest.warns(TruncationWarning):
+            assert run_cli("figure2", "--out", str(tmp_path),
+                           "--grid", "linear:0:5:16", "--funcs-per-cell", "40",
+                           "--formats", "csv,json-meta") == 0
         meta = json.loads((tmp_path / "figure2.json").read_text())
         assert set(meta["plateaus"]) == {"L=10a", "L=20a", "L=40a"}
         for n_cells in (10, 20, 40):
@@ -686,3 +716,29 @@ class TestParserReuse:
         cfg = json.loads((tmp_path / "b" / "scales.json").read_text())["config"]
         assert cfg["seed"] == 42
         assert not (tmp_path / "a").exists()
+
+    def test_help_leaves_it_working(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scales", "--help")
+        assert exc.value.code == 0
+        assert "--q-inv-angstrom" in capsys.readouterr().out
+        assert run_cli("scales", "--out", str(tmp_path)) == 0
+        cfg = json.loads((tmp_path / "scales.json").read_text())["config"]
+        assert cfg == {**DEFAULTS, "out": str(tmp_path), "formats": "csv,json-meta,svg"}
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_import_does_not_build_parser(self):
+        # the parser is built on the first main call, so importing the CLI
+        # costs no more than before it was cached
+        done = run_python("-c", "import qmsd.cli; "
+                                "print(qmsd.cli._build_parser.cache_info().currsize)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    def test_module_help_names_every_command(self):
+        done = run_python("-m", "qmsd.cli", "--help")
+        assert done.returncode == 0, done.stderr
+        for name in COMMANDS:
+            assert name in done.stdout

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestDsf:
         assert dsf(xe, omega0 + fwhm_expected / 2) == pytest.approx(
             half, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("q", [1e-150, 1e-160, 1e-300])
+    def test_tiny_q_matches_decimal_oracle(self, xe, q):
+        # v_T^2 q^2 is a normal double at 1e-150 / m, subnormal at 1e-160
+        # and 0 at 1e-300, while the width v_T |q| is normal at all three
+        p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=q)
+        width = p.v_T * q
+        omega = np.linspace(-3.0, 3.0, 13) * width
+        with localcontext() as ctx:
+            ctx.prec = 40
+            v_T, q_, D_q = Decimal(p.v_T), Decimal(q), Decimal(p.D_q)
+            var = v_T * v_T * q_ * q_
+            two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
+            ref = [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
+                         / (two_pi * var).sqrt()) for w in omega]
+        assert dsf(p, omega) == pytest.approx(ref, rel=1e-13, abs=0)
+
     def test_zero_q_rejected(self):
         p = ScatteringParams(v_T=100.0, D_q=1e-9, q=0.0)
         with pytest.raises(ValidationError):
@@ -158,3 +175,8 @@ def test_params_validation():
         ScatteringParams(v_T=0.0, D_q=1e-9, q=1e10)
     with pytest.raises(ValidationError):
         ScatteringParams(v_T=100.0, D_q=-1e-9, q=1e10)
+    # q^2 overflows beyond about 1.34e154 / m
+    ScatteringParams(v_T=100.0, D_q=1e-9, q=1e154)
+    for q in (1e155, -1e155):
+        with pytest.raises(ValidationError, match="q"):
+            ScatteringParams(v_T=100.0, D_q=1e-9, q=q)
