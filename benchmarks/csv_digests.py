@@ -6,7 +6,7 @@ It imports qmsd from the ``src`` of the checkout it belongs to, ahead of
 any other qmsd on the path, so that each checkout digests its own code.
 
 Runs each command of ``qmsd.cli.COMMANDS``, in its order, in-process
-(``qmsd.cli.main``) with ``--formats csv,svg --no-timestamp``, once at
+(``qmsd.cli.main``) with ``--formats csv,svg``, once at
 the defaults and once at a non-default configuration, each into a fresh
 temporary directory. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
@@ -60,8 +60,7 @@ def digests(outdir: Path):
 
 def run(command: str, flags: list[str], outdir: Path) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return main([command, "--formats", "csv,svg", "--no-timestamp",
-                     "--out", str(outdir), *flags])
+        return main([command, "--formats", "csv,svg", "--out", str(outdir), *flags])
 
 
 if __name__ == "__main__":

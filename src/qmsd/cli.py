@@ -43,7 +43,6 @@ CONFIG_KEYS = {
     "grid": (None, str, "{linear|geometric}:<start>:<stop>:<count>, in t_b units"),
     "out": ("out", str, "output directory"),
     "formats": ("csv,svg,json-meta", str, "comma list of csv,svg,json-meta"),
-    "no_timestamp": (False, bool, "leave the timestamp out of SVG files"),
     "q_inv_angstrom": (1.0, float, "momentum transfer wavenumber (1/Angstrom)"),
 }
 DEFAULTS = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
@@ -87,8 +86,7 @@ def _build_parser():
     common.add_argument("--config", type=str, help="flat JSON config file")
     for key, (_, kind, help_) in CONFIG_KEYS.items():
         # an unset flag stays None, so that it does not override the file
-        how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
-        common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_, **how)
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (command, _) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=(command.__doc__ or "").split("\n")[0])
@@ -147,8 +145,7 @@ class Run:
         self.cfg = cfg
         # presentation keys do not affect the numbers; keep them out of
         # the hash so re-runs into another directory stay byte-identical
-        hashed = {k: v for k, v in cfg.items()
-                  if k not in ("out", "formats", "no_timestamp")}
+        hashed = {k: v for k, v in cfg.items() if k not in ("out", "formats")}
         self.hash = config_hash({"command": command, **hashed})
         self.outdir = Path(cfg["out"])
         self.formats = set(cfg["formats"].split(","))
@@ -189,8 +186,7 @@ class Run:
 
     def svg(self, name, series, xlabel="t / t_b", ylabel="MSD / a^2", **kw):
         if "svg" in self.formats:
-            text = line_plot(series, xlabel=xlabel, ylabel=ylabel,
-                             timestamp=not self.cfg["no_timestamp"], **kw)
+            text = line_plot(series, xlabel=xlabel, ylabel=ylabel, **kw)
             self.pending.append(lambda: (self.outdir / name).write_text(text))
 
     def meta(self, name, extra):
@@ -216,14 +212,14 @@ def _ideal_params(run: Run) -> IdealMsdParams:
 
 
 def _basis(run: Run, system: PhysicalSystem):
-    """(basis, Q) of one cell at the configured functions per cell; warns
-    (does not fail) when the basis is not converged."""
+    """The basis of one cell at the configured functions per cell; warns
+    (does not fail) when it is not converged."""
     basis = build_basis(system, run.cfg["funcs_per_cell"])
     if not basis.converged:
         warnings.warn(f"edge Boltzmann weight {basis.w[0]:.3e} is not below the "
                       f"weight floor {basis.weight_floor:.3e}; basis may be "
                       f"under-truncated", TruncationWarning)
-    return basis, partition_function(basis)
+    return basis
 
 
 def _collision(run: Run, system: PhysicalSystem, times) -> np.ndarray:
@@ -256,20 +252,20 @@ def cmd_ideal(run: Run):
 
 def cmd_exact(run: Run):
     """Exact coherent double-sum MSD curve."""
-    basis, Q = _basis(run, run.system)
-    curve = msd_exact_curve(basis, Q, run.grid("linear:0:30:300"))
+    basis = _basis(run, run.system)
+    curve = msd_exact_curve(basis, run.grid("linear:0:30:300"))
     series = run.msd_csv("exact.csv", curve.times, curve.values,
                          label=f"exact sum, L={run.system.n_cells}a")
     run.svg("exact.svg", [series], title="Exact coherent MSD")
     run.meta("exact.json", {"method": curve.method, "K": basis.K,
-                            "Q": Q, "params": curve.params})
+                            "Q": partition_function(basis), "params": curve.params})
 
 
 def cmd_breve(run: Run):
     """Decohered plateau: direct sum and closed form."""
-    basis, Q = _basis(run, run.system)
-    bs = breve_sum(basis, Q)
-    bc = breve_closed(run.system, run.scales)
+    basis = _basis(run, run.system)
+    bs = breve_sum(basis)
+    bc = breve_closed(run.system)
     a2 = run.system.lattice_a**2
     run.csv("breve.csv",
             ["breve_sum_m2", "breve_closed_m2", "breve_sum_over_a2",
@@ -315,17 +311,16 @@ def cmd_mc_verify(run: Run):
     grid = run.grid("linear:1:20:20")
     # not _basis: the K = 201 default basis is truncated on purpose, unwarned
     basis = build_basis(run.system, run.cfg["funcs_per_cell"])
-    Q = partition_function(basis)
-    res = sample_msd(basis, Q, grid, run.cfg["members"], run.cfg["seed"])
-    exact = msd_exact_curve(basis, Q, grid)
+    res = sample_msd(basis, grid, run.cfg["members"], run.cfg["seed"])
+    exact = msd_exact_curve(basis, grid)
     max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact.values)
     if not max_z <= z_star:  # a NaN z refuses too
         raise NumericalError(
             f"Monte-Carlo estimate departs from the exact sum: max |z| = "
             f"{max_z:.2f} over {grid.size} points exceeds z* = {z_star:.2f} "
             f"(family-wise false-alarm rate {MC_GATE_FALSE_ALARM:g})")
-    est, err, t_used = sample_msd_rerandomized(basis, Q, res)
-    bs = breve_sum(basis, Q)
+    est, err, t_used = sample_msd_rerandomized(basis, res)
+    bs = breve_sum(basis)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
             [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact.values])
@@ -403,16 +398,16 @@ def cmd_figure2(run: Run):
     plateaus = {}
     for n_cells, dash in ((10, "8 4"), (20, "3 3"), (40, "8 3 3 3")):
         system = run.cell(n_cells)
-        basis, Q = _basis(run, system)
-        curve = msd_exact_curve(basis, Q, grid)
+        basis = _basis(run, system)
+        curve = msd_exact_curve(basis, grid)
         series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid, curve.values,
                                   label=f"exact, L={n_cells}a", color="#000000", dash=dash))
         series.append(run.msd_csv(f"figure2_collision_L{n_cells}a.csv", grid,
                                   _collision(run, system, grid),
                                   label=f"model, L={n_cells}a", color="#c02020", dash=dash))
         plateaus[f"L={n_cells}a"] = {
-            "breve_sum_over_a2": breve_sum(basis, Q) / a2,
-            "breve_closed_over_a2": breve_closed(system, derive_scales(system)) / a2,
+            "breve_sum_over_a2": breve_sum(basis) / a2,
+            "breve_closed_over_a2": breve_closed(system) / a2,
             "path": curve.params["path"],
             "edge_weight": curve.params["edge_weight"],
             "weight_floor": curve.params["weight_floor"],

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (CONST, CharacteristicScales, PhysicalSystem, ValidationError,
-                        _require_positive)
+from .constants import (CONST, PhysicalSystem, ValidationError, _require_positive,
+                        derive_scales)
 from .ideal import _sqrt_diff
 
 SQRT_PI = math.sqrt(math.pi)
@@ -51,12 +51,12 @@ def I_ab(a: float, b: float) -> float:
     return SQRT_PI * a / (math.sqrt(a + b) + math.sqrt(b))
 
 
-def breve_closed(sys: PhysicalSystem, scales: CharacteristicScales) -> float:
+def breve_closed(sys: PhysicalSystem) -> float:
     """Closed-form decohered plateau (m^2):
     L hbar sqrt(2 beta / (pi m)) J(hbar^2 beta / (2 m L^2))."""
     hbar = CONST.hbar
     L = sys.L
-    beta = scales.beta
+    beta = derive_scales(sys).beta
     y = hbar**2 * beta / (2.0 * sys.mass * L**2)
     return L * hbar * math.sqrt(2.0 * beta / (math.pi * sys.mass)) * J(y)
 

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .basis import EigenBasis
+from .basis import EigenBasis, partition_function
 from .constants import CONST
 from .curves import MsdCurve, validate_grid
 from .kernels import BLOCK, blocked_sum, msd_reduce, pair_arrays
@@ -64,11 +64,12 @@ def _use_theta(basis: EigenBasis) -> bool:
     return basis.converged and a < A_MAX
 
 
-def _theta_outer(basis: EigenBasis, Q: float):
+def _theta_outer(basis: EigenBasis):
     """Outer-sum data (d, p = d mod 2, weight g_d, eps/hbar, a) of the series.
 
     g_d carries every constant factor, so MSD(t) = sum_d g_d bracket_d(t).
     """
+    Q = partition_function(basis)
     eps = _lattice_energy(basis)
     c = basis.beta * eps
     a = 0.5 * c
@@ -86,7 +87,7 @@ def _row_prefixes(lengths: np.ndarray):
     return rows, cols
 
 
-def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
+def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
     """Coherent MSD at each time by the theta series, O(K) per time.
 
     Each block of the (d, t) bracket starts at 1.0, and the transcendental
@@ -102,7 +103,7 @@ def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
     the same order, k = -width..width, and the cut terms there are exact
     zeros, so every output bit equals the dense series.
     """
-    d, p, g, eps_over_hbar, a = _theta_outer(basis, Q)
+    d, p, g, eps_over_hbar, a = _theta_outer(basis)
     inv4a = 0.25 / a
     reach = math.sqrt(4.0 * a * TAIL)
     # the image nearest b/pi lies within pi/2 of b, the k-th next beyond
@@ -144,16 +145,17 @@ def _theta_msd(basis: EigenBasis, Q: float, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def msd_exact_curve(basis: EigenBasis, Q: float, grid) -> MsdCurve:
-    """Coherent MSD over a time grid; params["path"] names the path taken."""
+def msd_exact_curve(basis: EigenBasis, grid) -> MsdCurve:
+    """Coherent MSD over a time grid, normalised by the basis's own partition
+    function; params["path"] names the path taken."""
     times = validate_grid(grid)
     theta = _use_theta(basis)
     if theta:
-        values = _theta_msd(basis, Q, times)
+        values = _theta_msd(basis, times)
     else:
         # the ordered pairs n < j, doubled (the sum is symmetric)
         wprod, half_omega = pair_arrays(basis)
-        values = 8.0 / Q**2 * msd_reduce(wprod, half_omega, times)
+        values = 8.0 / partition_function(basis)**2 * msd_reduce(wprod, half_omega, times)
     return MsdCurve(
         times=times,
         values=values,
@@ -171,7 +173,7 @@ def msd_exact_curve(basis: EigenBasis, Q: float, grid) -> MsdCurve:
     )
 
 
-def breve_sum(basis: EigenBasis, Q: float) -> float:
+def breve_sum(basis: EigenBasis) -> float:
     """Decohered plateau constant (m^2).
 
     Equals the coherent sum with every sin^2 factor replaced by 1/2; the
@@ -179,6 +181,6 @@ def breve_sum(basis: EigenBasis, Q: float) -> float:
     """
     if _use_theta(basis):
         # the theta bracket's time mean is 1, leaving the outer weights
-        return float(np.sum(_theta_outer(basis, Q)[2]))
+        return float(np.sum(_theta_outer(basis)[2]))
     wprod, _ = pair_arrays(basis)
-    return float(4.0 / Q**2 * blocked_sum(wprod))
+    return float(4.0 / partition_function(basis)**2 * blocked_sum(wprod))

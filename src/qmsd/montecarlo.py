@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis
+from .basis import EigenBasis, partition_function
 from .constants import CONST, ValidationError
 from .curves import validate_grid
 from .kernels import MEMBER_BLOCK, antisym_coupling_matrix, ensemble_positions
@@ -215,24 +215,24 @@ def sample_phases(basis: EigenBasis, n_members: int, seed: int,
     return thetas.T
 
 
-def _ensemble_setup(basis: EigenBasis, Q: float):
+def _ensemble_setup(basis: EigenBasis):
     wt = np.sqrt(basis.w)
     eom = basis.E / _HBAR
     A = antisym_coupling_matrix(basis.K)
     # x(t) = -(L / pi Q) v^T A u with u = wt cos(phi), v = wt sin(phi)
-    pref = -basis.L / (math.pi * Q)
+    pref = -basis.L / (math.pi * partition_function(basis))
     return wt, eom, A, pref
 
 
-def _ensemble_chunks(basis: EigenBasis, Q: float, n_members: int, seed: int,
-                     stream: int, times: np.ndarray) -> np.ndarray:
+def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int, stream: int,
+                     times: np.ndarray) -> np.ndarray:
     """x(t) of members 0..n-1 of one stream, shape (members, times).
 
     The members are drawn and evaluated PHASE_CHUNK at a time, so no
     (K x members) phase array is held.
     """
     _check_members(0, n_members)
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    wt, eom, A, pref = _ensemble_setup(basis)
     X = np.empty((n_members, times.size))
     for lo in range(0, n_members, PHASE_CHUNK):
         b = min(PHASE_CHUNK, n_members - lo)
@@ -244,14 +244,13 @@ def _ensemble_chunks(basis: EigenBasis, Q: float, n_members: int, seed: int,
     return X
 
 
-def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
-               seed: int = 42) -> EnsembleResult:
+def sample_msd(basis: EigenBasis, grid, n_members: int, seed: int = 42) -> EnsembleResult:
     """Ensemble-averaged MSD over a time grid, with standard errors."""
     if n_members < 2:
         raise ValidationError("n_members must be >= 2")
     times = validate_grid(grid)
     # baseline x(0) prepended so displacements share one evaluation pass
-    X = _ensemble_chunks(basis, Q, n_members, seed, 0, np.concatenate(([0.0], times)))
+    X = _ensemble_chunks(basis, n_members, seed, 0, np.concatenate(([0.0], times)))
     disp_sq = X[:, 1:] - X[:, :1]
     np.multiply(disp_sq, disp_sq, out=disp_sq)
     mean = disp_sq.mean(axis=0)
@@ -263,12 +262,12 @@ def sample_msd(basis: EigenBasis, Q: float, grid, n_members: int,
     )
 
 
-def sample_msd_rerandomized(basis: EigenBasis, Q: float, ensemble: EnsembleResult,
+def sample_msd_rerandomized(basis: EigenBasis, ensemble: EnsembleResult,
                             t: float | None = None):
     """Plateau estimate with independent phase sets before and after.
 
     Pairs each member's x(0) from ``ensemble``, the ``sample_msd`` result
-    on the same basis and Q (stream-0 phases), with x(t) from fresh
+    on the same basis (stream-0 phases), with x(t) from fresh
     stream-1 phases of the same seed, so the averaged squared difference
     is time-independent and estimates the decohered plateau. Returns
     (estimate, stderr, t_used).
@@ -276,7 +275,7 @@ def sample_msd_rerandomized(basis: EigenBasis, Q: float, ensemble: EnsembleResul
     if t is None:
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta
-    xt = _ensemble_chunks(basis, Q, ensemble.n_members, ensemble.seed, 1,
+    xt = _ensemble_chunks(basis, ensemble.n_members, ensemble.seed, 1,
                           np.array([float(t)]))[:, 0]
     disp_sq = (xt - ensemble.x0) ** 2
     estimate = float(disp_sq.mean())

@@ -63,6 +63,9 @@ def dsf(p: ScatteringParams, omega):
         # v_T^2 q^2 is subnormal or 0 while the width v_T |q| is not: form
         # the Gaussian in z = (omega - omega0) / (v_T |q|), not in var
         width = p.v_T * abs(p.q)
+        # the peak 1 / (sqrt(2 pi) width) must be a finite double
+        if width == 0.0 or math.isinf(1.0 / (SQRT_2PI * width)):
+            raise ValidationError(f"the DSF peak overflows: q = {p.q!r} 1/m")
         z = (omega - p.D_q * p.q**2) / width
         out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
     else:

@@ -7,7 +7,6 @@ and log axes, legends and dashed lines.
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -88,7 +87,7 @@ class _Axis:
 
 
 def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
-              yscale="linear", timestamp=True) -> str:
+              yscale="linear") -> str:
     """Render series (dicts with x, y, label, optional dash) to an SVG string."""
     ml, mr, mt, mb = 70, 20, 30, 50
     xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
@@ -106,10 +105,8 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
     ay = _Axis(y0, y1, HEIGHT - mb, mt, yscale)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">']
-    if timestamp:
-        out.append(f"<!-- generated {datetime.now(timezone.utc).isoformat()} -->")
-    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
+           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
 
     xticks = _log_ticks(x0, x1) if xscale == "log" else _nice_ticks(x0, x1)
     yticks = _log_ticks(10**ay.lo, 10**ay.hi) if yscale == "log" else _nice_ticks(y0, y1)

@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from qmsd import (CONST, CollisionModelParams, IdealMsdParams, PhysicalSystem,
                   ScatteringParams, breve_closed, breve_sum, build_basis,
                   derive_scales, dsf, isf_phase, msd_collision_model,
-                  msd_exact_curve, msd_ideal, pair_correlation_self,
-                  partition_function, sample_msd, sample_msd_rerandomized)
+                  msd_exact_curve, msd_ideal, pair_correlation_self, sample_msd,
+                  sample_msd_rerandomized)
 from qmsd.closedforms import I_ab, J
 
 U_TO_KG = 1.66053906660e-27
@@ -39,16 +39,15 @@ def co_family():
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
         s = derive_scales(sys)
         basis = build_basis(sys, 100)
-        Q = partition_function(basis)
         grid = np.linspace(0.0, 100.0, 400) * s.t_b
-        curve = msd_exact_curve(basis, Q, grid)
-        late = msd_exact_curve(basis, Q, np.linspace(3 * s.t_c, 5 * s.t_c, 32))
+        curve = msd_exact_curve(basis, grid)
+        late = msd_exact_curve(basis, np.linspace(3 * s.t_c, 5 * s.t_c, 32))
         family[n_cells] = {
-            "system": sys, "scales": s, "basis": basis, "Q": Q,
+            "system": sys, "scales": s, "basis": basis,
             "grid": grid, "curve": curve.values,
             "late": late.values,
-            "breve_sum": breve_sum(basis, Q),
-            "breve_closed": breve_closed(sys, s),
+            "breve_sum": breve_sum(basis),
+            "breve_closed": breve_closed(sys),
         }
     return family
 
@@ -59,11 +58,9 @@ def test_criterion_1_plateau_reproduction():
     worst = 0.0
     for n_cells, target in expected.items():
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-        s = derive_scales(sys)
         basis = build_basis(sys, 100)
-        Q = partition_function(basis)
         a2 = sys.lattice_a**2
-        for val in (breve_sum(basis, Q) / a2, breve_closed(sys, s) / a2):
+        for val in (breve_sum(basis) / a2, breve_closed(sys) / a2):
             worst = max(worst, abs(val - target) / target)
     elapsed = time.perf_counter() - t0
     report(1, worst <= 0.05 and elapsed < 10.0,
@@ -127,7 +124,7 @@ def test_criterion_4_short_time_quadratic_law(co_family):
     p = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
     fit = lambda vals: float(np.sum(vals * ts**2) / np.sum(ts**4))
     c_ideal = fit(msd_ideal(p, ts))
-    c_exact = fit(msd_exact_curve(d["basis"], d["Q"], ts).values)
+    c_exact = fit(msd_exact_curve(d["basis"], ts).values)
     dev_i = abs(c_ideal - kT_over_2m) / kT_over_2m
     dev_e = abs(c_exact - kT_over_2m) / kT_over_2m
     report(4, dev_i <= 1e-3 and dev_e <= 0.02,
@@ -153,13 +150,12 @@ def test_criterion_6_monte_carlo_oracle():
     s = derive_scales(sys)
     basis = build_basis(sys, 20)
     assert basis.K == 201
-    Q = partition_function(basis)
     grid = np.linspace(1.0, 20.0, 20) * s.t_b
-    res = sample_msd(basis, Q, grid, n_members=10000, seed=42)
-    exact = msd_exact_curve(basis, Q, grid).values
+    res = sample_msd(basis, grid, n_members=10000, seed=42)
+    exact = msd_exact_curve(basis, grid).values
     z = np.abs(res.mean_msd - exact) / res.stderr
-    est, err, _ = sample_msd_rerandomized(basis, Q, res)
-    bs = breve_sum(basis, Q)
+    est, err, _ = sample_msd_rerandomized(basis, res)
+    bs = breve_sum(basis)
     z_replat = abs(est - bs) / err
     elapsed = time.perf_counter() - t0
     report(6, float(z.max()) < 3.0 and z_replat < 3.0 and elapsed < 300.0,

@@ -50,7 +50,7 @@ def polylines_by_point(series, monkeypatch, **kw):
             axes.append(self)
 
     monkeypatch.setattr(svgplot, "_Axis", Recorded)
-    text = svgplot.line_plot(series, timestamp=False, **kw)
+    text = svgplot.line_plot(series, **kw)
     ax, ay = axes
     expected = []
     for s in series:
@@ -264,6 +264,10 @@ class TestExitCodes:
         ["scales", "--temperature-K", "1e-300"],   # beta overflows
         ["scattering", "--q-inv-angstrom", "1e145"],   # q^2 overflows
         ["scattering", "--q-inv-angstrom=-1e150"],
+        # the DSF peak 1 / (sqrt(2 pi) v_T |q|) overflows
+        ["scattering", "--q-inv-angstrom", "5e-324", "--formats", "csv"],
+        ["scattering", "--q-inv-angstrom", "1e-300", "--mass-u", "1e30",
+         "--temperature-K", "1e-30"],
     ], ids=" ".join)
     def test_config_error_scale_out_of_range(self, tmp_path, capsys, argv):
         # finite flags whose derived scales or squared lengths are not
@@ -294,7 +298,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("content,message", [
         ('{"grid": 5}', "grid must be a str"),
-        ('{"no_timestamp": "yes"}', "no_timestamp must be a bool"),
+        ('{"no_timestamp": "yes"}', "unknown config key"),
         ("[1, 2]", "one JSON object")])
     def test_config_error_bad_file(self, tmp_path, capsys, content, message):
         cfgfile = tmp_path / "c.json"
@@ -514,15 +518,9 @@ class TestArtifacts:
     def test_no_timestamp_svg_reproducible(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
-            assert run_cli("ideal", "--out", str(d), "--no-timestamp",
-                           "--grid", "linear:0.1:10:32") == 0
+            assert run_cli("ideal", "--out", str(d), "--grid", "linear:0.1:10:32") == 0
         assert (d1 / "ideal.svg").read_bytes() == (d2 / "ideal.svg").read_bytes()
         assert b"<svg" in (d1 / "ideal.svg").read_bytes()
-
-    def test_timestamped_svg_carries_comment(self, tmp_path):
-        assert run_cli("ideal", "--out", str(tmp_path),
-                       "--grid", "linear:0.1:10:32") == 0
-        assert "generated" in (tmp_path / "ideal.svg").read_text()
 
     def test_exact_meta_records_path(self, tmp_path):
         assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:5:8",
@@ -663,8 +661,7 @@ class TestArtifacts:
 
     def test_figure1_and_figure2(self, tmp_path):
         assert run_cli("figure1", "--out", str(tmp_path),
-                       "--grid", "linear:0:5:64", "--formats", "csv,svg",
-                       "--no-timestamp") == 0
+                       "--grid", "linear:0:5:64", "--formats", "csv,svg") == 0
         assert (tmp_path / "figure1.csv").exists()
         assert (tmp_path / "figure1.svg").exists()
         with pytest.warns(TruncationWarning):

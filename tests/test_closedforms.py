@@ -116,23 +116,20 @@ class TestBreveClosed:
         sys = PhysicalSystem.from_user_units(28, 190, 256, 100000)
         s = derive_scales(sys)
         limit = CONST.hbar * math.sqrt(math.pi * s.beta / sys.mass) / 6
-        assert breve_closed(sys, s) / sys.L == pytest.approx(limit, rel=1e-4, abs=0)
+        assert breve_closed(sys) / sys.L == pytest.approx(limit, rel=1e-4, abs=0)
 
     @pytest.mark.parametrize("n_cells,plateau_a2", [(10, 0.11), (20, 0.22),
                                                     (40, 0.44)])
     def test_co_plateaus(self, n_cells, plateau_a2):
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-        s = derive_scales(sys)
-        assert breve_closed(sys, s) / sys.lattice_a**2 == pytest.approx(
+        assert breve_closed(sys) / sys.lattice_a**2 == pytest.approx(
             plateau_a2, rel=0.05, abs=0)
 
-    def test_agrees_with_discrete_sum(self, co_system, co_scales, co_basis,
-                                      co_Q):
+    def test_agrees_with_discrete_sum(self, co_system, co_basis):
         from qmsd import breve_sum
         # the closed form is a continuum approximation that improves with
         # L; at L = 10a it sits ~0.6% above the discrete sum
-        assert breve_closed(co_system, co_scales) == pytest.approx(
-            breve_sum(co_basis, co_Q), rel=1e-2, abs=0)
+        assert breve_closed(co_system) == pytest.approx(breve_sum(co_basis), rel=1e-2, abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +155,14 @@ class TestCollisionModel:
         # t, so their product leaves a finite slow-velocity excess of
         # sqrt(2/pi) alpha L v_T t_b on top of the decohered plateau
         sys, s, p = co
-        limit = (breve_closed(sys, s)
+        limit = (breve_closed(sys)
                  + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
         assert msd_collision_model(p, 1e9 * s.t_b) == pytest.approx(
             limit, rel=1e-6, abs=0)
 
     def test_bounded_by_asymptote(self, co):
         sys, s, p = co
-        limit = (breve_closed(sys, s)
+        limit = (breve_closed(sys)
                  + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
         t_c = p.L / s.v_T
         for x in np.geomspace(1e-2, 1e4, 40):
@@ -207,7 +204,7 @@ class TestCollisionModel:
         # (t / t_b)^2 overflows beyond about 1.3e154; x^2 / (sqrt(x^2 + 1) + 1)
         # tends to x there, and the model to its long-time limit
         sys, s, p = co
-        limit = (breve_closed(sys, s)
+        limit = (breve_closed(sys)
                  + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
         x = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
         with np.errstate(over="raise", invalid="raise"):
@@ -247,7 +244,7 @@ def test_collision_model_is_velocity_average(co_scales):
     s = derive_scales(sys)
     p = CollisionModelParams(alpha=0.35, L=sys.L, v_T=s.v_T, t_b=s.t_b)
     ideal = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
-    plateau = breve_closed(sys, s)
+    plateau = breve_closed(sys)
     for x in (1.0, 30.0, 300.0):
         t = x * s.t_b
         free = msd_ideal(ideal, t)

@@ -35,11 +35,11 @@ def direct_breve(basis, Q):
     return 4.0 / Q**2 * blocked_sum(pair_arrays(basis)[0])
 
 
-def dense_theta_msd(basis, Q, times):
+def dense_theta_msd(basis, times):
     """The theta series evaluated on every (d, t) element: expm1, rint, exp
     and the image mask everywhere, in the same blocks. The oracle that the
     pruned series in qmsd.exact must equal bit for bit."""
-    d, p, g, eps_over_hbar, a = _theta_outer(basis, Q)
+    d, p, g, eps_over_hbar, a = _theta_outer(basis)
     p = p[:, None]
     inv4a = 0.25 / a
     width = math.floor(math.sqrt(4.0 * a * TAIL) / math.pi + 0.5)
@@ -58,20 +58,20 @@ def dense_theta_msd(basis, Q, times):
     return out
 
 
-def test_zero_at_zero(co_basis, co_Q):
-    assert msd_exact_curve(co_basis, co_Q, [0.0]).values[0] == 0.0
+def test_zero_at_zero(co_basis):
+    assert msd_exact_curve(co_basis, [0.0]).values[0] == 0.0
 
 
-def test_negative_time_rejected(co_basis, co_Q):
+def test_negative_time_rejected(co_basis):
     with pytest.raises(ValueError):
-        msd_exact_curve(co_basis, co_Q, [-1e-15])
+        msd_exact_curve(co_basis, [-1e-15])
 
 
 def test_folded_sum_matches_brute_force(small_basis):
     Q = partition_function(small_basis)
     t_b = CONST.hbar * small_basis.beta
     for t in [0.0, 0.3 * t_b, 2.7 * t_b, 40 * t_b]:
-        got = msd_exact_curve(small_basis, Q, [t]).values[0]
+        got = msd_exact_curve(small_basis, [t]).values[0]
         assert got == pytest.approx(brute_force_msd(small_basis, Q, t),
                                     rel=1e-12, abs=1e-40)
 
@@ -81,9 +81,8 @@ def test_short_time_quadratic_coefficient():
     sys = PhysicalSystem.from_user_units(28, 190, 256, 40)
     s = derive_scales(sys)
     basis = build_basis(sys, 100)
-    Q = partition_function(basis)
     ts = np.linspace(0.01, 0.1, 5) * s.t_b
-    ratios = np.array([msd_exact_curve(basis, Q, [t]).values[0] / t**2 for t in ts])
+    ratios = np.array([msd_exact_curve(basis, [t]).values[0] / t**2 for t in ts])
     expected = 1.0 / (2 * s.beta * sys.mass)
     np.testing.assert_allclose(ratios, expected, rtol=0.02)
 
@@ -95,8 +94,7 @@ def test_tracks_ideal_longer_for_larger_L(co_scales):
     for n_cells in (10, 20):
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
         basis = build_basis(sys, 100)
-        Q = partition_function(basis)
-        curve = msd_exact_curve(basis, Q, grid)
+        curve = msd_exact_curve(basis, grid)
         ideal = msd_ideal(p, grid)
         rel = np.abs(curve.values - ideal) / ideal
         exceeded = np.nonzero(rel > 0.1)[0]
@@ -104,36 +102,35 @@ def test_tracks_ideal_longer_for_larger_L(co_scales):
     assert window[20] > window[10]
 
 
-def test_plateau_matches_breve_late(co_system, co_basis, co_Q, co_scales):
+def test_plateau_matches_breve_late(co_system, co_basis, co_scales):
     # the coherent sum saturates on the collision-time scale t_c; its
     # time average far past t_c equals the decohered constant
-    bs = breve_sum(co_basis, co_Q)
+    bs = breve_sum(co_basis)
     late = np.linspace(3 * co_scales.t_c, 5 * co_scales.t_c, 48)
-    curve = msd_exact_curve(co_basis, co_Q, late)
+    curve = msd_exact_curve(co_basis, late)
     assert np.mean(curve.values) == pytest.approx(bs, rel=0.05, abs=0)
     assert np.max(curve.values) <= bs * 1.05
 
 
-def test_never_exceeds_breve_bound(co_basis, co_Q, co_scales):
-    bs = breve_sum(co_basis, co_Q)
+def test_never_exceeds_breve_bound(co_basis, co_scales):
+    bs = breve_sum(co_basis)
     grid = np.linspace(0.0, 30.0, 150) * co_scales.t_b
-    curve = msd_exact_curve(co_basis, co_Q, grid)
+    curve = msd_exact_curve(co_basis, grid)
     assert np.max(curve.values) <= bs * 1.05
 
 
-def test_truncation_convergence(co_system, co_basis, co_Q, co_scales):
+def test_truncation_convergence(co_system, co_basis, co_scales):
     basis2 = build_basis(co_system, 200)
-    Q2 = partition_function(basis2)
     grid = np.linspace(0.1, 20.0, 12) * co_scales.t_b
-    c1 = msd_exact_curve(co_basis, co_Q, grid)
-    c2 = msd_exact_curve(basis2, Q2, grid)
+    c1 = msd_exact_curve(co_basis, grid)
+    c2 = msd_exact_curve(basis2, grid)
     np.testing.assert_allclose(c1.values, c2.values, rtol=1e-3)
 
 
-def test_curve_metadata_and_validation(co_basis, co_Q, co_scales):
+def test_curve_metadata_and_validation(co_basis, co_scales):
     with pytest.raises(ValueError):
-        msd_exact_curve(co_basis, co_Q, np.array([]))
-    c = msd_exact_curve(co_basis, co_Q, np.array([0.0]))
+        msd_exact_curve(co_basis, np.array([]))
+    c = msd_exact_curve(co_basis, np.array([0.0]))
     assert c.values[0] == 0.0
     assert c.method == "exact-sum"
     assert c.params["K"] == co_basis.K
@@ -147,7 +144,7 @@ def test_cold_basis_keeps_its_pairs():
     basis = build_basis(PhysicalSystem.from_user_units(28, 1e-3, 256, 10), 100)
     Q = partition_function(basis)
     times = np.linspace(0.0, 2.0, 9) * CONST.hbar * basis.beta
-    curve = msd_exact_curve(basis, Q, times)
+    curve = msd_exact_curve(basis, times)
     i, j = np.triu_indices(basis.K, k=1)
     dq = basis.q[i] - basis.q[j]
     wprod = basis.w[i] * basis.w[j] / (dq * dq)
@@ -165,8 +162,7 @@ class TestBreveSum:
         for n_cells, target in expected.items():
             sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
             basis = build_basis(sys, 100)
-            Q = partition_function(basis)
-            plateau = breve_sum(basis, Q) / sys.lattice_a**2
+            plateau = breve_sum(basis) / sys.lattice_a**2
             assert plateau == pytest.approx(target, rel=0.05, abs=0)
 
     def test_plateau_doubles_with_L(self):
@@ -174,14 +170,14 @@ class TestBreveSum:
         for n_cells in (10, 20):
             sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
             basis = build_basis(sys, 100)
-            vals[n_cells] = breve_sum(basis, partition_function(basis))
+            vals[n_cells] = breve_sum(basis)
         assert vals[20] / vals[10] == pytest.approx(2.0, rel=0.02, abs=0)
 
-    def test_upper_bounds_coherent_msd(self, co_basis, co_Q, co_scales, rng):
-        bs = breve_sum(co_basis, co_Q)
+    def test_upper_bounds_coherent_msd(self, co_basis, co_scales, rng):
+        bs = breve_sum(co_basis)
         times = rng.uniform(0.0, 400 * co_scales.t_b, 100)
         times.sort()
-        curve = msd_exact_curve(co_basis, co_Q, times)
+        curve = msd_exact_curve(co_basis, times)
         assert np.all(curve.values <= bs * 1.05)
 
     def test_equals_sin2_replaced_by_half(self, small_basis):
@@ -193,7 +189,7 @@ class TestBreveSum:
                     continue
                 x = x_element(n, j, small_basis.L)
                 total += small_basis.w[i] * small_basis.w[k] * abs(x) ** 2
-        assert breve_sum(small_basis, Q) == pytest.approx(
+        assert breve_sum(small_basis) == pytest.approx(
             2.0 / Q**2 * total, rel=1e-12, abs=0)
 
 
@@ -211,13 +207,12 @@ class TestThetaPath:
             np.linspace(100 / 39, 100, 39) * s.t_b,
             np.linspace(3 * s.t_c, 5 * s.t_c, 8)])
         times.sort()
-        curve = msd_exact_curve(basis, Q, times)
+        curve = msd_exact_curve(basis, times)
         assert curve.params["path"] == "theta"
         np.testing.assert_allclose(curve.values, direct_sum(basis, Q, times),
                                    rtol=1e-12, atol=0)
-        assert msd_exact_curve(basis, Q, [0.0]).values[0] == 0.0
-        assert breve_sum(basis, Q) == pytest.approx(direct_breve(basis, Q),
-                                                    rel=1e-12, abs=0)
+        assert msd_exact_curve(basis, [0.0]).values[0] == 0.0
+        assert breve_sum(basis) == pytest.approx(direct_breve(basis, Q), rel=1e-12, abs=0)
 
     def test_revivals(self, co_system, co_basis, co_Q):
         # at the revival time m L^2 / (2 pi hbar) every sin^2 is 0 or 1, and
@@ -225,8 +220,8 @@ class TestThetaPath:
         t_rev = co_system.mass * co_system.L**2 / (2 * math.pi * CONST.hbar)
         times = t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
                                   1.99, 1.999, 2.0, 2.001, 2.01])
-        got = msd_exact_curve(co_basis, co_Q, times).values
-        bs = breve_sum(co_basis, co_Q)
+        got = msd_exact_curve(co_basis, times).values
+        bs = breve_sum(co_basis)
         assert np.max(np.abs(got - direct_sum(co_basis, co_Q, times))) <= 1e-12 * bs
         assert got[7] <= 1e-12 * bs
         assert got[2] > 0.5 * bs
@@ -236,13 +231,13 @@ class TestThetaPath:
         basis = request.getfixturevalue(fixture)
         Q = partition_function(basis)
         times = np.linspace(0.0, 20.0, 11) * CONST.hbar * basis.beta
-        curve = msd_exact_curve(basis, Q, times)
+        curve = msd_exact_curve(basis, times)
         assert curve.params["path"] == "direct"
         assert curve.params["edge_weight"] == basis.w[0] > 1e-18
         np.testing.assert_array_equal(curve.values, direct_sum(basis, Q, times))
-        assert (msd_exact_curve(basis, Q, [times[4]]).values[0]
+        assert (msd_exact_curve(basis, [times[4]]).values[0]
                 == direct_sum(basis, Q, times[4:5])[0])
-        assert breve_sum(basis, Q) == direct_breve(basis, Q)
+        assert breve_sum(basis) == direct_breve(basis, Q)
 
     def test_short_cell_stays_direct(self):
         # H at 10 K on one 256 pm cell, about 5 thermal lengths long: the
@@ -250,17 +245,15 @@ class TestThetaPath:
         sys = PhysicalSystem.from_user_units(1, 10, 256, 1)
         basis = build_basis(sys, 100)
         assert basis.w[0] < 1e-18
-        curve = msd_exact_curve(basis, partition_function(basis),
-                                np.array([0.0, CONST.hbar * basis.beta]))
+        curve = msd_exact_curve(basis, np.array([0.0, CONST.hbar * basis.beta]))
         assert curve.params["path"] == "direct"
 
 
 @functools.lru_cache(maxsize=None)
 def _co_cell(n_cells, temperature_K=190.0):
-    """(system, scales, basis, Q) of CO on n_cells lattice constants."""
+    """(system, scales, basis) of CO on n_cells lattice constants."""
     sys = PhysicalSystem.from_user_units(28, temperature_K, 256, n_cells)
-    basis = build_basis(sys, 100)
-    return sys, derive_scales(sys), basis, partition_function(basis)
+    return sys, derive_scales(sys), build_basis(sys, 100)
 
 
 def _pruning_grid(name, sys, s):
@@ -297,12 +290,12 @@ class TestPrunedThetaSeries:
         self._check(*_co_cell(1, 100.0), grid)
 
     @staticmethod
-    def _check(sys, s, basis, Q, grid):
+    def _check(sys, s, basis, grid):
         times = _pruning_grid(grid, sys, s)
-        curve = msd_exact_curve(basis, Q, times)
+        curve = msd_exact_curve(basis, times)
         assert curve.params["path"] == "theta"
         with np.errstate(over="ignore"):
-            want = dense_theta_msd(basis, Q, times)
+            want = dense_theta_msd(basis, times)
         assert np.all(np.isfinite(want))
         np.testing.assert_array_equal(curve.values.view(np.uint64),
                                       want.view(np.uint64))

@@ -109,10 +109,8 @@ class TestAntisymCouplingMatrix:
 
 @pytest.fixture(scope="module")
 def position_data(mc_basis):
-    from qmsd import partition_function
     from qmsd.montecarlo import _ensemble_setup, sample_phases
-    Q = partition_function(mc_basis)
-    wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+    wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 32, seed=17)
     t_b = 1.0 / eom[2]
     times = np.linspace(0.0, 40.0, 5) * t_b
@@ -141,10 +139,9 @@ def plain_positions(wt, thetas, eom, times, A, pref):
 
 @pytest.fixture(scope="module")
 def oracle_data(mc_basis):
-    from qmsd import CONST, partition_function
+    from qmsd import CONST
     from qmsd.montecarlo import _ensemble_setup, sample_phases
-    Q = partition_function(mc_basis)
-    wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+    wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 1030, seed=23)
     t_b = CONST.hbar * mc_basis.beta
     times = np.concatenate(([0.0], np.geomspace(1e-2, 1e3, 12))) * t_b
@@ -242,9 +239,8 @@ def with_workers(monkeypatch, n):
 
 @pytest.fixture(scope="module")
 def pool_data(mc_basis):
-    from qmsd import partition_function
     from qmsd.montecarlo import _ensemble_setup, sample_phases
-    wt, eom, A, pref = _ensemble_setup(mc_basis, partition_function(mc_basis))
+    wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 4101, seed=29)
     times = np.array([0.0, 1.0, 7.0, 300.0]) / eom[2]
     return wt, thetas, eom, times, A, pref
@@ -407,19 +403,18 @@ class TestPoolSize:
 class TestSampleMsdEstimator:
     def test_matches_estimator_from_plain_positions(self, mc_basis):
         # 1030 members: eight whole blocks and a short one
-        from qmsd import CONST, partition_function, sample_msd
+        from qmsd import CONST, sample_msd
         from qmsd.montecarlo import _ensemble_setup, sample_phases
         members, seed = 1030, 11
         assert members % MEMBER_BLOCK
-        Q = partition_function(mc_basis)
         grid = np.linspace(1.0, 20.0, 20) * CONST.hbar * mc_basis.beta
-        res = sample_msd(mc_basis, Q, grid, n_members=members, seed=seed)
+        res = sample_msd(mc_basis, grid, n_members=members, seed=seed)
         thetas = sample_phases(mc_basis, members, seed)
         # the kernel's stated domain; the largest draw, (2^53 - 1) 2^-53
         # 2pi, rounds to at most 2pi
         assert thetas.min() >= 0.0 and thetas.max() <= _TWO_PI
         assert (2**53 - 1) * (1.0 / 2**53) * _TWO_PI <= _TWO_PI
-        wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+        wt, eom, A, pref = _ensemble_setup(mc_basis)
         X = plain_positions(wt, thetas, eom, np.concatenate(([0.0], grid)), A, pref)
         disp_sq = (X[:, 1:] - X[:, :1]) ** 2
         np.testing.assert_allclose(res.mean_msd, disp_sq.mean(axis=0),
@@ -433,30 +428,29 @@ class TestStreamZeroReuse:
     def test_rerandomized_with_x0_bit_identical(self, mc_basis):
         # the plateau from the ensemble's x(0) equals one built here from
         # a stream 0 drawn afresh and evaluated at t = 0 alone
-        from qmsd import CONST, partition_function, sample_msd, sample_msd_rerandomized
+        from qmsd import CONST, sample_msd, sample_msd_rerandomized
         from qmsd.montecarlo import _ensemble_setup, sample_phases
-        Q = partition_function(mc_basis)
         grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
-        res = sample_msd(mc_basis, Q, grid, n_members=600, seed=3)
+        res = sample_msd(mc_basis, grid, n_members=600, seed=3)
         t = 10.0 * CONST.hbar * mc_basis.beta
-        wt, eom, A, pref = _ensemble_setup(mc_basis, Q)
+        wt, eom, A, pref = _ensemble_setup(mc_basis)
         x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=0), eom,
                                 np.array([0.0]), A, pref)[:, 0]
         xt = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=1), eom,
                                 np.array([t]), A, pref)[:, 0]
         disp_sq = (xt - x0) ** 2
         np.testing.assert_array_equal(res.x0, x0)
-        assert sample_msd_rerandomized(mc_basis, Q, res) == (
+        assert sample_msd_rerandomized(mc_basis, res) == (
             float(disp_sq.mean()), float(disp_sq.std(ddof=1) / np.sqrt(600)), t)
 
 
 def small_inputs(K, members, seed):
     """Kernel inputs on a single-cell basis of K states, with phases."""
-    from qmsd import CONST, PhysicalSystem, build_basis, partition_function
+    from qmsd import CONST, PhysicalSystem, build_basis
     from qmsd.montecarlo import _ensemble_setup, sample_phases
     basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K)
     assert basis.K == K
-    wt, eom, A, pref = _ensemble_setup(basis, partition_function(basis))
+    wt, eom, A, pref = _ensemble_setup(basis)
     thetas = sample_phases(basis, members, seed=seed)
     times = np.array([0.0, 0.3, 2.0, 50.0]) * CONST.hbar * basis.beta
     return wt, thetas, eom, times, A, pref

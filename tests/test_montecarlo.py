@@ -29,8 +29,7 @@ class ThermalMember:
         return np.exp(-basis.beta * basis.E / 2.0 + 1j * self.phases) / math.sqrt(Q)
 
 
-def position_expectation(member: ThermalMember, basis: EigenBasis, Q: float,
-                         t: float) -> float:
+def position_expectation(member: ThermalMember, basis: EigenBasis, t: float) -> float:
     """Position expectation value of one member at time t (m).
 
     Evaluated through the real antisymmetric quadratic form equivalent
@@ -38,7 +37,7 @@ def position_expectation(member: ThermalMember, basis: EigenBasis, Q: float,
     """
     if member.phases.size != basis.K:
         raise ValueError("member phase count does not match basis size")
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    wt, eom, A, pref = _ensemble_setup(basis)
     X = ensemble_positions(wt, member.phases[None, :], eom,
                            np.array([float(t)]), A, pref)
     return float(X[0, 0])
@@ -66,18 +65,17 @@ class TestPositionExpectation:
             member = ThermalMember(
                 phases=rng.uniform(0, 2 * math.pi, small_basis.K))
             for t in (0.0, 0.7 * t_b, 3.3 * t_b):
-                fast = position_expectation(member, small_basis, Q, t)
+                fast = position_expectation(member, small_basis, t)
                 slow = brute_position(member, small_basis, Q, t)
                 assert fast == pytest.approx(slow, rel=1e-10, abs=1e-25)
 
     def test_bounded_by_half_box(self, small_basis):
-        Q = partition_function(small_basis)
         rng = np.random.default_rng(11)
         t_b = CONST.hbar * small_basis.beta
         for trial in range(20):
             member = ThermalMember(
                 phases=rng.uniform(0, 2 * math.pi, small_basis.K))
-            x = position_expectation(member, small_basis, Q, 2 * t_b)
+            x = position_expectation(member, small_basis, 2 * t_b)
             assert abs(x) < small_basis.L / 2
 
     def test_time_reversal_with_negated_phases(self, small_basis):
@@ -93,10 +91,9 @@ class TestPositionExpectation:
         assert bwd == pytest.approx(-fwd, rel=1e-12, abs=1e-30)
 
     def test_phase_count_mismatch_rejected(self, small_basis):
-        Q = partition_function(small_basis)
         member = ThermalMember(phases=np.zeros(5))
         with pytest.raises(ValueError):
-            position_expectation(member, small_basis, Q, 0.0)
+            position_expectation(member, small_basis, 0.0)
 
 
 class TestAmplitudes:
@@ -173,52 +170,50 @@ class TestSamplePhases:
 
 @pytest.fixture(scope="module")
 def run(mc_basis):
-    Q = partition_function(mc_basis)
     t_b = CONST.hbar * mc_basis.beta
     grid = np.linspace(0.5, 8.0, 6) * t_b
-    return Q, grid, sample_msd(mc_basis, Q, grid, n_members=4000, seed=42)
+    return grid, sample_msd(mc_basis, grid, n_members=4000, seed=42)
 
 
 class TestSampleMsd:
     def test_matches_phase_averaged_sum(self, mc_basis, run):
         # each point within 3 standard errors of the analytic average
-        Q, grid, res = run
+        grid, res = run
         for i, t in enumerate(grid):
-            ref = msd_exact_curve(mc_basis, Q, [float(t)]).values[0]
+            ref = msd_exact_curve(mc_basis, [float(t)]).values[0]
             z = (res.mean_msd[i] - ref) / res.stderr[i]
             assert abs(z) < 3.0
 
     def test_stderr_scales_inverse_sqrt_n(self, mc_basis, run):
-        Q, grid, res = run
-        res_small = sample_msd(mc_basis, Q, grid, n_members=1000, seed=42)
+        grid, res = run
+        res_small = sample_msd(mc_basis, grid, n_members=1000, seed=42)
         ratio = res_small.stderr / res.stderr
         np.testing.assert_allclose(ratio, 2.0, rtol=0.15)
 
     def test_seed_reproducible(self, mc_basis, run):
-        Q, grid, res = run
-        again = sample_msd(mc_basis, Q, grid, n_members=4000, seed=42)
+        grid, res = run
+        again = sample_msd(mc_basis, grid, n_members=4000, seed=42)
         assert np.array_equal(res.mean_msd, again.mean_msd)
         assert np.array_equal(res.stderr, again.stderr)
 
     def test_different_seed_differs(self, mc_basis, run):
-        Q, grid, res = run
-        other = sample_msd(mc_basis, Q, grid, n_members=4000, seed=43)
+        grid, res = run
+        other = sample_msd(mc_basis, grid, n_members=4000, seed=43)
         assert not np.array_equal(res.mean_msd, other.mean_msd)
 
     def test_metadata(self, mc_basis, run):
-        Q, grid, res = run
+        grid, res = run
         assert res.n_members == 4000
         assert res.seed == 42
 
     def test_too_few_members_rejected(self, mc_basis):
-        Q = partition_function(mc_basis)
         with pytest.raises(ValueError):
-            sample_msd(mc_basis, Q, np.array([1e-14]), n_members=1)
+            sample_msd(mc_basis, np.array([1e-14]), n_members=1)
 
 
-def one_draw_positions(basis, Q, times, n_members, seed, stream):
+def one_draw_positions(basis, times, n_members, seed, stream):
     """x(t) of every member from one draw of all members and one kernel call."""
-    wt, eom, A, pref = _ensemble_setup(basis, Q)
+    wt, eom, A, pref = _ensemble_setup(basis)
     thetas = sample_phases(basis, n_members, seed, stream)
     return ensemble_positions(wt, thetas, eom, np.asarray(times), A, pref)
 
@@ -226,16 +221,15 @@ def one_draw_positions(basis, Q, times, n_members, seed, stream):
 class TestPhaseChunks:
     @pytest.mark.parametrize("n", [2, 255, 2047, 2048, 2049, 5000])
     def test_bit_identical_to_one_draw(self, mc_basis, n):
-        Q = partition_function(mc_basis)
         grid = np.array([0.5, 3.0, 11.0]) * CONST.hbar * mc_basis.beta
-        res = sample_msd(mc_basis, Q, grid, n, seed=7)
-        X = one_draw_positions(mc_basis, Q, np.concatenate(([0.0], grid)), n, 7, 0)
+        res = sample_msd(mc_basis, grid, n, seed=7)
+        X = one_draw_positions(mc_basis, np.concatenate(([0.0], grid)), n, 7, 0)
         disp_sq = (X[:, 1:] - X[:, :1]) ** 2
         assert np.array_equal(res.x0, X[:, 0])
         assert np.array_equal(res.mean_msd, disp_sq.mean(axis=0))
         assert np.array_equal(res.stderr, disp_sq.std(axis=0, ddof=1) / math.sqrt(n))
-        est, err, t = sample_msd_rerandomized(mc_basis, Q, res)
-        xt = one_draw_positions(mc_basis, Q, [t], n, 7, 1)[:, 0]
+        est, err, t = sample_msd_rerandomized(mc_basis, res)
+        xt = one_draw_positions(mc_basis, [t], n, 7, 1)[:, 0]
         disp_sq = (xt - X[:, 0]) ** 2
         assert est == float(disp_sq.mean())
         assert err == float(disp_sq.std(ddof=1) / math.sqrt(n))
@@ -252,19 +246,17 @@ class TestPhaseChunks:
             return real(basis, n_members, seed, stream, first)
 
         monkeypatch.setattr(qmsd.montecarlo, "sample_phases", recording)
-        Q = partition_function(mc_basis)
-        res = sample_msd(mc_basis, Q, [CONST.hbar * mc_basis.beta], 5000, seed=7)
-        sample_msd_rerandomized(mc_basis, Q, res)
+        res = sample_msd(mc_basis, [CONST.hbar * mc_basis.beta], 5000, seed=7)
+        sample_msd_rerandomized(mc_basis, res)
         assert calls == [(lo, min(PHASE_CHUNK, 5000 - lo), stream)
                          for stream in (0, 1) for lo in range(0, 5000, PHASE_CHUNK)]
 
     def test_too_many_members_rejected_before_allocating(self, mc_basis):
         # x(0) and x(t) of 2**32 + 1 members would take 68 GB
-        Q = partition_function(mc_basis)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError):
-                sample_msd(mc_basis, Q, [CONST.hbar * mc_basis.beta], 2**32 + 1)
+                sample_msd(mc_basis, [CONST.hbar * mc_basis.beta], 2**32 + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,44 +266,36 @@ class TestPhaseChunks:
         # 20 000 members x 20 times: x(t) takes 3.4 MB and the squared
         # displacements 3.2 MB, while one (K x members) draw of all members
         # would take 32 MB
-        Q = partition_function(mc_basis)
         grid = np.linspace(1.0, 20.0, 20) * CONST.hbar * mc_basis.beta
         tracemalloc.start()
         try:
-            sample_msd(mc_basis, Q, grid, 20000, seed=42)
+            sample_msd(mc_basis, grid, 20000, seed=42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
 
 
-def ensemble(basis, Q, n_members, seed):
+def ensemble(basis, n_members, seed):
     """A sample_msd ensemble at one time; it carries the members' x(0)."""
-    return sample_msd(basis, Q, [CONST.hbar * basis.beta], n_members, seed)
+    return sample_msd(basis, [CONST.hbar * basis.beta], n_members, seed)
 
 
 class TestRerandomized:
     def test_estimates_decohered_plateau(self, mc_basis):
-        Q = partition_function(mc_basis)
-        plateau = breve_sum(mc_basis, Q)
-        est, err, t_used = sample_msd_rerandomized(mc_basis, Q,
-                                                   ensemble(mc_basis, Q, 4000, 42))
+        plateau = breve_sum(mc_basis)
+        est, err, t_used = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 4000, 42))
         assert abs(est - plateau) / err < 3.0
         assert t_used > 0
 
     def test_time_independent_in_expectation(self, mc_basis):
-        Q = partition_function(mc_basis)
         t_b = CONST.hbar * mc_basis.beta
-        e1, s1, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 5),
-                                            t=2 * t_b)
-        e2, s2, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 6),
-                                            t=500 * t_b)
+        e1, s1, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 5), t=2 * t_b)
+        e2, s2, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 6), t=500 * t_b)
         assert abs(e1 - e2) / math.hypot(s1, s2) < 3.0
 
     def test_exceeds_coherent_msd_at_short_times(self, mc_basis):
         # fresh phases kill the coherent suppression at small t
-        Q = partition_function(mc_basis)
         t = 0.5 * CONST.hbar * mc_basis.beta
-        est, err, _ = sample_msd_rerandomized(mc_basis, Q, ensemble(mc_basis, Q, 3000, 9),
-                                              t=t)
-        assert est - 3 * err > msd_exact_curve(mc_basis, Q, [t]).values[0]
+        est, err, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 9), t=t)
+        assert est - 3 * err > msd_exact_curve(mc_basis, [t]).values[0]

@@ -105,6 +105,29 @@ class TestDsf:
         with pytest.raises(ValidationError):
             dsf(p, 0.0)
 
+    @pytest.mark.parametrize("q", [5e-324, 1e-315, -1e-315])
+    def test_overflowing_peak_rejected(self, xe, q):
+        # 1 / (sqrt(2 pi) v_T |q|) exceeds the largest double
+        p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=q)
+        with pytest.raises(ValidationError, match="q = "):
+            dsf(p, 0.0)
+
+    def test_finite_or_rejected_at_the_peak_limit(self, xe):
+        # across the q where the peak leaves the float range, dsf either
+        # refuses q or returns a finite peak (no overflow warning either)
+        edge = 1.0 / np.finfo(float).max / math.sqrt(2.0 * math.pi) / xe.v_T
+        outcomes = set()
+        for q in edge * np.linspace(0.5, 2.0, 61):
+            p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=float(q))
+            try:
+                peak = dsf(p, p.D_q * p.q**2)
+            except ValidationError:
+                outcomes.add("rejected")
+            else:
+                assert math.isfinite(peak) and peak > 1e307
+                outcomes.add("finite")
+        assert outcomes == {"rejected", "finite"}
+
 
 class TestIsf:
     def test_amplitude_and_phase(self, xe):
