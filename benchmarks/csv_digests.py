@@ -1,4 +1,4 @@
-"""Print the SHA-256 of every CSV and SVG the CLI commands write.
+"""Print the SHA-256 of every CSV, SVG and JSON meta the CLI commands write.
 
 Usage: python benchmarks/csv_digests.py
 
@@ -6,7 +6,7 @@ It imports qmsd from the ``src`` of the checkout it belongs to, ahead of
 any other qmsd on the path, so that each checkout digests its own code.
 
 Runs each command of ``qmsd.cli.COMMANDS``, in its order, in-process
-(``qmsd.cli.main``) with ``--formats csv,svg``, once at
+(``qmsd.cli.main``) with ``--formats csv,svg,json-meta``, once at
 the defaults and once at a non-default configuration, each into a fresh
 temporary directory. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
@@ -18,16 +18,23 @@ digests. For each CSV, then each SVG, it prints one line:
 where the body is the file without its first line, which in a CSV is the
 config hash. Two checkouts write the same numbers when their outputs agree
 line for line; the body digest tells a changed hash from changed numbers.
+Then, for each JSON meta, it prints
 
-BLAS is pinned to one thread before numpy is imported: the Monte-Carlo
-ensemble GEMM splits its sums differently across threads, so
-``mc_verify.csv`` would otherwise depend on the host's thread count.
-Needs numpy only.
+    <config> <file> <sha256 of the meta without config.out>
+
+as the output directory, a fresh one per run, is the one field that
+changes between runs.
+
+BLAS is pinned to one thread before numpy is imported. The Monte-Carlo
+kernel holds BLAS at one thread itself, but other BLAS calls, such as
+the theta series' ``g @ bracket``, are not held, and their sums may split
+differently across threads. Needs numpy only.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -50,17 +57,24 @@ CONFIGS = {
 
 
 def digests(outdir: Path):
-    """(file name, file digest, body digest) of each CSV, then each SVG, in outdir."""
+    """(file name, file digest, body digest) of each CSV, then each SVG, then
+    (file name, digest without config.out) of each JSON meta, in outdir."""
     for path in [*sorted(outdir.glob("*.csv")), *sorted(outdir.glob("*.svg"))]:
         data = path.read_bytes()
         body = data.split(b"\n", 1)[1]
         yield (path.name, hashlib.sha256(data).hexdigest(),
                hashlib.sha256(body).hexdigest())
+    for path in sorted(outdir.glob("*.json")):
+        meta = json.loads(path.read_text())
+        del meta["config"]["out"]
+        text = json.dumps(meta, indent=2, sort_keys=True)
+        yield path.name, hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(command: str, flags: list[str], outdir: Path) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return main([command, "--formats", "csv,svg", "--out", str(outdir), *flags])
+        return main([command, "--formats", "csv,svg,json-meta", "--out", str(outdir),
+                     *flags])
 
 
 if __name__ == "__main__":
@@ -72,6 +86,6 @@ if __name__ == "__main__":
                 if rc != 0:
                     print(f"{label} {command} exit {rc}", file=sys.stderr)
                     failed += 1
-                for name, file_sha, body_sha in digests(Path(tmp)):
-                    print(f"{label} {name} {file_sha} {body_sha}", flush=True)
+                for line in digests(Path(tmp)):
+                    print(label, *line, flush=True)
     sys.exit(1 if failed else 0)

@@ -127,7 +127,10 @@ def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
             b = ed[:, None] * t[None, first:]
             # one layer per k = -width..width
             nu = np.rint(b / math.pi) + np.arange(-width, width + 1.0)[:, None, None]
-            q = (b - math.pi * nu)**2 * inv4a
+            # at a huge b, b - pi nu is of the order of b's ulp, and its square
+            # can overflow to inf, a q that the cut drops
+            with np.errstate(over="ignore"):
+                q = (b - math.pi * nu)**2 * inv4a
             # nu = 0 is the expm1 term; a NaN q (b overflowed) is kept, as
             # the dense series' NaN * 0 would be
             i = np.flatnonzero((nu != 0.0) & ~(q > TAIL))

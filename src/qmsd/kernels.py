@@ -9,6 +9,9 @@ blocks combined in index order), so results are reproducible run to run.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -155,29 +158,53 @@ def _cis(theta, out, w, j) -> None:
 
 
 def _pool_size(n_blocks: int) -> int:
-    """Threads for ensemble_positions' member blocks: one per core that BLAS
-    leaves free, max(1, cores // blas_threads), and no more than n_blocks.
-
-    cores is the process's CPU affinity (the CPU count where the platform
-    has no affinity call). blas_threads is the first positive integer among
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, OpenBLAS's
-    own order; unset, it is cores, as OpenBLAS then takes every core for
-    each GEMM. Reads the environment, sets nothing.
-    """
+    """Threads for ensemble_positions' member blocks: one per core of the
+    process's CPU affinity (the CPU count where the platform has no
+    affinity call), and no more than n_blocks."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    blas_threads = cores
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    return max(1, min(cores, n_blocks))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found
+    through numpy's own extension on first use; None where numpy links
+    another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_BLAS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, and restore its count on exit;
+    yields whether it holds. Holders run one at a time, and meanwhile
+    every other BLAS call of the process gets one thread too."""
+    with _BLAS_LOCK:
+        blas = _openblas()
+        if blas is None:
+            yield False
+            return
+        get, set_ = blas
+        before = get()
+        set_(1)
         try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, min(cores // blas_threads, n_blocks))
+            yield True
+        finally:
+            set_(before)
 
 
 def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
@@ -213,7 +240,10 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
     The blocks are shared out whole over _pool_size threads, worker k
     taking blocks k, k + n, ...; the caller is worker 0 and joins the
     others before returning. Each worker has its own buffers, and a
-    block's result does not depend on which worker computes it.
+    block's result does not depend on which worker computes it. The call
+    holds numpy's OpenBLAS at one thread (_one_blas_thread), so the GEMM
+    and the output bits do not depend on the BLAS thread count; where
+    that setter is not found, one worker runs and BLAS is left alone.
 
     Raises ValueError unless K is odd and wt, eom and A have this parity
     exactly, and for a phase outside [0, 2 pi] or NaN.
@@ -252,7 +282,6 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
     rot[:, M + 1:] = rot[:, 1:M + 1]
     rows = max(1, min(m, MEMBER_BLOCK))
     starts = range(0, m, rows)
-    n_workers = _pool_size(len(starts))
 
     def buffers():
         # flat, so that a short last block is contiguous too; y has M rows,
@@ -306,15 +335,17 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(k, buffers()))
-               for k in range(1, n_workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0, *buffers())
-    finally:
+    with _one_blas_thread() as held:
+        n_workers = _pool_size(len(starts)) if held else 1
+        threads = [threading.Thread(target=worker, args=(k, buffers()))
+                   for k in range(1, n_workers)]
         for thread in threads:
-            thread.join()
+            thread.start()
+        try:
+            work(0, *buffers())
+        finally:
+            for thread in threads:
+                thread.join()
     if errors:
         raise errors[0]
     return out

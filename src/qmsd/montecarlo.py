@@ -270,14 +270,15 @@ def sample_msd_rerandomized(basis: EigenBasis, ensemble: EnsembleResult,
     on the same basis (stream-0 phases), with x(t) from fresh
     stream-1 phases of the same seed, so the averaged squared difference
     is time-independent and estimates the decohered plateau. Returns
-    (estimate, stderr, t_used).
+    (estimate, stderr, t_used); a t that is negative or not finite raises
+    ValidationError, as in a time grid.
     """
     if t is None:
         # arbitrary; any time gives the same expectation
         t = 10.0 * _HBAR * basis.beta
-    xt = _ensemble_chunks(basis, ensemble.n_members, ensemble.seed, 1,
-                          np.array([float(t)]))[:, 0]
+    times = validate_grid([float(t)])
+    xt = _ensemble_chunks(basis, ensemble.n_members, ensemble.seed, 1, times)[:, 0]
     disp_sq = (xt - ensemble.x0) ** 2
     estimate = float(disp_sq.mean())
     stderr = float(disp_sq.std(ddof=1) / math.sqrt(ensemble.n_members))
-    return estimate, stderr, float(t)
+    return estimate, stderr, float(times[0])

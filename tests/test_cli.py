@@ -268,6 +268,9 @@ class TestExitCodes:
         ["scattering", "--q-inv-angstrom", "5e-324", "--formats", "csv"],
         ["scattering", "--q-inv-angstrom", "1e-300", "--mass-u", "1e30",
          "--temperature-K", "1e-30"],
+        # 1e308 t_b is not a finite time
+        *([command, "--temperature-K", "1e-20", "--grid", "linear:1e308:1e308:1"]
+          for command in ("exact", "ideal", "mc-verify")),
     ], ids=" ".join)
     def test_config_error_scale_out_of_range(self, tmp_path, capsys, argv):
         # finite flags whose derived scales or squared lengths are not
@@ -276,6 +279,14 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    # the theta images' q = (b - pi nu)^2 / 4a overflows, and the cut drops it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["exact", "--grid", "linear:0:1e300:2"],
+                                      ["figure2", "--grid", "linear:0:1e300:3"]],
+                             ids=" ".join)
+    def test_theta_images_overflow_without_a_warning(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
     @pytest.mark.parametrize("command", ["collision", "scattering"])
     def test_decreasing_grid_rejected(self, tmp_path, capsys, command):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmsd import (CONST, IdealMsdParams, PhysicalSystem, breve_sum,
+from qmsd import (CONST, IdealMsdParams, PhysicalSystem, ValidationError, breve_sum,
                   build_basis, derive_scales, msd_exact_curve,
                   msd_ideal, partition_function)
 from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
@@ -65,6 +65,16 @@ def test_zero_at_zero(co_basis):
 def test_negative_time_rejected(co_basis):
     with pytest.raises(ValueError):
         msd_exact_curve(co_basis, [-1e-15])
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
+                         ids=["nan", "inf", "0-inf"])
+@pytest.mark.parametrize("fixture,path", [("co_basis", "theta"), ("small_basis", "direct")])
+def test_non_finite_time_rejected(request, fixture, path, grid):
+    basis = request.getfixturevalue(fixture)
+    assert msd_exact_curve(basis, [0.0]).params["path"] == path
+    with pytest.raises(ValidationError, match="time grid must be finite"):
+        msd_exact_curve(basis, grid)
 
 
 def test_folded_sum_matches_brute_force(small_basis):
@@ -267,8 +277,9 @@ def _pruning_grid(name, sys, s):
         t_rev = sys.mass * sys.L**2 / (2 * math.pi * CONST.hbar)
         return t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
                                  1.99, 1.999, 2.0, 2.001, 2.01])
-    # 1e160 t_b: b^2 overflows, and pi nu rounds far from b
-    return np.linspace(0.0, 1e160 * s.t_b, 3)
+    # 1e160 t_b: b^2 overflows, and pi nu rounds far from b; at 1e300 t_b
+    # (b - pi nu)^2 overflows too
+    return np.linspace(0.0, float(name) * s.t_b, 3)
 
 
 class TestPrunedThetaSeries:
@@ -278,7 +289,7 @@ class TestPrunedThetaSeries:
     # L = 1a has A_MAX/4 <= a < A_MAX: width 1, three images per element
     @pytest.mark.parametrize("n_cells", [1, 10, 20, 40, 80])
     @pytest.mark.parametrize("grid", ["figure2-30", "figure2-300", "plateau",
-                                      "revivals", "1e160"])
+                                      "revivals", "1e160", "1e300"])
     def test_bit_identical_to_dense_series(self, n_cells, grid):
         self._check(*_co_cell(n_cells), grid)
 

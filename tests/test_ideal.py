@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsd import (CONST, IdealMsdParams, ScatteringParams, ValidationError,
-                  derive_scales, linear_grid, msd_ideal, msd_ideal_curve)
+                  derive_scales, geometric_grid, linear_grid, msd_ideal,
+                  msd_ideal_curve)
 from qmsd.scattering import _delta2
 
 CO = IdealMsdParams(mass=28 * 1.66053906660e-27, t_b=4.020122411714599e-14)
@@ -44,6 +45,26 @@ def test_cancellation_safe_at_tiny_times():
 def test_negative_time_rejected():
     with pytest.raises(ValidationError):
         msd_ideal(CO, -1e-15)
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
+                         ids=["nan", "inf", "0-inf"])
+def test_non_finite_time_rejected(grid):
+    with pytest.raises(ValidationError, match="time grid must be finite"):
+        msd_ideal_curve(CO, grid)
+
+
+def test_nan_after_a_finite_time_named_as_such():
+    with pytest.raises(ValidationError, match=r"finite, got \[nan\]"):
+        msd_ideal_curve(CO, [1.0, np.nan])
+
+
+@pytest.mark.parametrize("build", [linear_grid, geometric_grid])
+@pytest.mark.parametrize("start,stop", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
+def test_grid_endpoints_must_be_finite(build, start, stop):
+    # refused before numpy's linspace or geomspace warns on them
+    with pytest.raises(ValidationError, match="endpoints must be finite"):
+        build(start, stop, 3)
 
 
 def test_finite_where_t_squared_overflows():

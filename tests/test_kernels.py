@@ -336,27 +336,115 @@ class TestEnsemblePositionsPool:
                                out=np.empty(shape, dtype))
 
 
+@pytest.fixture
+def blas():
+    """(get, set) of numpy's OpenBLAS thread count; the count is restored
+    after the test."""
+    handle = qmsd.kernels._openblas()
+    if handle is None:
+        pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+    get, set_ = handle
+    before = get()
+    yield handle
+    set_(before)
+
+
+@pytest.fixture(scope="module")
+def custom_data():
+    """Kernel inputs at K = 1201 (20 cells, 300 K, 60 functions per cell),
+    where the GEMM's bits depend on the BLAS thread count."""
+    from qmsd import CONST, PhysicalSystem, build_basis
+    from qmsd.montecarlo import _ensemble_setup, sample_phases
+    basis = build_basis(PhysicalSystem.from_user_units(28.0, 300.0, 256.0, 20), 60)
+    assert basis.K == 1201
+    wt, eom, A, pref = _ensemble_setup(basis)
+    thetas = sample_phases(basis, 4 * MEMBER_BLOCK, seed=7)
+    times = np.linspace(0.0, 12.0, 18) * CONST.hbar * basis.beta
+    return wt, thetas, eom, times, A, pref
+
+
+class TestBlasThreads:
+    """ensemble_positions holds numpy's OpenBLAS at one thread for the call."""
+
+    # four blocks on the pool, and one block on one worker
+    @pytest.mark.parametrize("members", [4 * MEMBER_BLOCK, 100])
+    def test_bit_identical_at_one_and_two_blas_threads(self, blas, custom_data, members):
+        get, set_ = blas
+        wt, thetas, eom, times, A, pref = custom_data
+        got = {}
+        for n in (1, 2):
+            set_(n)
+            got[n] = ensemble_positions(wt, thetas[:members], eom, times, A, pref)
+            assert get() == n
+        assert np.array_equal(got[1], got[2])
+
+    def test_count_restored_after_a_worker_raises(self, blas, pool_data, monkeypatch):
+        # test_worker_exception_raised_in_caller at two BLAS threads; each
+        # block records the count it runs at
+        get, set_ = blas
+        wt, thetas, eom, times, A, pref = pool_data
+        real = qmsd.kernels._cis
+        seen = []
+
+        def failing_off_main(*args):
+            seen.append(get())
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            real(*args)
+
+        set_(2)
+        monkeypatch.setattr(qmsd.kernels, "_cis", failing_off_main)
+        with_workers(monkeypatch, 2)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            ensemble_positions(wt, thetas[:4 * MEMBER_BLOCK], eom, times, A, pref)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+
+    def test_without_the_setter_one_worker_and_blas_left_alone(self, blas, pool_data,
+                                                               monkeypatch):
+        get, set_ = blas
+        wt, thetas, eom, times, A, pref = pool_data
+        set_(1)
+        want = ensemble_positions(wt, thetas, eom, times, A, pref)
+        real = qmsd.kernels._cis
+        seen = []
+
+        def recording(*args):
+            seen.append((threading.current_thread(), get()))
+            real(*args)
+
+        monkeypatch.setattr(qmsd.kernels, "_openblas", lambda: None)
+        monkeypatch.setattr(qmsd.kernels, "_cis", recording)
+        for n in (2, 1):
+            set_(n)
+            seen.clear()
+            got = ensemble_positions(wt, thetas, eom, times, A, pref)
+            # all 33 blocks on the calling thread, at the count it found
+            assert len(seen) == 33
+            assert set(seen) == {(threading.main_thread(), n)}
+            assert get() == n
+        assert np.array_equal(got, want)
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Set the affinity _pool_size reads to n cores, with no BLAS variable."""
-    for var in BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-
+    """Set the affinity _pool_size reads to n cores."""
     def set_cores(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return set_cores
 
 
 class TestPoolSize:
-    """One worker per core that BLAS leaves free, never more than the blocks."""
+    """One worker per core of the CPU affinity, never more than the blocks;
+    no BLAS variable is read, as the kernel holds BLAS at one thread."""
 
     @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_unset_is_one_worker(self, cores, n):
+    def test_a_worker_per_core(self, cores, n):
         cores(n)
-        assert _pool_size(100) == 1
+        assert _pool_size(100) == n
 
     @pytest.mark.parametrize("var", BLAS_VARS)
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -365,38 +453,31 @@ class TestPoolSize:
         monkeypatch.setenv(var, "1")
         assert _pool_size(100) == n
 
-    def test_two_blas_threads_on_two_cores_is_one_worker(self, cores, monkeypatch):
-        cores(2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert _pool_size(100) == 1
-
-    def test_openblas_order_of_precedence(self, cores, monkeypatch):
-        cores(8)
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.setenv("GOTO_NUM_THREADS", "4")
-        assert _pool_size(100) == 2
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
-        assert _pool_size(100) == 1
+    @pytest.mark.parametrize("n,setting", [
+        (2, {"OPENBLAS_NUM_THREADS": "2"}),
+        (8, {"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "8"})],
+        ids=["two-threads-on-two-cores", "all-three-set"])
+    def test_blas_variables_not_read(self, cores, monkeypatch, n, setting):
+        cores(n)
+        for var, value in setting.items():
+            monkeypatch.setenv(var, value)
+        assert _pool_size(100) == n
 
     @pytest.mark.parametrize("value", ["", "two", "1.5", "0", "-1"])
     def test_value_not_a_positive_integer_counts_as_unset(self, cores, monkeypatch,
                                                           value):
         cores(4)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        assert _pool_size(100) == 1
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert _pool_size(100) == 2
+        assert _pool_size(100) == 4
 
-    def test_cpu_count_where_there_is_no_affinity_call(self, cores, monkeypatch):
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert _pool_size(100) == 2
+        assert _pool_size(100) == 4
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 3])
-    def test_never_more_workers_than_blocks(self, cores, monkeypatch, n_blocks):
+    def test_never_more_workers_than_blocks(self, cores, n_blocks):
         cores(8)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert _pool_size(n_blocks) == n_blocks
 
 

@@ -210,6 +210,12 @@ class TestSampleMsd:
         with pytest.raises(ValueError):
             sample_msd(mc_basis, np.array([1e-14]), n_members=1)
 
+    @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
+                             ids=["nan", "inf", "0-inf"])
+    def test_non_finite_time_rejected(self, mc_basis, grid):
+        with pytest.raises(ValidationError, match="time grid must be finite"):
+            sample_msd(mc_basis, grid, 10, seed=3)
+
 
 def one_draw_positions(basis, times, n_members, seed, stream):
     """x(t) of every member from one draw of all members and one kernel call."""
@@ -293,6 +299,12 @@ class TestRerandomized:
         e1, s1, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 5), t=2 * t_b)
         e2, s2, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 6), t=500 * t_b)
         assert abs(e1 - e2) / math.hypot(s1, s2) < 3.0
+
+    @pytest.mark.parametrize("t,message", [(np.nan, "finite"), (np.inf, "finite"),
+                                           (-1e-15, "nonnegative")])
+    def test_time_outside_the_grid_rule_rejected(self, mc_basis, t, message):
+        with pytest.raises(ValidationError, match=message):
+            sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 10, 3), t=t)
 
     def test_exceeds_coherent_msd_at_short_times(self, mc_basis):
         # fresh phases kill the coherent suppression at small t
