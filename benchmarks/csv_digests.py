@@ -11,7 +11,10 @@ the defaults and once at a non-default configuration, each into a fresh
 temporary directory. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
 about 11 439 t_b, so that the theta series' revival images are in the
-digests. For each CSV, then each SVG, it prints one line:
+digests. A fourth runs the same two at 5e-5 K, where the L = 10a basis
+has a weight floor of 0 (w(n = 1) underflows) and the 20a and 40a bases
+have a floor above 0, so that both sides of the direct path's pruning
+are in the digests. For each CSV, then each SVG, it prints one line:
 
     <config> <file> <sha256 of the file> <sha256 of the body>
 
@@ -53,6 +56,7 @@ CONFIGS = {
                           "--funcs-per-cell", "60", "--grid", "linear:0.5:12:17",
                           "--members", "3000", "--seed", "7", "--q-inv-angstrom", "2.0"]),
     "revival": (("exact", "figure2"), ["--grid", "linear:0:24000:49"]),
+    "cold": (("exact", "figure2"), ["--temperature-K", "5e-5", "--grid", "linear:0:30:7"]),
 }
 
 

@@ -13,15 +13,15 @@ import numpy as np
 
 from . import __version__
 from .basis import TruncationWarning, build_basis, partition_function
-from .closedforms import CollisionModelParams, breve_closed, msd_collision_model
+from .closedforms import breve_closed, msd_collision_model
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
                         ValidationError, derive_scales)
 from .curves import geometric_grid, linear_grid, validate_grid
 from .exact import breve_sum, msd_exact_curve
-from .ideal import IdealMsdParams, msd_ideal_curve
+from .ideal import msd_ideal_curve
 from .montecarlo import sample_msd, sample_msd_rerandomized
 from .output import config_hash, write_csv, write_json_meta
-from .scattering import ScatteringParams, dsf, isf, isf_phase
+from .scattering import dsf, isf, isf_phase
 from .svgplot import line_plot
 
 EXIT_OK = 0
@@ -207,10 +207,6 @@ class Run:
         self.pending.clear()
 
 
-def _ideal_params(run: Run) -> IdealMsdParams:
-    return IdealMsdParams(mass=run.system.mass, t_b=run.scales.t_b)
-
-
 def _basis(run: Run, system: PhysicalSystem):
     """The basis of one cell at the configured functions per cell; warns
     (does not fail) when it is not converged."""
@@ -220,14 +216,6 @@ def _basis(run: Run, system: PhysicalSystem):
                       f"weight floor {basis.weight_floor:.3e}; basis may be "
                       f"under-truncated", TruncationWarning)
     return basis
-
-
-def _collision(run: Run, system: PhysicalSystem, times) -> np.ndarray:
-    """Collision-model MSD (m^2) of one cell at each time."""
-    # v_T and t_b do not depend on the cell length
-    p = CollisionModelParams(alpha=float(run.cfg["alpha"]), L=system.L,
-                             v_T=run.scales.v_T, t_b=run.scales.t_b)
-    return msd_collision_model(p, times)
 
 
 def cmd_scales(run: Run):
@@ -244,7 +232,7 @@ def cmd_scales(run: Run):
 
 def cmd_ideal(run: Run):
     """Closed-form ideal MSD curve."""
-    curve = msd_ideal_curve(_ideal_params(run), run.grid("geometric:0.01:100:512"))
+    curve = msd_ideal_curve(run.system, run.grid("geometric:0.01:100:512"))
     series = run.msd_csv("ideal.csv", curve.times, curve.values, label="ideal")
     run.svg("ideal.svg", [series], xscale="log", yscale="log", title="Ideal-particle MSD")
     run.meta("ideal.json", {"method": curve.method, "points": int(curve.times.size)})
@@ -279,7 +267,8 @@ def cmd_breve(run: Run):
 def cmd_collision(run: Run):
     """Velocity-averaged collision-model curve."""
     grid = run.grid("linear:0:30:300")
-    series = run.msd_csv("collision.csv", grid, _collision(run, run.system, grid),
+    series = run.msd_csv("collision.csv", grid,
+                         msd_collision_model(run.system, run.cfg["alpha"], grid),
                          label=f"collision model, alpha={run.cfg['alpha']}")
     run.svg("collision.svg", [series], title="Collision-model MSD")
     run.meta("collision.json", {"alpha": run.cfg["alpha"]})
@@ -342,14 +331,14 @@ def cmd_scattering(run: Run):
     """ISF, ISF phase and DSF slices."""
     s = run.scales
     q = float(run.cfg["q_inv_angstrom"]) / ANGSTROM_TO_M
-    p = ScatteringParams(v_T=s.v_T, D_q=s.D_q, q=q)
     grid = run.grid("linear:0:10:256")
-    amp = np.abs(isf(p, grid))
-    phase = isf_phase(p, grid)
+    # isf refuses a bad q before omega0 is formed
+    amp = np.abs(isf(run.system, q, grid))
+    phase = isf_phase(run.system, q, grid)
     omega0 = s.D_q * q * q
     width = s.v_T * abs(q)
     omegas = np.linspace(omega0 - 5 * width, omega0 + 5 * width, 256)
-    svals = dsf(p, omegas)
+    svals = dsf(run.system, q, omegas)
     run.csv("isf.csv", ["t_s", "isf_amplitude", "isf_phase_rad"],
             [grid, amp, phase])
     run.csv("dsf.csv", ["omega_per_s", "hbar_omega_meV", "dsf_s"],
@@ -372,7 +361,7 @@ def cmd_figure1(run: Run):
     """Ideal-particle MSD crossover figure."""
     s = run.scales
     grid = run.grid("linear:0:10:512")
-    curve = msd_ideal_curve(_ideal_params(run), grid)
+    curve = msd_ideal_curve(run.system, grid)
     unit = CONST.hbar * s.t_b / run.system.mass  # MSD unit hbar t_b / m
     asym = 2.0 * s.D_q * grid
     run.csv("figure1.csv",
@@ -403,7 +392,7 @@ def cmd_figure2(run: Run):
         series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid, curve.values,
                                   label=f"exact, L={n_cells}a", color="#000000", dash=dash))
         series.append(run.msd_csv(f"figure2_collision_L{n_cells}a.csv", grid,
-                                  _collision(run, system, grid),
+                                  msd_collision_model(system, run.cfg["alpha"], grid),
                                   label=f"model, L={n_cells}a", color="#c02020", dash=dash))
         plateaus[f"L={n_cells}a"] = {
             "breve_sum_over_a2": breve_sum(basis) / a2,
@@ -412,7 +401,7 @@ def cmd_figure2(run: Run):
             "edge_weight": curve.params["edge_weight"],
             "weight_floor": curve.params["weight_floor"],
         }
-    ideal = msd_ideal_curve(_ideal_params(run), grid)
+    ideal = msd_ideal_curve(run.system, grid)
     series.insert(0, run.msd_csv("figure2_ideal.csv", grid, ideal.values,
                                  label="ideal", color="#2050c0"))
     run.csv("figure2_breve.csv",

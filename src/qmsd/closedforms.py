@@ -4,7 +4,6 @@ closed-form plateau, and the velocity-averaged collision model."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,19 +60,7 @@ def breve_closed(sys: PhysicalSystem) -> float:
     return L * hbar * math.sqrt(2.0 * beta / (math.pi * sys.mass)) * J(y)
 
 
-@dataclass(frozen=True)
-class CollisionModelParams:
-    alpha: float  # dimensionless, > 0
-    L: float      # m
-    v_T: float    # m/s
-    t_b: float    # s
-
-    def __post_init__(self):
-        for name in ("alpha", "L", "v_T", "t_b"):
-            _require_positive(name, getattr(self, name))
-
-
-def msd_collision_model(p: CollisionModelParams, t):
+def msd_collision_model(sys: PhysicalSystem, alpha: float, t):
     """Velocity-averaged MSD of the collision model at time(s) t (m^2).
 
     An erf-weighted blend of the free (ideal) MSD and the decohered
@@ -81,24 +68,29 @@ def msd_collision_model(p: CollisionModelParams, t):
     a collision pins the MSD at the plateau value; the blend averages
     over the one-sided Maxwell-Boltzmann speed distribution.
     """
+    _require_positive("alpha", alpha)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("t must be nonnegative")
-    with np.errstate(divide="ignore"):
-        z = p.alpha * p.L / (math.sqrt(2.0) * p.v_T * t)
+    scales = derive_scales(sys)
+    L, v_T, t_b = sys.L, scales.v_T, scales.t_b
+    # z may overflow to inf (erf = 1), and at t = 0 it is inf, or 0/0 where
+    # alpha L underflows; that point is replaced by 0 below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = alpha * L / (math.sqrt(2.0) * v_T * t)
     # math.erf per point: numpy has none, and math.erf keeps the numbers
     # of the scalar form
     g = np.vectorize(math.erf, otypes=[float])(z)
     # the ideal MSD, v_T^2 t_b^2 (sqrt(x^2 + 1) - 1) at x = t / t_b
     # associated as (v_T^2 t_b) t_b where t_b^2 overflows, which it does at
     # a low enough temperature (t_b = hbar beta)
-    if math.isfinite(p.t_b * p.t_b):
-        scale = p.v_T**2 * p.t_b**2
+    if math.isfinite(t_b * t_b):
+        scale = v_T**2 * t_b**2
     else:
-        scale = p.v_T**2 * p.t_b * p.t_b
-    free = scale * _sqrt_diff(t / p.t_b, 1.0)
-    plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
-               * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
+        scale = v_T**2 * t_b * t_b
+    free = scale * _sqrt_diff(t / t_b, 1.0)
+    plateau = (v_T * t_b * L * math.sqrt(2.0 / math.pi)
+               * J((v_T * t_b / L) ** 2 / 2.0))
     # t = 0 (also -0.0, where z is -inf) is exactly 0
     out = np.where(t == 0.0, 0.0, g * free + (1.0 - g) * plateau)
     return out if out.ndim else float(out)

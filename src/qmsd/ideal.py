@@ -6,22 +6,10 @@ The result, for one Cartesian component of the displacement, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constants import CONST, ValidationError, _require_positive
+from .constants import CONST, PhysicalSystem, ValidationError, derive_scales
 from .curves import MsdCurve, validate_grid
-
-
-@dataclass(frozen=True)
-class IdealMsdParams:
-    mass: float  # kg
-    t_b: float   # s
-
-    def __post_init__(self):
-        _require_positive("mass", self.mass)
-        _require_positive("t_b", self.t_b)
 
 
 def _sqrt_diff(t, t_b):
@@ -38,19 +26,19 @@ def _sqrt_diff(t, t_b):
                     tt / (np.sqrt(tt + t_b * t_b) + t_b))
 
 
-def msd_ideal(p: IdealMsdParams, t):
-    """MSD of an ideal thermalized particle at time t >= 0 (m^2)."""
+def msd_ideal(sys: PhysicalSystem, t):
+    """MSD of the system's particle, in an infinite cell, at time t >= 0 (m^2)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("t must be nonnegative")
-    out = (CONST.hbar / p.mass) * _sqrt_diff(t, p.t_b)
+    out = (CONST.hbar / sys.mass) * _sqrt_diff(t, derive_scales(sys).t_b)
     return out if out.ndim else float(out)
 
 
-def msd_ideal_curve(p: IdealMsdParams, grid) -> MsdCurve:
+def msd_ideal_curve(sys: PhysicalSystem, grid) -> MsdCurve:
     """Pointwise ideal MSD over a time grid."""
     times = validate_grid(grid)
-    values = msd_ideal(p, times)
+    values = msd_ideal(sys, times)
     return MsdCurve(
         times=times,
         values=np.atleast_1d(values),

@@ -38,11 +38,12 @@ def pair_arrays(basis):
     """Per-pair data for the coherent double sum.
 
     Returns (wprod, half_omega) over ordered index pairs n < j of the
-    basis, keeping only states with Boltzmann weight >= basis.weight_floor.
+    basis, keeping only states with Boltzmann weight >= basis.weight_floor
+    and > 0 (the floor is 0 where w(n = 1) underflows).
 
     wprod = w_n w_j |x_nj|^2  (m^2), half_omega = (E_n - E_j)/(2 hbar).
     """
-    keep = basis.w >= basis.weight_floor
+    keep = (basis.w >= basis.weight_floor) & (basis.w > 0)
     q = basis.q[keep]
     E = basis.E[keep]
     w = basis.w[keep]

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmsd import (CONST, CollisionModelParams, IdealMsdParams, PhysicalSystem,
-                  ScatteringParams, breve_closed, breve_sum, build_basis,
+from qmsd import (CONST, PhysicalSystem, breve_closed, breve_sum, build_basis,
                   derive_scales, dsf, isf_phase, msd_collision_model,
                   msd_exact_curve, msd_ideal, pair_correlation_self, sample_msd,
                   sample_msd_rerandomized)
@@ -105,9 +104,8 @@ def test_criterion_3_ideal_match_window_grows_with_L(co_family):
     t_star = {}
     for n_cells, d in co_family.items():
         s = d["scales"]
-        p = IdealMsdParams(mass=d["system"].mass, t_b=s.t_b)
         grid = d["grid"][1:]
-        ideal = msd_ideal(p, grid)
+        ideal = msd_ideal(d["system"], grid)
         rel = np.abs(d["curve"][1:] - ideal) / ideal
         exceeded = np.nonzero(rel > 0.10)[0]
         t_star[n_cells] = grid[exceeded[0]] / s.t_b if exceeded.size else np.inf
@@ -121,9 +119,8 @@ def test_criterion_4_short_time_quadratic_law(co_family):
     sys, s = d["system"], d["scales"]
     kT_over_2m = 1.0 / (2.0 * s.beta * sys.mass)
     ts = np.linspace(0.0, 0.05, 21)[1:] * s.t_b
-    p = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
     fit = lambda vals: float(np.sum(vals * ts**2) / np.sum(ts**4))
-    c_ideal = fit(msd_ideal(p, ts))
+    c_ideal = fit(msd_ideal(sys, ts))
     c_exact = fit(msd_exact_curve(d["basis"], ts).values)
     dev_i = abs(c_ideal - kT_over_2m) / kT_over_2m
     dev_e = abs(c_exact - kT_over_2m) / kT_over_2m
@@ -135,10 +132,9 @@ def test_criterion_4_short_time_quadratic_law(co_family):
 def test_criterion_5_asymptotic_slope():
     sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
     s = derive_scales(sys)
-    p = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
     t = 1000 * s.t_b
     dt = 0.5 * s.t_b
-    slope = (msd_ideal(p, t + dt) - msd_ideal(p, t - dt)) / (2 * dt)
+    slope = (msd_ideal(sys, t + dt) - msd_ideal(sys, t - dt)) / (2 * dt)
     dev = abs(slope - CONST.hbar / sys.mass) / (CONST.hbar / sys.mass)
     report(5, dev <= 1e-3,
            f"slope at 1000 t_b dev {dev:.2e} from hbar/m (tol 1e-3)")
@@ -189,26 +185,25 @@ def test_criterion_8_scattering_consistency():
     sys = PhysicalSystem.from_user_units(131, 105, 256, 10)
     s = derive_scales(sys)
     q = 1e10
-    p = ScatteringParams(v_T=s.v_T, D_q=s.D_q, q=q)
     # second moment of the complex Gaussian
     t = 5e-14
     target = s.v_T**2 * t**2 - 2j * s.D_q * t
     w = 40 * s.v_T * t
-    re = quad(lambda x: x * x * pair_correlation_self(p, x, t).real,
+    re = quad(lambda x: x * x * pair_correlation_self(sys, x, t).real,
               -w, w, limit=2000, epsabs=0, epsrel=1e-11)[0]
-    im = quad(lambda x: x * x * pair_correlation_self(p, x, t).imag,
+    im = quad(lambda x: x * x * pair_correlation_self(sys, x, t).imag,
               -w, w, limit=2000, epsabs=0, epsrel=1e-11)[0]
     dev_mom = abs(complex(re, im) - target) / abs(target)
     # DSF peak position = recoil shift, about 0.016 meV for Xe
     omega0 = s.D_q * q * q
     sigma = s.v_T * q
     omegas = omega0 + np.linspace(-1, 1, 2001) * 3 * sigma
-    peak_dev = abs(omegas[np.argmax(dsf(p, omegas))] - omega0) / omega0
+    peak_dev = abs(omegas[np.argmax(dsf(sys, q, omegas))] - omega0) / omega0
     recoil_meV = CONST.hbar * omega0 / EV * 1e3
     recoil_dev = abs(recoil_meV - 0.016) / 0.016
     # ISF phase slope
     ts = np.linspace(0, 1e-13, 11)[1:]
-    slopes = isf_phase(p, ts) / ts
+    slopes = isf_phase(sys, q, ts) / ts
     slope_dev = float(np.max(np.abs(slopes / (s.D_q * q * q / 2) - 1.0)))
     ok = dev_mom <= 1e-8 and peak_dev < 2e-3 and recoil_dev <= 0.03 and \
         slope_dev <= 1e-10
@@ -221,11 +216,9 @@ def test_criterion_9_collision_model_regression(co_family):
     worst = {}
     for n_cells, d in co_family.items():
         s = d["scales"]
-        p = CollisionModelParams(alpha=0.35, L=d["system"].L, v_T=s.v_T,
-                                 t_b=s.t_b)
         window = (d["grid"] >= s.t_b) & (d["grid"] <= 30 * s.t_b)
         ts = d["grid"][window]
-        model = np.array([msd_collision_model(p, t) for t in ts])
+        model = np.array([msd_collision_model(d["system"], 0.35, t) for t in ts])
         exact = d["curve"][window]
         worst[n_cells] = float(np.max(np.abs(model - exact) / exact))
     ok = all(v < 0.25 for v in worst.values())

@@ -31,6 +31,15 @@ def csv_by_value(header, columns, cfg_hash) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_collision_csvs_finite(outdir: Path):
+    """Every CSV in outdir, a collision CSV among them, holds finite numbers."""
+    csvs = sorted(outdir.glob("*.csv"))
+    assert any("collision" in path.name for path in csvs)
+    for path in csvs:
+        rows = path.read_text().splitlines()[2:]
+        assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
+
+
 def pix_by_point(axis, v: float) -> float:
     """One value's pixel coordinate in Python float arithmetic: the
     per-point oracle of _Axis.to_pix."""
@@ -250,7 +259,9 @@ class TestExitCodes:
         ["exact", "--funcs-per-cell", "0"],
         ["mc-verify", "--members", "1"],
         ["mc-verify", "--members", "4294967297"],
-        ["mc-verify", "--seed", "-1"]], ids=" ".join)
+        ["mc-verify", "--seed", "-1"],
+        ["collision", "--alpha", "0"],
+        ["figure2", "--alpha", "-0.5"]], ids=" ".join)
     def test_config_error_bad_input(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
@@ -403,11 +414,18 @@ class TestExitCodes:
         # t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows
         assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
                        "--temperature-K", "1e-200", "--grid", grid) == 0
-        csvs = sorted(tmp_path.glob("*.csv"))
-        assert any("collision" in path.name for path in csvs)
-        for path in csvs:
-            rows = path.read_text().splitlines()[2:]
-            assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
+        assert_collision_csvs_finite(tmp_path)
+
+    # z = alpha L / (sqrt(2) v_T t) overflows to inf (erf = 1) at alpha = 1e308;
+    # at alpha = 5e-324, alpha L underflows to 0 and t = 0 gives 0/0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["collision", "--alpha", "1e308"],
+        ["collision", "--alpha", "5e-324"],
+        ["figure2", "--alpha", "1e308", "--grid", "linear:0:1:3"]], ids=" ".join)
+    def test_collision_finite_at_extreme_alpha(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path), "--formats", "csv") == 0
+        assert_collision_csvs_finite(tmp_path)
 
     @pytest.mark.parametrize("argv,svgs", [
         # every hbar omega of the DSF rounds to one value near 3e200 meV
@@ -434,7 +452,8 @@ class TestExitCodes:
 
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
         import qmsd.cli
-        monkeypatch.setattr(qmsd.cli, "dsf", lambda p, omegas: np.full(omegas.shape, np.nan))
+        monkeypatch.setattr(qmsd.cli, "dsf",
+                            lambda system, q, omegas: np.full(omegas.shape, np.nan))
         assert run_cli("scattering", "--out", str(tmp_path)) == 4
         assert "dsf.csv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

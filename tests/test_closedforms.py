@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmsd import (CONST, CollisionModelParams, IdealMsdParams, PhysicalSystem,
-                  ValidationError, breve_closed, derive_scales,
-                  msd_collision_model, msd_ideal)
+from qmsd import (CONST, PhysicalSystem, ValidationError, breve_closed,
+                  derive_scales, msd_collision_model, msd_ideal)
 from qmsd.closedforms import I_ab, J, J_AT_ZERO
 
 # erf reference values computed once at 40 decimal digits and frozen
@@ -135,105 +135,105 @@ class TestBreveClosed:
 @pytest.fixture(scope="module")
 def co():
     sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
-    s = derive_scales(sys)
-    return sys, s, CollisionModelParams(alpha=0.35, L=sys.L, v_T=s.v_T,
-                                        t_b=s.t_b)
+    return sys, derive_scales(sys)
+
+
+ALPHA = 0.35
 
 
 class TestCollisionModel:
     def test_zero_at_zero(self, co):
-        _, _, p = co
-        assert msd_collision_model(p, 0.0) == 0.0
+        sys, _ = co
+        assert msd_collision_model(sys, ALPHA, 0.0) == 0.0
 
     def test_negative_time_rejected(self, co):
-        _, _, p = co
+        sys, _ = co
         with pytest.raises(ValidationError):
-            msd_collision_model(p, -1e-18)
+            msd_collision_model(sys, ALPHA, -1e-18)
 
     def test_long_time_asymptote(self, co):
         # the erf weight decays like 1/t while the free branch grows like
         # t, so their product leaves a finite slow-velocity excess of
         # sqrt(2/pi) alpha L v_T t_b on top of the decohered plateau
-        sys, s, p = co
+        sys, s = co
         limit = (breve_closed(sys)
-                 + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
-        assert msd_collision_model(p, 1e9 * s.t_b) == pytest.approx(
+                 + math.sqrt(2 / math.pi) * ALPHA * sys.L * s.v_T * s.t_b)
+        assert msd_collision_model(sys, ALPHA, 1e9 * s.t_b) == pytest.approx(
             limit, rel=1e-6, abs=0)
 
     def test_bounded_by_asymptote(self, co):
-        sys, s, p = co
+        sys, s = co
         limit = (breve_closed(sys)
-                 + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
-        t_c = p.L / s.v_T
+                 + math.sqrt(2 / math.pi) * ALPHA * sys.L * s.v_T * s.t_b)
+        t_c = sys.L / s.v_T
         for x in np.geomspace(1e-2, 1e4, 40):
-            assert msd_collision_model(p, x * t_c) <= limit * (1 + 1e-12)
+            assert msd_collision_model(sys, ALPHA, x * t_c) <= limit * (1 + 1e-12)
 
     def test_short_time_follows_ideal(self, co):
-        sys, s, p = co
-        ideal = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
+        sys, s = co
         t = 0.1 * s.t_b
-        assert msd_collision_model(p, t) == pytest.approx(
-            msd_ideal(ideal, t), rel=1e-6, abs=0)
+        assert msd_collision_model(sys, ALPHA, t) == pytest.approx(
+            msd_ideal(sys, t), rel=1e-6, abs=0)
 
     def test_large_alpha_recovers_ideal(self, co):
-        sys, s, _ = co
-        p = CollisionModelParams(alpha=1e3, L=sys.L, v_T=s.v_T, t_b=s.t_b)
-        ideal = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
+        sys, s = co
         for x in (0.5, 5.0, 50.0):
             t = x * s.t_b
-            assert msd_collision_model(p, t) == pytest.approx(
-                msd_ideal(ideal, t), rel=1e-6, abs=0)
+            assert msd_collision_model(sys, 1e3, t) == pytest.approx(
+                msd_ideal(sys, t), rel=1e-6, abs=0)
 
     def test_parameterization_identity(self, co):
         # v_T^2 t_b = hbar / m ties the free branch to the ideal MSD
-        sys, s, _ = co
+        sys, s = co
         assert s.v_T**2 * s.t_b == pytest.approx(CONST.hbar / sys.mass,
                                                  rel=1e-12, abs=0)
 
     def test_monotone_nondecreasing(self, co):
-        _, s, p = co
+        sys, s = co
         ts = np.linspace(0.0, 2000 * s.t_b, 400)
-        vals = [msd_collision_model(p, t) for t in ts]
+        vals = [msd_collision_model(sys, ALPHA, t) for t in ts]
         assert np.all(np.diff(vals) >= -1e-30)
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            CollisionModelParams(alpha=0.0, L=1e-9, v_T=200.0, t_b=4e-14)
+    def test_validation(self, co):
+        sys, s = co
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="alpha"):
+                msd_collision_model(sys, alpha, s.t_b)
 
     def test_finite_where_t_squared_overflows(self, co):
         # (t / t_b)^2 overflows beyond about 1.3e154; x^2 / (sqrt(x^2 + 1) + 1)
         # tends to x there, and the model to its long-time limit
-        sys, s, p = co
+        sys, s = co
         limit = (breve_closed(sys)
-                 + math.sqrt(2 / math.pi) * p.alpha * p.L * s.v_T * s.t_b)
+                 + math.sqrt(2 / math.pi) * ALPHA * sys.L * s.v_T * s.t_b)
         x = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
         with np.errstate(over="raise", invalid="raise"):
-            got = msd_collision_model(p, x * s.t_b)
+            got = msd_collision_model(sys, ALPHA, x * s.t_b)
         np.testing.assert_allclose(got, limit, rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("n_cells,alpha", [(1, 0.05), (10, 0.35), (80, 3.0)])
     def test_array_equals_scalar_formula(self, co, n_cells, alpha):
         # the array form keeps math.erf and the scalar arithmetic, so it
         # equals the scalar formula bit for bit, t = 0 and -0.0 included
-        sys, s, _ = co
-        p = CollisionModelParams(alpha=alpha, L=n_cells * sys.lattice_a,
-                                 v_T=s.v_T, t_b=s.t_b)
+        sys, s = co
+        cell = dataclasses.replace(sys, n_cells=n_cells)
+        L, v_T, t_b = cell.L, s.v_T, s.t_b
 
         def scalar(t):
             if t == 0.0:
                 return 0.0
-            g = math.erf(p.alpha * p.L / (math.sqrt(2.0) * p.v_T * t))
-            x = t / p.t_b
-            free = p.v_T**2 * p.t_b**2 * (x * x / (math.sqrt(x * x + 1.0) + 1.0))
-            plateau = (p.v_T * p.t_b * p.L * math.sqrt(2.0 / math.pi)
-                       * J((p.v_T * p.t_b / p.L) ** 2 / 2.0))
+            g = math.erf(alpha * L / (math.sqrt(2.0) * v_T * t))
+            x = t / t_b
+            free = v_T**2 * t_b**2 * (x * x / (math.sqrt(x * x + 1.0) + 1.0))
+            plateau = (v_T * t_b * L * math.sqrt(2.0 / math.pi)
+                       * J((v_T * t_b / L) ** 2 / 2.0))
             return g * free + (1.0 - g) * plateau
 
         ts = np.concatenate(([0.0, -0.0], np.linspace(0.0, 30.0, 301) * s.t_b,
                              np.geomspace(1e-3, 1e5, 300) * s.t_b))
-        got = msd_collision_model(p, ts)
+        got = msd_collision_model(cell, alpha, ts)
         np.testing.assert_array_equal(got, [scalar(t) for t in ts])
-        assert isinstance(msd_collision_model(p, ts[5]), float)
+        assert isinstance(msd_collision_model(cell, alpha, ts[5]), float)
 
 
 def test_collision_model_is_velocity_average(co_scales):
@@ -242,13 +242,11 @@ def test_collision_model_is_velocity_average(co_scales):
     # tolerance is meaningful despite the 1e-21 m^2 magnitudes
     sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
     s = derive_scales(sys)
-    p = CollisionModelParams(alpha=0.35, L=sys.L, v_T=s.v_T, t_b=s.t_b)
-    ideal = IdealMsdParams(mass=sys.mass, t_b=s.t_b)
     plateau = breve_closed(sys)
     for x in (1.0, 30.0, 300.0):
         t = x * s.t_b
-        free = msd_ideal(ideal, t)
-        u_star = p.alpha * p.L / (t * s.v_T)
+        free = msd_ideal(sys, t)
+        u_star = ALPHA * sys.L / (t * s.v_T)
 
         def integrand(u):
             # u = v / v_T; values in units of the plateau
@@ -259,4 +257,4 @@ def test_collision_model_is_velocity_average(co_scales):
         below, _ = quad(integrand, 0, u_star, limit=400)
         above, _ = quad(integrand, u_star, np.inf, limit=400)
         ref = (below + above) * plateau
-        assert msd_collision_model(p, t) == pytest.approx(ref, rel=1e-8, abs=0)
+        assert msd_collision_model(sys, ALPHA, t) == pytest.approx(ref, rel=1e-8, abs=0)

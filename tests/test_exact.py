@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmsd import (CONST, IdealMsdParams, PhysicalSystem, ValidationError, breve_sum,
+from qmsd import (CONST, PhysicalSystem, ValidationError, breve_sum,
                   build_basis, derive_scales, msd_exact_curve,
                   msd_ideal, partition_function)
 from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
@@ -97,15 +97,14 @@ def test_short_time_quadratic_coefficient():
     np.testing.assert_allclose(ratios, expected, rtol=0.02)
 
 
-def test_tracks_ideal_longer_for_larger_L(co_scales):
-    p = IdealMsdParams(mass=28 * 1.66053906660e-27, t_b=co_scales.t_b)
+def test_tracks_ideal_longer_for_larger_L(co_system, co_scales):
     window = {}
     grid = np.linspace(0.5, 60.0, 120) * co_scales.t_b
     for n_cells in (10, 20):
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
         basis = build_basis(sys, 100)
         curve = msd_exact_curve(basis, grid)
-        ideal = msd_ideal(p, grid)
+        ideal = msd_ideal(co_system, grid)
         rel = np.abs(curve.values - ideal) / ideal
         exceeded = np.nonzero(rel > 0.1)[0]
         window[n_cells] = grid[exceeded[0]] if exceeded.size else np.inf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qmsd.kernels
+from qmsd import PhysicalSystem, build_basis
 from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis, _pool_size,
                           antisym_coupling_matrix, blocked_sum, ensemble_positions,
                           msd_reduce, pair_arrays)
@@ -43,6 +44,15 @@ class TestPairArrays:
         assert basis.weight_floor == small_basis.weight_floor
         K = basis.K
         assert pair_arrays(basis)[0].size == K * (K - 1) // 2
+
+    def test_zero_weights_dropped_at_floor_zero(self):
+        # at 5e-5 K w(n = 1) underflows, so the floor is 0 and only n = 0
+        # has a weight: no pair is left (keeping w >= 0 gave all 500 500)
+        basis = build_basis(PhysicalSystem.from_user_units(28.0, 5e-5, 256.0, 10), 100)
+        assert basis.weight_floor == 0.0 and basis.K == 1001
+        assert np.count_nonzero(basis.w) == 1
+        wprod, half_omega = pair_arrays(basis)
+        assert wprod.size == half_omega.size == 0
 
     def test_pruning_preserves_total(self, co_basis):
         pruned, _ = pair_arrays(co_basis)

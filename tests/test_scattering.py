@@ -5,23 +5,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmsd import (CONST, PhysicalSystem, ScatteringParams, ValidationError,
-                  derive_scales, dsf, isf, isf_phase, pair_correlation_self)
+from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales, dsf, isf,
+                  isf_phase, pair_correlation_self)
 
 ANGSTROM_INV = 1e10
+Q = 1.0 * ANGSTROM_INV  # 1/m, the momentum transfer of the Xe checks
 
 
 @pytest.fixture(scope="module")
 def xe():
-    sys = PhysicalSystem.from_user_units(131.0, 105.0, 256.0, 10)
-    s = derive_scales(sys)
-    return ScatteringParams(v_T=s.v_T, D_q=s.D_q, q=1.0 * ANGSTROM_INV)
+    return PhysicalSystem.from_user_units(131.0, 105.0, 256.0, 10)
+
+
+@pytest.fixture(scope="module")
+def xs(xe):
+    return derive_scales(xe)
 
 
 class TestPairCorrelation:
-    def test_normalized(self, xe):
+    def test_normalized(self, xe, xs):
         t = 5e-14
-        w = 40 * xe.v_T * t
+        w = 40 * xs.v_T * t
         re, _ = quad(lambda x: pair_correlation_self(xe, x, t).real,
                      -w, w, limit=400)
         im, _ = quad(lambda x: pair_correlation_self(xe, x, t).imag,
@@ -29,10 +33,10 @@ class TestPairCorrelation:
         assert re == pytest.approx(1.0, abs=1e-8)
         assert im == pytest.approx(0.0, abs=1e-8)
 
-    def test_second_moment_is_complex_width(self, xe):
+    def test_second_moment_is_complex_width(self, xe, xs):
         t = 5e-14
-        delta2 = xe.v_T**2 * t**2 - 2j * xe.D_q * t
-        w = 40 * xe.v_T * t
+        delta2 = xs.v_T**2 * t**2 - 2j * xs.D_q * t
+        w = 40 * xs.v_T * t
         # epsabs=0: the integral is ~1e-23, far below quad's default
         # absolute tolerance
         re, _ = quad(lambda x: x * x * pair_correlation_self(xe, x, t).real,
@@ -60,67 +64,64 @@ class TestPairCorrelation:
 
 
 class TestDsf:
-    def test_peak_at_recoil_shift(self, xe):
+    def test_peak_at_recoil_shift(self, xe, xs):
         # Xe at q = 1/angstrom: recoil about 0.016 meV
-        omega0 = xe.D_q * xe.q**2
+        omega0 = xs.D_q * Q**2
         meV = omega0 * CONST.hbar / 1.602176634e-19 * 1e3
         assert meV == pytest.approx(0.016, rel=0.03, abs=0)
         grid = omega0 + np.linspace(-1, 1, 201) * 1e9
-        vals = dsf(xe, grid)
+        vals = dsf(xe, Q, grid)
         assert np.argmax(vals) == 100
 
-    def test_normalized_in_omega(self, xe):
-        sigma = xe.v_T * abs(xe.q)
-        omega0 = xe.D_q * xe.q**2
-        val, _ = quad(lambda w: dsf(xe, w), omega0 - 40 * sigma,
+    def test_normalized_in_omega(self, xe, xs):
+        sigma = xs.v_T * abs(Q)
+        omega0 = xs.D_q * Q**2
+        val, _ = quad(lambda w: dsf(xe, Q, w), omega0 - 40 * sigma,
                       omega0 + 40 * sigma, limit=400)
         assert val == pytest.approx(1.0, rel=1e-8, abs=0)
 
-    def test_fwhm(self, xe):
-        sigma = xe.v_T * abs(xe.q)
-        omega0 = xe.D_q * xe.q**2
-        half = dsf(xe, omega0) / 2
+    def test_fwhm(self, xe, xs):
+        sigma = xs.v_T * abs(Q)
+        omega0 = xs.D_q * Q**2
+        half = dsf(xe, Q, omega0) / 2
         fwhm_expected = 2 * math.sqrt(2 * math.log(2)) * sigma
-        assert dsf(xe, omega0 + fwhm_expected / 2) == pytest.approx(
+        assert dsf(xe, Q, omega0 + fwhm_expected / 2) == pytest.approx(
             half, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("q", [1e-150, 1e-160, 1e-300])
-    def test_tiny_q_matches_decimal_oracle(self, xe, q):
+    def test_tiny_q_matches_decimal_oracle(self, xe, xs, q):
         # v_T^2 q^2 is a normal double at 1e-150 / m, subnormal at 1e-160
         # and 0 at 1e-300, while the width v_T |q| is normal at all three
-        p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=q)
-        width = p.v_T * q
+        width = xs.v_T * q
         omega = np.linspace(-3.0, 3.0, 13) * width
         with localcontext() as ctx:
             ctx.prec = 40
-            v_T, q_, D_q = Decimal(p.v_T), Decimal(q), Decimal(p.D_q)
+            v_T, q_, D_q = Decimal(xs.v_T), Decimal(q), Decimal(xs.D_q)
             var = v_T * v_T * q_ * q_
             two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
             ref = [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
                          / (two_pi * var).sqrt()) for w in omega]
-        assert dsf(p, omega) == pytest.approx(ref, rel=1e-13, abs=0)
+        assert dsf(xe, q, omega) == pytest.approx(ref, rel=1e-13, abs=0)
 
-    def test_zero_q_rejected(self):
-        p = ScatteringParams(v_T=100.0, D_q=1e-9, q=0.0)
+    def test_zero_q_rejected(self, xe):
         with pytest.raises(ValidationError):
-            dsf(p, 0.0)
+            dsf(xe, 0.0, 0.0)
 
     @pytest.mark.parametrize("q", [5e-324, 1e-315, -1e-315])
     def test_overflowing_peak_rejected(self, xe, q):
         # 1 / (sqrt(2 pi) v_T |q|) exceeds the largest double
-        p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=q)
         with pytest.raises(ValidationError, match="q = "):
-            dsf(p, 0.0)
+            dsf(xe, q, 0.0)
 
-    def test_finite_or_rejected_at_the_peak_limit(self, xe):
+    def test_finite_or_rejected_at_the_peak_limit(self, xe, xs):
         # across the q where the peak leaves the float range, dsf either
         # refuses q or returns a finite peak (no overflow warning either)
-        edge = 1.0 / np.finfo(float).max / math.sqrt(2.0 * math.pi) / xe.v_T
+        edge = 1.0 / np.finfo(float).max / math.sqrt(2.0 * math.pi) / xs.v_T
         outcomes = set()
         for q in edge * np.linspace(0.5, 2.0, 61):
-            p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=float(q))
+            q = float(q)
             try:
-                peak = dsf(p, p.D_q * p.q**2)
+                peak = dsf(xe, q, xs.D_q * q**2)
             except ValidationError:
                 outcomes.add("rejected")
             else:
@@ -130,76 +131,72 @@ class TestDsf:
 
 
 class TestIsf:
-    def test_amplitude_and_phase(self, xe):
+    def test_amplitude_and_phase(self, xe, xs):
         t = 2e-14
-        val = isf(xe, t)
-        amp_expected = math.exp(-xe.v_T**2 * t**2 * xe.q**2 / 4) / math.sqrt(
+        val = isf(xe, Q, t)
+        amp_expected = math.exp(-xs.v_T**2 * t**2 * Q**2 / 4) / math.sqrt(
             2 * math.pi)
         assert abs(val) == pytest.approx(amp_expected, rel=1e-12, abs=0)
-        assert np.angle(val) == pytest.approx(isf_phase(xe, t), rel=1e-12, abs=0)
+        assert np.angle(val) == pytest.approx(isf_phase(xe, Q, t), rel=1e-12, abs=0)
 
-    def test_phase_linear_in_time(self, xe):
+    def test_phase_linear_in_time(self, xe, xs):
         ts = np.linspace(0, 1e-13, 9)
-        ph = isf_phase(xe, ts)
+        ph = isf_phase(xe, Q, ts)
         np.testing.assert_allclose(np.diff(ph, 2), 0.0, atol=1e-16)
-        assert ph[1] == pytest.approx(xe.D_q * ts[1] * xe.q**2 / 2, rel=1e-14, abs=0)
+        assert ph[1] == pytest.approx(xs.D_q * ts[1] * Q**2 / 2, rel=1e-14, abs=0)
 
     def test_value_at_zero(self, xe):
-        assert isf(xe, 0.0) == complex(1 / math.sqrt(2 * math.pi))
+        assert isf(xe, Q, 0.0) == complex(1 / math.sqrt(2 * math.pi))
 
     def test_negative_time_rejected(self, xe):
         with pytest.raises(ValidationError):
-            isf(xe, -1e-15)
+            isf(xe, Q, -1e-15)
         with pytest.raises(ValidationError):
-            isf_phase(xe, -1e-15)
+            isf_phase(xe, Q, -1e-15)
 
 
 class TestFourierConsistency:
     """The three observables are one Gaussian seen through two
     transforms; check both links by direct quadrature."""
 
-    def test_pair_correlation_to_isf(self, xe):
+    def test_pair_correlation_to_isf(self, xe, xs):
         # int Gs(x, t) e^{i q x} dx = 2 pi isf(t)^2; pick q so the
         # amplitude is O(1) rather than exponentially small
         t = 3e-14
-        q = 1.5 / (xe.v_T * t)
-        p = ScatteringParams(v_T=xe.v_T, D_q=xe.D_q, q=q)
-        w = 40 * xe.v_T * t
-        f = lambda x: pair_correlation_self(p, x, t) * np.exp(1j * q * x)
+        q = 1.5 / (xs.v_T * t)
+        w = 40 * xs.v_T * t
+        f = lambda x: pair_correlation_self(xe, x, t) * np.exp(1j * q * x)
         re, _ = quad(lambda x: f(x).real, -w, w, limit=2000,
                      epsabs=0, epsrel=1e-11)
         im, _ = quad(lambda x: f(x).imag, -w, w, limit=2000,
                      epsabs=0, epsrel=1e-11)
-        target = 2 * math.pi * isf(p, t) ** 2
+        target = 2 * math.pi * isf(xe, q, t) ** 2
         assert abs(target) > 0.1  # the check is not vacuous
         assert re == pytest.approx(target.real, rel=1e-8, abs=0)
         assert im == pytest.approx(target.imag, rel=1e-8, abs=0)
 
-    def test_isf_to_dsf(self, xe):
+    def test_isf_to_dsf(self, xe, xs):
         # (1/2 pi) int 2 pi isf(|t|)^2 e^{-i omega t} dt = dsf(omega),
         # extending to t < 0 by conjugation (even amplitude, odd phase)
-        omega0 = xe.D_q * xe.q**2
-        sigma = xe.v_T * abs(xe.q)
+        omega0 = xs.D_q * Q**2
+        sigma = xs.v_T * abs(Q)
         T = 25 / sigma
         for omega in (omega0, omega0 + sigma, omega0 - 2 * sigma):
 
             def f(t):
-                val = isf(xe, abs(t)) ** 2
+                val = isf(xe, Q, abs(t)) ** 2
                 if t < 0:
                     val = np.conj(val)
                 return (val * np.exp(-1j * omega * t)).real
 
             ref, _ = quad(f, -T, T, limit=2000, epsabs=0, epsrel=1e-11)
-            assert ref == pytest.approx(dsf(xe, omega), rel=1e-8, abs=0)
+            assert ref == pytest.approx(dsf(xe, Q, omega), rel=1e-8, abs=0)
 
 
-def test_params_validation():
-    with pytest.raises(ValidationError):
-        ScatteringParams(v_T=0.0, D_q=1e-9, q=1e10)
-    with pytest.raises(ValidationError):
-        ScatteringParams(v_T=100.0, D_q=-1e-9, q=1e10)
-    # q^2 overflows beyond about 1.34e154 / m
-    ScatteringParams(v_T=100.0, D_q=1e-9, q=1e154)
-    for q in (1e155, -1e155):
-        with pytest.raises(ValidationError, match="q"):
-            ScatteringParams(v_T=100.0, D_q=1e-9, q=q)
+def test_params_validation(xe, xs):
+    # q^2 overflows beyond about 1.34e154 / m; the DSF is taken at its peak
+    for route, x in ((isf, 0.0), (isf_phase, 0.0), (dsf, xs.D_q * 1e154**2)):
+        assert math.isfinite(abs(route(xe, 1e154, x)))
+        for q in (math.nan, math.inf, -math.inf, 1e155, -1e155):
+            with pytest.raises(ValidationError, match="q"):
+                route(xe, q, x)
