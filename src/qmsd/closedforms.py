@@ -28,12 +28,20 @@ def J(y: float) -> float:
     if y == 0.0:
         return J_AT_ZERO
     u = 1.0 / math.sqrt(2.0 * y)
-    if u < 0.1:
-        # the two branches cancel to O(u^3) at large y; use the
-        # subtracted series in u = 1/sqrt(2y)
+    if u < 1.0:
+        # the two terms cancel to O(u^3) as u = 1/sqrt(2y) shrinks; sum the
+        # subtracted series sqrt(2 pi) u sum_m c_m u^2m, with
+        # c_m = (-1)^(m+1) m / (4 (m+2)! (2m+1)), until a term is below 1 ulp
         u2 = u * u
-        poly = u2 / 72.0 - u2 * u2 / 240.0 + u2**3 / 1120.0 - u2**4 / 6480.0
-        return SQRT_2PI * u * poly
+        total, power, m = 0.0, 1.0, 1
+        while True:
+            power *= u2
+            term = power * m / (4 * math.factorial(m + 2) * (2 * m + 1))
+            if term < math.ulp(total):
+                break
+            total += term if m % 2 else -term
+            m += 1
+        return SQRT_2PI * u * total
     em = -math.expm1(-1.0 / (2.0 * y))  # 1 - e^(-1/2y), no cancellation
     e = 1.0 - em
     return (J_AT_ZERO * math.erf(u)

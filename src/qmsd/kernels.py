@@ -213,7 +213,7 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
 
     wt: e^(-beta E/2) amplitudes; thetas: random phases per member, read
     as (n, member) rows, which is contiguous in sample_phases' layout;
-    eom: E/hbar; A: antisymmetric coupling matrix; pref: L/(pi Q).
+    eom: E/hbar; A: antisymmetric coupling matrix; pref: -L/(pi Q).
     wt, eom and A are over the basis n = -M..M, in order. out, if given,
     is a float64 (members, times) array that receives the result and is
     returned.

@@ -52,9 +52,10 @@ def dsf(sys: PhysicalSystem, q: float, omega):
     s = derive_scales(sys)
     omega = np.asarray(omega, dtype=float)
     var = s.v_T**2 * q**2
-    if var < np.finfo(float).tiny:
-        # v_T^2 q^2 is subnormal or 0 while the width v_T |q| is not: form
-        # the Gaussian in z = (omega - omega0) / (v_T |q|), not in var
+    if not (var >= np.finfo(float).tiny and math.isfinite(2.0 * math.pi * var)):
+        # v_T^2 q^2 is subnormal or 0, or 2 pi v_T^2 q^2 overflows, while
+        # the width v_T |q| may not: form the Gaussian in
+        # z = (omega - omega0) / (v_T |q|), not in var
         width = s.v_T * abs(q)
         # the peak 1 / (sqrt(2 pi) width) must be a finite double
         if width == 0.0 or math.isinf(1.0 / (SQRT_2PI * width)):

@@ -13,7 +13,8 @@ import pytest
 import qmsd
 from qmsd import svgplot
 from qmsd.basis import TruncationWarning
-from qmsd.cli import COMMANDS, DEFAULTS, _build_parser, main, parse_grid, resolve_config
+from qmsd.cli import (COMMANDS, CONFIG_KEYS, DEFAULTS, _build_parser, main, parse_grid,
+                       resolve_config)
 from qmsd.constants import ValidationError
 from qmsd.output import config_hash, write_csv
 
@@ -202,10 +203,6 @@ class TestExitCodes:
         blocker.write_text("")
         assert run_cli("scales", "--out", str(blocker / "sub")) == 3
 
-    def test_io_error_missing_config_file(self, tmp_path):
-        assert run_cli("scales", "--out", str(tmp_path),
-                       "--config", str(tmp_path / "none.json")) == 3
-
     @pytest.mark.parametrize("command,flag,value", [
         ("exact", "--mass-u", "inf"), ("exact", "--mass-u", "nan"),
         ("exact", "--temperature-K", "inf"), ("exact", "--lattice-pm", "inf"),
@@ -216,38 +213,18 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    # argparse parses each flag with its CONFIG_KEYS type: int() refuses
+    # 10.7 where truncation would give 10, and float() refuses a non-number
     @pytest.mark.parametrize("key,value", [
-        ("n_cells", 10.7), ("funcs_per_cell", 100.5), ("members", 1500.5),
-        ("seed", 4.2), ("n_cells", True), ("seed", "42")])
+        ("n_cells", "10.7"), ("funcs_per_cell", "100.5"), ("members", "1500.5"),
+        ("seed", "4.2"), ("mass_u", "abc")])
     def test_config_error_non_integral(self, tmp_path, capsys, key, value):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({key: value}))
-        assert run_cli("scales", "--out", str(tmp_path / "o"),
-                       "--config", str(cfgfile)) == 2
-        assert f"{key} must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("key,value", [
-        ("mass_u", "28"), ("temperature_K", "190"), ("lattice_pm", [256]),
-        ("alpha", True), ("q_inv_angstrom", None)])
-    def test_config_error_non_numeric(self, tmp_path, capsys, key, value):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({key: value}))
-        assert run_cli("scales", "--out", str(tmp_path / "o"),
-                       "--config", str(cfgfile)) == 2
-        assert f"{key} must be a number" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_integral_float_accepted(self, tmp_path):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"n_cells": 20.0}))
-
-        class Args:
-            command = "scales"
-            config = str(cfgfile)
-
-        cfg = resolve_config(Args())
-        assert cfg["n_cells"] == 20 and isinstance(cfg["n_cells"], int)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scales", "--out", str(out), f"--{key.replace('_', '-')}", value)
+        assert exc.value.code == 2
+        assert f"invalid {CONFIG_KEYS[key][1].__name__} value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ideal", "--grid", "linear:0:1:0"],
@@ -279,6 +256,11 @@ class TestExitCodes:
         ["scattering", "--q-inv-angstrom", "5e-324", "--formats", "csv"],
         ["scattering", "--q-inv-angstrom", "1e-300", "--mass-u", "1e30",
          "--temperature-K", "1e-30"],
+        # every omega of the DSF window omega0 +- 5 v_T|q| rounds to one
+        # double; at 1e142 v_T^2 q^2 overflows as well
+        ["scattering", "--q-inv-angstrom", "6e141"],
+        ["scattering", "--q-inv-angstrom", "1e142"],
+        ["scattering", "--mass-u", "1e-200"],
         # 1e308 t_b is not a finite time
         *([command, "--temperature-K", "1e-20", "--grid", "linear:1e308:1e308:1"]
           for command in ("exact", "ideal", "mc-verify")),
@@ -307,9 +289,7 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_hash_independent_of_number_spelling(self, tmp_path):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"mass_u": 28}))
-        for name, extra in (("defaults", []), ("int", ["--config", str(cfgfile)])):
+        for name, extra in (("defaults", []), ("int", ["--mass-u", "28"])):
             assert run_cli("scales", "--out", str(tmp_path / name),
                            "--formats", "csv", *extra) == 0
         lines = [(tmp_path / name / "scales.csv").read_text().splitlines()
@@ -318,17 +298,15 @@ class TestExitCodes:
         # the default configuration keeps its hash
         assert lines[0][0] == "# config_hash: 1e0225327554a020"
 
-    @pytest.mark.parametrize("content,message", [
-        ('{"grid": 5}', "grid must be a str"),
-        ('{"no_timestamp": "yes"}', "unknown config key"),
-        ("[1, 2]", "one JSON object")])
-    def test_config_error_bad_file(self, tmp_path, capsys, content, message):
+    def test_config_file_flag_rejected(self, tmp_path):
+        # flags are the one input path: there is no config file to name
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(content)
-        assert run_cli("scales", "--out", str(tmp_path / "o"),
-                       "--config", str(cfgfile)) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        cfgfile.write_text(json.dumps({"n_cells": 20}))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scales", "--out", str(out), "--config", str(cfgfile))
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         import qmsd.cli
@@ -428,8 +406,9 @@ class TestExitCodes:
         assert_collision_csvs_finite(tmp_path)
 
     @pytest.mark.parametrize("argv,svgs", [
-        # every hbar omega of the DSF rounds to one value near 3e200 meV
-        (["scattering", "--mass-u", "1e-200"], ["dsf.svg", "isf.svg"]),
+        # the one time is 1e20 t_b: the linear t axis holds one value, and
+        # lo + 1 rounds back to lo there
+        (["collision", "--grid", "linear:1e20:1e20:1"], ["collision.svg"]),
         # the one time is t = 0, so the log axes have no positive point
         (["ideal", "--grid", "linear:0:1:1"], ["ideal.svg"])])
     def test_svg_on_collapsed_axis(self, tmp_path, argv, svgs):
@@ -460,49 +439,18 @@ class TestExitCodes:
 
 
 class TestConfigResolution:
-    def test_file_overrides_defaults_flag_overrides_file(self, tmp_path):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"n_cells": 20, "seed": 7}))
+    def test_file_overrides_defaults_flag_overrides_file(self):
+        # DEFAULTS <- the command's own defaults <- the flags
+        def resolve(*argv):
+            return resolve_config(_build_parser().parse_args(list(argv)))
 
-        class Args:
-            command = "scales"
-            config = str(cfgfile)
-            n_cells = None
-            seed = 9
-
-        cfg = resolve_config(Args())
+        cfg = resolve("scales", "--n-cells", "20", "--seed", "9")
         assert cfg["n_cells"] == 20
         assert cfg["seed"] == 9
         assert cfg["mass_u"] == 28.0
-        # a command's own default sits between DEFAULTS and the file
         assert cfg["funcs_per_cell"] == 100
-        Args.command = "mc-verify"
-        assert resolve_config(Args())["funcs_per_cell"] == 20
-        cfgfile.write_text(json.dumps({"funcs_per_cell": 60}))
-        assert resolve_config(Args())["funcs_per_cell"] == 60
-        Args.funcs_per_cell = 80
-        assert resolve_config(Args())["funcs_per_cell"] == 80
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfgfile = tmp_path / "c.json"
-
-        class Args:
-            config = str(cfgfile)
-
-        for key in ("massive", "dimensionality"):
-            cfgfile.write_text(json.dumps({key: 1}))
-            with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
-                resolve_config(Args())
-
-    def test_invalid_json_rejected(self, tmp_path):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text("{not json")
-
-        class Args:
-            config = str(cfgfile)
-
-        with pytest.raises(ValidationError):
-            resolve_config(Args())
+        assert resolve("mc-verify")["funcs_per_cell"] == 20
+        assert resolve("mc-verify", "--funcs-per-cell", "80")["funcs_per_cell"] == 80
 
 
 class TestArtifacts:

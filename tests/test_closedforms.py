@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,7 +47,41 @@ def J_quadrature(y):
     return val
 
 
+PI_100 = Decimal("3.14159265358979323846264338327950288419716939937510"
+                 "58209749445923078164062862089986280348253421170679")
+
+
+def J_decimal(y: float) -> float:
+    """Independent oracle: J's closed form in 100-digit decimal arithmetic,
+    with erf from its Taylor series, so that neither the cancellation of
+    its two terms nor a series branch limits it."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        y = Decimal(y)
+        u = 1 / (2 * y).sqrt()
+        # erf(u) = 2/sqrt(pi) sum_n (-1)^n u^(2n+1) / (n! (2n+1))
+        total, power, n, fact = Decimal(0), u, 0, 1
+        while True:
+            term = power / (fact * (2 * n + 1))
+            if abs(term) < Decimal(10) ** -90:
+                break
+            total += -term if n % 2 else term
+            n += 1
+            power *= u * u
+            fact *= n
+        erf = 2 / PI_100.sqrt() * total
+        e = (-1 / (2 * y)).exp()
+        return float(Decimal(2).sqrt() * PI_100 / 12 * erf
+                     + 2 * PI_100.sqrt() / 3 * y.sqrt() * ((1 - e) * y - (3 - e) / 4))
+
+
 class TestJ:
+    def test_matches_decimal_oracle(self):
+        # the closed form cancels as y grows; the series takes over below
+        # u = 1/sqrt(2y) = 1 and is summed to 1 ulp
+        for y in (*np.geomspace(0.02, 1e6, 41), 0.5, 50.0):
+            assert J(y) == pytest.approx(J_decimal(y), rel=1e-14, abs=0), y
+
     def test_value_at_zero(self):
         assert J(0.0) == pytest.approx(math.sqrt(2) * math.pi / 12, rel=1e-14, abs=0)
         assert J(0.0) == J_AT_ZERO
@@ -68,8 +103,8 @@ class TestJ:
         assert vals[-1] < 1e-12
 
     def test_branch_continuity(self):
-        # the series branch starts at u = 0.1, i.e. y = 50
-        for y in (49.0, 49.9, 50.1, 51.0, 200.0):
+        # the series branch starts at u = 1, i.e. y = 0.5
+        for y in (0.49, 0.4999, 0.5, 0.5001, 0.51, 200.0):
             assert J(y) == pytest.approx(J_quadrature(y), rel=1e-6, abs=0)
 
     def test_large_y_no_cancellation(self):

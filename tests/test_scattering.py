@@ -103,6 +103,16 @@ class TestDsf:
                          / (two_pi * var).sqrt()) for w in omega]
         assert dsf(xe, q, omega) == pytest.approx(ref, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("q", [1e152, 1e153, 1e154])
+    def test_huge_q_peak_finite(self, xe, xs, q):
+        # v_T^2 q^2 overflows above about 1.6e152 / m, while q^2 and the
+        # width v_T |q| are finite: the peak is 1 / (sqrt(2 pi) v_T |q|)
+        omega0 = xs.D_q * q**2
+        peak = dsf(xe, q, omega0)
+        assert peak == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * xs.v_T * q),
+                                     rel=1e-15, abs=0)
+        assert np.all(np.isfinite(dsf(xe, q, omega0 * np.array([0.0, 0.5, 2.0]))))
+
     def test_zero_q_rejected(self, xe):
         with pytest.raises(ValidationError):
             dsf(xe, 0.0, 0.0)
