@@ -155,7 +155,7 @@ class Run:
     def svg(self, name, series, xlabel="t / t_b", ylabel="MSD / a^2", **kw):
         if "svg" in self.formats:
             text = line_plot(series, xlabel=xlabel, ylabel=ylabel, **kw)
-            self.pending.append(lambda: (self.outdir / name).write_text(text))
+            self.pending.append(lambda: (self.outdir / name).write_bytes(text.encode()))
 
     def meta(self, name, extra):
         if "json-meta" in self.formats:

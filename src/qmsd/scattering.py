@@ -60,10 +60,15 @@ def dsf(sys: PhysicalSystem, q: float, omega):
         # the peak 1 / (sqrt(2 pi) width) must be a finite double
         if width == 0.0 or math.isinf(1.0 / (SQRT_2PI * width)):
             raise ValidationError(f"the DSF peak overflows: q = {q!r} 1/m")
-        z = (omega - s.D_q * q**2) / width
-        out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
+        with np.errstate(over="ignore"):
+            # far from omega0, z or its square overflows to inf; exp(-inf) is 0
+            z = (omega - s.D_q * q**2) / width
+            out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
     else:
-        out = np.exp(-((omega - s.D_q * q**2) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+        with np.errstate(over="ignore"):
+            # far from omega0, (omega - omega0)^2 overflows to inf; exp(-inf) is 0
+            arg = -((omega - s.D_q * q**2) ** 2) / (2.0 * var)
+        out = np.exp(arg) / np.sqrt(2.0 * math.pi * var)
     return out if out.ndim else float(out)
 
 

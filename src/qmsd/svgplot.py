@@ -129,8 +129,9 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
             ok &= x > 0
         if yscale == "log":
             ok &= y > 0
-        pts = " ".join("%.2f,%.2f" % p for p in zip(ax.to_pix(x[ok]).tolist(),
-                                                     ay.to_pix(y[ok]).tolist()))
+        # one % over the interleaved pixel pairs x0, y0, x1, y1, ...
+        pix = np.stack((ax.to_pix(x[ok]), ay.to_pix(y[ok])), axis=1).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * (len(pix) // 2)) % tuple(pix)
         color = s.get("color", _COLORS[k % len(_COLORS)])
         dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -16,7 +16,7 @@ from qmsd.basis import TruncationWarning
 from qmsd.cli import (COMMANDS, CONFIG_KEYS, DEFAULTS, _build_parser, main, parse_grid,
                        resolve_config)
 from qmsd.constants import ValidationError
-from qmsd.output import config_hash, write_csv
+from qmsd.output import config_hash, write_csv, write_json_meta
 
 
 def format_number(x) -> str:
@@ -121,6 +121,17 @@ class TestOutputHelpers:
         assert (tmp_path / "t.csv").read_text() == csv_by_value(
             header, columns, "0123456789abcdef")
 
+    def test_zero_row_csv_is_hash_and_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[], np.array([])], "0123456789abcdef")
+        assert (tmp_path / "t.csv").read_bytes() == b"# config_hash: 0123456789abcdef\na,b\n"
+
+    def test_json_meta_bytes(self, tmp_path):
+        meta = {"z": [1.5, -0.0], "a": {"y": 2, "x": "\u00e9"}, "p": tmp_path}
+        write_json_meta(tmp_path / "m.json", meta, "0123456789abcdef")
+        text = json.dumps({**meta, "config_hash": "0123456789abcdef"}, indent=2,
+                          sort_keys=True, default=str) + "\n"
+        assert (tmp_path / "m.json").read_bytes() == text.encode("utf-8")
+
     @pytest.mark.parametrize("scale", ["linear", "log"])
     def test_axis_maps_arrays_like_floats(self, scale):
         # bit for bit, on values where numpy's log10 and math.log10 differ
@@ -144,6 +155,15 @@ class TestOutputHelpers:
         # the log masks drop points, and the one-point series stays a point
         assert (len(got[0].split()) < x.size) == ("log" in (xscale, yscale))
         assert got[2].count(",") == 1
+
+    def test_series_without_points_on_a_log_axis(self, monkeypatch):
+        series = [{"x": [1.0, 2.0, 3.0], "y": [-1.0, 0.0, -2.0], "label": "none"},
+                  {"x": [], "y": []},
+                  {"x": [1.0, 10.0], "y": [2.0, 5.0]}]
+        got, expected = polylines_by_point(series, monkeypatch, xscale="log",
+                                           yscale="log")
+        assert got == expected
+        assert got[:2] == ["", ""]
 
     def test_log_polyline_rounding_uses_math_log10(self, monkeypatch):
         # the middle point lands within an ulp of a .xx5 pixel: 333.33 with
@@ -454,6 +474,37 @@ class TestConfigResolution:
 
 
 class TestArtifacts:
+    def test_writers_on_real_outputs(self, tmp_path, monkeypatch):
+        # every CSV is its own numbers printed one value at a time, and every
+        # SVG polyline the series that reached line_plot drawn point by point
+        plots = []
+
+        def recording_line_plot(series, **kw):
+            text = svgplot.line_plot(series, **kw)
+            plots.append((series, kw, text))
+            return text
+
+        monkeypatch.setattr(qmsd.cli, "line_plot", recording_line_plot)
+        runs = [[cmd] for cmd in ("scales", "ideal", "breve", "collision", "scattering",
+                                  "figure1")] + [["figure2", "--grid", "linear:0:30:30"]]
+        for argv in runs:
+            assert run_cli(*argv, "--formats", "csv,svg,json-meta",
+                           "--out", str(tmp_path / argv[0])) == 0
+        csvs = sorted(tmp_path.glob("*/*.csv"))
+        assert {path.parent.name for path in csvs} == {argv[0] for argv in runs}
+        for path in csvs:
+            text = path.read_text()
+            hash_line, header, *rows = text.splitlines()
+            columns = list(zip(*[[float(v) for v in row.split(",")] for row in rows]))
+            assert text == csv_by_value(header.split(","), columns,
+                                        hash_line.removeprefix("# config_hash: "))
+        svgs = sorted(path.read_text() for path in tmp_path.glob("*/*.svg"))
+        assert len(svgs) == len(plots) >= len(runs) - 1  # scales draws none
+        assert svgs == sorted(text for _, _, text in plots)
+        for series, kw, text in plots:
+            _, expected = polylines_by_point(series, monkeypatch, **kw)
+            assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+
     def test_scales_csv_and_meta(self, tmp_path):
         assert run_cli("scales", "--out", str(tmp_path)) == 0
         csv = (tmp_path / "scales.csv").read_text().splitlines()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -112,6 +113,17 @@ class TestDsf:
         assert peak == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * xs.v_T * q),
                                      rel=1e-15, abs=0)
         assert np.all(np.isfinite(dsf(xe, q, omega0 * np.array([0.0, 0.5, 2.0]))))
+
+    @pytest.mark.parametrize("q,omega", [
+        pytest.param(1e150, lambda D_q: 2 * D_q * 1e150**2, id="var-square"),
+        pytest.param(1e-160, lambda D_q: 1e200, id="z-divide"),
+    ])
+    def test_far_tail_is_zero_without_warning(self, co_system, co_scales, q, omega):
+        # (omega - omega0)^2 on the var path, and z = (omega - omega0) / (v_T |q|)
+        # on the z path, overflow to inf where the Gaussian is an exact 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dsf(co_system, q, omega(co_scales.D_q)) == 0.0
 
     def test_zero_q_rejected(self, xe):
         with pytest.raises(ValidationError):
