@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, PhysicalSystem, ValidationError
+from .constants import CONST, PhysicalSystem, ValidationError, derive_scales
 
 WEIGHT_FLOOR = 1e-18  # relative to w(n = 1); see EigenBasis.weight_floor
 
@@ -72,7 +72,7 @@ def build_basis(sys: PhysicalSystem, funcs_per_cell: int) -> EigenBasis:
         K += 1
     M = (K - 1) // 2
     L = sys.L
-    beta = 1.0 / (CONST.k_B * sys.temperature)
+    beta = derive_scales(sys).beta
     indices = np.arange(-M, M + 1)
     q = 2.0 * math.pi * indices / L
     E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)

@@ -14,9 +14,8 @@ from . import __version__
 from .basis import TruncationWarning, build_basis, partition_function
 from .closedforms import breve_closed, msd_collision_model
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
-                        ValidationError, derive_scales)
-from .curves import geometric_grid, linear_grid, validate_grid
-from .exact import breve_sum, msd_exact_curve
+                        ValidationError, derive_scales, validate_grid)
+from .exact import breve_sum, exact_params, msd_exact_curve
 from .ideal import msd_ideal_curve
 from .montecarlo import sample_msd, sample_msd_rerandomized
 from .output import config_hash, write_csv, write_json_meta
@@ -132,8 +131,16 @@ class Run:
     def grid(self, default_spec: str) -> np.ndarray:
         """The times (s) of --grid, or of default_spec when it is unset."""
         kind, start, stop, count = parse_grid(self.cfg["grid"] or default_spec)
-        fn = linear_grid if kind == "linear" else geometric_grid
-        return validate_grid(fn(start * self.scales.t_b, stop * self.scales.t_b, count))
+        start, stop = start * self.scales.t_b, stop * self.scales.t_b
+        if count < 1:
+            raise ValidationError("grid count must be >= 1")
+        if not np.all(np.isfinite([start, stop])):
+            raise ValidationError(f"grid endpoints must be finite, got {start} and {stop}")
+        if kind == "linear":
+            return validate_grid(np.linspace(start, stop, count))
+        if start <= 0 or stop <= 0:
+            raise ValidationError("geometric grid requires positive endpoints")
+        return validate_grid(np.geomspace(start, stop, count))
 
     def csv(self, name, header, columns):
         for col_name, col in zip(header, columns):
@@ -200,21 +207,21 @@ def cmd_scales(run: Run):
 
 def cmd_ideal(run: Run):
     """Closed-form ideal MSD curve."""
-    curve = msd_ideal_curve(run.system, run.grid("geometric:0.01:100:512"))
-    series = run.msd_csv("ideal.csv", curve.times, curve.values, label="ideal")
+    grid = run.grid("geometric:0.01:100:512")
+    series = run.msd_csv("ideal.csv", grid, msd_ideal_curve(run.system, grid), label="ideal")
     run.svg("ideal.svg", [series], xscale="log", yscale="log", title="Ideal-particle MSD")
-    run.meta("ideal.json", {"method": curve.method, "points": int(curve.times.size)})
+    run.meta("ideal.json", {"method": "ideal-analytic", "points": int(grid.size)})
 
 
 def cmd_exact(run: Run):
     """Exact coherent double-sum MSD curve."""
     basis = _basis(run, run.system)
-    curve = msd_exact_curve(basis, run.grid("linear:0:30:300"))
-    series = run.msd_csv("exact.csv", curve.times, curve.values,
+    grid = run.grid("linear:0:30:300")
+    series = run.msd_csv("exact.csv", grid, msd_exact_curve(basis, grid),
                          label=f"exact sum, L={run.system.n_cells}a")
     run.svg("exact.svg", [series], title="Exact coherent MSD")
-    run.meta("exact.json", {"method": curve.method, "K": basis.K,
-                            "Q": partition_function(basis), "params": curve.params})
+    run.meta("exact.json", {"method": "exact-sum", "K": basis.K,
+                            "Q": partition_function(basis), "params": exact_params(basis)})
 
 
 def cmd_breve(run: Run):
@@ -270,7 +277,7 @@ def cmd_mc_verify(run: Run):
     basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     res = sample_msd(basis, grid, run.cfg["members"], run.cfg["seed"])
     exact = msd_exact_curve(basis, grid)
-    max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact.values)
+    max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact)
     if not max_z <= z_star:  # a NaN z refuses too
         raise NumericalError(
             f"Monte-Carlo estimate departs from the exact sum: max |z| = "
@@ -280,7 +287,7 @@ def cmd_mc_verify(run: Run):
     bs = breve_sum(basis)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
-            [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact.values])
+            [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact])
     run.meta("mc_verify.json", {
         "K": basis.K, "members": res.n_members, "seed": res.seed,
         "rerandomized_estimate_m2": est, "rerandomized_stderr_m2": err,
@@ -335,14 +342,14 @@ def cmd_figure1(run: Run):
     """Ideal-particle MSD crossover figure."""
     s = run.scales
     grid = run.grid("linear:0:10:512")
-    curve = msd_ideal_curve(run.system, grid)
     unit = CONST.hbar * s.t_b / run.system.mass  # MSD unit hbar t_b / m
+    msd = msd_ideal_curve(run.system, grid) / unit
     asym = 2.0 * s.D_q * grid
     run.csv("figure1.csv",
             ["t_over_tb", "msd_over_hbar_tb_per_m", "asymptote_over_hbar_tb_per_m"],
-            [grid / s.t_b, curve.values / unit, asym / unit])
+            [grid / s.t_b, msd, asym / unit])
     series = [
-        {"x": grid / s.t_b, "y": curve.values / unit, "label": "ideal MSD"},
+        {"x": grid / s.t_b, "y": msd, "label": "ideal MSD"},
         {"x": grid / s.t_b, "y": asym / unit, "label": "2 D_q t", "dash": "6 3"},
         {"x": np.array([1.0, 1.0]),
          "y": np.array([0.0, float(np.max(asym / unit))]),
@@ -362,21 +369,20 @@ def cmd_figure2(run: Run):
     for n_cells, dash in ((10, "8 4"), (20, "3 3"), (40, "8 3 3 3")):
         system = run.cell(n_cells)
         basis = _basis(run, system)
-        curve = msd_exact_curve(basis, grid)
-        series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid, curve.values,
+        series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid,
+                                  msd_exact_curve(basis, grid),
                                   label=f"exact, L={n_cells}a", color="#000000", dash=dash))
         series.append(run.msd_csv(f"figure2_collision_L{n_cells}a.csv", grid,
                                   msd_collision_model(system, run.cfg["alpha"], grid),
                                   label=f"model, L={n_cells}a", color="#c02020", dash=dash))
+        params = exact_params(basis)
         plateaus[f"L={n_cells}a"] = {
             "breve_sum_over_a2": breve_sum(basis) / a2,
             "breve_closed_over_a2": breve_closed(system) / a2,
-            "path": curve.params["path"],
-            "edge_weight": curve.params["edge_weight"],
-            "weight_floor": curve.params["weight_floor"],
+            **{k: params[k] for k in ("path", "edge_weight", "weight_floor")},
         }
-    ideal = msd_ideal_curve(run.system, grid)
-    series.insert(0, run.msd_csv("figure2_ideal.csv", grid, ideal.values,
+    series.insert(0, run.msd_csv("figure2_ideal.csv", grid,
+                                 msd_ideal_curve(run.system, grid),
                                  label="ideal", color="#2050c0"))
     run.csv("figure2_breve.csv",
             ["n_cells", "breve_sum_over_a2", "breve_closed_over_a2"],

@@ -1,4 +1,5 @@
-"""Physical constants, unit conversions and characteristic scales.
+"""Physical constants, unit conversions, characteristic scales and the
+time-grid check.
 
 Internal unit system is SI throughout. ``PhysicalSystem.from_user_units``
 accepts atomic mass units, kelvin and picometres and converts once at the
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -40,6 +43,24 @@ J_TO_MEV = 1e3 / 1.602176634e-19
 def _require_positive(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def validate_grid(times) -> np.ndarray:
+    """Check a time grid is nonempty, finite, nonnegative and strictly
+    increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValidationError("empty time grid")
+    finite = np.isfinite(times)
+    if not finite.all():
+        # at most nan, inf and -inf
+        bad = np.unique(times[~finite]).tolist()
+        raise ValidationError(f"time grid must be finite, got {bad}")
+    if times[0] < 0:
+        raise ValidationError("time grid must be nonnegative")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValidationError("time grid must be strictly increasing")
+    return times
 
 
 @dataclass(frozen=True)
@@ -97,7 +118,15 @@ class CharacteristicScales:
 def derive_scales(sys: PhysicalSystem) -> CharacteristicScales:
     """Derive all characteristic scales from a physical system."""
     hbar = CONST.hbar
-    beta = 1.0 / (CONST.k_B * sys.temperature)
+    # each denominator below can underflow to 0 (k_B T below about 1e-300
+    # K; beta m at a subnormal mass and a huge temperature)
+    kT = CONST.k_B * sys.temperature
+    if kT == 0.0:
+        raise ValidationError(f"k_B T underflows to 0 at temperature {sys.temperature!r} K")
+    beta = 1.0 / kT
+    if beta * sys.mass == 0.0:
+        raise ValidationError(f"beta * mass underflows to 0 at mass {sys.mass!r} kg "
+                              f"and temperature {sys.temperature!r} K")
     t_b = hbar * beta
     t_c = sys.L * math.sqrt(sys.mass * beta)
     v_T = 1.0 / math.sqrt(beta * sys.mass)

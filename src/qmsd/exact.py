@@ -30,8 +30,7 @@ import math
 import numpy as np
 
 from .basis import EigenBasis, partition_function
-from .constants import CONST
-from .curves import MsdCurve, validate_grid
+from .constants import CONST, validate_grid
 from .kernels import BLOCK, blocked_sum, msd_reduce, pair_arrays
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
@@ -148,32 +147,30 @@ def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def msd_exact_curve(basis: EigenBasis, grid) -> MsdCurve:
-    """Coherent MSD over a time grid, normalised by the basis's own partition
-    function; params["path"] names the path taken."""
+def exact_params(basis: EigenBasis) -> dict:
+    """The exact sum's parameters on a basis: the cell, the path that
+    msd_exact_curve and breve_sum take, and the convergence that picks it."""
+    return {
+        "L": basis.L,
+        "K": basis.K,
+        "beta": basis.beta,
+        "mass": basis.mass,
+        "path": "theta" if _use_theta(basis) else "direct",
+        "edge_weight": float(basis.w[0]),
+        "weight_floor": basis.weight_floor,
+        "reduction_block": BLOCK,
+    }
+
+
+def msd_exact_curve(basis: EigenBasis, grid) -> np.ndarray:
+    """Coherent MSD (m^2) at each time of a validated time grid, normalised
+    by the basis's own partition function; exact_params names the path."""
     times = validate_grid(grid)
-    theta = _use_theta(basis)
-    if theta:
-        values = _theta_msd(basis, times)
-    else:
-        # the ordered pairs n < j, doubled (the sum is symmetric)
-        wprod, half_omega = pair_arrays(basis)
-        values = 8.0 / partition_function(basis)**2 * msd_reduce(wprod, half_omega, times)
-    return MsdCurve(
-        times=times,
-        values=values,
-        method="exact-sum",
-        params={
-            "L": basis.L,
-            "K": basis.K,
-            "beta": basis.beta,
-            "mass": basis.mass,
-            "path": "theta" if theta else "direct",
-            "edge_weight": float(basis.w[0]),
-            "weight_floor": basis.weight_floor,
-            "reduction_block": BLOCK,
-        },
-    )
+    if _use_theta(basis):
+        return _theta_msd(basis, times)
+    # the ordered pairs n < j, doubled (the sum is symmetric)
+    wprod, half_omega = pair_arrays(basis)
+    return 8.0 / partition_function(basis)**2 * msd_reduce(wprod, half_omega, times)
 
 
 def breve_sum(basis: EigenBasis) -> float:

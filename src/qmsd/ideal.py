@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import CONST, PhysicalSystem, ValidationError, derive_scales
-from .curves import MsdCurve, validate_grid
+from .constants import (CONST, PhysicalSystem, ValidationError, derive_scales,
+                        validate_grid)
 
 
 def _sqrt_diff(t, t_b):
@@ -35,12 +35,6 @@ def msd_ideal(sys: PhysicalSystem, t):
     return out if out.ndim else float(out)
 
 
-def msd_ideal_curve(sys: PhysicalSystem, grid) -> MsdCurve:
-    """Pointwise ideal MSD over a time grid."""
-    times = validate_grid(grid)
-    values = msd_ideal(sys, times)
-    return MsdCurve(
-        times=times,
-        values=np.atleast_1d(values),
-        method="ideal-analytic",
-    )
+def msd_ideal_curve(sys: PhysicalSystem, grid) -> np.ndarray:
+    """Ideal MSD (m^2) at each time of a validated time grid."""
+    return msd_ideal(sys, validate_grid(grid))

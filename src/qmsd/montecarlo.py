@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, partition_function
-from .constants import CONST, ValidationError
-from .curves import validate_grid
+from .constants import CONST, ValidationError, validate_grid
 from .kernels import MEMBER_BLOCK, antisym_coupling_matrix, ensemble_positions
 
 _HBAR = CONST.hbar

@@ -121,6 +121,7 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
     out.append(f'<rect x="{ml}" y="{mt}" width="{WIDTH-ml-mr}" height="{HEIGHT-mt-mb}" '
                'fill="none" stroke="black"/>')
 
+    legend = []
     for k, s in enumerate(series):
         x = np.asarray(s["x"], dtype=float)
         y = np.asarray(s["y"], dtype=float)
@@ -136,16 +137,14 @@ def line_plot(series, xlabel="", ylabel="", title="", xscale="linear",
         dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
+        if s.get("label"):
+            legend.append((s["label"], color, dash))
 
     ly = mt + 14
-    for k, s in enumerate(series):
-        if not s.get("label"):
-            continue
-        color = s.get("color", _COLORS[k % len(_COLORS)])
-        dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
+    for label, color, dash in legend:
         out.append(f'<line x1="{ml+10}" y1="{ly-4}" x2="{ml+40}" y2="{ly-4}" '
                    f'stroke="{color}" stroke-width="1.5"{dash}/>')
-        out.append(f'<text x="{ml+46}" y="{ly}">{s["label"]}</text>')
+        out.append(f'<text x="{ml+46}" y="{ly}">{label}</text>')
         ly += 16
 
     if title:

@@ -39,12 +39,10 @@ def co_family():
         s = derive_scales(sys)
         basis = build_basis(sys, 100)
         grid = np.linspace(0.0, 100.0, 400) * s.t_b
-        curve = msd_exact_curve(basis, grid)
-        late = msd_exact_curve(basis, np.linspace(3 * s.t_c, 5 * s.t_c, 32))
         family[n_cells] = {
             "system": sys, "scales": s, "basis": basis,
-            "grid": grid, "curve": curve.values,
-            "late": late.values,
+            "grid": grid, "curve": msd_exact_curve(basis, grid),
+            "late": msd_exact_curve(basis, np.linspace(3 * s.t_c, 5 * s.t_c, 32)),
             "breve_sum": breve_sum(basis),
             "breve_closed": breve_closed(sys),
         }
@@ -121,7 +119,7 @@ def test_criterion_4_short_time_quadratic_law(co_family):
     ts = np.linspace(0.0, 0.05, 21)[1:] * s.t_b
     fit = lambda vals: float(np.sum(vals * ts**2) / np.sum(ts**4))
     c_ideal = fit(msd_ideal(sys, ts))
-    c_exact = fit(msd_exact_curve(d["basis"], ts).values)
+    c_exact = fit(msd_exact_curve(d["basis"], ts))
     dev_i = abs(c_ideal - kT_over_2m) / kT_over_2m
     dev_e = abs(c_exact - kT_over_2m) / kT_over_2m
     report(4, dev_i <= 1e-3 and dev_e <= 0.02,
@@ -148,7 +146,7 @@ def test_criterion_6_monte_carlo_oracle():
     assert basis.K == 201
     grid = np.linspace(1.0, 20.0, 20) * s.t_b
     res = sample_msd(basis, grid, n_members=10000, seed=42)
-    exact = msd_exact_curve(basis, grid).values
+    exact = msd_exact_curve(basis, grid)
     z = np.abs(res.mean_msd - exact) / res.stderr
     est, err, _ = sample_msd_rerandomized(basis, res)
     bs = breve_sum(basis)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qmsd import CONST, PhysicalSystem, build_basis, partition_function
+from qmsd import (CONST, PhysicalSystem, ValidationError, build_basis,
+                  derive_scales, partition_function)
 
 
 # The closed-form position matrix elements. No command evaluates them (the
@@ -70,6 +71,16 @@ def test_weights_in_unit_interval(co_basis):
 def test_edge_weight_converged(co_basis):
     # CO, T = 190 K, L = 10a with 100 functions per cell
     assert co_basis.w[0] < 1e-12
+
+
+def test_beta_is_the_scales_beta(co_system, co_basis):
+    assert co_basis.beta == derive_scales(co_system).beta
+
+
+def test_underflowing_k_B_T_refused():
+    # at 1e-302 K, k_B T underflows to 0; beta is not formed from it
+    with pytest.raises(ValidationError, match="k_B T underflows to 0"):
+        build_basis(PhysicalSystem.from_user_units(28, 1e-302, 256, 10), 100)
 
 
 def test_converged_reads_the_relative_floor(co_basis, mc_basis):

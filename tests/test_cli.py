@@ -293,6 +293,20 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["scales", "--temperature-K", "1e-302"], "k_B T underflows to 0"),
+        (["exact", "--temperature-K", "1e-302"], "k_B T underflows to 0"),
+        (["scales", "--mass-u", "1e-290", "--temperature-K", "1e280"],
+         "beta * mass underflows to 0"),
+    ], ids=["scales-1e-302K", "exact-1e-302K", "scales-1e-290u-1e280K"])
+    def test_config_error_denominator_underflows(self, tmp_path, capsys, argv, message):
+        # derive_scales divides by k_B T and by sqrt(beta m); each is refused
+        # where it underflows to 0, not divided by
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     # the theta images' q = (b - pi nu)^2 / 4a overflows, and the cut drops it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["exact", "--grid", "linear:0:1e300:2"],
@@ -354,7 +368,7 @@ class TestExitCodes:
 
         def poisoned(*args, **kwargs):
             curve = real(*args, **kwargs)
-            curve.values[3] = np.nan
+            curve[3] = np.nan
             return curve
 
         monkeypatch.setattr(qmsd.cli, "msd_exact_curve", poisoned)
@@ -372,7 +386,7 @@ class TestExitCodes:
 
         def poisoned(*args, **kwargs):
             curve = real(*args, **kwargs)
-            curve.values[-1] = np.nan
+            curve[-1] = np.nan
             return curve
 
         monkeypatch.setattr(qmsd.cli, "msd_ideal_curve", poisoned)
@@ -558,6 +572,32 @@ class TestArtifacts:
         assert params["path"] == "theta"
         assert params["edge_weight"] < params["weight_floor"] == co_weight_floor(10)
 
+    @pytest.mark.parametrize("funcs_per_cell", [100, 40], ids=["theta", "direct"])
+    def test_metas_hold_method_and_exact_params(self, tmp_path, funcs_per_cell):
+        # exact.json's params, and each figure2.json plateau's path, edge
+        # weight and floor, are exact_params of that cell's basis
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for command in ("ideal", "exact", "figure2"):
+                assert run_cli(command, "--out", str(tmp_path), "--grid", "linear:0.5:1:2",
+                               "--funcs-per-cell", str(funcs_per_cell),
+                               "--formats", "json-meta") == 0
+        params = {n_cells: qmsd.exact_params(qmsd.build_basis(
+                      qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, n_cells),
+                      funcs_per_cell))
+                  for n_cells in (10, 20, 40)}
+        ideal = json.loads((tmp_path / "ideal.json").read_text())
+        assert (ideal["method"], ideal["points"]) == ("ideal-analytic", 2)
+        exact = json.loads((tmp_path / "exact.json").read_text())
+        assert exact["method"] == "exact-sum"
+        assert exact["params"] == params[10]
+        assert exact["params"]["path"] == ("theta" if funcs_per_cell == 100 else "direct")
+        plateaus = json.loads((tmp_path / "figure2.json").read_text())["plateaus"]
+        for n_cells, want in params.items():
+            entry = plateaus[f"L={n_cells}a"]
+            for key in ("path", "edge_weight", "weight_floor"):
+                assert entry[key] == want[key], (n_cells, key)
+
     @pytest.mark.parametrize("funcs_per_cell,path", [
         (63, "direct"), (64, "direct"), (70, "direct"), (77, "direct"),
         (78, "theta"), (100, "theta")])
@@ -673,14 +713,11 @@ class TestArtifacts:
     def test_mc_verify_gate_refuses_scaled_exact_sum(self, tmp_path, capsys,
                                                      monkeypatch):
         # a 10 % scale error in the exact sum is refused at the defaults
-        import dataclasses
-
         import qmsd.cli
         real = qmsd.cli.msd_exact_curve
 
         def scaled(*args, **kwargs):
-            curve = real(*args, **kwargs)
-            return dataclasses.replace(curve, values=1.10 * curve.values)
+            return 1.10 * real(*args, **kwargs)
 
         monkeypatch.setattr(qmsd.cli, "msd_exact_curve", scaled)
         assert run_cli("mc-verify", "--out", str(tmp_path)) == 4

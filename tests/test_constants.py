@@ -79,3 +79,14 @@ def test_scale_identities_randomized(rng):
 
 def test_derive_scales_deterministic(co_system):
     assert derive_scales(co_system) == derive_scales(co_system)
+
+
+@pytest.mark.parametrize("mass_u,temperature_K,message", [
+    (28.0, 1e-302, "k_B T underflows to 0"),
+    (1e-290, 1e280, "beta \\* mass underflows to 0"),
+])
+def test_zero_denominator_refused(mass_u, temperature_K, message):
+    # valid fields whose k_B T, or beta m, underflows to 0
+    sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, 10)
+    with pytest.raises(ValidationError, match=message):
+        derive_scales(sys)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, breve_sum,
-                  build_basis, derive_scales, msd_exact_curve,
+                  build_basis, derive_scales, exact_params, msd_exact_curve,
                   msd_ideal, partition_function)
 from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
 from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
@@ -59,7 +59,7 @@ def dense_theta_msd(basis, times):
 
 
 def test_zero_at_zero(co_basis):
-    assert msd_exact_curve(co_basis, [0.0]).values[0] == 0.0
+    assert msd_exact_curve(co_basis, [0.0])[0] == 0.0
 
 
 def test_negative_time_rejected(co_basis):
@@ -72,7 +72,7 @@ def test_negative_time_rejected(co_basis):
 @pytest.mark.parametrize("fixture,path", [("co_basis", "theta"), ("small_basis", "direct")])
 def test_non_finite_time_rejected(request, fixture, path, grid):
     basis = request.getfixturevalue(fixture)
-    assert msd_exact_curve(basis, [0.0]).params["path"] == path
+    assert exact_params(basis)["path"] == path
     with pytest.raises(ValidationError, match="time grid must be finite"):
         msd_exact_curve(basis, grid)
 
@@ -81,7 +81,7 @@ def test_folded_sum_matches_brute_force(small_basis):
     Q = partition_function(small_basis)
     t_b = CONST.hbar * small_basis.beta
     for t in [0.0, 0.3 * t_b, 2.7 * t_b, 40 * t_b]:
-        got = msd_exact_curve(small_basis, [t]).values[0]
+        got = msd_exact_curve(small_basis, [t])[0]
         assert got == pytest.approx(brute_force_msd(small_basis, Q, t),
                                     rel=1e-12, abs=1e-40)
 
@@ -92,7 +92,7 @@ def test_short_time_quadratic_coefficient():
     s = derive_scales(sys)
     basis = build_basis(sys, 100)
     ts = np.linspace(0.01, 0.1, 5) * s.t_b
-    ratios = np.array([msd_exact_curve(basis, [t]).values[0] / t**2 for t in ts])
+    ratios = np.array([msd_exact_curve(basis, [t])[0] / t**2 for t in ts])
     expected = 1.0 / (2 * s.beta * sys.mass)
     np.testing.assert_allclose(ratios, expected, rtol=0.02)
 
@@ -105,7 +105,7 @@ def test_tracks_ideal_longer_for_larger_L(co_system, co_scales):
         basis = build_basis(sys, 100)
         curve = msd_exact_curve(basis, grid)
         ideal = msd_ideal(co_system, grid)
-        rel = np.abs(curve.values - ideal) / ideal
+        rel = np.abs(curve - ideal) / ideal
         exceeded = np.nonzero(rel > 0.1)[0]
         window[n_cells] = grid[exceeded[0]] if exceeded.size else np.inf
     assert window[20] > window[10]
@@ -117,15 +117,15 @@ def test_plateau_matches_breve_late(co_system, co_basis, co_scales):
     bs = breve_sum(co_basis)
     late = np.linspace(3 * co_scales.t_c, 5 * co_scales.t_c, 48)
     curve = msd_exact_curve(co_basis, late)
-    assert np.mean(curve.values) == pytest.approx(bs, rel=0.05, abs=0)
-    assert np.max(curve.values) <= bs * 1.05
+    assert np.mean(curve) == pytest.approx(bs, rel=0.05, abs=0)
+    assert np.max(curve) <= bs * 1.05
 
 
 def test_never_exceeds_breve_bound(co_basis, co_scales):
     bs = breve_sum(co_basis)
     grid = np.linspace(0.0, 30.0, 150) * co_scales.t_b
     curve = msd_exact_curve(co_basis, grid)
-    assert np.max(curve.values) <= bs * 1.05
+    assert np.max(curve) <= bs * 1.05
 
 
 def test_truncation_convergence(co_system, co_basis, co_scales):
@@ -133,17 +133,18 @@ def test_truncation_convergence(co_system, co_basis, co_scales):
     grid = np.linspace(0.1, 20.0, 12) * co_scales.t_b
     c1 = msd_exact_curve(co_basis, grid)
     c2 = msd_exact_curve(basis2, grid)
-    np.testing.assert_allclose(c1.values, c2.values, rtol=1e-3)
+    np.testing.assert_allclose(c1, c2, rtol=1e-3)
 
 
 def test_curve_metadata_and_validation(co_basis, co_scales):
     with pytest.raises(ValueError):
         msd_exact_curve(co_basis, np.array([]))
     c = msd_exact_curve(co_basis, np.array([0.0]))
-    assert c.values[0] == 0.0
-    assert c.method == "exact-sum"
-    assert c.params["K"] == co_basis.K
-    assert "reduction_block" in c.params
+    assert c.dtype == np.float64
+    assert c.tolist() == [0.0]
+    params = exact_params(co_basis)
+    assert params["K"] == co_basis.K
+    assert "reduction_block" in params
 
 
 def test_cold_basis_keeps_its_pairs():
@@ -159,9 +160,9 @@ def test_cold_basis_keeps_its_pairs():
     wprod = basis.w[i] * basis.w[j] / (dq * dq)
     half_omega = (basis.E[i] - basis.E[j]) / (2.0 * CONST.hbar)
     want = [8.0 / Q**2 * np.sum(wprod * np.sin(half_omega * t) ** 2) for t in times]
-    assert curve.params["path"] == "direct"
-    assert np.all(curve.values[1:] > 0)
-    np.testing.assert_allclose(curve.values, want, rtol=1e-12, atol=0)
+    assert exact_params(basis)["path"] == "direct"
+    assert np.all(curve[1:] > 0)
+    np.testing.assert_allclose(curve, want, rtol=1e-12, atol=0)
 
 
 class TestBreveSum:
@@ -187,7 +188,7 @@ class TestBreveSum:
         times = rng.uniform(0.0, 400 * co_scales.t_b, 100)
         times.sort()
         curve = msd_exact_curve(co_basis, times)
-        assert np.all(curve.values <= bs * 1.05)
+        assert np.all(curve <= bs * 1.05)
 
     def test_equals_sin2_replaced_by_half(self, small_basis):
         Q = partition_function(small_basis)
@@ -217,10 +218,10 @@ class TestThetaPath:
             np.linspace(3 * s.t_c, 5 * s.t_c, 8)])
         times.sort()
         curve = msd_exact_curve(basis, times)
-        assert curve.params["path"] == "theta"
-        np.testing.assert_allclose(curve.values, direct_sum(basis, Q, times),
+        assert exact_params(basis)["path"] == "theta"
+        np.testing.assert_allclose(curve, direct_sum(basis, Q, times),
                                    rtol=1e-12, atol=0)
-        assert msd_exact_curve(basis, [0.0]).values[0] == 0.0
+        assert msd_exact_curve(basis, [0.0])[0] == 0.0
         assert breve_sum(basis) == pytest.approx(direct_breve(basis, Q), rel=1e-12, abs=0)
 
     def test_revivals(self, co_system, co_basis, co_Q):
@@ -229,7 +230,7 @@ class TestThetaPath:
         t_rev = co_system.mass * co_system.L**2 / (2 * math.pi * CONST.hbar)
         times = t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
                                   1.99, 1.999, 2.0, 2.001, 2.01])
-        got = msd_exact_curve(co_basis, times).values
+        got = msd_exact_curve(co_basis, times)
         bs = breve_sum(co_basis)
         assert np.max(np.abs(got - direct_sum(co_basis, co_Q, times))) <= 1e-12 * bs
         assert got[7] <= 1e-12 * bs
@@ -241,10 +242,10 @@ class TestThetaPath:
         Q = partition_function(basis)
         times = np.linspace(0.0, 20.0, 11) * CONST.hbar * basis.beta
         curve = msd_exact_curve(basis, times)
-        assert curve.params["path"] == "direct"
-        assert curve.params["edge_weight"] == basis.w[0] > 1e-18
-        np.testing.assert_array_equal(curve.values, direct_sum(basis, Q, times))
-        assert (msd_exact_curve(basis, [times[4]]).values[0]
+        assert exact_params(basis)["path"] == "direct"
+        assert exact_params(basis)["edge_weight"] == basis.w[0] > 1e-18
+        np.testing.assert_array_equal(curve, direct_sum(basis, Q, times))
+        assert (msd_exact_curve(basis, [times[4]])[0]
                 == direct_sum(basis, Q, times[4:5])[0])
         assert breve_sum(basis) == direct_breve(basis, Q)
 
@@ -255,7 +256,7 @@ class TestThetaPath:
         basis = build_basis(sys, 100)
         assert basis.w[0] < 1e-18
         curve = msd_exact_curve(basis, np.array([0.0, CONST.hbar * basis.beta]))
-        assert curve.params["path"] == "direct"
+        assert exact_params(basis)["path"] == "direct"
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,11 +304,11 @@ class TestPrunedThetaSeries:
     def _check(sys, s, basis, grid):
         times = _pruning_grid(grid, sys, s)
         curve = msd_exact_curve(basis, times)
-        assert curve.params["path"] == "theta"
+        assert exact_params(basis)["path"] == "theta"
         with np.errstate(over="ignore"):
             want = dense_theta_msd(basis, times)
         assert np.all(np.isfinite(want))
-        np.testing.assert_array_equal(curve.values.view(np.uint64),
+        np.testing.assert_array_equal(curve.view(np.uint64),
                                       want.view(np.uint64))
 
     def test_expm1_term_is_exactly_one_past_the_cut(self):

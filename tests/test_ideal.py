@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales,
-                  geometric_grid, linear_grid, msd_ideal, msd_ideal_curve)
+                  msd_ideal, msd_ideal_curve)
+from qmsd.cli import main
 from qmsd.scattering import _delta2
 
 # CO at 190 K; the ideal MSD does not depend on the cell
@@ -61,12 +63,45 @@ def test_nan_after_a_finite_time_named_as_such():
         msd_ideal_curve(CO, [1.0, np.nan])
 
 
-@pytest.mark.parametrize("build", [linear_grid, geometric_grid])
+def grid_refusal(tmp_path, capsys, spec, *argv):
+    """The config error of the ideal command on --grid spec; asserts that
+    it exits 2 and writes nothing."""
+    out = tmp_path / "o"
+    assert main(["ideal", "--grid", spec, "--out", str(out), *argv]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
+
+
+# The CLI scales each spec time by t_b. A nan or inf in the spec is refused
+# as it is parsed; a finite time whose scaled value overflows (1e300 t_b,
+# with t_b = 7.6e8 s at 1e-20 K) is refused before numpy's linspace or
+# geomspace warns on it. A finite time times t_b is never nan.
+@pytest.mark.parametrize("kind", ["linear", "geometric"], ids=lambda kind: f"{kind}_grid")
 @pytest.mark.parametrize("start,stop", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
-def test_grid_endpoints_must_be_finite(build, start, stop):
-    # refused before numpy's linspace or geomspace warns on them
-    with pytest.raises(ValidationError, match="endpoints must be finite"):
-        build(start, stop, 3)
+def test_grid_endpoints_must_be_finite(tmp_path, capsys, kind, start, stop):
+    spec = f"{kind}:{start}:{stop}:3"
+    assert f"bad grid spec {spec!r}: bounds must be finite" in grid_refusal(
+        tmp_path, capsys, spec)
+    if np.isnan(stop):
+        return
+    scaled = [("1e300" if np.isinf(v) else str(v)) for v in (start, stop)]
+    err = grid_refusal(tmp_path, capsys, f"{kind}:{scaled[0]}:{scaled[1]}:3",
+                       "--temperature-K", "1e-20")
+    assert re.search(r"grid endpoints must be finite, got \S+ and inf$", err.strip())
+    assert ("got inf and inf" in err) == np.isinf(start)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("linear:0:1:0", "grid count must be >= 1"),
+    ("geometric:1:2:-3", "grid count must be >= 1"),
+    ("geometric:0:1:5", "geometric grid requires positive endpoints"),
+    ("geometric:-1:1:5", "geometric grid requires positive endpoints"),
+    ("geometric:1:-1:5", "geometric grid requires positive endpoints"),
+])
+def test_grid_count_and_geometric_positivity(tmp_path, capsys, spec, message):
+    assert grid_refusal(tmp_path, capsys, spec).strip() == f"config error: {message}"
 
 
 def test_finite_where_t_squared_overflows():
@@ -131,17 +166,17 @@ def test_classical_limit_vanishes_linearly(eps):
 
 def test_curve_single_point_and_consistency():
     c0 = msd_ideal_curve(CO, np.array([0.0]))
-    assert c0.values.tolist() == [0.0]
+    assert c0.tolist() == [0.0]
     c = msd_ideal_curve(CO, np.array([T_B, 2 * T_B]))
-    assert c.method == "ideal-analytic"
+    assert c.dtype == np.float64
     np.testing.assert_allclose(
-        c.values, [msd_ideal(CO, T_B), msd_ideal(CO, 2 * T_B)], rtol=1e-15)
+        c, [msd_ideal(CO, T_B), msd_ideal(CO, 2 * T_B)], rtol=1e-15)
 
 
 def test_curve_monotone_on_figure_grid():
-    grid = linear_grid(0.0, 10 * T_B, 512)
+    grid = np.linspace(0.0, 10 * T_B, 512)
     c = msd_ideal_curve(CO, grid)
-    assert np.all(np.diff(c.values) >= 0)
+    assert np.all(np.diff(c) >= 0)
 
 
 def test_curve_rejects_empty_and_decreasing():

@@ -180,7 +180,7 @@ class TestSampleMsd:
         # each point within 3 standard errors of the analytic average
         grid, res = run
         for i, t in enumerate(grid):
-            ref = msd_exact_curve(mc_basis, [float(t)]).values[0]
+            ref = msd_exact_curve(mc_basis, [float(t)])[0]
             z = (res.mean_msd[i] - ref) / res.stderr[i]
             assert abs(z) < 3.0
 
@@ -310,4 +310,4 @@ class TestRerandomized:
         # fresh phases kill the coherent suppression at small t
         t = 0.5 * CONST.hbar * mc_basis.beta
         est, err, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 9), t=t)
-        assert est - 3 * err > msd_exact_curve(mc_basis, [t]).values[0]
+        assert est - 3 * err > msd_exact_curve(mc_basis, [t])[0]
