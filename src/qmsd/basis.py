@@ -1,7 +1,7 @@
 """Truncated plane-wave eigenbasis on the periodic super-cell.
 
 Wavenumbers q_n = 2 pi n / L, energies E_n = hbar^2 q_n^2 / 2m, Boltzmann
-weights and the partition function.
+weights and the partition function, on a given or a converged basis.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import numpy as np
 from .constants import CONST, PhysicalSystem, ValidationError, derive_scales
 
 WEIGHT_FLOOR = 1e-18  # relative to w(n = 1); see EigenBasis.weight_floor
-
-
-class TruncationWarning(UserWarning):
-    """The basis is not converged: its edge weight is not below its floor."""
 
 
 @dataclass(frozen=True)
@@ -62,22 +58,37 @@ class EigenBasis:
         return bool(self.w[0] < self.weight_floor or self.w[0] == 0.0)
 
 
+def lattice_energy(sys: PhysicalSystem) -> float:
+    """eps = hbar^2 (2 pi/L)^2 / 2m, the energy of the n = 1 state (J)."""
+    return CONST.hbar**2 * (2.0 * math.pi / sys.L)**2 / (2.0 * sys.mass)
+
+
+def _plane_waves(sys: PhysicalSystem, M: int) -> EigenBasis:
+    beta = derive_scales(sys).beta
+    indices = np.arange(-M, M + 1)
+    q = 2.0 * math.pi * indices / sys.L
+    E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
+    w = np.exp(-beta * E)
+    return EigenBasis(indices=indices, q=q, E=E, w=w, L=sys.L, beta=beta, mass=sys.mass)
+
+
 def build_basis(sys: PhysicalSystem, funcs_per_cell: int) -> EigenBasis:
     """Build a basis with K = funcs_per_cell * n_cells functions, rounded
     up to the nearest odd 2M+1 and centered on n = 0."""
     if funcs_per_cell < 1:
         raise ValidationError("funcs_per_cell must be >= 1")
-    K = funcs_per_cell * sys.n_cells
-    if K % 2 == 0:
-        K += 1
-    M = (K - 1) // 2
-    L = sys.L
-    beta = derive_scales(sys).beta
-    indices = np.arange(-M, M + 1)
-    q = 2.0 * math.pi * indices / L
-    E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
-    w = np.exp(-beta * E)
-    return EigenBasis(indices=indices, q=q, E=E, w=w, L=L, beta=beta, mass=sys.mass)
+    return _plane_waves(sys, funcs_per_cell * sys.n_cells // 2)
+
+
+def converged_basis(sys: PhysicalSystem) -> EigenBasis:
+    """The basis n = -M..M that is converged by construction, with no search:
+    w(M)/w(1) = e^{-c(M^2 - 1)}, c = beta eps, is below WEIGHT_FLOOR once
+    M^2 > 1 + ln(1/WEIGHT_FLOOR)/c. So M, and not n_cells, sets its size."""
+    c = derive_scales(sys).beta * lattice_energy(sys)
+    basis = _plane_waves(sys, math.floor(math.sqrt(1.0 - math.log(WEIGHT_FLOOR) / c)) + 1)
+    if not basis.converged:
+        raise RuntimeError(f"basis n = -{basis.M}..{basis.M} is not converged")
+    return basis
 
 
 def partition_function(basis: EigenBasis) -> float:

@@ -5,17 +5,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis import TruncationWarning, build_basis, partition_function
+from .basis import build_basis, partition_function
 from .closedforms import breve_closed, msd_collision_model
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
                         ValidationError, derive_scales, validate_grid)
-from .exact import breve_sum, exact_params, msd_exact_curve
+from .exact import (breve_basis_sum, breve_sum, exact_params, msd_basis_curve,
+                    msd_exact_curve)
 from .ideal import msd_ideal_curve
 from .montecarlo import sample_msd, sample_msd_rerandomized
 from .output import config_hash, write_csv, write_json_meta
@@ -34,7 +34,7 @@ CONFIG_KEYS = {
     "temperature_K": (190.0, float, "temperature (K)"),
     "lattice_pm": (256.0, float, "lattice constant a (pm)"),
     "n_cells": (10, int, "super-cell length L in lattice constants"),
-    "funcs_per_cell": (100, int, "plane waves per lattice cell"),
+    "funcs_per_cell": (20, int, "plane waves per lattice cell of mc-verify's basis"),
     "alpha": (0.35, float, "collision-model free flight, in units of L"),
     "members": (10000, int, "Monte-Carlo ensemble members"),
     "seed": (42, int, "Monte-Carlo seed, >= 0"),
@@ -85,22 +85,23 @@ def _build_parser():
         # an unset flag stays None, so that it does not override a default
         common.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (command, _) in COMMANDS.items():
+    for name, command in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=(command.__doc__ or "").split("\n")[0])
     return parser
 
 
 def resolve_config(args) -> dict:
-    """Merge DEFAULTS <- the command's defaults <- CLI flags."""
+    """Merge DEFAULTS <- CLI flags."""
     flags = {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
-    cfg = {**DEFAULTS, **COMMANDS[args.command][1], **flags}
+    cfg = {**DEFAULTS, **flags}
     fmts = set(cfg["formats"].split(","))
     bad = fmts - {"csv", "svg", "json-meta"}
     if bad:
         raise ValidationError(f"unknown output formats: {sorted(bad)}")
     cfg["formats"] = ",".join(sorted(fmts))
-    if cfg["seed"] < 0:
-        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
+    for key, low in (("seed", 0), ("funcs_per_cell", 1)):
+        if cfg[key] < low:
+            raise ValidationError(f"{key} must be >= {low}, got {cfg[key]}")
     return cfg
 
 
@@ -182,17 +183,6 @@ class Run:
         self.pending.clear()
 
 
-def _basis(run: Run, system: PhysicalSystem):
-    """The basis of one cell at the configured functions per cell; warns
-    (does not fail) when it is not converged."""
-    basis = build_basis(system, run.cfg["funcs_per_cell"])
-    if not basis.converged:
-        warnings.warn(f"edge Boltzmann weight {basis.w[0]:.3e} is not below the "
-                      f"weight floor {basis.weight_floor:.3e}; basis may be "
-                      f"under-truncated", TruncationWarning)
-    return basis
-
-
 def cmd_scales(run: Run):
     """Derived characteristic scales."""
     s = run.scales
@@ -215,26 +205,24 @@ def cmd_ideal(run: Run):
 
 def cmd_exact(run: Run):
     """Exact coherent double-sum MSD curve."""
-    basis = _basis(run, run.system)
     grid = run.grid("linear:0:30:300")
-    series = run.msd_csv("exact.csv", grid, msd_exact_curve(basis, grid),
+    series = run.msd_csv("exact.csv", grid, msd_exact_curve(run.system, grid),
                          label=f"exact sum, L={run.system.n_cells}a")
     run.svg("exact.svg", [series], title="Exact coherent MSD")
-    run.meta("exact.json", {"method": "exact-sum", "K": basis.K,
-                            "Q": partition_function(basis), "params": exact_params(basis)})
+    run.meta("exact.json", {"method": "exact-sum", "params": exact_params(run.system)})
 
 
 def cmd_breve(run: Run):
-    """Decohered plateau: direct sum and closed form."""
-    basis = _basis(run, run.system)
-    bs = breve_sum(basis)
+    """Decohered plateau: exact sum and closed form."""
+    bs = breve_sum(run.system)
     bc = breve_closed(run.system)
     a2 = run.system.lattice_a**2
     run.csv("breve.csv",
             ["breve_sum_m2", "breve_closed_m2", "breve_sum_over_a2",
              "breve_closed_over_a2"],
             [[bs], [bc], [bs / a2], [bc / a2]])
-    run.meta("breve.json", {"breve_sum_m2": bs, "breve_closed_m2": bc, "K": basis.K})
+    run.meta("breve.json", {"breve_sum_m2": bs, "breve_closed_m2": bc,
+                            "params": exact_params(run.system)})
     print(f"breve_sum    = {bs:.6e} m^2 = {bs/a2:.4f} a^2")
     print(f"breve_closed = {bc:.6e} m^2 = {bc/a2:.4f} a^2")
 
@@ -273,10 +261,10 @@ def _mc_gate(mean, stderr, exact) -> tuple[float, float]:
 def cmd_mc_verify(run: Run):
     """Monte-Carlo random-phase oracle vs exact sum."""
     grid = run.grid("linear:1:20:20")
-    # not _basis: the K = 201 default basis is truncated on purpose, unwarned
+    # truncated on purpose (K = 201): the estimate and exact column share it
     basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     res = sample_msd(basis, grid, run.cfg["members"], run.cfg["seed"])
-    exact = msd_exact_curve(basis, grid)
+    exact = msd_basis_curve(basis, grid)
     max_z, z_star = _mc_gate(res.mean_msd, res.stderr, exact)
     if not max_z <= z_star:  # a NaN z refuses too
         raise NumericalError(
@@ -284,12 +272,13 @@ def cmd_mc_verify(run: Run):
             f"{max_z:.2f} over {grid.size} points exceeds z* = {z_star:.2f} "
             f"(family-wise false-alarm rate {MC_GATE_FALSE_ALARM:g})")
     est, err, t_used = sample_msd_rerandomized(basis, res)
-    bs = breve_sum(basis)
+    bs = breve_basis_sum(basis)
     run.csv("mc_verify.csv",
             ["t_s", "t_over_tb", "mc_msd_m2", "mc_stderr_m2", "exact_msd_m2"],
             [grid, grid / run.scales.t_b, res.mean_msd, res.stderr, exact])
     run.meta("mc_verify.json", {
-        "K": basis.K, "members": res.n_members, "seed": res.seed,
+        "K": basis.K, "Q": partition_function(basis), "edge_weight": float(basis.w[0]),
+        "weight_floor": basis.weight_floor, "members": res.n_members, "seed": res.seed,
         "rerandomized_estimate_m2": est, "rerandomized_stderr_m2": err,
         "rerandomized_t_s": t_used, "breve_sum_m2": bs,
         "max_abs_z": max_z, "gate_z": z_star,
@@ -368,18 +357,16 @@ def cmd_figure2(run: Run):
     plateaus = {}
     for n_cells, dash in ((10, "8 4"), (20, "3 3"), (40, "8 3 3 3")):
         system = run.cell(n_cells)
-        basis = _basis(run, system)
         series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid,
-                                  msd_exact_curve(basis, grid),
+                                  msd_exact_curve(system, grid),
                                   label=f"exact, L={n_cells}a", color="#000000", dash=dash))
         series.append(run.msd_csv(f"figure2_collision_L{n_cells}a.csv", grid,
                                   msd_collision_model(system, run.cfg["alpha"], grid),
                                   label=f"model, L={n_cells}a", color="#c02020", dash=dash))
-        params = exact_params(basis)
         plateaus[f"L={n_cells}a"] = {
-            "breve_sum_over_a2": breve_sum(basis) / a2,
+            "breve_sum_over_a2": breve_sum(system) / a2,
             "breve_closed_over_a2": breve_closed(system) / a2,
-            **{k: params[k] for k in ("path", "edge_weight", "weight_floor")},
+            "params": exact_params(system),
         }
     series.insert(0, run.msd_csv("figure2_ideal.csv", grid,
                                  msd_ideal_curve(run.system, grid),
@@ -390,24 +377,12 @@ def cmd_figure2(run: Run):
              [p["breve_sum_over_a2"] for p in plateaus.values()],
              [p["breve_closed_over_a2"] for p in plateaus.values()]])
     run.svg("figure2.svg", series, title="Quasi-ideal MSD plateaus (CO on flat Cu(100))")
-    run.meta("figure2.json", {"alpha": float(run.cfg["alpha"]),
-                              "funcs_per_cell": run.cfg["funcs_per_cell"],
-                              "plateaus": plateaus})
+    run.meta("figure2.json", {"alpha": float(run.cfg["alpha"]), "plateaus": plateaus})
 
 
-# command -> (function, config defaults that differ from DEFAULTS)
-COMMANDS = {
-    "scales": (cmd_scales, {}),
-    "ideal": (cmd_ideal, {}),
-    "exact": (cmd_exact, {}),
-    "breve": (cmd_breve, {}),
-    "collision": (cmd_collision, {}),
-    # the Monte-Carlo oracle is O(K^2) per member: keep K small unless asked
-    "mc-verify": (cmd_mc_verify, {"funcs_per_cell": 20}),
-    "scattering": (cmd_scattering, {}),
-    "figure1": (cmd_figure1, {}),
-    "figure2": (cmd_figure2, {}),
-}
+COMMANDS = {"scales": cmd_scales, "ideal": cmd_ideal, "exact": cmd_exact,
+            "breve": cmd_breve, "collision": cmd_collision, "mc-verify": cmd_mc_verify,
+            "scattering": cmd_scattering, "figure1": cmd_figure1, "figure2": cmd_figure2}
 
 
 def main(argv=None) -> int:
@@ -415,7 +390,7 @@ def main(argv=None) -> int:
     try:
         run = Run(args.command, resolve_config(args))
         run.outdir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command][0](run)
+        COMMANDS[args.command](run)
         run.flush()
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

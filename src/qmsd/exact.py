@@ -1,10 +1,10 @@
 """Exact coherent double-sum MSD on the plane-wave basis, and the
 decohered plateau constant.
 
-Two evaluation paths give the same sum, and the basis decides which one
-runs. A converged basis on a cell much longer than the thermal length
-takes the O(K) theta series; any other basis takes the O(K^2) direct
-pair sum.
+The physical routes take the PhysicalSystem, and the cell picks the path: a
+cell much longer than the thermal length takes the O(K) theta series, with
+no basis; any other the O(K^2) direct pair sum over its converged basis (at
+most 57 states). The given-basis routes always take the direct sum.
 
 Theta series. With d = j - n, s = n + j, eps = hbar^2 (2 pi/L)^2 / 2m,
 c = beta eps and a = c/2, the weights are w_n w_j = exp(-c(d^2+s^2)/2)
@@ -19,8 +19,8 @@ the inner sum over s into sqrt(pi/4a)/2 times the bracket
     -expm1(-b^2/4a) + sum_{nu>=1} (-1)^(nu p) [2 e^{-pi^2 nu^2/4a}
                       - e^{-(b - pi nu)^2/4a} - e^{-(b + pi nu)^2/4a}],
 
-p = d mod 2. The series sums the untruncated lattice, which equals the
-basis sum to the edge weight.
+p = d mod 2. The series sums the untruncated lattice, whose Q is the continuum
+Q_approx = sqrt(pi/c): its Jacobi dual's images are below e^{-92}.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import math
 
 import numpy as np
 
-from .basis import EigenBasis, partition_function
-from .constants import CONST, validate_grid
-from .kernels import BLOCK, blocked_sum, msd_reduce, pair_arrays
+from .basis import EigenBasis, converged_basis, lattice_energy, partition_function
+from .constants import (CONST, PhysicalSystem, ValidationError, derive_scales,
+                        validate_grid)
+from .kernels import blocked_sum, msd_reduce, pair_arrays
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
 TAIL = 92.0
@@ -49,32 +50,35 @@ X_CUT = 38.0
 # relative slack on the bounds in b that select elements, far above the
 # few roundings in b, x and q
 _SLACK = 1e-9
+# the theta series' limits: d_max = sqrt(2 TAIL/c) ~ L sqrt(mT) outer terms set
+# its memory, and d_max x times elements its time (~12 s at 8e7 per s)
+MAX_OUTER = 1 << 18
+MAX_WORK = 10**9
 
 
-def _lattice_energy(basis: EigenBasis) -> float:
-    """eps = hbar^2 (2 pi/L)^2 / 2m, the energy of the n = 1 state (J)."""
-    return CONST.hbar**2 * (2.0 * math.pi / basis.L)**2 / (2.0 * basis.mass)
+def _use_theta(system: PhysicalSystem) -> bool:
+    """Whether the theta series applies: a = beta eps/2 < A_MAX."""
+    return 0.5 * derive_scales(system).beta * lattice_energy(system) < A_MAX
 
 
-def _use_theta(basis: EigenBasis) -> bool:
-    """Whether the theta series applies: the basis is converged and
-    a = beta eps/2 < A_MAX."""
-    a = 0.5 * basis.beta * _lattice_energy(basis)
-    return basis.converged and a < A_MAX
-
-
-def _theta_outer(basis: EigenBasis):
+def _theta_outer(system: PhysicalSystem, n_times: int):
     """Outer-sum data (d, p = d mod 2, weight g_d, eps/hbar, a) of the series.
 
     g_d carries every constant factor, so MSD(t) = sum_d g_d bracket_d(t).
+    A series past MAX_OUTER or MAX_WORK at n_times times is refused first.
     """
-    Q = partition_function(basis)
-    eps = _lattice_energy(basis)
-    c = basis.beta * eps
+    scales = derive_scales(system)
+    eps = lattice_energy(system)
+    c = scales.beta * eps
     a = 0.5 * c
-    d = np.arange(1.0, math.floor(math.sqrt(2.0 * TAIL / c)) + 1.0)
+    d_max = math.sqrt(2.0 * TAIL / c) if c > 0.0 else math.inf
+    if not (d_max <= MAX_OUTER and d_max * n_times <= MAX_WORK):
+        raise ValidationError(f"the theta series needs d_max = {d_max:.4g} at {n_times} "
+                              f"time(s), past its limits of {MAX_OUTER} outer terms "
+                              f"and {MAX_WORK:.0e} terms x times")
+    d = np.arange(1.0, math.floor(d_max) + 1.0)
     # 2 e^{-cd^2/2}/d^2 for d and -d, times sqrt(pi/4a)/2 from the inner sum
-    g = (4.0 / Q**2 * (basis.L / (2.0 * math.pi))**2
+    g = (4.0 / scales.Q_approx**2 * (system.L / (2.0 * math.pi))**2
          * math.sqrt(math.pi / (4.0 * a)) * np.exp(-0.5 * c * d * d) / (d * d))
     return d, d % 2.0, g, eps / CONST.hbar, a
 
@@ -86,7 +90,7 @@ def _row_prefixes(lengths: np.ndarray):
     return rows, cols
 
 
-def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
+def _theta_msd(system: PhysicalSystem, times: np.ndarray) -> np.ndarray:
     """Coherent MSD at each time by the theta series, O(K) per time.
 
     Each block of the (d, t) bracket starts at 1.0, and the transcendental
@@ -102,7 +106,7 @@ def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
     the same order, k = -width..width, and the cut terms there are exact
     zeros, so every output bit equals the dense series.
     """
-    d, p, g, eps_over_hbar, a = _theta_outer(basis)
+    d, p, g, eps_over_hbar, a = _theta_outer(system, times.size)
     inv4a = 0.25 / a
     reach = math.sqrt(4.0 * a * TAIL)
     # the image nearest b/pi lies within pi/2 of b, the k-th next beyond
@@ -147,40 +151,44 @@ def _theta_msd(basis: EigenBasis, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_params(basis: EigenBasis) -> dict:
-    """The exact sum's parameters on a basis: the cell, the path that
-    msd_exact_curve and breve_sum take, and the convergence that picks it."""
-    return {
-        "L": basis.L,
-        "K": basis.K,
-        "beta": basis.beta,
-        "mass": basis.mass,
-        "path": "theta" if _use_theta(basis) else "direct",
-        "edge_weight": float(basis.w[0]),
-        "weight_floor": basis.weight_floor,
-        "reduction_block": BLOCK,
-    }
+def exact_params(system: PhysicalSystem) -> dict:
+    """The path that msd_exact_curve and breve_sum take for the system, its
+    partition function Q, and the theta series' d_max or the direct sum's K."""
+    if _use_theta(system):
+        return {"path": "theta", "Q": derive_scales(system).Q_approx,
+                "d_max": _theta_outer(system, 1)[0].size}
+    basis = converged_basis(system)
+    return {"path": "direct", "Q": partition_function(basis), "K": basis.K}
 
 
-def msd_exact_curve(basis: EigenBasis, grid) -> np.ndarray:
-    """Coherent MSD (m^2) at each time of a validated time grid, normalised
-    by the basis's own partition function; exact_params names the path."""
+def msd_exact_curve(system: PhysicalSystem, grid) -> np.ndarray:
+    """Coherent MSD (m^2) of the particle on its super-cell at each time of
+    a validated time grid; exact_params names the path."""
     times = validate_grid(grid)
-    if _use_theta(basis):
-        return _theta_msd(basis, times)
+    if _use_theta(system):
+        return _theta_msd(system, times)
+    return msd_basis_curve(converged_basis(system), times)
+
+
+def breve_sum(system: PhysicalSystem) -> float:
+    """Decohered plateau constant (m^2): the coherent sum with every sin^2
+    factor replaced by 1/2, on the path that msd_exact_curve takes."""
+    if _use_theta(system):
+        # the theta bracket's time mean is 1, leaving the outer weights
+        return float(np.sum(_theta_outer(system, 1)[2]))
+    return breve_basis_sum(converged_basis(system))
+
+
+def msd_basis_curve(basis: EigenBasis, grid) -> np.ndarray:
+    """Coherent MSD (m^2) at each time of a validated time grid by the direct
+    pair sum on the basis as given, normalised by its own partition function."""
+    times = validate_grid(grid)
     # the ordered pairs n < j, doubled (the sum is symmetric)
     wprod, half_omega = pair_arrays(basis)
     return 8.0 / partition_function(basis)**2 * msd_reduce(wprod, half_omega, times)
 
 
-def breve_sum(basis: EigenBasis) -> float:
-    """Decohered plateau constant (m^2).
-
-    Equals the coherent sum with every sin^2 factor replaced by 1/2; the
-    path is chosen as in msd_exact_curve.
-    """
-    if _use_theta(basis):
-        # the theta bracket's time mean is 1, leaving the outer weights
-        return float(np.sum(_theta_outer(basis)[2]))
+def breve_basis_sum(basis: EigenBasis) -> float:
+    """Decohered plateau constant (m^2) by the direct pair sum on the basis as given."""
     wprod, _ = pair_arrays(basis)
     return float(4.0 / partition_function(basis)**2 * blocked_sum(wprod))

@@ -186,14 +186,14 @@ def _openblas():
     return get, set_
 
 
-_BLAS_LOCK = threading.Lock()
+_BLAS_LOCK = threading.RLock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS at one thread, and restore its count on exit;
-    yields whether it holds. Holders run one at a time, and meanwhile
-    every other BLAS call of the process gets one thread too."""
+    yields whether it holds. Holders run one at a time (a holder may nest
+    one), and meanwhile every other BLAS call of the process gets one thread."""
     with _BLAS_LOCK:
         blas = _openblas()
         if blas is None:

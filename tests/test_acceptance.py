@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmsd import (CONST, PhysicalSystem, breve_closed, breve_sum, build_basis,
-                  derive_scales, dsf, isf_phase, msd_collision_model,
-                  msd_exact_curve, msd_ideal, pair_correlation_self, sample_msd,
-                  sample_msd_rerandomized)
+from qmsd import (CONST, PhysicalSystem, breve_basis_sum, breve_closed, breve_sum,
+                  build_basis, derive_scales, dsf, isf_phase, msd_basis_curve,
+                  msd_collision_model, msd_exact_curve, msd_ideal,
+                  pair_correlation_self, sample_msd, sample_msd_rerandomized)
 from qmsd.closedforms import I_ab, J
 
 U_TO_KG = 1.66053906660e-27
@@ -30,20 +30,19 @@ def report(num: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def co_family():
-    """Per-L data for CO at 190 K, a = 256 pm: basis sums, the exact
-    coherent curve on a linear grid covering [0, 100 t_b], and the same
-    curve on [3 t_c, 5 t_c], after it has saturated at the plateau."""
+    """Per-L data for CO at 190 K, a = 256 pm: the exact coherent curve on
+    a linear grid covering [0, 100 t_b], the same curve on [3 t_c, 5 t_c],
+    after it has saturated at the plateau, and the plateau."""
     family = {}
     for n_cells in (10, 20, 40):
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
         s = derive_scales(sys)
-        basis = build_basis(sys, 100)
         grid = np.linspace(0.0, 100.0, 400) * s.t_b
         family[n_cells] = {
-            "system": sys, "scales": s, "basis": basis,
-            "grid": grid, "curve": msd_exact_curve(basis, grid),
-            "late": msd_exact_curve(basis, np.linspace(3 * s.t_c, 5 * s.t_c, 32)),
-            "breve_sum": breve_sum(basis),
+            "system": sys, "scales": s,
+            "grid": grid, "curve": msd_exact_curve(sys, grid),
+            "late": msd_exact_curve(sys, np.linspace(3 * s.t_c, 5 * s.t_c, 32)),
+            "breve_sum": breve_sum(sys),
             "breve_closed": breve_closed(sys),
         }
     return family
@@ -55,9 +54,8 @@ def test_criterion_1_plateau_reproduction():
     worst = 0.0
     for n_cells, target in expected.items():
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-        basis = build_basis(sys, 100)
         a2 = sys.lattice_a**2
-        for val in (breve_sum(basis) / a2, breve_closed(sys) / a2):
+        for val in (breve_sum(sys) / a2, breve_closed(sys) / a2):
             worst = max(worst, abs(val - target) / target)
     elapsed = time.perf_counter() - t0
     report(1, worst <= 0.05 and elapsed < 10.0,
@@ -119,7 +117,7 @@ def test_criterion_4_short_time_quadratic_law(co_family):
     ts = np.linspace(0.0, 0.05, 21)[1:] * s.t_b
     fit = lambda vals: float(np.sum(vals * ts**2) / np.sum(ts**4))
     c_ideal = fit(msd_ideal(sys, ts))
-    c_exact = fit(msd_exact_curve(d["basis"], ts))
+    c_exact = fit(msd_exact_curve(sys, ts))
     dev_i = abs(c_ideal - kT_over_2m) / kT_over_2m
     dev_e = abs(c_exact - kT_over_2m) / kT_over_2m
     report(4, dev_i <= 1e-3 and dev_e <= 0.02,
@@ -146,10 +144,10 @@ def test_criterion_6_monte_carlo_oracle():
     assert basis.K == 201
     grid = np.linspace(1.0, 20.0, 20) * s.t_b
     res = sample_msd(basis, grid, n_members=10000, seed=42)
-    exact = msd_exact_curve(basis, grid)
+    exact = msd_basis_curve(basis, grid)
     z = np.abs(res.mean_msd - exact) / res.stderr
     est, err, _ = sample_msd_rerandomized(basis, res)
-    bs = breve_sum(basis)
+    bs = breve_basis_sum(basis)
     z_replat = abs(est - bs) / err
     elapsed = time.perf_counter() - t0
     report(6, float(z.max()) < 3.0 and z_replat < 3.0 and elapsed < 300.0,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, build_basis,
-                  derive_scales, partition_function)
+                  converged_basis, derive_scales, partition_function)
 
 
 # The closed-form position matrix elements. No command evaluates them (the
@@ -100,6 +100,27 @@ def test_converged_reads_the_relative_floor(co_basis, mc_basis):
     # weight of exactly 0 counts as converged
     cold = build_basis(PhysicalSystem.from_user_units(28, 5e-5, 256, 10), 100)
     assert cold.w[0] == cold.weight_floor == 0.0 and cold.converged
+
+
+@pytest.mark.parametrize("mass_u,temperature_K,n_cells", [
+    (28, 190, 10), (28, 190, 40), (28, 300, 20), (131, 105, 10), (28, 1e4, 10),
+    (1.008, 10, 1), (28, 1e-3, 10)])
+def test_converged_basis_is_the_smallest(mass_u, temperature_K, n_cells):
+    # M = floor(sqrt(1 + ln(1e18)/c)) + 1: converged, and one state fewer on
+    # each side is not (where w(n = 1) does not underflow)
+    sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, n_cells)
+    basis = converged_basis(sys)
+    c = basis.beta * basis.E[basis.M + 1]
+    assert basis.M == math.floor(math.sqrt(1 + math.log(1e18) / c)) + 1
+    np.testing.assert_array_equal(basis.indices, np.arange(-basis.M, basis.M + 1))
+    assert basis.converged and basis.beta == derive_scales(sys).beta
+    inner = dataclasses.replace(basis, indices=basis.indices[1:-1], q=basis.q[1:-1],
+                                E=basis.E[1:-1], w=basis.w[1:-1])
+    assert not inner.converged
+    # its size is set by c alone, not by n_cells: the same c on a cell
+    # twice as long (a quarter of the mass) gives the same M
+    longer = PhysicalSystem(sys.mass / 4, sys.temperature, sys.lattice_a, 2 * n_cells)
+    assert converged_basis(longer).M == basis.M
 
 
 class TestXElement:

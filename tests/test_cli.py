@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import pytest
 
 import qmsd
 from qmsd import svgplot
-from qmsd.basis import TruncationWarning
 from qmsd.cli import (COMMANDS, CONFIG_KEYS, DEFAULTS, _build_parser, main, parse_grid,
                        resolve_config)
 from qmsd.constants import ValidationError
@@ -315,6 +315,43 @@ class TestExitCodes:
     def test_theta_images_overflow_without_a_warning(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
+    # d_max = sqrt(2 TAIL/c) grows as L sqrt(mT): 5.9e7 at 1e12 K on L = 10a,
+    # 8.2e9 on 1e8 cells; refused before the series allocates
+    @pytest.mark.parametrize("argv", [
+        *([command, "--temperature-K", "1e12"] for command in ("exact", "breve", "figure2")),
+        ["exact", "--n-cells", "100000000"]], ids=" ".join)
+    def test_theta_series_past_its_limits_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "config error: the theta series needs d_max = " in err
+        assert "past its limits of 262144 outer terms and 1e+09 terms x times" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_hot_figure2_within_the_limits(self, tmp_path):
+        # at 1e4 K the L = 40a series has d_max = 23 752 at 300 times
+        assert run_cli("figure2", "--temperature-K", "1e4", "--out", str(tmp_path),
+                       "--formats", "json-meta") == 0
+        plateaus = json.loads((tmp_path / "figure2.json").read_text())["plateaus"]
+        assert [p["params"]["path"] for p in plateaus.values()] == ["theta"] * 3
+        assert plateaus["L=40a"]["params"]["d_max"] == 23752
+
+    # each ran the direct sum on a basis that was not converged, for up to
+    # 30 s, and wrote a truncation artifact up to 39 % off
+    @pytest.mark.parametrize("argv", [
+        ["--n-cells", "40", "--funcs-per-cell", "77"], ["--temperature-K", "1e4"],
+        ["--mass-u", "131", "--temperature-K", "105"]], ids=" ".join)
+    def test_exact_takes_the_theta_path_of_its_system(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t0 = time.perf_counter()
+            assert run_cli("exact", *argv, "--out", str(tmp_path),
+                           "--formats", "csv,json-meta") == 0
+            assert time.perf_counter() - t0 < 1.0
+        assert json.loads((tmp_path / "exact.json").read_text())["params"]["path"] == "theta"
+
     @pytest.mark.parametrize("command", ["collision", "scattering"])
     def test_decreasing_grid_rejected(self, tmp_path, capsys, command):
         # the same grid rule as exact: times must increase
@@ -330,7 +367,7 @@ class TestExitCodes:
                  for name in ("defaults", "int")]
         assert lines[0] == lines[1]
         # the default configuration keeps its hash
-        assert lines[0][0] == "# config_hash: 1e0225327554a020"
+        assert lines[0][0] == "# config_hash: 877c75f086c93ce4"
 
     def test_config_file_flag_rejected(self, tmp_path):
         # flags are the one input path: there is no config file to name
@@ -474,7 +511,7 @@ class TestExitCodes:
 
 class TestConfigResolution:
     def test_file_overrides_defaults_flag_overrides_file(self):
-        # DEFAULTS <- the command's own defaults <- the flags
+        # DEFAULTS <- the flags, the same for every command
         def resolve(*argv):
             return resolve_config(_build_parser().parse_args(list(argv)))
 
@@ -482,7 +519,7 @@ class TestConfigResolution:
         assert cfg["n_cells"] == 20
         assert cfg["seed"] == 9
         assert cfg["mass_u"] == 28.0
-        assert cfg["funcs_per_cell"] == 100
+        assert cfg["funcs_per_cell"] == 20
         assert resolve("mc-verify")["funcs_per_cell"] == 20
         assert resolve("mc-verify", "--funcs-per-cell", "80")["funcs_per_cell"] == 80
 
@@ -551,11 +588,8 @@ class TestArtifacts:
 
     def test_csv_rerun_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        # 50 functions per cell leave the edge weight above the floor
         for d in (d1, d2):
-            with pytest.warns(TruncationWarning):
-                assert run_cli("breve", "--out", str(d), "--formats", "csv",
-                               "--funcs-per-cell", "50") == 0
+            assert run_cli("breve", "--out", str(d), "--formats", "csv") == 0
         assert (d1 / "breve.csv").read_bytes() == (d2 / "breve.csv").read_bytes()
 
     def test_no_timestamp_svg_reproducible(self, tmp_path):
@@ -569,56 +603,67 @@ class TestArtifacts:
         assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:5:8",
                        "--formats", "json-meta") == 0
         params = json.loads((tmp_path / "exact.json").read_text())["params"]
-        assert params["path"] == "theta"
-        assert params["edge_weight"] < params["weight_floor"] == co_weight_floor(10)
+        co = qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10)
+        assert params == {"path": "theta", "Q": qmsd.derive_scales(co).Q_approx,
+                          "d_max": 818}
 
-    @pytest.mark.parametrize("funcs_per_cell", [100, 40], ids=["theta", "direct"])
-    def test_metas_hold_method_and_exact_params(self, tmp_path, funcs_per_cell):
-        # exact.json's params, and each figure2.json plateau's path, edge
-        # weight and floor, are exact_params of that cell's basis
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            for command in ("ideal", "exact", "figure2"):
-                assert run_cli(command, "--out", str(tmp_path), "--grid", "linear:0.5:1:2",
-                               "--funcs-per-cell", str(funcs_per_cell),
-                               "--formats", "json-meta") == 0
-        params = {n_cells: qmsd.exact_params(qmsd.build_basis(
-                      qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, n_cells),
-                      funcs_per_cell))
-                  for n_cells in (10, 20, 40)}
+    @pytest.mark.parametrize("flags", [
+        [], ["--mass-u", "1.008", "--temperature-K", "10", "--n-cells", "1"]],
+        ids=["theta", "direct"])
+    def test_metas_hold_method_and_exact_params(self, tmp_path, flags):
+        # exact.json's and breve.json's params, and each figure2.json
+        # plateau's, are exact_params of that cell's system; H at 10 K takes
+        # the direct path on L = 1a and 10a, and the theta path from 20a
+        for command in ("ideal", "exact", "breve", "figure2"):
+            assert run_cli(command, "--out", str(tmp_path), "--grid", "linear:0.5:1:2",
+                           *flags, "--formats", "json-meta") == 0
+        mass_u, temperature, n_cells = (1.008, 10.0, 1) if flags else (28.0, 190.0, 10)
+        params = {n: qmsd.exact_params(qmsd.PhysicalSystem.from_user_units(
+                      mass_u, temperature, 256.0, n)) for n in (n_cells, 10, 20, 40)}
         ideal = json.loads((tmp_path / "ideal.json").read_text())
         assert (ideal["method"], ideal["points"]) == ("ideal-analytic", 2)
         exact = json.loads((tmp_path / "exact.json").read_text())
         assert exact["method"] == "exact-sum"
-        assert exact["params"] == params[10]
-        assert exact["params"]["path"] == ("theta" if funcs_per_cell == 100 else "direct")
+        assert exact["params"] == params[n_cells]
+        assert exact["params"]["path"] == ("direct" if flags else "theta")
+        assert json.loads((tmp_path / "breve.json").read_text())["params"] == params[n_cells]
         plateaus = json.loads((tmp_path / "figure2.json").read_text())["plateaus"]
-        for n_cells, want in params.items():
-            entry = plateaus[f"L={n_cells}a"]
-            for key in ("path", "edge_weight", "weight_floor"):
-                assert entry[key] == want[key], (n_cells, key)
+        for n in (10, 20, 40):
+            assert plateaus[f"L={n}a"]["params"] == params[n], n
+        assert [params[n]["path"] for n in (10, 20, 40)] == (
+            ["direct", "theta", "theta"] if flags else ["theta"] * 3)
 
-    @pytest.mark.parametrize("funcs_per_cell,path", [
-        (63, "direct"), (64, "direct"), (70, "direct"), (77, "direct"),
-        (78, "theta"), (100, "theta")])
-    def test_truncation_warning_reads_the_path_rule(self, tmp_path, funcs_per_cell, path):
+    @pytest.mark.parametrize("funcs_per_cell,state", [
+        (63, "truncated"), (64, "truncated"), (70, "truncated"), (77, "truncated"),
+        (78, "converged"), (100, "converged")])
+    def test_funcs_per_cell_reaches_mc_verify_alone(self, tmp_path, funcs_per_cell, state):
         # CO at 190 K on L = 10a: the edge weight falls below the floor
-        # between 77 and 78 functions per cell
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:1:2",
-                           "--funcs-per-cell", str(funcs_per_cell),
-                           "--formats", "json-meta") == 0
-        warned = [TruncationWarning] if path == "direct" else []
-        assert [w.category for w in caught] == warned
-        params = json.loads((tmp_path / "exact.json").read_text())["params"]
-        assert params["path"] == path
+        # between 77 and 78 functions per cell. exact writes the same body
+        # at every value, and mc_verify.json reports its basis against the rule
+        body = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fpc in (None, str(funcs_per_cell)):
+                out = tmp_path / str(fpc)
+                fpc_flag = ["--funcs-per-cell", fpc] if fpc else []
+                assert run_cli("exact", "--out", str(out), "--grid", "linear:0:1:2",
+                               *fpc_flag, "--formats", "csv") == 0
+                body[fpc] = (out / "exact.csv").read_text().splitlines()[1:]
+            assert run_cli("mc-verify", "--out", str(out), "--members", "200",
+                           "--grid", "linear:1:2:2", *fpc_flag, "--formats", "json-meta") == 0
+        assert body[None] == body[str(funcs_per_cell)]
+        meta = json.loads((out / "mc_verify.json").read_text())
+        basis = qmsd.build_basis(qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10),
+                                 funcs_per_cell)
+        assert (meta["K"], meta["Q"]) == (basis.K, qmsd.partition_function(basis))
+        assert meta["weight_floor"] == co_weight_floor(10)
+        assert (meta["edge_weight"] < meta["weight_floor"]) == (state == "converged")
 
     @pytest.mark.parametrize("temperature", [5e-5, 1e-3])
     def test_ultra_cold_basis_is_silent(self, tmp_path, temperature):
         # CO on L = 10a: below about 70 uK w(n = 1) underflows to 0, and so
-        # does the floor, yet the basis is exact and its MSD of 0 correctly
-        # rounded; at 1 mK the floor is still positive
+        # does the floor, yet the converged basis (M = 2) is exact and its
+        # MSD of 0 correctly rounded; at 1 mK the floor is still positive
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("exact", "--out", str(tmp_path), "--grid", "linear:0:1:3",
@@ -627,8 +672,7 @@ class TestArtifacts:
         params = json.loads((tmp_path / "exact.json").read_text())["params"]
         floor = co_weight_floor(10, temperature)
         assert (floor == 0.0) == (temperature < 7e-5)
-        assert params["path"] == "direct"
-        assert params["edge_weight"] == 0.0 and params["weight_floor"] == floor
+        assert (params["path"], params["K"]) == ("direct", 5)
         rows = (tmp_path / "exact.csv").read_text().splitlines()[3:]
         msd = [float(row.split(",")[2]) for row in rows]
         assert all(v == 0.0 for v in msd) if floor == 0.0 else all(v > 0.0 for v in msd)
@@ -669,6 +713,10 @@ class TestArtifacts:
         assert meta["gate_false_alarm"] == 1e-3
         assert meta["members"] == 1500
         assert meta["K"] == 201
+        # the truncated basis says how truncated it is
+        basis = qmsd.build_basis(qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10), 20)
+        assert meta["Q"] == qmsd.partition_function(basis)
+        assert meta["edge_weight"] == basis.w[0] > meta["weight_floor"] == co_weight_floor(10)
 
     def test_mc_verify_cold_basis_passes(self, tmp_path):
         # at 1 mK the exact sum keeps the (0, +-1) pairs, whose weight
@@ -694,8 +742,8 @@ class TestArtifacts:
         assert z["linear:0:4:5"] == z["linear:1:4:4"]
 
     def test_mc_verify_hash_records_its_funcs_per_cell(self, tmp_path):
-        # mc-verify's own default of 20 functions per cell is in its config
-        # and hash, so a run at 100 is told apart from one at the default
+        # the default of 20 functions per cell is in mc-verify's config and
+        # hash, so a run at 100 is told apart from one at the default
         hashes = {}
         for fpc in (None, "100"):
             out = tmp_path / str(fpc)
@@ -712,14 +760,15 @@ class TestArtifacts:
 
     def test_mc_verify_gate_refuses_scaled_exact_sum(self, tmp_path, capsys,
                                                      monkeypatch):
-        # a 10 % scale error in the exact sum is refused at the defaults
+        # a 10 % scale error in the exact sum on the basis is refused at the
+        # defaults
         import qmsd.cli
-        real = qmsd.cli.msd_exact_curve
+        real = qmsd.cli.msd_basis_curve
 
         def scaled(*args, **kwargs):
             return 1.10 * real(*args, **kwargs)
 
-        monkeypatch.setattr(qmsd.cli, "msd_exact_curve", scaled)
+        monkeypatch.setattr(qmsd.cli, "msd_basis_curve", scaled)
         assert run_cli("mc-verify", "--out", str(tmp_path)) == 4
         err = capsys.readouterr().err
         assert "Monte-Carlo estimate departs from the exact sum" in err
@@ -730,17 +779,18 @@ class TestArtifacts:
                        "--grid", "linear:0:5:64", "--formats", "csv,svg") == 0
         assert (tmp_path / "figure1.csv").exists()
         assert (tmp_path / "figure1.svg").exists()
-        with pytest.warns(TruncationWarning):
-            assert run_cli("figure2", "--out", str(tmp_path),
-                           "--grid", "linear:0:5:16", "--funcs-per-cell", "40",
-                           "--formats", "csv,json-meta") == 0
+        # --funcs-per-cell does not reach figure2: each cell takes its
+        # system's theta path
+        assert run_cli("figure2", "--out", str(tmp_path),
+                       "--grid", "linear:0:5:16", "--funcs-per-cell", "40",
+                       "--formats", "csv,json-meta") == 0
         meta = json.loads((tmp_path / "figure2.json").read_text())
+        assert set(meta) == {"command", "config", "version", "config_hash", "alpha",
+                             "plateaus"}
         assert set(meta["plateaus"]) == {"L=10a", "L=20a", "L=40a"}
         for n_cells in (10, 20, 40):
             entry = meta["plateaus"][f"L={n_cells}a"]
-            # 40 functions per cell leave the edge weight above the floor
-            assert entry["path"] == "direct"
-            assert entry["edge_weight"] > entry["weight_floor"] == co_weight_floor(n_cells)
+            assert entry["params"]["path"] == "theta"
         for n in (10, 20, 40):
             assert (tmp_path / f"figure2_exact_L{n}a.csv").exists()
             assert (tmp_path / f"figure2_collision_L{n}a.csv").exists()

@@ -161,10 +161,10 @@ class TestBreveClosed:
             plateau_a2, rel=0.05, abs=0)
 
     def test_agrees_with_discrete_sum(self, co_system, co_basis):
-        from qmsd import breve_sum
+        from qmsd import breve_basis_sum
         # the closed form is a continuum approximation that improves with
         # L; at L = 10a it sits ~0.6% above the discrete sum
-        assert breve_closed(co_system) == pytest.approx(breve_sum(co_basis), rel=1e-2, abs=0)
+        assert breve_closed(co_system) == pytest.approx(breve_basis_sum(co_basis), rel=1e-2, abs=0)
 
 
 @pytest.fixture(scope="module")

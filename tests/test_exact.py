@@ -1,12 +1,14 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
-from qmsd import (CONST, PhysicalSystem, ValidationError, breve_sum,
-                  build_basis, derive_scales, exact_params, msd_exact_curve,
-                  msd_ideal, partition_function)
+from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum,
+                  breve_sum, build_basis, converged_basis, derive_scales,
+                  exact_params, msd_basis_curve, msd_exact_curve, msd_ideal,
+                  partition_function)
 from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
 from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
 from test_basis import x_element
@@ -35,11 +37,11 @@ def direct_breve(basis, Q):
     return 4.0 / Q**2 * blocked_sum(pair_arrays(basis)[0])
 
 
-def dense_theta_msd(basis, times):
+def dense_theta_msd(system, times):
     """The theta series evaluated on every (d, t) element: expm1, rint, exp
     and the image mask everywhere, in the same blocks. The oracle that the
     pruned series in qmsd.exact must equal bit for bit."""
-    d, p, g, eps_over_hbar, a = _theta_outer(basis)
+    d, p, g, eps_over_hbar, a = _theta_outer(system, times.size)
     p = p[:, None]
     inv4a = 0.25 / a
     width = math.floor(math.sqrt(4.0 * a * TAIL) / math.pi + 0.5)
@@ -58,30 +60,41 @@ def dense_theta_msd(basis, times):
     return out
 
 
-def test_zero_at_zero(co_basis):
-    assert msd_exact_curve(co_basis, [0.0])[0] == 0.0
+# H at 10 K on one 256 pm cell, about 5 thermal lengths long: a >= A_MAX, so
+# the physical route takes the direct sum over its converged basis
+H_CELL = PhysicalSystem.from_user_units(1.008, 10, 256, 1)
 
 
-def test_negative_time_rejected(co_basis):
+def test_zero_at_zero(co_system):
+    assert msd_exact_curve(co_system, [0.0])[0] == 0.0
+
+
+def test_negative_time_rejected(co_system):
     with pytest.raises(ValueError):
-        msd_exact_curve(co_basis, [-1e-15])
+        msd_exact_curve(co_system, [-1e-15])
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
                          ids=["nan", "inf", "0-inf"])
 @pytest.mark.parametrize("fixture,path", [("co_basis", "theta"), ("small_basis", "direct")])
-def test_non_finite_time_rejected(request, fixture, path, grid):
+def test_non_finite_time_rejected(request, co_system, fixture, path, grid):
+    # the physical route of co_basis's system takes the theta series, and
+    # every given basis the direct sum; each refuses the grid
     basis = request.getfixturevalue(fixture)
-    assert exact_params(basis)["path"] == path
-    with pytest.raises(ValidationError, match="time grid must be finite"):
-        msd_exact_curve(basis, grid)
+    routes = [lambda g: msd_basis_curve(basis, g)]
+    if path == "theta":
+        assert exact_params(co_system)["path"] == "theta"
+        routes.append(lambda g: msd_exact_curve(co_system, g))
+    for route in routes:
+        with pytest.raises(ValidationError, match="time grid must be finite"):
+            route(grid)
 
 
 def test_folded_sum_matches_brute_force(small_basis):
     Q = partition_function(small_basis)
     t_b = CONST.hbar * small_basis.beta
     for t in [0.0, 0.3 * t_b, 2.7 * t_b, 40 * t_b]:
-        got = msd_exact_curve(small_basis, [t])[0]
+        got = msd_basis_curve(small_basis, [t])[0]
         assert got == pytest.approx(brute_force_msd(small_basis, Q, t),
                                     rel=1e-12, abs=1e-40)
 
@@ -90,9 +103,8 @@ def test_short_time_quadratic_coefficient():
     # CO, T = 190 K, L = 40a: msd/t^2 -> k_B T / 2m within 2 percent
     sys = PhysicalSystem.from_user_units(28, 190, 256, 40)
     s = derive_scales(sys)
-    basis = build_basis(sys, 100)
     ts = np.linspace(0.01, 0.1, 5) * s.t_b
-    ratios = np.array([msd_exact_curve(basis, [t])[0] / t**2 for t in ts])
+    ratios = np.array([msd_exact_curve(sys, [t])[0] / t**2 for t in ts])
     expected = 1.0 / (2 * s.beta * sys.mass)
     np.testing.assert_allclose(ratios, expected, rtol=0.02)
 
@@ -102,8 +114,7 @@ def test_tracks_ideal_longer_for_larger_L(co_system, co_scales):
     grid = np.linspace(0.5, 60.0, 120) * co_scales.t_b
     for n_cells in (10, 20):
         sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-        basis = build_basis(sys, 100)
-        curve = msd_exact_curve(basis, grid)
+        curve = msd_exact_curve(sys, grid)
         ideal = msd_ideal(co_system, grid)
         rel = np.abs(curve - ideal) / ideal
         exceeded = np.nonzero(rel > 0.1)[0]
@@ -111,56 +122,63 @@ def test_tracks_ideal_longer_for_larger_L(co_system, co_scales):
     assert window[20] > window[10]
 
 
-def test_plateau_matches_breve_late(co_system, co_basis, co_scales):
+def test_plateau_matches_breve_late(co_system, co_scales):
     # the coherent sum saturates on the collision-time scale t_c; its
     # time average far past t_c equals the decohered constant
-    bs = breve_sum(co_basis)
+    bs = breve_sum(co_system)
     late = np.linspace(3 * co_scales.t_c, 5 * co_scales.t_c, 48)
-    curve = msd_exact_curve(co_basis, late)
+    curve = msd_exact_curve(co_system, late)
     assert np.mean(curve) == pytest.approx(bs, rel=0.05, abs=0)
     assert np.max(curve) <= bs * 1.05
 
 
-def test_never_exceeds_breve_bound(co_basis, co_scales):
-    bs = breve_sum(co_basis)
+def test_never_exceeds_breve_bound(co_system, co_scales):
+    bs = breve_sum(co_system)
     grid = np.linspace(0.0, 30.0, 150) * co_scales.t_b
-    curve = msd_exact_curve(co_basis, grid)
+    curve = msd_exact_curve(co_system, grid)
     assert np.max(curve) <= bs * 1.05
 
 
 def test_truncation_convergence(co_system, co_basis, co_scales):
-    basis2 = build_basis(co_system, 200)
+    # given bases of 100 and 200 functions per cell are converged, and their
+    # direct sums equal the physical route's theta series
     grid = np.linspace(0.1, 20.0, 12) * co_scales.t_b
-    c1 = msd_exact_curve(co_basis, grid)
-    c2 = msd_exact_curve(basis2, grid)
-    np.testing.assert_allclose(c1, c2, rtol=1e-3)
+    want = msd_exact_curve(co_system, grid)
+    for basis in (co_basis, build_basis(co_system, 200)):
+        np.testing.assert_allclose(msd_basis_curve(basis, grid), want, rtol=1e-12, atol=0)
 
 
-def test_curve_metadata_and_validation(co_basis, co_scales):
+def test_curve_metadata_and_validation(co_system, co_scales):
     with pytest.raises(ValueError):
-        msd_exact_curve(co_basis, np.array([]))
-    c = msd_exact_curve(co_basis, np.array([0.0]))
+        msd_exact_curve(co_system, np.array([]))
+    c = msd_exact_curve(co_system, np.array([0.0]))
     assert c.dtype == np.float64
     assert c.tolist() == [0.0]
-    params = exact_params(co_basis)
-    assert params["K"] == co_basis.K
-    assert "reduction_block" in params
+    # the theta series sums d = 1..floor(sqrt(2 TAIL/c)), c = beta eps
+    c_cell = co_scales.beta * CONST.hbar**2 * (2 * math.pi / co_system.L)**2 / (2 * co_system.mass)
+    assert exact_params(co_system) == {"path": "theta", "Q": co_scales.Q_approx,
+                                       "d_max": math.floor(math.sqrt(2 * TAIL / c_cell))}
+    basis = converged_basis(H_CELL)
+    assert exact_params(H_CELL) == {"path": "direct", "Q": partition_function(basis),
+                                    "K": basis.K}
 
 
 def test_cold_basis_keeps_its_pairs():
     # at 1 mK, w(n = +-1) is ~7e-46, far below WEIGHT_FLOOR; the floor is
-    # relative to it, so the (0, +-1) pairs are kept and the sum equals the
-    # one over every pair of the basis
-    basis = build_basis(PhysicalSystem.from_user_units(28, 1e-3, 256, 10), 100)
+    # relative to it, so the (0, +-1) pairs are kept, and the physical
+    # route's sum over its converged basis equals the one over every pair
+    # of a basis of 100 functions per cell
+    sys = PhysicalSystem.from_user_units(28, 1e-3, 256, 10)
+    basis = build_basis(sys, 100)
     Q = partition_function(basis)
     times = np.linspace(0.0, 2.0, 9) * CONST.hbar * basis.beta
-    curve = msd_exact_curve(basis, times)
+    curve = msd_exact_curve(sys, times)
     i, j = np.triu_indices(basis.K, k=1)
     dq = basis.q[i] - basis.q[j]
     wprod = basis.w[i] * basis.w[j] / (dq * dq)
     half_omega = (basis.E[i] - basis.E[j]) / (2.0 * CONST.hbar)
     want = [8.0 / Q**2 * np.sum(wprod * np.sin(half_omega * t) ** 2) for t in times]
-    assert exact_params(basis)["path"] == "direct"
+    assert exact_params(sys)["path"] == "direct"
     assert np.all(curve[1:] > 0)
     np.testing.assert_allclose(curve, want, rtol=1e-12, atol=0)
 
@@ -171,23 +189,21 @@ class TestBreveSum:
         expected = {10: 0.11, 20: 0.22, 40: 0.44}
         for n_cells, target in expected.items():
             sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-            basis = build_basis(sys, 100)
-            plateau = breve_sum(basis) / sys.lattice_a**2
+            plateau = breve_sum(sys) / sys.lattice_a**2
             assert plateau == pytest.approx(target, rel=0.05, abs=0)
 
     def test_plateau_doubles_with_L(self):
         vals = {}
         for n_cells in (10, 20):
             sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
-            basis = build_basis(sys, 100)
-            vals[n_cells] = breve_sum(basis)
+            vals[n_cells] = breve_sum(sys)
         assert vals[20] / vals[10] == pytest.approx(2.0, rel=0.02, abs=0)
 
-    def test_upper_bounds_coherent_msd(self, co_basis, co_scales, rng):
-        bs = breve_sum(co_basis)
+    def test_upper_bounds_coherent_msd(self, co_system, co_scales, rng):
+        bs = breve_sum(co_system)
         times = rng.uniform(0.0, 400 * co_scales.t_b, 100)
         times.sort()
-        curve = msd_exact_curve(co_basis, times)
+        curve = msd_exact_curve(co_system, times)
         assert np.all(curve <= bs * 1.05)
 
     def test_equals_sin2_replaced_by_half(self, small_basis):
@@ -199,30 +215,35 @@ class TestBreveSum:
                     continue
                 x = x_element(n, j, small_basis.L)
                 total += small_basis.w[i] * small_basis.w[k] * abs(x) ** 2
-        assert breve_sum(small_basis) == pytest.approx(
+        assert breve_basis_sum(small_basis) == pytest.approx(
             2.0 / Q**2 * total, rel=1e-12, abs=0)
 
 
 class TestThetaPath:
-    """The O(K) theta series against the direct pair sum as oracle."""
+    """The physical route against the direct pair sum over the converged
+    basis of its system as oracle."""
 
-    @pytest.mark.parametrize("n_cells", [1, 10, 20, 40])
-    def test_matches_direct_sum(self, n_cells):
-        sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
+    @pytest.mark.parametrize("mass_u,temperature_K,n_cells,path", [
+        (28, 190, 1, "theta"), (28, 190, 10, "theta"), (28, 190, 20, "theta"),
+        (28, 190, 40, "theta"), (131, 105, 10, "theta"),
+        (28, 300, 20, "theta"),   # the custom digest configuration
+        (1.008, 10, 1, "direct")],
+        ids=["1", "10", "20", "40", "xe-105K", "co-300K-20a", "h-10K-1a"])
+    def test_matches_direct_sum(self, mass_u, temperature_K, n_cells, path):
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, n_cells)
         s = derive_scales(sys)
-        basis = build_basis(sys, 100)
-        Q = partition_function(basis)
+        basis = converged_basis(sys)
         times = np.concatenate([
             np.geomspace(1e-4, 0.05, 5) * s.t_b,
             np.linspace(100 / 39, 100, 39) * s.t_b,
             np.linspace(3 * s.t_c, 5 * s.t_c, 8)])
         times.sort()
-        curve = msd_exact_curve(basis, times)
-        assert exact_params(basis)["path"] == "theta"
-        np.testing.assert_allclose(curve, direct_sum(basis, Q, times),
+        curve = msd_exact_curve(sys, times)
+        assert exact_params(sys)["path"] == path
+        np.testing.assert_allclose(curve, msd_basis_curve(basis, times),
                                    rtol=1e-12, atol=0)
-        assert msd_exact_curve(basis, [0.0])[0] == 0.0
-        assert breve_sum(basis) == pytest.approx(direct_breve(basis, Q), rel=1e-12, abs=0)
+        assert msd_exact_curve(sys, [0.0])[0] == 0.0
+        assert breve_sum(sys) == pytest.approx(breve_basis_sum(basis), rel=1e-12, abs=0)
 
     def test_revivals(self, co_system, co_basis, co_Q):
         # at the revival time m L^2 / (2 pi hbar) every sin^2 is 0 or 1, and
@@ -230,40 +251,45 @@ class TestThetaPath:
         t_rev = co_system.mass * co_system.L**2 / (2 * math.pi * CONST.hbar)
         times = t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
                                   1.99, 1.999, 2.0, 2.001, 2.01])
-        got = msd_exact_curve(co_basis, times)
-        bs = breve_sum(co_basis)
+        got = msd_exact_curve(co_system, times)
+        bs = breve_sum(co_system)
         assert np.max(np.abs(got - direct_sum(co_basis, co_Q, times))) <= 1e-12 * bs
         assert got[7] <= 1e-12 * bs
         assert got[2] > 0.5 * bs
 
     @pytest.mark.parametrize("fixture", ["small_basis", "mc_basis"])
-    def test_under_truncated_bases_stay_direct(self, request, fixture):
+    def test_under_truncated_bases_stay_direct(self, request, co_system, fixture):
+        # a given basis is summed as given, by the direct sum; the physical
+        # route of its system does not read it
         basis = request.getfixturevalue(fixture)
+        assert basis.w[0] > 1e-18 and not basis.converged
         Q = partition_function(basis)
         times = np.linspace(0.0, 20.0, 11) * CONST.hbar * basis.beta
-        curve = msd_exact_curve(basis, times)
-        assert exact_params(basis)["path"] == "direct"
-        assert exact_params(basis)["edge_weight"] == basis.w[0] > 1e-18
+        curve = msd_basis_curve(basis, times)
         np.testing.assert_array_equal(curve, direct_sum(basis, Q, times))
-        assert (msd_exact_curve(basis, [times[4]])[0]
+        assert (msd_basis_curve(basis, [times[4]])[0]
                 == direct_sum(basis, Q, times[4:5])[0])
-        assert breve_sum(basis) == direct_breve(basis, Q)
+        assert breve_basis_sum(basis) == direct_breve(basis, Q)
+        sys = dataclasses.replace(co_system, n_cells=round(basis.L / co_system.lattice_a))
+        assert exact_params(sys)["path"] == "theta"
+        assert not np.allclose(msd_exact_curve(sys, times[1:]), curve[1:], rtol=1e-6, atol=0)
 
     def test_short_cell_stays_direct(self):
-        # H at 10 K on one 256 pm cell, about 5 thermal lengths long: the
-        # basis is converged but the theta images would overlap and cancel
-        sys = PhysicalSystem.from_user_units(1, 10, 256, 1)
-        basis = build_basis(sys, 100)
-        assert basis.w[0] < 1e-18
-        curve = msd_exact_curve(basis, np.array([0.0, CONST.hbar * basis.beta]))
-        assert exact_params(basis)["path"] == "direct"
+        # the theta images would overlap and cancel on H_CELL: its physical
+        # route sums the few states of its converged basis directly
+        basis = converged_basis(H_CELL)
+        assert basis.w[0] < 1e-18 and basis.K <= 57
+        times = np.array([0.0, CONST.hbar * basis.beta])
+        assert exact_params(H_CELL)["path"] == "direct"
+        np.testing.assert_array_equal(msd_exact_curve(H_CELL, times),
+                                      direct_sum(basis, partition_function(basis), times))
 
 
 @functools.lru_cache(maxsize=None)
 def _co_cell(n_cells, temperature_K=190.0):
-    """(system, scales, basis) of CO on n_cells lattice constants."""
+    """(system, scales) of CO on n_cells lattice constants."""
     sys = PhysicalSystem.from_user_units(28, temperature_K, 256, n_cells)
-    return sys, derive_scales(sys), build_basis(sys, 100)
+    return sys, derive_scales(sys)
 
 
 def _pruning_grid(name, sys, s):
@@ -301,12 +327,12 @@ class TestPrunedThetaSeries:
         self._check(*_co_cell(1, 100.0), grid)
 
     @staticmethod
-    def _check(sys, s, basis, grid):
+    def _check(sys, s, grid):
         times = _pruning_grid(grid, sys, s)
-        curve = msd_exact_curve(basis, times)
-        assert exact_params(basis)["path"] == "theta"
+        curve = msd_exact_curve(sys, times)
+        assert exact_params(sys)["path"] == "theta"
         with np.errstate(over="ignore"):
-            want = dense_theta_msd(basis, times)
+            want = dense_theta_msd(sys, times)
         assert np.all(np.isfinite(want))
         np.testing.assert_array_equal(curve.view(np.uint64),
                                       want.view(np.uint64))

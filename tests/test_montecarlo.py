@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qmsd.montecarlo
-from qmsd import (CONST, EigenBasis, breve_sum, msd_exact_curve,
+from qmsd import (CONST, EigenBasis, breve_basis_sum, msd_basis_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
                   sample_phases)
 from qmsd.constants import ValidationError
@@ -180,7 +180,7 @@ class TestSampleMsd:
         # each point within 3 standard errors of the analytic average
         grid, res = run
         for i, t in enumerate(grid):
-            ref = msd_exact_curve(mc_basis, [float(t)])[0]
+            ref = msd_basis_curve(mc_basis, [float(t)])[0]
             z = (res.mean_msd[i] - ref) / res.stderr[i]
             assert abs(z) < 3.0
 
@@ -289,7 +289,7 @@ def ensemble(basis, n_members, seed):
 
 class TestRerandomized:
     def test_estimates_decohered_plateau(self, mc_basis):
-        plateau = breve_sum(mc_basis)
+        plateau = breve_basis_sum(mc_basis)
         est, err, t_used = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 4000, 42))
         assert abs(est - plateau) / err < 3.0
         assert t_used > 0
@@ -310,4 +310,4 @@ class TestRerandomized:
         # fresh phases kill the coherent suppression at small t
         t = 0.5 * CONST.hbar * mc_basis.beta
         est, err, _ = sample_msd_rerandomized(mc_basis, ensemble(mc_basis, 3000, 9), t=t)
-        assert est - 3 * err > msd_exact_curve(mc_basis, [t])[0]
+        assert est - 3 * err > msd_basis_curve(mc_basis, [t])[0]
