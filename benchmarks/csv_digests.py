@@ -13,10 +13,12 @@ environment that the bytes depend on: the numpy version, its BLAS build,
 the machine and ``sys.float_info``. Then it runs each command of
 ``qmsd.cli.COMMANDS``, in its order, in-process (``qmsd.cli.main``) with
 ``--formats csv,svg,json-meta``, once at the defaults and once at a
-non-default configuration, each into a fresh temporary directory. In that
-``custom`` configuration ``--funcs-per-cell 60`` reaches ``mc-verify``
-alone; ``exact``, ``breve`` and ``figure2`` take the path of their system
-as every configuration does. A third configuration runs ``exact`` and
+non-default configuration, each into a fresh temporary directory. Each
+command is given those of a configuration's flags that it reads
+(``qmsd.cli.READS``), as it refuses any other: in the ``custom``
+configuration ``--funcs-per-cell 60``, ``--members`` and ``--seed`` go to
+``mc-verify`` alone, and ``--n-cells`` to every command but ``figure2``,
+which sets its own cells. A third configuration runs ``exact`` and
 ``figure2`` alone on 0..24 000 t_b, which crosses the L = 10a revival at
 about 11 439 t_b, so that the theta series' revival images are in the
 digests. A fourth runs the same two at 5e-5 K, where each cell sums its
@@ -62,16 +64,17 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402  (after the BLAS pin)
-from qmsd.cli import COMMANDS, main  # noqa: E402
+from qmsd.cli import COMMANDS, READS, main  # noqa: E402
 
-# label -> (commands, flags)
+# label -> (commands, {config key: flag value}); a command is given the
+# flags of the keys it reads
 CONFIGS = {
-    "defaults": (COMMANDS, []),
-    "custom": (COMMANDS, ["--n-cells", "20", "--temperature-K", "300", "--alpha", "0.5",
-                          "--funcs-per-cell", "60", "--grid", "linear:0.5:12:17",
-                          "--members", "3000", "--seed", "7", "--q-inv-angstrom", "2.0"]),
-    "revival": (("exact", "figure2"), ["--grid", "linear:0:24000:49"]),
-    "cold": (("exact", "figure2"), ["--temperature-K", "5e-5", "--grid", "linear:0:30:7"]),
+    "defaults": (COMMANDS, {}),
+    "custom": (COMMANDS, {"n_cells": "20", "temperature_K": "300", "alpha": "0.5",
+                          "funcs_per_cell": "60", "grid": "linear:0.5:12:17",
+                          "members": "3000", "seed": "7", "q_inv_angstrom": "2.0"}),
+    "revival": (("exact", "figure2"), {"grid": "linear:0:24000:49"}),
+    "cold": (("exact", "figure2"), {"temperature_K": "5e-5", "grid": "linear:0:30:7"}),
 }
 
 
@@ -97,10 +100,14 @@ def digests(outdir: Path):
         yield path.name, hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(command: str, flags: list[str], outdir: Path) -> int:
+def run(command: str, flags: dict, outdir: Path) -> int:
+    """Run command with those of flags that it reads."""
+    argv = [command, "--formats", "csv,svg,json-meta", "--out", str(outdir)]
+    for key, value in flags.items():
+        if key in READS[command]:
+            argv += ["--" + key.replace("_", "-"), value]
     with contextlib.redirect_stdout(io.StringIO()):
-        return main([command, "--formats", "csv,svg,json-meta", "--out", str(outdir),
-                     *flags])
+        return main(argv)
 
 
 def digest_lines():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,23 +28,30 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-# config key -> (default, type, help). Each key is also the flag
-# --<key with - for _>, which argparse parses with that type
-CONFIG_KEYS = {
-    "mass_u": (28.0, float, "particle mass (u)"),
-    "temperature_K": (190.0, float, "temperature (K)"),
-    "lattice_pm": (256.0, float, "lattice constant a (pm)"),
-    "n_cells": (10, int, "super-cell length L in lattice constants"),
-    "funcs_per_cell": (20, int, "plane waves per lattice cell of mc-verify's basis"),
-    "alpha": (0.35, float, "collision-model free flight, in units of L"),
-    "members": (10000, int, "Monte-Carlo ensemble members"),
-    "seed": (42, int, "Monte-Carlo seed, >= 0"),
-    "grid": (None, str, "{linear|geometric}:<start>:<stop>:<count>, in t_b units"),
-    "out": ("out", str, "output directory"),
-    "formats": ("csv,svg,json-meta", str, "comma list of csv,svg,json-meta"),
-    "q_inv_angstrom": (1.0, float, "momentum transfer wavenumber (1/Angstrom)"),
+# config key -> (type, default, help). Each key is also the flag
+# --<key with - for _>, which argparse parses with that type; the default of
+# --grid is its command's
+FLAGS = {
+    "mass_u": (float, 28.0, "particle mass (u)"),
+    "temperature_K": (float, 190.0, "temperature (K)"),
+    "lattice_pm": (float, 256.0, "lattice constant a (pm)"),
+    "n_cells": (int, 10, "super-cell length L in lattice constants"),
+    "grid": (str, None, "{linear|geometric}:<start>:<stop>:<count>, in t_b units"),
+    "alpha": (float, 0.35, "collision-model free flight, in units of L"),
+    "funcs_per_cell": (int, 20, "plane waves per lattice cell of the basis"),
+    "members": (int, 10000, "Monte-Carlo ensemble members"),
+    "seed": (int, 42, "Monte-Carlo seed, >= 0"),
+    "q_inv_angstrom": (float, 1.0, "momentum transfer wavenumber (1/Angstrom)"),
+    "out": (str, "out", "output directory"),
+    "formats": (str, "csv,svg,json-meta", "comma list of csv,svg,json-meta"),
 }
-DEFAULTS = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
+# the particle on its super-cell
+SYSTEM = ("mass_u", "temperature_K", "lattice_pm", "n_cells")
+# figure2's own cells, in lattice constants
+FIGURE2_CELLS = (10, 20, 40)
+# command name -> its function, and -> {config key: default} of the flags it
+# reads, in --help order; filled by @command
+COMMANDS, READS = {}, {}
 
 # family-wise false-alarm rate of the mc-verify gate: a correct program is
 # refused with this probability over all of its grid points together
@@ -80,58 +88,45 @@ def _build_parser():
                     "closed forms, exact basis sums, Monte-Carlo checks "
                     "and figure reproduction.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    for key, (_, kind, help_) in CONFIG_KEYS.items():
-        # an unset flag stays None, so that it does not override a default
-        common.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=(command.__doc__ or "").split("\n")[0])
+        flags = sub.add_parser(name, help=(command.__doc__ or "").split("\n")[0])
+        for key, default in READS[name].items():
+            kind, _, help_ = FLAGS[key]
+            flags.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                               default=default, help=f"{help_} (default: {default})")
     return parser
 
 
-def resolve_config(args) -> dict:
-    """Merge DEFAULTS <- CLI flags."""
-    flags = {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
-    cfg = {**DEFAULTS, **flags}
-    fmts = set(cfg["formats"].split(","))
-    bad = fmts - {"csv", "svg", "json-meta"}
-    if bad:
-        raise ValidationError(f"unknown output formats: {sorted(bad)}")
-    cfg["formats"] = ",".join(sorted(fmts))
-    for key, low in (("seed", 0), ("funcs_per_cell", 1)):
-        if cfg[key] < low:
-            raise ValidationError(f"{key} must be >= {low}, got {cfg[key]}")
-    return cfg
-
-
 class Run:
-    """One CLI invocation: resolved config, output directory and writers."""
+    """One CLI invocation: its command's flags, output directory and writers."""
 
-    def __init__(self, command: str, cfg: dict):
-        self.command = command
-        self.cfg = cfg
+    def __init__(self, args):
+        self.cfg = cfg = {k: v for k, v in vars(args).items() if k != "command"}
+        self.command = args.command
+        self.formats = set(cfg["formats"].split(","))
+        bad = self.formats - {"csv", "svg", "json-meta"}
+        if bad:
+            raise ValidationError(f"unknown output formats: {sorted(bad)}")
+        cfg["formats"] = ",".join(sorted(self.formats))
         # presentation keys do not affect the numbers; keep them out of
         # the hash so re-runs into another directory stay byte-identical
         hashed = {k: v for k, v in cfg.items() if k not in ("out", "formats")}
-        self.hash = config_hash({"command": command, **hashed})
+        self.hash = config_hash({"command": self.command, **hashed})
         self.outdir = Path(cfg["out"])
-        self.formats = set(cfg["formats"].split(","))
-        self.system = self.cell(cfg["n_cells"])
+        # figure2 reads no --n-cells: its base system serves only its ideal
+        # curve, a^2 and t_b, none of which depends on L, and is its first cell
+        self.system = PhysicalSystem.from_user_units(
+            cfg["mass_u"], cfg["temperature_K"], cfg["lattice_pm"],
+            cfg.get("n_cells", FIGURE2_CELLS[0]))
         self.scales = derive_scales(self.system)
         # file writes wait here until the command returns, so that a CSV
         # refused late in a command leaves no file from earlier ones
         self.pending = []
 
-    def cell(self, n_cells: int) -> PhysicalSystem:
-        """The configured particle on a super-cell of n_cells lattice constants."""
-        c = self.cfg
-        return PhysicalSystem.from_user_units(
-            c["mass_u"], c["temperature_K"], c["lattice_pm"], n_cells)
-
-    def grid(self, default_spec: str) -> np.ndarray:
-        """The times (s) of --grid, or of default_spec when it is unset."""
-        kind, start, stop, count = parse_grid(self.cfg["grid"] or default_spec)
+    def grid(self) -> np.ndarray:
+        """The times (s) of --grid."""
+        kind, start, stop, count = parse_grid(self.cfg["grid"])
         start, stop = start * self.scales.t_b, stop * self.scales.t_b
         if count < 1:
             raise ValidationError("grid count must be >= 1")
@@ -167,12 +162,7 @@ class Run:
 
     def meta(self, name, extra):
         if "json-meta" in self.formats:
-            payload = {
-                "command": self.command,
-                "config": self.cfg,
-                "version": __version__,
-            }
-            payload.update(extra)
+            payload = {"command": self.command, "config": self.cfg, "version": __version__, **extra}
             self.pending.append(lambda: write_json_meta(self.outdir / name, payload,
                                                         self.hash))
 
@@ -183,6 +173,18 @@ class Run:
         self.pending.clear()
 
 
+def command(name: str, *keys: str, **defaults):
+    """Register a command that reads the flags of keys at their FLAGS
+    defaults, those of defaults at the defaults given, and --out and --formats."""
+    def register(fn):
+        COMMANDS[name] = fn
+        READS[name] = {key: defaults.get(key, FLAGS[key][1])
+                       for key in (*keys, *defaults, "out", "formats")}
+        return fn
+    return register
+
+
+@command("scales", *SYSTEM)
 def cmd_scales(run: Run):
     """Derived characteristic scales."""
     s = run.scales
@@ -195,23 +197,26 @@ def cmd_scales(run: Run):
         print(f"{k:10s} = {v:.6e}")
 
 
+@command("ideal", *SYSTEM, grid="geometric:0.01:100:512")
 def cmd_ideal(run: Run):
     """Closed-form ideal MSD curve."""
-    grid = run.grid("geometric:0.01:100:512")
+    grid = run.grid()
     series = run.msd_csv("ideal.csv", grid, msd_ideal_curve(run.system, grid), label="ideal")
     run.svg("ideal.svg", [series], xscale="log", yscale="log", title="Ideal-particle MSD")
     run.meta("ideal.json", {"method": "ideal-analytic", "points": int(grid.size)})
 
 
+@command("exact", *SYSTEM, grid="linear:0:30:300")
 def cmd_exact(run: Run):
     """Exact coherent double-sum MSD curve."""
-    grid = run.grid("linear:0:30:300")
+    grid = run.grid()
     series = run.msd_csv("exact.csv", grid, msd_exact_curve(run.system, grid),
                          label=f"exact sum, L={run.system.n_cells}a")
     run.svg("exact.svg", [series], title="Exact coherent MSD")
     run.meta("exact.json", {"method": "exact-sum", "params": exact_params(run.system)})
 
 
+@command("breve", *SYSTEM)
 def cmd_breve(run: Run):
     """Decohered plateau: exact sum and closed form."""
     bs = breve_sum(run.system)
@@ -227,9 +232,10 @@ def cmd_breve(run: Run):
     print(f"breve_closed = {bc:.6e} m^2 = {bc/a2:.4f} a^2")
 
 
+@command("collision", *SYSTEM, "alpha", grid="linear:0:30:300")
 def cmd_collision(run: Run):
     """Velocity-averaged collision-model curve."""
-    grid = run.grid("linear:0:30:300")
+    grid = run.grid()
     series = run.msd_csv("collision.csv", grid,
                          msd_collision_model(run.system, run.cfg["alpha"], grid),
                          label=f"collision model, alpha={run.cfg['alpha']}")
@@ -258,9 +264,10 @@ def _mc_gate(mean, stderr, exact) -> tuple[float, float]:
     return float(np.max(z)), z_star
 
 
+@command("mc-verify", *SYSTEM, "funcs_per_cell", "members", "seed", grid="linear:1:20:20")
 def cmd_mc_verify(run: Run):
     """Monte-Carlo random-phase oracle vs exact sum."""
-    grid = run.grid("linear:1:20:20")
+    grid = run.grid()
     # truncated on purpose (K = 201): the estimate and exact column share it
     basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     res = sample_msd(basis, grid, run.cfg["members"], run.cfg["seed"])
@@ -280,10 +287,8 @@ def cmd_mc_verify(run: Run):
         "K": basis.K, "Q": partition_function(basis), "edge_weight": float(basis.w[0]),
         "weight_floor": basis.weight_floor, "members": res.n_members, "seed": res.seed,
         "rerandomized_estimate_m2": est, "rerandomized_stderr_m2": err,
-        "rerandomized_t_s": t_used, "breve_sum_m2": bs,
-        "max_abs_z": max_z, "gate_z": z_star,
-        "gate_false_alarm": MC_GATE_FALSE_ALARM,
-    })
+        "rerandomized_t_s": t_used, "breve_sum_m2": bs, "max_abs_z": max_z,
+        "gate_z": z_star, "gate_false_alarm": MC_GATE_FALSE_ALARM})
     print(f"MC vs exact: max |z| = {max_z:.2f} over {grid.size} points, "
           f"below z* = {z_star:.2f} (family-wise false-alarm rate "
           f"{MC_GATE_FALSE_ALARM:g})")
@@ -291,11 +296,12 @@ def cmd_mc_verify(run: Run):
           f"(breve_sum = {bs:.4e} m^2)")
 
 
+@command("scattering", *SYSTEM, "q_inv_angstrom", grid="linear:0:10:256")
 def cmd_scattering(run: Run):
     """ISF, ISF phase and DSF slices."""
     s = run.scales
     q = float(run.cfg["q_inv_angstrom"]) / ANGSTROM_TO_M
-    grid = run.grid("linear:0:10:256")
+    grid = run.grid()
     # isf refuses a bad q before omega0 is formed
     amp = np.abs(isf(run.system, q, grid))
     phase = isf_phase(run.system, q, grid)
@@ -321,16 +327,15 @@ def cmd_scattering(run: Run):
             [{"x": CONST.hbar * omegas * J_TO_MEV, "y": svals, "label": "DSF"}],
             xlabel="hbar omega (meV)", ylabel="S(q, omega) (s)", title="DSF")
     run.meta("scattering.json", {
-        "q_per_m": q,
-        "recoil_energy_meV": CONST.hbar * omega0 * J_TO_MEV,
-        "dsf_fwhm_meV": 2.0 * np.sqrt(2.0 * np.log(2.0)) * CONST.hbar * width * J_TO_MEV,
-    })
+        "q_per_m": q, "recoil_energy_meV": CONST.hbar * omega0 * J_TO_MEV,
+        "dsf_fwhm_meV": 2.0 * np.sqrt(2.0 * np.log(2.0)) * CONST.hbar * width * J_TO_MEV})
 
 
+@command("figure1", *SYSTEM, grid="linear:0:10:512")
 def cmd_figure1(run: Run):
     """Ideal-particle MSD crossover figure."""
     s = run.scales
-    grid = run.grid("linear:0:10:512")
+    grid = run.grid()
     unit = CONST.hbar * s.t_b / run.system.mass  # MSD unit hbar t_b / m
     msd = msd_ideal_curve(run.system, grid) / unit
     asym = 2.0 * s.D_q * grid
@@ -349,14 +354,15 @@ def cmd_figure1(run: Run):
     run.meta("figure1.json", {"points": int(grid.size)})
 
 
+@command("figure2", *SYSTEM[:3], "alpha", grid="linear:0:30:300")
 def cmd_figure2(run: Run):
     """Quasi-ideal plateaus figure (L = 10a, 20a, 40a)."""
     a2 = run.system.lattice_a**2
-    grid = run.grid("linear:0:30:300")
+    grid = run.grid()
     series = []
     plateaus = {}
-    for n_cells, dash in ((10, "8 4"), (20, "3 3"), (40, "8 3 3 3")):
-        system = run.cell(n_cells)
+    for n_cells, dash in zip(FIGURE2_CELLS, ("8 4", "3 3", "8 3 3 3")):
+        system = replace(run.system, n_cells=n_cells)
         series.append(run.msd_csv(f"figure2_exact_L{n_cells}a.csv", grid,
                                   msd_exact_curve(system, grid),
                                   label=f"exact, L={n_cells}a", color="#000000", dash=dash))
@@ -365,30 +371,23 @@ def cmd_figure2(run: Run):
                                   label=f"model, L={n_cells}a", color="#c02020", dash=dash))
         plateaus[f"L={n_cells}a"] = {
             "breve_sum_over_a2": breve_sum(system) / a2,
-            "breve_closed_over_a2": breve_closed(system) / a2,
-            "params": exact_params(system),
-        }
+            "breve_closed_over_a2": breve_closed(system) / a2, "params": exact_params(system)}
     series.insert(0, run.msd_csv("figure2_ideal.csv", grid,
                                  msd_ideal_curve(run.system, grid),
                                  label="ideal", color="#2050c0"))
     run.csv("figure2_breve.csv",
             ["n_cells", "breve_sum_over_a2", "breve_closed_over_a2"],
-            [[10, 20, 40],
+            [FIGURE2_CELLS,
              [p["breve_sum_over_a2"] for p in plateaus.values()],
              [p["breve_closed_over_a2"] for p in plateaus.values()]])
     run.svg("figure2.svg", series, title="Quasi-ideal MSD plateaus (CO on flat Cu(100))")
     run.meta("figure2.json", {"alpha": float(run.cfg["alpha"]), "plateaus": plateaus})
 
 
-COMMANDS = {"scales": cmd_scales, "ideal": cmd_ideal, "exact": cmd_exact,
-            "breve": cmd_breve, "collision": cmd_collision, "mc-verify": cmd_mc_verify,
-            "scattering": cmd_scattering, "figure1": cmd_figure1, "figure2": cmd_figure2}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        run = Run(args.command, resolve_config(args))
+        run = Run(args)
         run.outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](run)
         run.flush()

@@ -49,6 +49,12 @@ _LANE_INC = sum(pow(_PCG_MULT, i, 1 << 128) for i in range(_LANES)) % (1 << 128)
 # next_double's bits times 2 pi
 _TWO_PI_ULP = 2.0 * math.pi / 9007199254740992.0
 _MAX_MEMBERS = 2**32
+# the largest ensemble run admitted: the K x K coupling matrix takes 8 K^2
+# bytes (about 4 times that while it is built), and x(t) 8 bytes per member
+# and time (3 times that with the squared displacements and their spread);
+# mc-verify peaked at 166 MiB at K = 2049 and at 413 MiB at 2**24 - 1 x(t)
+MAX_K = 2049
+MAX_MEMBER_TIMES = 1 << 24
 # members per phase draw in sample_msd and sample_msd_rerandomized: whole
 # ensemble_positions blocks, so each block holds the same members as in one
 # draw of all members and every output bit is the same
@@ -152,11 +158,26 @@ def _uniform_rows(hi, lo, out, scratch) -> None:
     np.multiply(x, _TWO_PI_ULP, out=out)
 
 
-def _check_members(first: int, n_members: int) -> None:
-    """Members first..first+n-1 must have one 32-bit entropy word each."""
+def _check_members(seed: int, stream: int, first: int, n_members: int) -> None:
+    """seed and stream must be >= 0, and members first..first+n-1 must have
+    one 32-bit entropy word each."""
+    if seed < 0 or stream < 0:
+        raise ValidationError(f"seed and stream must be >= 0, got {seed}, {stream}")
     if first < 0 or first + n_members > _MAX_MEMBERS:
         raise ValidationError(f"members {first}..{first + n_members - 1} lie outside "
                               f"the 2**32 member streams 0..{_MAX_MEMBERS - 1}")
+
+
+def _check_ensemble(K: int, n_members: int, n_times: int) -> None:
+    """An ensemble run must fit MAX_K and MAX_MEMBER_TIMES; refused before
+    it allocates."""
+    if K > MAX_K:
+        raise ValidationError(f"the Monte-Carlo basis has K = {K} states, past its limit "
+                              f"of {MAX_K}")
+    if n_members * n_times > MAX_MEMBER_TIMES:
+        raise ValidationError(f"the Monte-Carlo ensemble needs x(t) at {n_members} members "
+                              f"x {n_times} times = {n_members * n_times}, past its limit "
+                              f"of {MAX_MEMBER_TIMES} members x times")
 
 
 def _seeded_states(n_members: int, seed: int, stream: int, first: int):
@@ -190,9 +211,7 @@ def sample_phases(basis: EigenBasis, n_members: int, seed: int,
     member and jumps r states per step.
     """
     seed, stream, first = int(seed), int(stream), int(first)
-    if seed < 0 or stream < 0:
-        raise ValidationError(f"seed and stream must be >= 0, got {seed}, {stream}")
-    _check_members(first, n_members)
+    _check_members(seed, stream, first, n_members)
     hi, lo, inc_hi, inc_lo = _seeded_states(n_members, seed, stream, first)
     hi_l, lo_l, *scratch = np.empty((6, _LANES, n_members), np.uint64)
     row_scratch = [a[0] for a in scratch]
@@ -230,7 +249,8 @@ def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int, stream: int,
     The members are drawn and evaluated PHASE_CHUNK at a time, so no
     (K x members) phase array is held.
     """
-    _check_members(0, n_members)
+    _check_members(seed, stream, 0, n_members)
+    _check_ensemble(basis.K, n_members, times.size)
     wt, eom, A, pref = _ensemble_setup(basis)
     X = np.empty((n_members, times.size))
     for lo in range(0, n_members, PHASE_CHUNK):

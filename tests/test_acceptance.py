@@ -227,9 +227,9 @@ def test_criterion_10_determinism(tmp_path):
     names = ["mc_verify.csv", "breve.csv"]
     outs = []
     for d in (tmp_path / "r1", tmp_path / "r2"):
-        args = ["--out", str(d), "--formats", "csv", "--seed", "42",
-                "--members", "2000", "--grid", "linear:1:10:10"]
-        assert main(["mc-verify", *args]) == 0
+        args = ["--out", str(d), "--formats", "csv"]
+        assert main(["mc-verify", *args, "--seed", "42", "--members", "2000",
+                     "--grid", "linear:1:10:10"]) == 0
         assert main(["breve", *args]) == 0
         outs.append({n: (d / n).read_bytes() for n in names})
     ok = all(outs[0][n] == outs[1][n] for n in names)

@@ -13,8 +13,7 @@ import pytest
 
 import qmsd
 from qmsd import svgplot
-from qmsd.cli import (COMMANDS, CONFIG_KEYS, DEFAULTS, _build_parser, main, parse_grid,
-                       resolve_config)
+from qmsd.cli import COMMANDS, FLAGS, READS, Run, _build_parser, main, parse_grid
 from qmsd.constants import ValidationError
 from qmsd.output import config_hash, write_csv, write_json_meta
 
@@ -233,17 +232,18 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    # argparse parses each flag with its CONFIG_KEYS type: int() refuses
-    # 10.7 where truncation would give 10, and float() refuses a non-number
+    # argparse parses each flag with its FLAGS type: int() refuses 10.7
+    # where truncation would give 10, and float() refuses a non-number
     @pytest.mark.parametrize("key,value", [
         ("n_cells", "10.7"), ("funcs_per_cell", "100.5"), ("members", "1500.5"),
         ("seed", "4.2"), ("mass_u", "abc")])
     def test_config_error_non_integral(self, tmp_path, capsys, key, value):
         out = tmp_path / "o"
+        command = "scales" if key in READS["scales"] else "mc-verify"
         with pytest.raises(SystemExit) as exc:
-            run_cli("scales", "--out", str(out), f"--{key.replace('_', '-')}", value)
+            run_cli(command, "--out", str(out), f"--{key.replace('_', '-')}", value)
         assert exc.value.code == 2
-        assert f"invalid {CONFIG_KEYS[key][1].__name__} value" in capsys.readouterr().err
+        assert f"invalid {FLAGS[key][0].__name__} value" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -253,7 +253,7 @@ class TestExitCodes:
         ["exact", "--grid", "linear:5:1:4"],
         ["ideal", "--grid", "linear:nan:1:1"],
         ["ideal", "--grid", "linear:0:inf:3"],
-        ["exact", "--funcs-per-cell", "0"],
+        ["mc-verify", "--funcs-per-cell", "0"],
         ["mc-verify", "--members", "1"],
         ["mc-verify", "--members", "4294967297"],
         ["mc-verify", "--seed", "-1"],
@@ -330,6 +330,39 @@ class TestExitCodes:
         assert "past its limits of 262144 outer terms and 1e+09 terms x times" in err
         assert not out.exists() or not any(out.iterdir())
 
+    # the K x K coupling matrix of K = 100 001 and of 200 001 states would take
+    # 74.5 and 298 GiB, and x(t) of 2**32 - 1 members at 21 times 672 GiB
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-cells", "100000", "--funcs-per-cell", "1"],
+         "the Monte-Carlo basis has K = 100001 states, past its limit of 2049"),
+        (["--funcs-per-cell", "20000"],
+         "the Monte-Carlo basis has K = 200001 states, past its limit of 2049"),
+        (["--members", "4294967295"],
+         "the Monte-Carlo ensemble needs x(t) at 4294967295 members x 21 times = "
+         "90194313195, past its limit of 16777216 members x times")],
+        ids=["n-cells", "funcs-per-cell", "members"])
+    def test_mc_verify_past_its_limits_refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli("mc-verify", *argv, "--out", str(out)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--funcs-per-cell", "20000"]],
+                             ids=" ".join)
+    def test_mc_verify_refuses_before_the_coupling_matrix(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        # a bad seed or a basis past MAX_K is refused before the K x K matrix
+        import qmsd.montecarlo
+
+        def unreachable(K):
+            raise AssertionError(f"coupling matrix built at K = {K}")
+
+        monkeypatch.setattr(qmsd.montecarlo, "antisym_coupling_matrix", unreachable)
+        assert run_cli("mc-verify", *argv, "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_hot_figure2_within_the_limits(self, tmp_path):
         # at 1e4 K the L = 40a series has d_max = 23 752 at 300 times
         assert run_cli("figure2", "--temperature-K", "1e4", "--out", str(tmp_path),
@@ -341,7 +374,7 @@ class TestExitCodes:
     # each ran the direct sum on a basis that was not converged, for up to
     # 30 s, and wrote a truncation artifact up to 39 % off
     @pytest.mark.parametrize("argv", [
-        ["--n-cells", "40", "--funcs-per-cell", "77"], ["--temperature-K", "1e4"],
+        ["--n-cells", "40"], ["--temperature-K", "1e4"],
         ["--mass-u", "131", "--temperature-K", "105"]], ids=" ".join)
     def test_exact_takes_the_theta_path_of_its_system(self, tmp_path, argv):
         with warnings.catch_warnings():
@@ -366,8 +399,8 @@ class TestExitCodes:
         lines = [(tmp_path / name / "scales.csv").read_text().splitlines()
                  for name in ("defaults", "int")]
         assert lines[0] == lines[1]
-        # the default configuration keeps its hash
-        assert lines[0][0] == "# config_hash: 877c75f086c93ce4"
+        # the hash of the default configuration
+        assert lines[0][0] == "# config_hash: 281021a50a605497"
 
     def test_config_file_flag_rejected(self, tmp_path):
         # flags are the one input path: there is no config file to name
@@ -510,18 +543,73 @@ class TestExitCodes:
 
 
 class TestConfigResolution:
-    def test_file_overrides_defaults_flag_overrides_file(self):
-        # DEFAULTS <- the flags, the same for every command
+    def test_flag_overrides_the_default_argparse_holds(self):
+        # a given flag's value, and each other flag's default
         def resolve(*argv):
-            return resolve_config(_build_parser().parse_args(list(argv)))
+            return Run(_build_parser().parse_args(list(argv))).cfg
 
-        cfg = resolve("scales", "--n-cells", "20", "--seed", "9")
-        assert cfg["n_cells"] == 20
-        assert cfg["seed"] == 9
-        assert cfg["mass_u"] == 28.0
-        assert cfg["funcs_per_cell"] == 20
-        assert resolve("mc-verify")["funcs_per_cell"] == 20
+        assert resolve("scales", "--n-cells", "20") == {
+            "mass_u": 28.0, "temperature_K": 190.0, "lattice_pm": 256.0, "n_cells": 20,
+            "out": "out", "formats": "csv,json-meta,svg"}
+        cfg = resolve("mc-verify", "--seed", "9")
+        assert (cfg["seed"], cfg["members"], cfg["funcs_per_cell"]) == (9, 10000, 20)
         assert resolve("mc-verify", "--funcs-per-cell", "80")["funcs_per_cell"] == 80
+        # each command holds its own default grid
+        assert resolve("exact")["grid"] == "linear:0:30:300"
+        assert resolve("mc-verify")["grid"] == "linear:1:20:20"
+        assert resolve("ideal", "--grid", "linear:0:1:2")["grid"] == "linear:0:1:2"
+
+
+# the flags each command reads, besides --out and --formats: the particle on
+# its super-cell, less the cells that figure2 sets itself, and each route's own
+SYSTEM = ["mass_u", "temperature_K", "lattice_pm", "n_cells"]
+CONTRACT = {
+    "scales": SYSTEM,
+    "ideal": [*SYSTEM, "grid"],
+    "exact": [*SYSTEM, "grid"],
+    "breve": SYSTEM,
+    "collision": [*SYSTEM, "grid", "alpha"],
+    "mc-verify": [*SYSTEM, "grid", "funcs_per_cell", "members", "seed"],
+    "scattering": [*SYSTEM, "grid", "q_inv_angstrom"],
+    "figure1": [*SYSTEM, "grid"],
+    "figure2": [*SYSTEM[:3], "grid", "alpha"],
+}
+UNREAD = [(command, key) for command, keys in CONTRACT.items()
+          for key in FLAGS if key not in [*keys, "out", "formats"]]
+# cheap values of the flags a command reads, for one run of each
+CHEAP = {"grid": ["--grid", "linear:1:2:2"], "members": ["--members", "200"]}
+
+
+class TestFlagContract:
+    """Each command takes the flags it reads, and no other."""
+
+    def test_counts(self):
+        assert list(CONTRACT) == list(COMMANDS)
+        assert sum(len(keys) + 2 for keys in CONTRACT.values()) == 66
+        assert len(UNREAD) == 42
+
+    @pytest.mark.parametrize("command,key", UNREAD, ids=lambda v: v)
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, key):
+        out = tmp_path / "o"
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--out", str(out), flag, "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(CONTRACT))
+    def test_help_and_config_list_its_keys(self, tmp_path, capsys, command):
+        keys = {*CONTRACT[command], "out", "formats"}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        flags = set(re.findall(r"^  (?:-\w, )?(--[\w-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert flags == {"--help", *("--" + key.replace("_", "-") for key in keys)}
+        argv = [arg for key in CONTRACT[command] for arg in CHEAP.get(key, [])]
+        assert run_cli(command, *argv, "--out", str(tmp_path), "--formats", "json-meta") == 0
+        (meta,) = tmp_path.glob("*.json")
+        assert set(json.loads(meta.read_text())["config"]) == keys
 
 
 class TestArtifacts:
@@ -607,16 +695,18 @@ class TestArtifacts:
         assert params == {"path": "theta", "Q": qmsd.derive_scales(co).Q_approx,
                           "d_max": 818}
 
-    @pytest.mark.parametrize("flags", [
-        [], ["--mass-u", "1.008", "--temperature-K", "10", "--n-cells", "1"]],
-        ids=["theta", "direct"])
+    @pytest.mark.parametrize("flags", [[], ["--mass-u", "1.008", "--temperature-K", "10"]],
+                             ids=["theta", "direct"])
     def test_metas_hold_method_and_exact_params(self, tmp_path, flags):
         # exact.json's and breve.json's params, and each figure2.json
         # plateau's, are exact_params of that cell's system; H at 10 K takes
         # the direct path on L = 1a and 10a, and the theta path from 20a
-        for command in ("ideal", "exact", "breve", "figure2"):
-            assert run_cli(command, "--out", str(tmp_path), "--grid", "linear:0.5:1:2",
-                           *flags, "--formats", "json-meta") == 0
+        cells = ["--n-cells", "1"] if flags else []
+        grid = ["--grid", "linear:0.5:1:2"]
+        for argv in (["ideal", *grid, *cells], ["exact", *grid, *cells], ["breve", *cells],
+                     ["figure2", *grid]):
+            assert run_cli(*argv, "--out", str(tmp_path), *flags,
+                           "--formats", "json-meta") == 0
         mass_u, temperature, n_cells = (1.008, 10.0, 1) if flags else (28.0, 190.0, 10)
         params = {n: qmsd.exact_params(qmsd.PhysicalSystem.from_user_units(
                       mass_u, temperature, 256.0, n)) for n in (n_cells, 10, 20, 40)}
@@ -638,20 +728,18 @@ class TestArtifacts:
         (78, "converged"), (100, "converged")])
     def test_funcs_per_cell_reaches_mc_verify_alone(self, tmp_path, funcs_per_cell, state):
         # CO at 190 K on L = 10a: the edge weight falls below the floor
-        # between 77 and 78 functions per cell. exact writes the same body
-        # at every value, and mc_verify.json reports its basis against the rule
-        body = {}
+        # between 77 and 78 functions per cell. exact refuses the flag, and
+        # mc_verify.json reports its basis against the rule
+        fpc_flag = ["--funcs-per-cell", str(funcs_per_cell)]
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("exact", "--out", str(out), "--grid", "linear:0:1:2", *fpc_flag)
+        assert exc.value.code == 2
+        assert not out.exists()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fpc in (None, str(funcs_per_cell)):
-                out = tmp_path / str(fpc)
-                fpc_flag = ["--funcs-per-cell", fpc] if fpc else []
-                assert run_cli("exact", "--out", str(out), "--grid", "linear:0:1:2",
-                               *fpc_flag, "--formats", "csv") == 0
-                body[fpc] = (out / "exact.csv").read_text().splitlines()[1:]
             assert run_cli("mc-verify", "--out", str(out), "--members", "200",
                            "--grid", "linear:1:2:2", *fpc_flag, "--formats", "json-meta") == 0
-        assert body[None] == body[str(funcs_per_cell)]
         meta = json.loads((out / "mc_verify.json").read_text())
         basis = qmsd.build_basis(qmsd.PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10),
                                  funcs_per_cell)
@@ -779,11 +867,14 @@ class TestArtifacts:
                        "--grid", "linear:0:5:64", "--formats", "csv,svg") == 0
         assert (tmp_path / "figure1.csv").exists()
         assert (tmp_path / "figure1.svg").exists()
-        # --funcs-per-cell does not reach figure2: each cell takes its
-        # system's theta path
+        # figure2 refuses --funcs-per-cell and --n-cells: each of its own
+        # cells takes its system's theta path
+        for flag in ("--funcs-per-cell", "--n-cells"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("figure2", "--out", str(tmp_path / "o"), flag, "40")
+            assert exc.value.code == 2
         assert run_cli("figure2", "--out", str(tmp_path),
-                       "--grid", "linear:0:5:16", "--funcs-per-cell", "40",
-                       "--formats", "csv,json-meta") == 0
+                       "--grid", "linear:0:5:16", "--formats", "csv,json-meta") == 0
         meta = json.loads((tmp_path / "figure2.json").read_text())
         assert set(meta) == {"command", "config", "version", "config_hash", "alpha",
                              "plateaus"}
@@ -808,18 +899,19 @@ class TestParserReuse:
     """No main call may leak its flags or its failure into the next."""
 
     def test_flag_does_not_carry_over(self, tmp_path):
-        assert run_cli("scales", "--seed", "7", "--n-cells", "20",
+        assert run_cli("scattering", "--q-inv-angstrom", "7", "--n-cells", "20",
                        "--out", str(tmp_path / "a")) == 0
-        assert run_cli("scales", "--out", str(tmp_path / "b")) == 0
-        first = json.loads((tmp_path / "a" / "scales.json").read_text())["config"]
-        second = json.loads((tmp_path / "b" / "scales.json").read_text())["config"]
-        assert (first["seed"], first["n_cells"]) == (7, 20)
-        assert (second["seed"], second["n_cells"]) == (42, 10)
+        assert run_cli("scattering", "--out", str(tmp_path / "b")) == 0
+        first = json.loads((tmp_path / "a" / "scattering.json").read_text())["config"]
+        second = json.loads((tmp_path / "b" / "scattering.json").read_text())["config"]
+        assert (first["q_inv_angstrom"], first["n_cells"]) == (7.0, 20)
+        assert (second["q_inv_angstrom"], second["n_cells"]) == (1.0, 10)
 
     def test_rejected_argv_and_version_leave_it_working(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("scales", "--seed", "seven", "--out", str(tmp_path / "a"))
-        assert exc.value.code == 2
+        for flag in ("--n-cells", "--seed"):  # a bad value, and a flag scales does not read
+            with pytest.raises(SystemExit) as exc:
+                run_cli("scales", flag, "seven", "--out", str(tmp_path / "a"))
+            assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
@@ -827,17 +919,18 @@ class TestParserReuse:
         assert run_cli("scales", "--out", str(tmp_path / "b")) == 0
         assert "t_b" in capsys.readouterr().out
         cfg = json.loads((tmp_path / "b" / "scales.json").read_text())["config"]
-        assert cfg["seed"] == 42
+        assert cfg["n_cells"] == 10
         assert not (tmp_path / "a").exists()
 
     def test_help_leaves_it_working(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("scales", "--help")
         assert exc.value.code == 0
-        assert "--q-inv-angstrom" in capsys.readouterr().out
+        assert "--n-cells N_CELLS" in capsys.readouterr().out
         assert run_cli("scales", "--out", str(tmp_path)) == 0
         cfg = json.loads((tmp_path / "scales.json").read_text())["config"]
-        assert cfg == {**DEFAULTS, "out": str(tmp_path), "formats": "csv,json-meta,svg"}
+        assert cfg == {"mass_u": 28.0, "temperature_K": 190.0, "lattice_pm": 256.0,
+                       "n_cells": 10, "out": str(tmp_path), "formats": "csv,json-meta,svg"}
 
     def test_parser_built_once(self):
         assert _build_parser() is _build_parser()

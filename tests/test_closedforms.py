@@ -42,7 +42,7 @@ def J_quadrature(y):
     f = lambda x: 2 * np.exp(-y * x * x) * (
         np.sin(x / np.sqrt(2)) / x**2
         - np.cos(x / np.sqrt(2)) / (np.sqrt(2) * x)) ** 2
-    val, err = quad(f, 0, np.inf, limit=400)
+    val, err = quad(f, 0, np.inf, limit=2000)
     assert err < 1e-6
     return val
 

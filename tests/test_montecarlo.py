@@ -12,7 +12,8 @@ from qmsd import (CONST, EigenBasis, breve_basis_sum, msd_basis_curve,
                   sample_phases)
 from qmsd.constants import ValidationError
 from qmsd.kernels import MEMBER_BLOCK, ensemble_positions
-from qmsd.montecarlo import PHASE_CHUNK, _ensemble_setup
+from qmsd.montecarlo import (MAX_K, MAX_MEMBER_TIMES, PHASE_CHUNK, _check_ensemble,
+                             _ensemble_setup)
 from test_basis import x_element
 
 
@@ -166,6 +167,18 @@ class TestSamplePhases:
     def test_members_beyond_the_member_streams_rejected(self, mc_basis, n, first):
         with pytest.raises(ValidationError):
             sample_phases(mc_basis, n, seed=42, first=first)
+
+    # K and members x times at and one past their limits; sample_msd refuses
+    # from K alone, before it builds or draws anything at that size
+    @pytest.mark.parametrize("K,members,times,admitted", [
+        (MAX_K, 2, 2, True), (MAX_K + 2, 2, 2, False),
+        (3, MAX_MEMBER_TIMES // 4, 4, True), (3, MAX_MEMBER_TIMES // 4 + 1, 4, False)])
+    def test_ensemble_limits(self, K, members, times, admitted):
+        if admitted:
+            _check_ensemble(K, members, times)
+        else:
+            with pytest.raises(ValidationError, match="past its limit"):
+                sample_msd(SimpleNamespace(K=K), np.arange(1.0, times), members)
 
 
 @pytest.fixture(scope="module")
