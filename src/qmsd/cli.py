@@ -12,12 +12,11 @@ import numpy as np
 
 from . import __version__
 from .basis import build_basis, partition_function
-from .closedforms import breve_closed, msd_collision_model
+from .closedforms import breve_closed, msd_collision_model, msd_ideal_curve
 from .constants import (ANGSTROM_TO_M, CONST, J_TO_MEV, PhysicalSystem,
                         ValidationError, derive_scales, validate_grid)
 from .exact import (breve_basis_sum, breve_sum, exact_params, msd_basis_curve,
                     msd_exact_curve)
-from .ideal import msd_ideal_curve
 from .montecarlo import sample_msd, sample_msd_rerandomized
 from .output import config_hash, write_csv, write_json_meta
 from .scattering import dsf, isf, isf_phase
@@ -78,6 +77,16 @@ def parse_grid(spec: str):
     return kind, start, stop, count
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports the arguments it does not read itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 # built on the first main call, not at import, and reused by every later
 # call in the process: parse_args makes a fresh namespace on each call
 @functools.cache
@@ -88,7 +97,7 @@ def _build_parser():
                     "closed forms, exact basis sums, Monte-Carlo checks "
                     "and figure reproduction.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, command in COMMANDS.items():
         flags = sub.add_parser(name, help=(command.__doc__ or "").split("\n")[0])
         for key, default in READS[name].items():
@@ -167,7 +176,9 @@ class Run:
                                                         self.hash))
 
     def flush(self):
-        """Write the queued files, in the order the command made them."""
+        """Make the output directory, then write the queued files in order."""
+        if self.pending:
+            self.outdir.mkdir(parents=True, exist_ok=True)
         for write in self.pending:
             write()
         self.pending.clear()
@@ -388,7 +399,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = Run(args)
-        run.outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](run)
         run.flush()
     except ValidationError as exc:

@@ -1,5 +1,6 @@
-"""Closed analytical formulas: the J and I special functions, the
-closed-form plateau, and the velocity-averaged collision model."""
+"""Closed analytical formulas: the ideal (infinite-cell) MSD of one Cartesian
+component, (hbar/m) * (sqrt(t^2 + t_b^2) - t_b), the J and I special
+functions, the closed-form plateau, and the velocity-averaged collision model."""
 
 from __future__ import annotations
 
@@ -8,12 +9,36 @@ import math
 import numpy as np
 
 from .constants import (CONST, PhysicalSystem, ValidationError, _require_positive,
-                        derive_scales)
-from .ideal import _sqrt_diff
+                        derive_scales, validate_grid, validate_times)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 J_AT_ZERO = math.sqrt(2.0) * math.pi / 12.0
+
+
+def _sqrt_diff(t, t_b):
+    # sqrt(t^2 + t_b^2) - t_b, written so the small-t branch does not
+    # cancel: t^2 / (sqrt(t^2 + t_b^2) + t_b)
+    with np.errstate(over="ignore"):
+        tt = t * t
+    # the form tends to t; where t * t overflows (t beyond about 1.3e154 s)
+    # an overflow-free form takes over
+    over = np.isinf(tt) & np.isfinite(t)
+    tt = np.where(over, 1.0, tt)
+    return np.where(over, t * (t / (np.hypot(t, t_b) + t_b)),
+                    tt / (np.sqrt(tt + t_b * t_b) + t_b))
+
+
+def msd_ideal(sys: PhysicalSystem, t):
+    """MSD of the system's particle, in an infinite cell, at time t >= 0 (m^2)."""
+    t = validate_times(t)
+    out = (CONST.hbar / sys.mass) * _sqrt_diff(t, derive_scales(sys).t_b)
+    return out if out.ndim else float(out)
+
+
+def msd_ideal_curve(sys: PhysicalSystem, grid) -> np.ndarray:
+    """Ideal MSD (m^2) at each time of a validated time grid."""
+    return msd_ideal(sys, validate_grid(grid))
 
 
 def J(y: float) -> float:
@@ -77,9 +102,7 @@ def msd_collision_model(sys: PhysicalSystem, alpha: float, t):
     over the one-sided Maxwell-Boltzmann speed distribution.
     """
     _require_positive("alpha", alpha)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be nonnegative")
+    t = validate_times(t)
     scales = derive_scales(sys)
     L, v_T, t_b = sys.L, scales.v_T, scales.t_b
     # z may overflow to inf (erf = 1), and at t = 0 it is inf, or 0/0 where

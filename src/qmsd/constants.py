@@ -1,5 +1,5 @@
 """Physical constants, unit conversions, characteristic scales and the
-time-grid check.
+checks of times and time grids.
 
 Internal unit system is SI throughout. ``PhysicalSystem.from_user_units``
 accepts atomic mass units, kelvin and picometres and converts once at the
@@ -45,19 +45,26 @@ def _require_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
-def validate_grid(times) -> np.ndarray:
-    """Check a time grid is nonempty, finite, nonnegative and strictly
-    increasing."""
+def validate_times(times) -> np.ndarray:
+    """Check times (s) are finite and nonnegative; return them as a float
+    array of the input's shape (0-d for a scalar)."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValidationError("empty time grid")
     finite = np.isfinite(times)
     if not finite.all():
         # at most nan, inf and -inf
         bad = np.unique(times[~finite]).tolist()
         raise ValidationError(f"time grid must be finite, got {bad}")
-    if times[0] < 0:
+    if np.any(times < 0):
         raise ValidationError("time grid must be nonnegative")
+    return times
+
+
+def validate_grid(times) -> np.ndarray:
+    """Check a time grid is nonempty, finite, nonnegative and strictly
+    increasing."""
+    times = validate_times(times)
+    if times.size == 0:
+        raise ValidationError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValidationError("time grid must be strictly increasing")
     return times

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .constants import PhysicalSystem, ValidationError, derive_scales
+from .constants import PhysicalSystem, ValidationError, derive_scales, validate_times
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -77,9 +77,7 @@ def isf(sys: PhysicalSystem, q: float, t):
 
     Amplitude decays quadratically in t; the phase carries D_q."""
     _require_q(q)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be nonnegative")
+    t = validate_times(t)
     with np.errstate(over="ignore"):
         # -delta2 q^2 / 4 by parts: where v_T^2 t^2 overflows to inf, the
         # complex product would make inf * 0 a NaN; exp(-inf) is 0
@@ -92,8 +90,6 @@ def isf(sys: PhysicalSystem, q: float, t):
 def isf_phase(sys: PhysicalSystem, q: float, t):
     """Unwrapped ISF phase D_q t q^2 / 2 (radians), linear in t."""
     _require_q(q)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be nonnegative")
+    t = validate_times(t)
     out = derive_scales(sys).D_q * t * q**2 / 2.0
     return out if out.ndim else float(out)

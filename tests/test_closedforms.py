@@ -182,9 +182,18 @@ class TestCollisionModel:
         assert msd_collision_model(sys, ALPHA, 0.0) == 0.0
 
     def test_negative_time_rejected(self, co):
-        sys, _ = co
-        with pytest.raises(ValidationError):
-            msd_collision_model(sys, ALPHA, -1e-18)
+        # a nan, an inf or a negative time is refused, alone or in an
+        # array; -0.0 is a time, and the times need not be sorted
+        sys, s = co
+        for t in (-1e-18, np.nan, np.inf, -np.inf):
+            rule = "nonnegative" if np.isfinite(t) else "finite"
+            for arg in (t, [0.0, t]):
+                with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+                    msd_collision_model(sys, ALPHA, arg)
+        assert msd_collision_model(sys, ALPHA, -0.0) == 0.0
+        unsorted = [2 * s.t_b, 0.0, s.t_b]
+        assert (msd_collision_model(sys, ALPHA, unsorted).tolist()
+                == [msd_collision_model(sys, ALPHA, t) for t in unsorted])
 
     def test_long_time_asymptote(self, co):
         # the erf weight decays like 1/t while the free branch grows like

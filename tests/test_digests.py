@@ -38,5 +38,5 @@ def test_every_artifact_keeps_its_digest(script):
     with _one_blas_thread():
         got = list(script.digest_lines())
     for i, (g, w) in enumerate(zip(got, want)):
-        assert g == w, f"line {i + 1} of the digests moved"
+        assert g == w, f"line {i + 1} of the digests moved:\n  want {w}\n  got  {g}"
     assert len(got) == len(want)

@@ -47,8 +47,16 @@ def test_cancellation_safe_at_tiny_times():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValidationError):
-        msd_ideal(CO, -1e-15)
+    # a nan, an inf or a negative time is refused, alone or in an array;
+    # -0.0 is a time, and the times need not be sorted
+    for t in (-1e-15, np.nan, np.inf, -np.inf):
+        rule = "nonnegative" if np.isfinite(t) else "finite"
+        for arg in (t, [0.0, t]):
+            with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+                msd_ideal(CO, arg)
+    assert msd_ideal(CO, -0.0) == 0.0
+    unsorted = [2 * T_B, 0.0, T_B]
+    assert msd_ideal(CO, unsorted).tolist() == [msd_ideal(CO, t) for t in unsorted]
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
@@ -65,10 +73,10 @@ def test_nan_after_a_finite_time_named_as_such():
 
 def grid_refusal(tmp_path, capsys, spec, *argv):
     """The config error of the ideal command on --grid spec; asserts that
-    it exits 2 and writes nothing."""
+    it exits 2 and makes no output directory."""
     out = tmp_path / "o"
     assert main(["ideal", "--grid", spec, "--out", str(out), *argv]) == 2
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     return err

@@ -170,11 +170,18 @@ class TestIsf:
     def test_value_at_zero(self, xe):
         assert isf(xe, Q, 0.0) == complex(1 / math.sqrt(2 * math.pi))
 
-    def test_negative_time_rejected(self, xe):
-        with pytest.raises(ValidationError):
-            isf(xe, Q, -1e-15)
-        with pytest.raises(ValidationError):
-            isf_phase(xe, Q, -1e-15)
+    def test_negative_time_rejected(self, xe, xs):
+        # a nan, an inf or a negative time is refused, alone or in an
+        # array; -0.0 is a time, and the times need not be sorted
+        unsorted = [2 * xs.t_b, 0.0, xs.t_b]
+        for fn in (isf, isf_phase):
+            for t in (-1e-15, np.nan, np.inf, -np.inf):
+                rule = "nonnegative" if np.isfinite(t) else "finite"
+                for arg in (t, [0.0, t]):
+                    with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+                        fn(xe, Q, arg)
+            assert fn(xe, Q, -0.0) == fn(xe, Q, 0.0)
+            assert fn(xe, Q, unsorted).tolist() == [fn(xe, Q, t) for t in unsorted]
 
 
 class TestFourierConsistency:
