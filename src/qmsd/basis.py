@@ -63,12 +63,24 @@ def lattice_energy(sys: PhysicalSystem) -> float:
     return CONST.hbar**2 * (2.0 * math.pi / sys.L)**2 / (2.0 * sys.mass)
 
 
+def cell_stiffness(sys: PhysicalSystem) -> float:
+    """c = beta eps, so that w_n = e^{-c n^2}; inf where eps overflows."""
+    return derive_scales(sys).beta * lattice_energy(sys)
+
+
 def _plane_waves(sys: PhysicalSystem, M: int) -> EigenBasis:
     beta = derive_scales(sys).beta
     indices = np.arange(-M, M + 1)
     q = 2.0 * math.pi * indices / sys.L
-    E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
-    w = np.exp(-beta * E)
+    # an energy past the float range is refused; beta E past it is a
+    # weight of exactly 0
+    with np.errstate(over="ignore"):
+        E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
+        if not np.all(np.isfinite(E)):
+            raise ValidationError(
+                f"the basis energies hbar^2 q_n^2 / 2m (n = -{M}..{M}) leave the float "
+                f"range at mass {sys.mass!r} kg and L = {sys.L!r} m")
+        w = np.exp(-beta * E)
     return EigenBasis(indices=indices, q=q, E=E, w=w, L=sys.L, beta=beta, mass=sys.mass)
 
 
@@ -84,7 +96,7 @@ def converged_basis(sys: PhysicalSystem) -> EigenBasis:
     """The basis n = -M..M that is converged by construction, with no search:
     w(M)/w(1) = e^{-c(M^2 - 1)}, c = beta eps, is below WEIGHT_FLOOR once
     M^2 > 1 + ln(1/WEIGHT_FLOOR)/c. So M, and not n_cells, sets its size."""
-    c = derive_scales(sys).beta * lattice_energy(sys)
+    c = cell_stiffness(sys)
     basis = _plane_waves(sys, math.floor(math.sqrt(1.0 - math.log(WEIGHT_FLOOR) / c)) + 1)
     if not basis.converged:
         raise RuntimeError(f"basis n = -{basis.M}..{basis.M} is not converged")

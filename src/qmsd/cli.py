@@ -52,6 +52,10 @@ FIGURE2_CELLS = (10, 20, 40)
 # reads, in --help order; filled by @command
 COMMANDS, READS = {}, {}
 
+# the most points a --grid may ask for, 2048 times the largest default
+# grid; a larger count is refused before its times are allocated
+MAX_GRID_POINTS = 1 << 20
+
 # family-wise false-alarm rate of the mc-verify gate: a correct program is
 # refused with this probability over all of its grid points together
 MC_GATE_FALSE_ALARM = 1e-3
@@ -139,6 +143,9 @@ class Run:
         start, stop = start * self.scales.t_b, stop * self.scales.t_b
         if count < 1:
             raise ValidationError("grid count must be >= 1")
+        if count > MAX_GRID_POINTS:
+            raise ValidationError(f"grid count {count} is past the limit of "
+                                  f"{MAX_GRID_POINTS} points")
         if not np.all(np.isfinite([start, stop])):
             raise ValidationError(f"grid endpoints must be finite, got {start} and {stop}")
         if kind == "linear":
@@ -160,7 +167,9 @@ class Run:
         """Write an MSD curve (m^2) at times (s), also in units of t_b and
         a^2, and return it in those units as a plot series."""
         x = times / self.scales.t_b
-        y = values / self.system.lattice_a**2
+        # an MSD past the float range in a^2 is refused by csv, without a warning
+        with np.errstate(over="ignore"):
+            y = values / self.system.lattice_a**2
         self.csv(name, ["t_s", "t_over_tb", "msd_m2", "msd_over_a2"], [times, x, values, y])
         return {"x": x, "y": y, **style}
 

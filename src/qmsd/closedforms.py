@@ -21,12 +21,12 @@ def _sqrt_diff(t, t_b):
     # cancel: t^2 / (sqrt(t^2 + t_b^2) + t_b)
     with np.errstate(over="ignore"):
         tt = t * t
-    # the form tends to t; where t * t overflows (t beyond about 1.3e154 s)
-    # an overflow-free form takes over
-    over = np.isinf(tt) & np.isfinite(t)
-    tt = np.where(over, 1.0, tt)
-    return np.where(over, t * (t / (np.hypot(t, t_b) + t_b)),
-                    tt / (np.sqrt(tt + t_b * t_b) + t_b))
+        ss = tt + t_b * t_b
+    # where t^2 + t_b^2 overflows (t or t_b beyond about 1.3e154 s) an
+    # overflow-free form takes over
+    over = np.isinf(ss)
+    ss = np.where(over, 1.0, ss)
+    return np.where(over, t * (t / (np.hypot(t, t_b) + t_b)), tt / (np.sqrt(ss) + t_b))
 
 
 def msd_ideal(sys: PhysicalSystem, t):
@@ -86,11 +86,16 @@ def I_ab(a: float, b: float) -> float:
 def breve_closed(sys: PhysicalSystem) -> float:
     """Closed-form decohered plateau (m^2):
     L hbar sqrt(2 beta / (pi m)) J(hbar^2 beta / (2 m L^2))."""
-    hbar = CONST.hbar
-    L = sys.L
-    beta = derive_scales(sys).beta
-    y = hbar**2 * beta / (2.0 * sys.mass * L**2)
-    return L * hbar * math.sqrt(2.0 * beta / (math.pi * sys.mass)) * J(y)
+    hbar, L = CONST.hbar, sys.L
+    scales = derive_scales(sys)
+    beta = scales.beta
+    den, k = 2.0 * sys.mass * L**2, 2.0 * beta / (math.pi * sys.mass)
+    if den > 0.0 and math.isfinite(k):
+        return L * hbar * math.sqrt(k) * J(hbar**2 * beta / den)
+    # at a tiny mass 2 m L^2 underflows or 2 beta / (pi m) overflows; the
+    # same plateau in hbar sqrt(beta / m) = v_T t_b stays in range
+    vt = scales.v_T * scales.t_b
+    return L * vt * math.sqrt(2.0 / math.pi) * J((vt / L) * (vt / L) / 2.0)
 
 
 def msd_collision_model(sys: PhysicalSystem, alpha: float, t):
@@ -103,25 +108,13 @@ def msd_collision_model(sys: PhysicalSystem, alpha: float, t):
     """
     _require_positive("alpha", alpha)
     t = validate_times(t)
-    scales = derive_scales(sys)
-    L, v_T, t_b = sys.L, scales.v_T, scales.t_b
     # z may overflow to inf (erf = 1), and at t = 0 it is inf, or 0/0 where
     # alpha L underflows; that point is replaced by 0 below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = alpha * L / (math.sqrt(2.0) * v_T * t)
+        z = alpha * sys.L / (math.sqrt(2.0) * derive_scales(sys).v_T * t)
     # math.erf per point: numpy has none, and math.erf keeps the numbers
     # of the scalar form
     g = np.vectorize(math.erf, otypes=[float])(z)
-    # the ideal MSD, v_T^2 t_b^2 (sqrt(x^2 + 1) - 1) at x = t / t_b
-    # associated as (v_T^2 t_b) t_b where t_b^2 overflows, which it does at
-    # a low enough temperature (t_b = hbar beta)
-    if math.isfinite(t_b * t_b):
-        scale = v_T**2 * t_b**2
-    else:
-        scale = v_T**2 * t_b * t_b
-    free = scale * _sqrt_diff(t / t_b, 1.0)
-    plateau = (v_T * t_b * L * math.sqrt(2.0 / math.pi)
-               * J((v_T * t_b / L) ** 2 / 2.0))
     # t = 0 (also -0.0, where z is -inf) is exactly 0
-    out = np.where(t == 0.0, 0.0, g * free + (1.0 - g) * plateau)
+    out = np.where(t == 0.0, 0.0, g * msd_ideal(sys, t) + (1.0 - g) * breve_closed(sys))
     return out if out.ndim else float(out)

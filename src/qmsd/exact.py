@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .basis import EigenBasis, converged_basis, lattice_energy, partition_function
+from .basis import (EigenBasis, cell_stiffness, converged_basis, lattice_energy,
+                    partition_function)
 from .constants import (CONST, PhysicalSystem, ValidationError, derive_scales,
                         validate_grid)
 from .kernels import blocked_sum, msd_reduce, pair_arrays
@@ -58,7 +59,7 @@ MAX_WORK = 10**9
 
 def _use_theta(system: PhysicalSystem) -> bool:
     """Whether the theta series applies: a = beta eps/2 < A_MAX."""
-    return 0.5 * derive_scales(system).beta * lattice_energy(system) < A_MAX
+    return 0.5 * cell_stiffness(system) < A_MAX
 
 
 def _theta_outer(system: PhysicalSystem, n_times: int):
@@ -67,9 +68,7 @@ def _theta_outer(system: PhysicalSystem, n_times: int):
     g_d carries every constant factor, so MSD(t) = sum_d g_d bracket_d(t).
     A series past MAX_OUTER or MAX_WORK at n_times times is refused first.
     """
-    scales = derive_scales(system)
-    eps = lattice_energy(system)
-    c = scales.beta * eps
+    c = cell_stiffness(system)
     a = 0.5 * c
     d_max = math.sqrt(2.0 * TAIL / c) if c > 0.0 else math.inf
     if not (d_max <= MAX_OUTER and d_max * n_times <= MAX_WORK):
@@ -78,9 +77,9 @@ def _theta_outer(system: PhysicalSystem, n_times: int):
                               f"and {MAX_WORK:.0e} terms x times")
     d = np.arange(1.0, math.floor(d_max) + 1.0)
     # 2 e^{-cd^2/2}/d^2 for d and -d, times sqrt(pi/4a)/2 from the inner sum
-    g = (4.0 / scales.Q_approx**2 * (system.L / (2.0 * math.pi))**2
+    g = (4.0 / derive_scales(system).Q_approx**2 * (system.L / (2.0 * math.pi))**2
          * math.sqrt(math.pi / (4.0 * a)) * np.exp(-0.5 * c * d * d) / (d * d))
-    return d, d % 2.0, g, eps / CONST.hbar, a
+    return d, d % 2.0, g, lattice_energy(system) / CONST.hbar, a
 
 
 def _row_prefixes(lengths: np.ndarray):

@@ -83,6 +83,26 @@ def test_underflowing_k_B_T_refused():
         build_basis(PhysicalSystem.from_user_units(28, 1e-302, 256, 10), 100)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [lambda sys: build_basis(sys, 20), converged_basis],
+                         ids=["build_basis", "converged_basis"])
+def test_energies_past_the_float_range_refused(make):
+    # eps = hbar^2 (2 pi/L)^2 / 2m overflows at 1e-200 u on a 1e-152 m cell
+    sys = PhysicalSystem.from_user_units(1e-200, 190, 1e-140, 1)
+    with pytest.raises(ValidationError, match=r"the basis energies hbar\^2 q_n\^2 / 2m "
+                                              r"\(n = -\d+\.\.\d+\) leave the float range"):
+        make(sys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weight_whose_exponent_overflows_is_zero():
+    # beta = 7.2e306 at 1e-284 K, and E(n = 1) = 472 J on a 1e-22 m cell,
+    # so beta E overflows: those weights are exactly 0, without a warning
+    basis = build_basis(PhysicalSystem.from_user_units(28, 1e-284, 1e-10, 1), 20)
+    assert np.all(np.isfinite(basis.E)) and math.isinf(basis.beta * float(basis.E[basis.M + 1]))
+    assert basis.w.tolist() == [0.0] * basis.M + [1.0] + [0.0] * basis.M
+
+
 def test_converged_reads_the_relative_floor(co_basis, mc_basis):
     # the floor is 1e-18 w(n = 1), and a basis is converged when its edge
     # weight lies strictly below it

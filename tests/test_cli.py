@@ -307,6 +307,25 @@ class TestExitCodes:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    # at 1e-200 u on one 1e-140 pm cell (figure2: on its own cells), eps =
+    # hbar^2 (2 pi/L)^2 / 2m overflows, and every basis is refused before its
+    # weights are formed; the ideal MSD in a^2 overflows (exit 4), the DSF
+    # window cannot be resolved (exit 2), and the closed forms stay finite
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,code", [
+        ("scales", 0), ("ideal", 4), ("exact", 2), ("breve", 2), ("collision", 0),
+        ("mc-verify", 2), ("scattering", 2), ("figure1", 0), ("figure2", 2)])
+    def test_every_command_ends_with_an_exit_code_on_a_tiny_cell(self, tmp_path, capsys,
+                                                                command, code):
+        cells = [] if command == "figure2" else ["--n-cells", "1"]
+        out = tmp_path / "o"
+        assert run_cli(command, "--mass-u", "1e-200", "--lattice-pm", "1e-140", *cells,
+                       "--out", str(out)) == code
+        assert out.exists() == (code == 0)
+        refused = "config error: the basis energies hbar^2 q_n^2 / 2m (n = "
+        assert (refused in capsys.readouterr().err) == (
+            command in ("exact", "breve", "mc-verify", "figure2"))
+
     # the theta images' q = (b - pi nu)^2 / 4a overflows, and the cut drops it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["exact", "--grid", "linear:0:1e300:2"],
@@ -498,6 +517,14 @@ class TestExitCodes:
         assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
                        "--temperature-K", "1e-200", "--grid", grid) == 0
         assert_collision_csvs_finite(tmp_path)
+
+    # 2 beta / (pi m) = 6e319 overflows at 1e-200 u and 4.4e-71 K; the
+    # plateau, and the collision model with it, stays finite
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["breve", "collision"])
+    def test_plateau_finite_where_two_beta_over_pi_m_overflows(self, tmp_path, command):
+        assert run_cli(command, "--mass-u", "1e-200", "--temperature-K", "4.4e-71",
+                       "--out", str(tmp_path), "--formats", "csv") == 0
 
     # z = alpha L / (sqrt(2) v_T t) overflows to inf (erf = 1) at alpha = 1e308;
     # at alpha = 5e-324, alpha L underflows to 0 and t = 0 gives 0/0

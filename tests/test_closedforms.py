@@ -160,6 +160,30 @@ class TestBreveClosed:
         assert breve_closed(sys) / sys.lattice_a**2 == pytest.approx(
             plateau_a2, rel=0.05, abs=0)
 
+    @pytest.mark.parametrize("mass_u,temperature_K,lattice_pm", [
+        (28.0, 190.0, 256.0),
+        # 2 beta / (pi m) = 2.8e309 overflows; hbar sqrt(beta / m) does not
+        (1e-200, 1e-60, 1e134)])
+    def test_a_function_of_y_alone(self, mass_u, temperature_K, lattice_pm):
+        # breve = L^2 (2/sqrt(pi)) sqrt(y) J(y), y = hbar^2 beta / (2 m L^2)
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, 10)
+        beta, L = derive_scales(sys).beta, sys.L
+        y = CONST.hbar**2 * beta / (2.0 * sys.mass * L * L)
+        assert 1e-8 < y < 1e-2
+        assert breve_closed(sys) == pytest.approx(
+            L * L * 2.0 / math.sqrt(math.pi) * math.sqrt(y) * J(y), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("mass_u,temperature_K,lattice_pm,n_cells", [
+        # 2 beta / (pi m) = 6e319 overflows
+        (1e-200, 4.4e-71, 256.0, 10),
+        # 2 m L^2 underflows to 0
+        (1e-200, 190.0, 1e-140, 1)])
+    def test_finite_where_its_form_leaves_the_float_range(self, mass_u, temperature_K,
+                                                         lattice_pm, n_cells):
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
+        value = breve_closed(sys)
+        assert math.isfinite(value) and value >= 0.0
+
     def test_agrees_with_discrete_sum(self, co_system, co_basis):
         from qmsd import breve_basis_sum
         # the closed form is a continuum approximation that improves with
@@ -259,19 +283,15 @@ class TestCollisionModel:
     def test_array_equals_scalar_formula(self, co, n_cells, alpha):
         # the array form keeps math.erf and the scalar arithmetic, so it
         # equals the scalar formula bit for bit, t = 0 and -0.0 included
+        # the blend of the one ideal MSD and the one plateau
         sys, s = co
         cell = dataclasses.replace(sys, n_cells=n_cells)
-        L, v_T, t_b = cell.L, s.v_T, s.t_b
 
         def scalar(t):
             if t == 0.0:
                 return 0.0
-            g = math.erf(alpha * L / (math.sqrt(2.0) * v_T * t))
-            x = t / t_b
-            free = v_T**2 * t_b**2 * (x * x / (math.sqrt(x * x + 1.0) + 1.0))
-            plateau = (v_T * t_b * L * math.sqrt(2.0 / math.pi)
-                       * J((v_T * t_b / L) ** 2 / 2.0))
-            return g * free + (1.0 - g) * plateau
+            g = math.erf(alpha * cell.L / (math.sqrt(2.0) * s.v_T * t))
+            return g * msd_ideal(cell, t) + (1.0 - g) * breve_closed(cell)
 
         ts = np.concatenate(([0.0, -0.0], np.linspace(0.0, 30.0, 301) * s.t_b,
                              np.geomspace(1e-3, 1e5, 300) * s.t_b))

@@ -37,6 +37,13 @@ def test_every_artifact_keeps_its_digest(script):
         assert value == header[field], f"environment field {field!r} differs from digests.txt"
     with _one_blas_thread():
         got = list(script.digest_lines())
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert g == w, f"line {i + 1} of the digests moved:\n  want {w}\n  got  {g}"
-    assert len(got) == len(want)
+    if got == want:
+        return
+    # each line starts "<config> <file>" ("<config> <command>" for an exit line)
+    want_by, got_by = ({tuple(line.split()[:2]): line for line in side} for side in (want, got))
+    report = [f"moved: {' '.join(key)}\n  want {line}\n  got  {got_by[key]}"
+              for key, line in want_by.items() if key in got_by and got_by[key] != line]
+    report += [f"missing: {line}" for key, line in want_by.items() if key not in got_by]
+    report += [f"extra: {line}" for key, line in got_by.items() if key not in want_by]
+    pytest.fail(f"{len(report)} of the {len(want)} digest lines differ:\n" + "\n".join(report)
+                if report else "the digest lines are the same but in another order")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales,
                   msd_ideal, msd_ideal_curve)
+from qmsd import cli
 from qmsd.cli import main
 from qmsd.scattering import _delta2
 
@@ -110,6 +112,46 @@ def test_grid_endpoints_must_be_finite(tmp_path, capsys, kind, start, stop):
 ])
 def test_grid_count_and_geometric_positivity(tmp_path, capsys, spec, message):
     assert grid_refusal(tmp_path, capsys, spec).strip() == f"config error: {message}"
+
+
+def test_grid_count_past_the_limit_refused(tmp_path, capsys, monkeypatch):
+    # 2^20 points, 2048 times the largest default grid, is the most a grid
+    # may hold; one more is refused before its times are allocated
+    assert cli.MAX_GRID_POINTS == 2**20
+    assert grid_refusal(tmp_path, capsys, f"linear:0:1:{2**20 + 1}").strip() == (
+        "config error: grid count 1048577 is past the limit of 1048576 points")
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    grid_refusal(tmp_path, capsys, "geometric:1:2:9")
+    assert main(["ideal", "--grid", "geometric:1:2:8", "--out", str(tmp_path / "o")]) == 0
+
+
+def msd_ideal_decimal(sys: PhysicalSystem, t: float) -> float:
+    """Independent oracle: (hbar/m)(sqrt(t^2 + t_b^2) - t_b) at the float
+    hbar, m, t_b and t, in 400-digit decimal arithmetic, so that the
+    difference keeps its digits down to t = 1e-90 t_b and no square
+    leaves the range."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        t, t_b = Decimal(t), Decimal(derive_scales(sys).t_b)
+        return float(Decimal(CONST.hbar) / Decimal(sys.mass) * ((t * t + t_b * t_b).sqrt() - t_b))
+
+
+# t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows although t^2
+# does not; at 7.64e-166 K t_b^2 = 1.0e308 is finite, and t^2 + t_b^2
+# overflows from about t = 0.9 t_b
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature,grid", [("1e-200", "geometric:1e-90:1e-10:3"),
+                                              ("7.64e-166", "linear:0:1.2:4")])
+def test_matches_decimal_oracle_where_t_b_squared_leaves_the_range(tmp_path, temperature,
+                                                                   grid):
+    assert main(["ideal", "--temperature-K", temperature, "--grid", grid,
+                 "--out", str(tmp_path), "--formats", "csv"]) == 0
+    rows = (tmp_path / "ideal.csv").read_text().splitlines()[2:]
+    t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
+    system = dataclasses.replace(CO, temperature=float(temperature))
+    assert np.all(msd[t > 0] > 0)
+    np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(msd_ideal(system, t), msd)
 
 
 def test_finite_where_t_squared_overflows():
