@@ -14,6 +14,7 @@ from .constants import (CONST, PhysicalSystem, ValidationError, _require_positiv
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 J_AT_ZERO = math.sqrt(2.0) * math.pi / 12.0
+TINY = np.finfo(float).tiny
 
 
 def _sqrt_diff(t, t_b):
@@ -22,11 +23,12 @@ def _sqrt_diff(t, t_b):
     with np.errstate(over="ignore"):
         tt = t * t
         ss = tt + t_b * t_b
-    # where t^2 + t_b^2 overflows (t or t_b beyond about 1.3e154 s) an
-    # overflow-free form takes over
-    over = np.isinf(ss)
-    ss = np.where(over, 1.0, ss)
-    return np.where(over, t * (t / (np.hypot(t, t_b) + t_b)), tt / (np.sqrt(ss) + t_b))
+    # where a square leaves the normal range (t or t_b beyond about 1.3e154
+    # s, where t^2 + t_b^2 overflows, or below about 1.5e-154 s, where t^2 or
+    # t_b^2 underflows) the same difference in hypot takes over
+    off = np.isinf(ss) | (tt < TINY) | (t_b * t_b < TINY)
+    ss = np.where(off, 1.0, ss)
+    return np.where(off, t * (t / (np.hypot(t, t_b) + t_b)), tt / (np.sqrt(ss) + t_b))
 
 
 def msd_ideal(sys: PhysicalSystem, t):

@@ -154,6 +154,22 @@ def test_matches_decimal_oracle_where_t_b_squared_leaves_the_range(tmp_path, tem
     np.testing.assert_array_equal(msd_ideal(system, t), msd)
 
 
+# t_b = 7.6e-212 s at 1e200 K, so t^2 and t_b^2 underflow to 0 on every
+# default grid; the collision model's weight g is 1 there (alpha L / v_T t
+# is about 1e101), so it is the ideal MSD, checked here against the oracle
+# rather than against msd_ideal
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["ideal", "collision"])
+def test_matches_decimal_oracle_where_the_squares_underflow(tmp_path, command):
+    assert main([command, "--temperature-K", "1e200", "--out", str(tmp_path),
+                 "--formats", "csv"]) == 0
+    rows = (tmp_path / f"{command}.csv").read_text().splitlines()[2:]
+    t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
+    system = dataclasses.replace(CO, temperature=1e200)
+    assert np.all(msd[t > 0] > 0)
+    np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
+
+
 def test_finite_where_t_squared_overflows():
     # t * t overflows beyond about 1.3e154 s, where the MSD tends to
     # (hbar/m) t; below it every point keeps the bits of the plain form
