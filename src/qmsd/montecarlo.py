@@ -2,9 +2,11 @@
 
 Samples members of the thermal ensemble, evolves them coherently,
 and averages squared displacements of the position expectation value.
-Validates the analytic phase-averaged double sum and the
-re-randomization plateau. This is an oracle path: K is kept small
-(each member costs O(K^2) per time point).
+Validates the analytic phase-averaged double sum and the decohered
+plateau. One phase stream (stream 0) is drawn and evaluated once: the
+plateau comes from the members' x(0) that the same pass computes. This
+is an oracle path: K is kept small (each member costs O(K^2) per time
+point).
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ _MAX_MEMBERS = 2**32
 # mc-verify peaked at 166 MiB at K = 2049 and at 413 MiB at 2**24 - 1 x(t)
 MAX_K = 2049
 MAX_MEMBER_TIMES = 1 << 24
-# members per phase draw in sample_msd and sample_msd_rerandomized: whole
-# ensemble_positions blocks, so each block holds the same members as in one
-# draw of all members and every output bit is the same
+# members per phase draw in sample_msd: whole ensemble_positions blocks, so
+# each block holds the same members as in one draw of all members and every
+# output bit is the same
 PHASE_CHUNK = 16 * MEMBER_BLOCK
 
 
@@ -242,14 +244,14 @@ def _ensemble_setup(basis: EigenBasis):
     return wt, eom, A, pref
 
 
-def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int, stream: int,
+def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int,
                      times: np.ndarray) -> np.ndarray:
-    """x(t) of members 0..n-1 of one stream, shape (members, times).
+    """x(t) of members 0..n-1 of stream 0, shape (members, times).
 
     The members are drawn and evaluated PHASE_CHUNK at a time, so no
     (K x members) phase array is held.
     """
-    _check_members(seed, stream, 0, n_members)
+    _check_members(seed, 0, 0, n_members)
     _check_ensemble(basis.K, n_members, times.size)
     wt, eom, A, pref = _ensemble_setup(basis)
     X = np.empty((n_members, times.size))
@@ -258,7 +260,7 @@ def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int, stream: int,
         # the phases are freed before the next chunk's are drawn, so their
         # memory is reused; two chunks alive at once cost mc-verify about
         # 1 800 more page faults per run
-        ensemble_positions(wt, sample_phases(basis, b, seed, stream, first=lo), eom,
+        ensemble_positions(wt, sample_phases(basis, b, seed, first=lo), eom,
                            times, A, pref, out=X[lo:lo + b])
     return X
 
@@ -269,7 +271,7 @@ def sample_msd(basis: EigenBasis, grid, n_members: int, seed: int = 42) -> Ensem
         raise ValidationError("n_members must be >= 2")
     times = validate_grid(grid)
     # baseline x(0) prepended so displacements share one evaluation pass
-    X = _ensemble_chunks(basis, n_members, seed, 0, np.concatenate(([0.0], times)))
+    X = _ensemble_chunks(basis, n_members, seed, np.concatenate(([0.0], times)))
     disp_sq = X[:, 1:] - X[:, :1]
     np.multiply(disp_sq, disp_sq, out=disp_sq)
     mean = disp_sq.mean(axis=0)
@@ -281,23 +283,16 @@ def sample_msd(basis: EigenBasis, grid, n_members: int, seed: int = 42) -> Ensem
     )
 
 
-def sample_msd_rerandomized(basis: EigenBasis, ensemble: EnsembleResult,
-                            t: float | None = None):
-    """Plateau estimate with independent phase sets before and after.
+def sample_msd_rerandomized(ensemble: EnsembleResult):
+    """Decohered plateau estimate from the members' x(0): (estimate, stderr).
 
-    Pairs each member's x(0) from ``ensemble``, the ``sample_msd`` result
-    on the same basis (stream-0 phases), with x(t) from fresh
-    stream-1 phases of the same seed, so the averaged squared difference
-    is time-independent and estimates the decohered plateau. Returns
-    (estimate, stderr, t_used); a t that is negative or not finite raises
-    ValidationError, as in a time grid.
+    Under uniform phases x(t) has the same law at every t and E[x] = 0, so
+    the plateau 2 Var(x) is estimated by 2 mean(x(0)^2) over the
+    ``sample_msd`` ensemble, with stderr std(2 x(0)^2) / sqrt(n). It draws
+    and evaluates nothing. The name is kept because the benchmark's tracer
+    (perfbench/spans.py) wraps it in qmsd.cli.
     """
-    if t is None:
-        # arbitrary; any time gives the same expectation
-        t = 10.0 * _HBAR * basis.beta
-    times = validate_grid([float(t)])
-    xt = _ensemble_chunks(basis, ensemble.n_members, ensemble.seed, 1, times)[:, 0]
-    disp_sq = (xt - ensemble.x0) ** 2
-    estimate = float(disp_sq.mean())
-    stderr = float(disp_sq.std(ddof=1) / math.sqrt(ensemble.n_members))
-    return estimate, stderr, float(times[0])
+    two_x0_sq = 2.0 * np.square(ensemble.x0)
+    estimate = float(two_x0_sq.mean())
+    stderr = float(two_x0_sq.std(ddof=1) / math.sqrt(ensemble.n_members))
+    return estimate, stderr

@@ -827,6 +827,13 @@ class TestArtifacts:
                 f"below z* = {meta['gate_z']:.2f} (family-wise false-alarm rate 0.001)"
                 in out)
         assert meta["max_abs_z"] < meta["gate_z"]
+        # the decohered plateau comes from the ensemble's x(0), which has
+        # no time of its own
+        est, err = meta["rerandomized_estimate_m2"], meta["rerandomized_stderr_m2"]
+        assert "rerandomized_t_s" not in meta
+        assert abs(est - meta["breve_sum_m2"]) < 3 * err
+        assert (f"decohered plateau from x(0), 2 <x(0)^2> = {est:.4e} +- {err:.1e} m^2 "
+                f"(breve_sum = {meta['breve_sum_m2']:.4e} m^2)" in out)
         # z* = Phi^-1(1 - alpha / 2n) for alpha = 1e-3 over n = 5 points
         assert meta["gate_z"] == pytest.approx(3.7190, abs=1e-4)
         assert meta["gate_false_alarm"] == 1e-3

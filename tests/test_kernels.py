@@ -523,16 +523,13 @@ class TestStreamZeroReuse:
         from qmsd.montecarlo import _ensemble_setup, sample_phases
         grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
         res = sample_msd(mc_basis, grid, n_members=600, seed=3)
-        t = 10.0 * CONST.hbar * mc_basis.beta
         wt, eom, A, pref = _ensemble_setup(mc_basis)
         x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=0), eom,
                                 np.array([0.0]), A, pref)[:, 0]
-        xt = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=1), eom,
-                                np.array([t]), A, pref)[:, 0]
-        disp_sq = (xt - x0) ** 2
+        two_x0_sq = 2.0 * x0 ** 2
         np.testing.assert_array_equal(res.x0, x0)
-        assert sample_msd_rerandomized(mc_basis, res) == (
-            float(disp_sq.mean()), float(disp_sq.std(ddof=1) / np.sqrt(600)), t)
+        assert sample_msd_rerandomized(res) == (
+            float(two_x0_sq.mean()), float(two_x0_sq.std(ddof=1) / np.sqrt(600)))
 
 
 def small_inputs(K, members, seed):
