@@ -14,21 +14,12 @@ from .constants import (CONST, PhysicalSystem, ValidationError, _require_positiv
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 J_AT_ZERO = math.sqrt(2.0) * math.pi / 12.0
-TINY = np.finfo(float).tiny
 
 
 def _sqrt_diff(t, t_b):
-    # sqrt(t^2 + t_b^2) - t_b, written so the small-t branch does not
-    # cancel: t^2 / (sqrt(t^2 + t_b^2) + t_b)
-    with np.errstate(over="ignore"):
-        tt = t * t
-        ss = tt + t_b * t_b
-    # where a square leaves the normal range (t or t_b beyond about 1.3e154
-    # s, where t^2 + t_b^2 overflows, or below about 1.5e-154 s, where t^2 or
-    # t_b^2 underflows) the same difference in hypot takes over
-    off = np.isinf(ss) | (tt < TINY) | (t_b * t_b < TINY)
-    ss = np.where(off, 1.0, ss)
-    return np.where(off, t * (t / (np.hypot(t, t_b) + t_b)), tt / (np.sqrt(ss) + t_b))
+    # sqrt(t^2 + t_b^2) - t_b, written so that small t does not cancel and
+    # no square is formed: t (t / (hypot(t, t_b) + t_b))
+    return t * (t / (np.hypot(t, t_b) + t_b))
 
 
 def msd_ideal(sys: PhysicalSystem, t):
@@ -41,6 +32,19 @@ def msd_ideal(sys: PhysicalSystem, t):
 def msd_ideal_curve(sys: PhysicalSystem, grid) -> np.ndarray:
     """Ideal MSD (m^2) at each time of a validated time grid."""
     return msd_ideal(sys, validate_grid(grid))
+
+
+def _J_series(u2: float) -> float:
+    """sum_m c_m u^(2m - 2) at u2 = u^2, with c_m = (-1)^(m+1) m / (4 (m+2)! (2m+1)),
+    summed until a term is below 1 ulp; J(y) = sqrt(2 pi) u^3 times this."""
+    total, power, m = 0.0, 1.0, 1
+    while True:
+        term = power * m / (4 * math.factorial(m + 2) * (2 * m + 1))
+        if term < math.ulp(total):
+            return total
+        total += term if m % 2 else -term
+        power *= u2
+        m += 1
 
 
 def J(y: float) -> float:
@@ -56,19 +60,8 @@ def J(y: float) -> float:
         return J_AT_ZERO
     u = 1.0 / math.sqrt(2.0 * y)
     if u < 1.0:
-        # the two terms cancel to O(u^3) as u = 1/sqrt(2y) shrinks; sum the
-        # subtracted series sqrt(2 pi) u sum_m c_m u^2m, with
-        # c_m = (-1)^(m+1) m / (4 (m+2)! (2m+1)), until a term is below 1 ulp
-        u2 = u * u
-        total, power, m = 0.0, 1.0, 1
-        while True:
-            power *= u2
-            term = power * m / (4 * math.factorial(m + 2) * (2 * m + 1))
-            if term < math.ulp(total):
-                break
-            total += term if m % 2 else -term
-            m += 1
-        return SQRT_2PI * u * total
+        # the two terms cancel to O(u^3) as u = 1/sqrt(2y) shrinks: sum the series
+        return SQRT_2PI * u * (u * u) * _J_series(u * u)
     em = -math.expm1(-1.0 / (2.0 * y))  # 1 - e^(-1/2y), no cancellation
     e = 1.0 - em
     return (J_AT_ZERO * math.erf(u)
@@ -86,17 +79,16 @@ def I_ab(a: float, b: float) -> float:
 
 
 def breve_closed(sys: PhysicalSystem) -> float:
-    """Closed-form decohered plateau (m^2):
-    L hbar sqrt(2 beta / (pi m)) J(hbar^2 beta / (2 m L^2))."""
-    hbar, L = CONST.hbar, sys.L
-    scales = derive_scales(sys)
-    beta = scales.beta
-    den, k = 2.0 * sys.mass * L**2, 2.0 * beta / (math.pi * sys.mass)
-    if den > 0.0 and math.isfinite(k):
-        return L * hbar * math.sqrt(k) * J(hbar**2 * beta / den)
-    # at a tiny mass 2 m L^2 underflows or 2 beta / (pi m) overflows; the
-    # same plateau in hbar sqrt(beta / m) = v_T t_b stays in range
-    vt = scales.v_T * scales.t_b
+    """Closed-form decohered plateau (m^2): L v_T t_b sqrt(2/pi) J(1 / (2 u^2)),
+    with v_T t_b = hbar sqrt(beta / m) and u = L / (v_T t_b); below u = 1 it is
+    J's series, 2 (L u)^2 _J_series(u^2), which stays in range where J underflows."""
+    L = sys.L
+    # hbar sqrt(beta / m), in factors that stay in range; v_T t_b would carry
+    # the rounding of v_T = 1 / sqrt(beta m) where beta m is subnormal
+    vt = math.sqrt(derive_scales(sys).beta) * (CONST.hbar / math.sqrt(sys.mass))
+    u = L / vt
+    if u < 1.0:
+        return 2.0 * (L * u) * (L * u) * _J_series(u * u)
     return L * vt * math.sqrt(2.0 / math.pi) * J((vt / L) * (vt / L) / 2.0)
 
 

@@ -44,31 +44,23 @@ def pair_correlation_self(sys: PhysicalSystem, x, t: float):
 
 
 def dsf(sys: PhysicalSystem, q: float, omega):
-    """Dynamic structure factor S(q, omega) (s): a Gaussian in omega
-    centered at the recoil shift D_q q^2, of width v_T |q|."""
+    """Dynamic structure factor S(q, omega) (s): exp(-z^2 / 2) / (sqrt(2 pi) v_T |q|),
+    z = (omega - D_q q^2) / (v_T |q|), a Gaussian centered at the recoil shift D_q q^2."""
     _require_q(q)
     if q == 0:
         raise ValidationError("q must be nonzero for the DSF")
     s = derive_scales(sys)
     omega = np.asarray(omega, dtype=float)
-    var = s.v_T**2 * q**2
-    if not (var >= np.finfo(float).tiny and math.isfinite(2.0 * math.pi * var)):
-        # v_T^2 q^2 is subnormal or 0, or 2 pi v_T^2 q^2 overflows, while
-        # the width v_T |q| may not: form the Gaussian in
-        # z = (omega - omega0) / (v_T |q|), not in var
-        width = s.v_T * abs(q)
-        # the peak 1 / (sqrt(2 pi) width) must be a finite double
-        if width == 0.0 or math.isinf(1.0 / (SQRT_2PI * width)):
-            raise ValidationError(f"the DSF peak overflows: q = {q!r} 1/m")
-        with np.errstate(over="ignore"):
-            # far from omega0, z or its square overflows to inf; exp(-inf) is 0
-            z = (omega - s.D_q * q**2) / width
-            out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
-    else:
-        with np.errstate(over="ignore"):
-            # far from omega0, (omega - omega0)^2 overflows to inf; exp(-inf) is 0
-            arg = -((omega - s.D_q * q**2) ** 2) / (2.0 * var)
-        out = np.exp(arg) / np.sqrt(2.0 * math.pi * var)
+    width = s.v_T * abs(q)
+    # the peak 1 / (sqrt(2 pi) width) must be a finite double
+    if width == 0.0 or math.isinf(1.0 / (SQRT_2PI * width)):
+        raise ValidationError(f"the DSF peak overflows: q = {q!r} 1/m")
+    with np.errstate(over="ignore"):
+        # far from omega0, z or its square overflows to inf; exp(-inf) is 0.
+        # |q| and v_T divide in turn: just above the q at which the peak
+        # overflows the width is subnormal, and z^2 would multiply its rounding
+        z = (omega - s.D_q * q**2) / abs(q) / s.v_T
+        out = np.exp(-0.5 * z * z) / (SQRT_2PI * width)
     return out if out.ndim else float(out)
 
 

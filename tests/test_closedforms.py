@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, breve_closed,
@@ -51,28 +53,47 @@ PI_100 = Decimal("3.14159265358979323846264338327950288419716939937510"
                  "58209749445923078164062862089986280348253421170679")
 
 
-def J_decimal(y: float) -> float:
-    """Independent oracle: J's closed form in 100-digit decimal arithmetic,
-    with erf from its Taylor series, so that neither the cancellation of
-    its two terms nor a series branch limits it."""
+def J_exact(y) -> Decimal:
+    """Independent oracle: J's closed form in decimal arithmetic, at a float
+    or Decimal y > 0, as sqrt(pi) ((sqrt(2)/6) S + (2/3) sqrt(y) ((1 - e) y
+    - (3 - e)/4)), with u = 1/sqrt(2y), e = e^(-u^2) and
+    S = (sqrt(pi)/2) erf(u) = e^(-u^2) sum_n (2 u^2)^n u / (2n+1)!!, a series
+    of positive terms. The two terms cancel to O(u^3) as y grows, about
+    3 log10(y) digits, so the bracket is summed with that many digits more
+    than 100; pi is a factor outside it, so 100 of its digits suffice."""
+    y = Decimal(y)
     with localcontext() as ctx:
-        ctx.prec = 100
-        y = Decimal(y)
-        u = 1 / (2 * y).sqrt()
-        # erf(u) = 2/sqrt(pi) sum_n (-1)^n u^(2n+1) / (n! (2n+1))
-        total, power, n, fact = Decimal(0), u, 0, 1
-        while True:
-            term = power / (fact * (2 * n + 1))
-            if abs(term) < Decimal(10) ** -90:
-                break
-            total += -term if n % 2 else term
-            n += 1
-            power *= u * u
-            fact *= n
-        erf = 2 / PI_100.sqrt() * total
-        e = (-1 / (2 * y)).exp()
-        return float(Decimal(2).sqrt() * PI_100 / 12 * erf
-                     + 2 * PI_100.sqrt() / 3 * y.sqrt() * ((1 - e) * y - (3 - e) / 4))
+        ctx.prec = 100 + 3 * max(0, y.adjusted())
+        u2 = 1 / (2 * y)
+        e = (-u2).exp()
+        if u2 > 240:
+            # erfc(u) < e^(-u^2) < 1e-104
+            S = PI_100.sqrt() / 2
+        else:
+            term = total = u2.sqrt()
+            n = 0
+            while n < u2 or term > total.scaleb(-ctx.prec):
+                n += 1
+                term *= 2 * u2 / (2 * n + 1)
+                total += term
+            S = e * total
+        return PI_100.sqrt() * (Decimal(2).sqrt() / 6 * S
+                                + 2 * y.sqrt() / 3 * ((1 - e) * y - (3 - e) / 4))
+
+
+def J_decimal(y: float) -> float:
+    return float(J_exact(y))
+
+
+def breve_exact(sys: PhysicalSystem) -> Decimal:
+    """Independent oracle: the plateau L hbar sqrt(2 beta / (pi m))
+    J(hbar^2 beta / (2 m L^2)) at the float hbar, beta, m and L, in decimal
+    arithmetic, where no factor leaves the range."""
+    hbar, beta, m, L = map(Decimal, (CONST.hbar, derive_scales(sys).beta, sys.mass, sys.L))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (L * hbar * (2 * beta / (PI_100 * m)).sqrt()
+                * J_exact(hbar * hbar * beta / (2 * m * L * L)))
 
 
 class TestJ:
@@ -183,6 +204,31 @@ class TestBreveClosed:
         sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
         value = breve_closed(sys)
         assert math.isfinite(value) and value >= 0.0
+
+    # over the masses, temperatures, lattices and cell counts derive_scales
+    # admits, with the tiny-mass systems above among them: at 1e-200 u and
+    # 4.4e-71 K, u = L / (v_T t_b) is 2.4e-135, and J(1/(2u^2)) underflows to
+    # 0 while the plateau is 1.1e-288 m^2; a subnormal plateau is held to
+    # 1e-14 of the smallest normal double
+    @given(st.floats(-300.0, 300.0).map(lambda v: 10.0**v),
+           st.floats(-284.0, 300.0).map(lambda v: 10.0**v),
+           st.floats(-140.0, 150.0).map(lambda v: 10.0**v),
+           st.integers(1, 10**4))
+    @example(28.0, 190.0, 256.0, 10)
+    @example(28.0, 5e-5, 256.0, 10)
+    @example(1e-200, 4.4e-71, 256.0, 10)
+    @example(1e-200, 1e-60, 1e134, 10)
+    @example(1e-200, 190.0, 1e-140, 1)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_decimal_oracle(self, mass_u, temperature_K, lattice_pm, n_cells):
+        try:
+            sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
+            derive_scales(sys)
+        except ValidationError:
+            reject()
+        exact = breve_exact(sys)
+        tol = Decimal("1e-14") * max(exact, Decimal(np.finfo(float).tiny))
+        assert abs(Decimal(breve_closed(sys)) - exact) <= tol
 
     def test_agrees_with_discrete_sum(self, co_system, co_basis):
         from qmsd import breve_basis_sum

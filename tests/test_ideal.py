@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales,
@@ -125,15 +125,27 @@ def test_grid_count_past_the_limit_refused(tmp_path, capsys, monkeypatch):
     assert main(["ideal", "--grid", "geometric:1:2:8", "--out", str(tmp_path / "o")]) == 0
 
 
-def msd_ideal_decimal(sys: PhysicalSystem, t: float) -> float:
+def msd_ideal_exact(sys: PhysicalSystem, t: float) -> Decimal:
     """Independent oracle: (hbar/m)(sqrt(t^2 + t_b^2) - t_b) at the float
-    hbar, m, t_b and t, in 400-digit decimal arithmetic, so that the
-    difference keeps its digits down to t = 1e-90 t_b and no square
-    leaves the range."""
+    hbar, m, t_b and t, in decimal arithmetic with 2 digits more for each
+    decade that t falls below t_b, so that the difference keeps 50 digits
+    however small t is, and no square leaves the range."""
+    t, t_b = Decimal(t), Decimal(derive_scales(sys).t_b)
+    if t == 0:
+        return Decimal(0)
     with localcontext() as ctx:
-        ctx.prec = 400
-        t, t_b = Decimal(t), Decimal(derive_scales(sys).t_b)
-        return float(Decimal(CONST.hbar) / Decimal(sys.mass) * ((t * t + t_b * t_b).sqrt() - t_b))
+        ctx.prec = 50 + 2 * max(0, t_b.adjusted() - t.adjusted())
+        return Decimal(CONST.hbar) / Decimal(sys.mass) * ((t * t + t_b * t_b).sqrt() - t_b)
+
+
+def msd_ideal_decimal(sys: PhysicalSystem, t: float) -> float:
+    return float(msd_ideal_exact(sys, t))
+
+
+def assert_within_oracle(got, exact: Decimal, rel: str):
+    """|got - exact| <= rel * exact, in decimal, so that rounding the oracle
+    to a float does not widen the bound."""
+    assert abs(Decimal(float(got)) - exact) <= Decimal(rel) * exact, (got, exact)
 
 
 # t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows although t^2
@@ -172,15 +184,33 @@ def test_matches_decimal_oracle_where_the_squares_underflow(tmp_path, command):
 
 def test_finite_where_t_squared_overflows():
     # t * t overflows beyond about 1.3e154 s, where the MSD tends to
-    # (hbar/m) t; below it every point keeps the bits of the plain form
+    # (hbar/m) t; below it every point is within 4e-16 of the oracle
     t = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
     with np.errstate(over="raise", invalid="raise"):
         got = msd_ideal(CO, t)
     np.testing.assert_allclose(got, CONST.hbar / CO.mass * t, rtol=1e-15, atol=0)
     assert isinstance(msd_ideal(CO, 1e160), float)
     t = np.concatenate((np.geomspace(1e-30, 1e154, 200), [0.0, 1.3e154]))
-    plain = CONST.hbar / CO.mass * (t * t / (np.sqrt(t * t + T_B * T_B) + T_B))
-    np.testing.assert_array_equal(msd_ideal(CO, t), plain)
+    for x, got in zip(t, msd_ideal(CO, t)):
+        assert_within_oracle(got, msd_ideal_exact(CO, x), "4e-16")
+
+
+# from t and t_b whose squares underflow (below about 1.5e-154 s) to t and
+# t_b whose squares overflow (above about 1.3e154 s): derive_scales admits CO
+# from 1e-284 K (t_b = 7.6e272 s) to 1e278 K (7.6e-290 s), and t runs from
+# 1e-300 t_b to 1e300 t_b; a subnormal MSD carries no 4e-16, so the points
+# below 2.2e-308 m^2 are left out
+@given(st.floats(min_value=-284.0, max_value=278.0),
+       st.floats(min_value=-300.0, max_value=300.0))
+@example(log_T=200.0, log_x=0.0)
+@example(log_T=-200.0, log_x=-90.0)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_matches_decimal_oracle_across_the_float_range(log_T, log_x):
+    system = dataclasses.replace(CO, temperature=10.0**log_T)
+    t = 10.0**log_x * derive_scales(system).t_b
+    exact = msd_ideal_exact(system, t)
+    assume(math.isfinite(t) and exact > Decimal(np.finfo(float).tiny))
+    assert_within_oracle(msd_ideal(system, t), exact, "4e-16")
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),

@@ -89,12 +89,17 @@ class TestDsf:
         assert dsf(xe, Q, omega0 + fwhm_expected / 2) == pytest.approx(
             half, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize("q", [1e-150, 1e-160, 1e-300])
+    @pytest.mark.parametrize("q", [1e-150, 1e-160, 1e-300, 2.73e-311, 1e-310, 1e-309,
+                                   1e-308, 1e-100, 1.0, 1e10, 3e10, 1e12])
     def test_tiny_q_matches_decimal_oracle(self, xe, xs, q):
-        # v_T^2 q^2 is a normal double at 1e-150 / m, subnormal at 1e-160
-        # and 0 at 1e-300, while the width v_T |q| is normal at all three
+        # from just above the q at which the peak overflows (2.72e-311 / m;
+        # the width v_T |q| is subnormal up to about 3e-310) to 100 / Angstrom,
+        # over omega0 +- 5 widths; v_T^2 q^2 is a normal double at 1e-150 / m,
+        # subnormal at 1e-160 and 0 below. One ulp of omega0 = D_q q^2 is
+        # D_q q / v_T ulps of a width (3 at 1e12 / m), and 5 widths out it
+        # moves S by 5 times that: above about 1e13 / m more than 1e-14
         width = xs.v_T * q
-        omega = np.linspace(-3.0, 3.0, 13) * width
+        omega = xs.D_q * q**2 + np.linspace(-5.0, 5.0, 21) * width
         with localcontext() as ctx:
             ctx.prec = 40
             v_T, q_, D_q = Decimal(xs.v_T), Decimal(q), Decimal(xs.D_q)
@@ -102,7 +107,7 @@ class TestDsf:
             two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
             ref = [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
                          / (two_pi * var).sqrt()) for w in omega]
-        assert dsf(xe, q, omega) == pytest.approx(ref, rel=1e-13, abs=0)
+        assert dsf(xe, q, omega) == pytest.approx(ref, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("q", [1e152, 1e153, 1e154])
     def test_huge_q_peak_finite(self, xe, xs, q):
