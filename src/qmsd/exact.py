@@ -21,6 +21,10 @@ the inner sum over s into sqrt(pi/4a)/2 times the bracket
 
 p = d mod 2. The series sums the untruncated lattice, whose Q is the continuum
 Q_approx = sqrt(pi/c): its Jacobi dual's images are below e^{-92}.
+
+Direct pair sum: pair_arrays gives the pairs n < j above the weight floor;
+msd_reduce sums them by one np.sum per time, and blocked_sum plain values by
+one np.sum (numpy's pairwise summation, deterministic run to run).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .basis import (EigenBasis, cell_stiffness, converged_basis, lattice_energy,
                     partition_function)
 from .constants import (CONST, PhysicalSystem, ValidationError, derive_scales,
                         validate_grid)
-from .kernels import blocked_sum, msd_reduce, pair_arrays
 
 # theta-series terms below exp(-TAIL) (~1e-40) of the leading one are cut
 TAIL = 92.0
@@ -176,6 +179,43 @@ def breve_sum(system: PhysicalSystem) -> float:
         # the theta bracket's time mean is 1, leaving the outer weights
         return float(np.sum(_theta_outer(system, 1)[2]))
     return breve_basis_sum(converged_basis(system))
+
+
+def pair_arrays(basis):
+    """Per-pair data for the coherent double sum.
+
+    Returns (wprod, half_omega) over ordered index pairs n < j of the
+    basis, keeping only states with Boltzmann weight >= basis.weight_floor
+    and > 0 (the floor is 0 where w(n = 1) underflows).
+
+    wprod = w_n w_j |x_nj|^2  (m^2), half_omega = (E_n - E_j)/(2 hbar).
+    """
+    keep = (basis.w >= basis.weight_floor) & (basis.w > 0)
+    q = basis.q[keep]
+    E = basis.E[keep]
+    w = basis.w[keep]
+    i, j = np.triu_indices(q.size, k=1)
+    dq = q[i] - q[j]
+    wprod = w[i] * w[j] / (dq * dq)
+    half_omega = (E[i] - E[j]) / (2.0 * CONST.hbar)
+    return wprod, half_omega
+
+
+def msd_reduce(wprod, half_omega, times) -> np.ndarray:
+    """sum_p wprod_p sin^2(half_omega_p t) for each t, one time at a time,
+    so that no (times x pairs) temporary is made."""
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    out = np.empty(times.size)
+    for it, t in enumerate(times):
+        s = np.sin(half_omega * t)
+        out[it] = np.sum(wprod * s * s)
+    return out
+
+
+def blocked_sum(values) -> float:
+    """Sum of values, by the same np.sum as msd_reduce; the name is kept
+    because the benchmark's tracer (perfbench/spans.py) wraps it here."""
+    return float(np.sum(values))
 
 
 def msd_basis_curve(basis: EigenBasis, grid) -> np.ndarray:

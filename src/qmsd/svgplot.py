@@ -40,6 +40,9 @@ def _nice_ticks(lo: float, hi: float):
     v = first
     while v <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:
+            # a step below the spacing of doubles stalls v: label the axis's ends
+            return [lo, hi]
         v += step
     return ticks
 

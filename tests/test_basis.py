@@ -9,7 +9,7 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, build_basis,
 
 
 # The closed-form position matrix elements. No command evaluates them (the
-# kernels use the coupling matrix A); they are the oracles of the brute-force
+# ensemble kernel uses the coupling matrix A); they are the oracles of the brute-force
 # sums in test_exact.py and test_montecarlo.py, which import them from here.
 
 def x_element(n: int, j: int, L: float) -> complex:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -548,6 +549,32 @@ class TestExitCodes:
         for name in svgs:
             text = (tmp_path / name).read_text()
             assert "nan" not in text and "inf" not in text
+
+    # axes a few ulps wide at a large magnitude, where a tick step is below
+    # the spacing of doubles: the t axis at 1e24 t_b, and the collision
+    # plateau's y axis at 1e15 t_b
+    @pytest.mark.parametrize("argv,svg", [
+        (["exact", "--grid", "linear:1e24:1.0000000000000004e24:3"], "exact.svg"),
+        (["collision", "--grid", "linear:1e24:1.0000000000000004e24:3"], "collision.svg"),
+        (["figure2", "--grid", "linear:1e24:1.0000000000000004e24:3"], "figure2.svg"),
+        (["scattering", "--grid", "linear:1e24:1.0000000000000004e24:3"], "isf.svg"),
+        (["collision", "--grid", "linear:1e15:1.000000000000001e15:3"], "collision.svg")],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_svg_on_an_axis_a_few_ulps_wide(self, tmp_path, argv, svg):
+        # a hang fails here by the alarm instead of stalling the suite;
+        # pytest.fail's exception is not one that main turns into an exit code
+        def hung(signum, frame):
+            pytest.fail(f"{' '.join(argv)} ran past 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        text = (tmp_path / svg).read_text()
+        assert text.endswith("</svg>\n") and "nan" not in text
 
     def test_dsf_finite_where_q_squared_underflows(self, tmp_path):
         # v_T^2 q^2 underflows to 0 at 1e-300 / Angstrom, while the width

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qmsd.kernels import _one_blas_thread
+from qmsd.montecarlo import _one_blas_thread
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 

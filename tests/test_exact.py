@@ -9,8 +9,8 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum,
                   breve_sum, build_basis, converged_basis, derive_scales,
                   exact_params, msd_basis_curve, msd_exact_curve, msd_ideal,
                   partition_function)
-from qmsd.exact import _BLOCK_ELEMS, TAIL, X_CUT, _theta_outer
-from qmsd.kernels import blocked_sum, msd_reduce, pair_arrays
+from qmsd.exact import (_BLOCK_ELEMS, TAIL, X_CUT, _theta_outer, blocked_sum, msd_reduce,
+                        pair_arrays)
 from test_basis import x_element
 
 

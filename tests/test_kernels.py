@@ -1,4 +1,10 @@
+"""The two O(K^2) kernels: the direct pair sum in qmsd.exact (pair_arrays,
+msd_reduce, blocked_sum) and the ensemble position kernel in
+qmsd.montecarlo (ensemble_positions, its phase-factor table, its thread
+pool and its hold on numpy's OpenBLAS)."""
+
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -6,11 +12,12 @@ import threading
 import numpy as np
 import pytest
 
-import qmsd.kernels
-from qmsd import PhysicalSystem, build_basis
-from qmsd.kernels import (_CIS_N, _TWO_PI, BLOCK, MEMBER_BLOCK, _cis, _pool_size,
-                          antisym_coupling_matrix, blocked_sum, ensemble_positions,
-                          msd_reduce, pair_arrays)
+import qmsd.montecarlo
+from qmsd import CONST, PhysicalSystem, build_basis, sample_msd, sample_msd_rerandomized
+from qmsd.exact import blocked_sum, msd_reduce, pair_arrays
+from qmsd.montecarlo import (_CIS_N, _TWO_PI, MEMBER_BLOCK, _cis, _ensemble_setup,
+                             _pool_size, antisym_coupling_matrix, ensemble_positions,
+                             sample_phases)
 
 
 def unpruned_wprod(basis):
@@ -88,16 +95,65 @@ class TestMsdReduceTwins:
         assert out[0] == 0.0
 
 
+def pairwise_bound(terms) -> float:
+    """Bound on |np.sum(terms) - math.fsum(terms)|.
+
+    np.sum adds float64 values by numpy's pairwise summation: fewer than 8
+    values in order; up to 128 into 8 accumulators of at most 16 values,
+    added as a tree of depth 3, then the last n mod 8 values in order, so
+    that a value takes part in at most 15 + 3 + 7 = 25 additions; above 128,
+    two halves summed so and then added, one more addition per halving, of
+    which there are at most ceil(log2 n); and the reduction adds its first
+    value last, one more. Each value thus carries at most h = 26 +
+    ceil(log2 n) rounding factors (1 + d), |d| <= u = 2^-53, and |np.sum -
+    s| <= gamma_h sum |x_i| with gamma_h = h u / (1 - h u) (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    sec. 4.2). math.fsum is s correctly rounded, within u |s| of it.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    u = 2.0**-53
+    h = 26 + math.ceil(math.log2(max(terms.size, 1)))
+    return (h * u / (1.0 - h * u) + u) * math.fsum(np.abs(terms))
+
+
+# numpy's pairwise block is 128 values; 20 100 is mc-verify's K = 201
+PAIR_COUNTS = [0, 1, 2, 127, 128, 129, 20100]
+
+
 class TestBlockedSum:
+    """msd_reduce and blocked_sum against math.fsum of the same float terms,
+    within pairwise_bound."""
+
+    @pytest.mark.parametrize("n", PAIR_COUNTS)
+    def test_msd_reduce_matches_fsum(self, n):
+        rng = np.random.default_rng(n)
+        wprod = rng.uniform(0.5, 1.0, n)
+        half_omega = rng.uniform(-1.0, 1.0, n)
+        times = np.array([0.0, 0.3, 2.0, 17.0])
+        got = msd_reduce(wprod, half_omega, times)
+        for it, t in enumerate(times):
+            s = np.sin(half_omega * t)
+            terms = wprod * s * s
+            assert abs(got[it] - math.fsum(terms)) <= pairwise_bound(terms)
+
     def test_small_and_block_boundary_sizes(self):
         rng = np.random.default_rng(0)
-        for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17):
+        for n in PAIR_COUNTS:
             v = rng.standard_normal(n)
-            assert blocked_sum(v) == pytest.approx(float(np.sum(v)),
-                                                   rel=1e-12, abs=1e-12)
+            assert abs(blocked_sum(v) - math.fsum(v)) <= pairwise_bound(v)
+
+    def test_mc_verify_pairs_match_fsum(self, mc_basis):
+        wprod, half_omega = pair_arrays(mc_basis)
+        assert wprod.size == 20100
+        assert abs(blocked_sum(wprod) - math.fsum(wprod)) <= pairwise_bound(wprod)
+        t = 3.0 * CONST.hbar * mc_basis.beta
+        s = np.sin(half_omega * t)
+        terms = wprod * s * s
+        got = msd_reduce(wprod, half_omega, t)[0]
+        assert abs(got - math.fsum(terms)) <= pairwise_bound(terms)
 
     def test_deterministic(self):
-        v = np.random.default_rng(1).standard_normal(10 * BLOCK + 5)
+        v = np.random.default_rng(1).standard_normal(40965)
         assert blocked_sum(v) == blocked_sum(v)
 
 
@@ -119,7 +175,6 @@ class TestAntisymCouplingMatrix:
 
 @pytest.fixture(scope="module")
 def position_data(mc_basis):
-    from qmsd.montecarlo import _ensemble_setup, sample_phases
     wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 32, seed=17)
     t_b = 1.0 / eom[2]
@@ -149,8 +204,6 @@ def plain_positions(wt, thetas, eom, times, A, pref):
 
 @pytest.fixture(scope="module")
 def oracle_data(mc_basis):
-    from qmsd import CONST
-    from qmsd.montecarlo import _ensemble_setup, sample_phases
     wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 1030, seed=23)
     t_b = CONST.hbar * mc_basis.beta
@@ -244,12 +297,11 @@ class TestEnsemblePositionsDomain:
 def with_workers(monkeypatch, n):
     """Make ensemble_positions share its blocks over n workers, or fewer
     when there are fewer blocks."""
-    monkeypatch.setattr(qmsd.kernels, "_pool_size", lambda n_blocks: min(n, n_blocks))
+    monkeypatch.setattr(qmsd.montecarlo, "_pool_size", lambda n_blocks: min(n, n_blocks))
 
 
 @pytest.fixture(scope="module")
 def pool_data(mc_basis):
-    from qmsd.montecarlo import _ensemble_setup, sample_phases
     wt, eom, A, pref = _ensemble_setup(mc_basis)
     thetas = sample_phases(mc_basis, 4101, seed=29)
     times = np.array([0.0, 1.0, 7.0, 300.0]) / eom[2]
@@ -311,14 +363,14 @@ class TestEnsemblePositionsPool:
         # an error inside a worker thread reaches the caller once every
         # worker is joined
         wt, thetas, eom, times, A, pref = pool_data
-        real = qmsd.kernels._cis
+        real = qmsd.montecarlo._cis
 
         def failing_off_main(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("worker failed")
             real(*args)
 
-        monkeypatch.setattr(qmsd.kernels, "_cis", failing_off_main)
+        monkeypatch.setattr(qmsd.montecarlo, "_cis", failing_off_main)
         with_workers(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="worker failed"):
@@ -350,7 +402,7 @@ class TestEnsemblePositionsPool:
 def blas():
     """(get, set) of numpy's OpenBLAS thread count; the count is restored
     after the test."""
-    handle = qmsd.kernels._openblas()
+    handle = qmsd.montecarlo._openblas()
     if handle is None:
         pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
     get, set_ = handle
@@ -363,8 +415,6 @@ def blas():
 def custom_data():
     """Kernel inputs at K = 1201 (20 cells, 300 K, 60 functions per cell),
     where the GEMM's bits depend on the BLAS thread count."""
-    from qmsd import CONST, PhysicalSystem, build_basis
-    from qmsd.montecarlo import _ensemble_setup, sample_phases
     basis = build_basis(PhysicalSystem.from_user_units(28.0, 300.0, 256.0, 20), 60)
     assert basis.K == 1201
     wt, eom, A, pref = _ensemble_setup(basis)
@@ -393,7 +443,7 @@ class TestBlasThreads:
         # block records the count it runs at
         get, set_ = blas
         wt, thetas, eom, times, A, pref = pool_data
-        real = qmsd.kernels._cis
+        real = qmsd.montecarlo._cis
         seen = []
 
         def failing_off_main(*args):
@@ -403,7 +453,7 @@ class TestBlasThreads:
             real(*args)
 
         set_(2)
-        monkeypatch.setattr(qmsd.kernels, "_cis", failing_off_main)
+        monkeypatch.setattr(qmsd.montecarlo, "_cis", failing_off_main)
         with_workers(monkeypatch, 2)
         with pytest.raises(FloatingPointError, match="worker failed"):
             ensemble_positions(wt, thetas[:4 * MEMBER_BLOCK], eom, times, A, pref)
@@ -416,15 +466,15 @@ class TestBlasThreads:
         wt, thetas, eom, times, A, pref = pool_data
         set_(1)
         want = ensemble_positions(wt, thetas, eom, times, A, pref)
-        real = qmsd.kernels._cis
+        real = qmsd.montecarlo._cis
         seen = []
 
         def recording(*args):
             seen.append((threading.current_thread(), get()))
             real(*args)
 
-        monkeypatch.setattr(qmsd.kernels, "_openblas", lambda: None)
-        monkeypatch.setattr(qmsd.kernels, "_cis", recording)
+        monkeypatch.setattr(qmsd.montecarlo, "_openblas", lambda: None)
+        monkeypatch.setattr(qmsd.montecarlo, "_cis", recording)
         for n in (2, 1):
             set_(n)
             seen.clear()
@@ -494,8 +544,6 @@ class TestPoolSize:
 class TestSampleMsdEstimator:
     def test_matches_estimator_from_plain_positions(self, mc_basis):
         # 1030 members: eight whole blocks and a short one
-        from qmsd import CONST, sample_msd
-        from qmsd.montecarlo import _ensemble_setup, sample_phases
         members, seed = 1030, 11
         assert members % MEMBER_BLOCK
         grid = np.linspace(1.0, 20.0, 20) * CONST.hbar * mc_basis.beta
@@ -518,13 +566,11 @@ class TestSampleMsdEstimator:
 class TestStreamZeroReuse:
     def test_rerandomized_with_x0_bit_identical(self, mc_basis):
         # the plateau from the ensemble's x(0) equals one built here from
-        # a stream 0 drawn afresh and evaluated at t = 0 alone
-        from qmsd import CONST, sample_msd, sample_msd_rerandomized
-        from qmsd.montecarlo import _ensemble_setup, sample_phases
+        # phases drawn afresh and evaluated at t = 0 alone
         grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
         res = sample_msd(mc_basis, grid, n_members=600, seed=3)
         wt, eom, A, pref = _ensemble_setup(mc_basis)
-        x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3, stream=0), eom,
+        x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3), eom,
                                 np.array([0.0]), A, pref)[:, 0]
         two_x0_sq = 2.0 * x0 ** 2
         np.testing.assert_array_equal(res.x0, x0)
@@ -534,8 +580,6 @@ class TestStreamZeroReuse:
 
 def small_inputs(K, members, seed):
     """Kernel inputs on a single-cell basis of K states, with phases."""
-    from qmsd import CONST, PhysicalSystem, build_basis
-    from qmsd.montecarlo import _ensemble_setup, sample_phases
     basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K)
     assert basis.K == K
     wt, eom, A, pref = _ensemble_setup(basis)

@@ -11,9 +11,8 @@ from qmsd import (CONST, EigenBasis, breve_basis_sum, msd_basis_curve,
                   partition_function, sample_msd, sample_msd_rerandomized,
                   sample_phases)
 from qmsd.constants import ValidationError
-from qmsd.kernels import MEMBER_BLOCK, ensemble_positions
-from qmsd.montecarlo import (MAX_K, MAX_MEMBER_TIMES, PHASE_CHUNK, _check_ensemble,
-                             _ensemble_setup)
+from qmsd.montecarlo import (MAX_K, MAX_MEMBER_TIMES, MEMBER_BLOCK, PHASE_CHUNK,
+                             _check_ensemble, _ensemble_setup, ensemble_positions)
 from test_basis import x_element
 
 
@@ -121,11 +120,6 @@ class TestSamplePhases:
         c = sample_phases(mc_basis, 3, seed=42)
         assert np.array_equal(a[:3], c)
 
-    def test_streams_independent(self, mc_basis):
-        a = sample_phases(mc_basis, 4, seed=42, stream=0)
-        b = sample_phases(mc_basis, 4, seed=42, stream=1)
-        assert not np.array_equal(a, b)
-
     def test_range(self, mc_basis):
         a = sample_phases(mc_basis, 50, seed=1)
         assert np.all(a >= 0) and np.all(a < 2 * math.pi)
@@ -134,11 +128,12 @@ class TestSamplePhases:
     # seeds of one to five 32-bit words: 2**64 + 5 and 3**90 take the
     # SeedSequence mixing loop for entropy beyond its pool of four words
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 3**90])
-    @pytest.mark.parametrize("stream", [0, 1])
+    # every member's entropy ends in the word 0
+    @pytest.mark.parametrize("last_word", [0])
     @pytest.mark.parametrize("n,K", [(1, 1), (300, 201), (7, 1001)])
-    def test_bit_identical_to_default_rng(self, seed, stream, n, K):
-        got = sample_phases(SimpleNamespace(K=K), n, seed, stream)
-        want = np.array([np.random.default_rng([seed, i, stream])
+    def test_bit_identical_to_default_rng(self, seed, last_word, n, K):
+        got = sample_phases(SimpleNamespace(K=K), n, seed)
+        want = np.array([np.random.default_rng([seed, i, last_word])
                          .uniform(0.0, 2.0 * math.pi, K) for i in range(n)])
         # drawn as K contiguous rows of n and returned transposed
         assert got.shape == (n, K) and got.flags.f_contiguous
@@ -156,10 +151,10 @@ class TestSamplePhases:
     # K = 21 is two whole 8-lane steps and a partial one; the last case
     # ends at member 2**32 - 1, the last member stream
     @pytest.mark.parametrize("n,first", [(5, 3), (9, 2047), (4, 2**32 - 4)])
-    @pytest.mark.parametrize("stream", [0, 1])
-    def test_first_offsets_the_member_streams(self, n, first, stream):
-        got = sample_phases(SimpleNamespace(K=21), n, 42, stream, first=first)
-        want = np.array([np.random.default_rng([42, first + i, stream])
+    @pytest.mark.parametrize("last_word", [0])
+    def test_first_offsets_the_member_streams(self, n, first, last_word):
+        got = sample_phases(SimpleNamespace(K=21), n, 42, first=first)
+        want = np.array([np.random.default_rng([42, first + i, last_word])
                          .uniform(0.0, 2.0 * math.pi, 21) for i in range(n)])
         assert np.array_equal(got, want)
 
@@ -231,7 +226,7 @@ class TestSampleMsd:
 
 
 def one_draw_positions(basis, times, n_members, seed):
-    """x(t) of every member of stream 0 from one draw of all members and one
+    """x(t) of every member from one draw of all members and one
     kernel call."""
     wt, eom, A, pref = _ensemble_setup(basis)
     thetas = sample_phases(basis, n_members, seed)
@@ -261,15 +256,15 @@ class TestPhaseChunks:
         calls = []
         real = qmsd.montecarlo.sample_phases
 
-        def recording(basis, n_members, seed, stream=0, first=0):
-            calls.append((first, n_members, stream))
-            return real(basis, n_members, seed, stream, first)
+        def recording(basis, n_members, seed, first=0):
+            calls.append((first, n_members))
+            return real(basis, n_members, seed, first)
 
         monkeypatch.setattr(qmsd.montecarlo, "sample_phases", recording)
         res = sample_msd(mc_basis, [CONST.hbar * mc_basis.beta], 5000, seed=7)
         sample_msd_rerandomized(res)
-        # one stream, drawn once: the plateau draws nothing of its own
-        assert calls == [(lo, min(PHASE_CHUNK, 5000 - lo), 0)
+        # drawn once: the plateau draws nothing of its own
+        assert calls == [(lo, min(PHASE_CHUNK, 5000 - lo))
                          for lo in range(0, 5000, PHASE_CHUNK)]
 
     def test_too_many_members_rejected_before_allocating(self, mc_basis):

@@ -9,10 +9,12 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import threading
 from pathlib import Path
 
 import pytest
 
+import qmsd.montecarlo
 from qmsd.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -54,3 +56,36 @@ def test_traced_commands_count_their_work(spans, tmp_path):
     K = 201
     assert metrics["montecarlo.phase_draws"] == 200 * K
     assert metrics["kernels.member_evals"] == 200 * 21
+
+
+def test_traced_names_run_on_the_calling_thread(spans, tmp_path, monkeypatch):
+    # the span stack is not thread-safe, so the ensemble kernel's worker
+    # threads must call no traced name
+    if qmsd.montecarlo._openblas() is None:
+        pytest.skip("numpy's OpenBLAS thread setter is not found: the kernel runs one worker")
+    pools = []
+
+    def two_workers(n_blocks):
+        pools.append(n_blocks)
+        return min(2, n_blocks)
+
+    monkeypatch.setattr(qmsd.montecarlo, "_pool_size", two_workers)
+    tracer = spans.Tracer()
+    calls = []
+    traced_call = tracer.call
+
+    def recording(name, *args, **kwargs):
+        calls.append((name, threading.current_thread() is threading.main_thread()))
+        return traced_call(name, *args, **kwargs)
+
+    tracer.call = recording
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["mc-verify", "--members", "600", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    # 600 members are five blocks of 128, shared by two workers
+    assert pools and min(pools) >= 2
+    assert ("kernels.ensemble_positions", True) in calls
+    assert [name for name, on_main in calls if not on_main] == []
