@@ -14,6 +14,10 @@ import numpy as np
 from .constants import CONST, PhysicalSystem, ValidationError, derive_scales
 
 WEIGHT_FLOOR = 1e-18  # relative to w(n = 1); see EigenBasis.weight_floor
+# the most states build_basis makes: the Monte-Carlo check's K x K coupling
+# matrix takes 8 K^2 bytes (about 4 times that while it is built), and
+# mc-verify peaked at 166 MiB at K = 2049
+MAX_K = 2049
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def lattice_energy(sys: PhysicalSystem) -> float:
 
 
 def cell_stiffness(sys: PhysicalSystem) -> float:
-    """c = beta eps, so that w_n = e^{-c n^2}; inf where eps overflows."""
+    """c = beta eps, so that w_n = e^{-c n^2}."""
     return derive_scales(sys).beta * lattice_energy(sys)
 
 
@@ -72,24 +76,22 @@ def _plane_waves(sys: PhysicalSystem, M: int) -> EigenBasis:
     beta = derive_scales(sys).beta
     indices = np.arange(-M, M + 1)
     q = 2.0 * math.pi * indices / sys.L
-    # an energy past the float range is refused; beta E past it is a
-    # weight of exactly 0
-    with np.errstate(over="ignore"):
-        E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
-        if not np.all(np.isfinite(E)):
-            raise ValidationError(
-                f"the basis energies hbar^2 q_n^2 / 2m (n = -{M}..{M}) leave the float "
-                f"range at mass {sys.mass!r} kg and L = {sys.L!r} m")
-        w = np.exp(-beta * E)
+    E = CONST.hbar**2 * q**2 / (2.0 * sys.mass)
+    w = np.exp(-beta * E)
     return EigenBasis(indices=indices, q=q, E=E, w=w, L=sys.L, beta=beta, mass=sys.mass)
 
 
 def build_basis(sys: PhysicalSystem, funcs_per_cell: int) -> EigenBasis:
     """Build a basis with K = funcs_per_cell * n_cells functions, rounded
-    up to the nearest odd 2M+1 and centered on n = 0."""
+    up to the nearest odd 2M+1 and centered on n = 0; K past MAX_K is
+    refused before it is allocated."""
     if funcs_per_cell < 1:
         raise ValidationError("funcs_per_cell must be >= 1")
-    return _plane_waves(sys, funcs_per_cell * sys.n_cells // 2)
+    M = funcs_per_cell * sys.n_cells // 2
+    if 2 * M + 1 > MAX_K:
+        raise ValidationError(f"the basis has K = {2 * M + 1} states, past its limit "
+                              f"of {MAX_K}")
+    return _plane_waves(sys, M)
 
 
 def converged_basis(sys: PhysicalSystem) -> EigenBasis:

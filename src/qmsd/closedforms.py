@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .constants import (CONST, PhysicalSystem, ValidationError, _require_positive,
+from .constants import (CONST, PhysicalSystem, ValidationError, check_domain,
                         derive_scales, validate_grid, validate_times)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -80,11 +80,10 @@ def I_ab(a: float, b: float) -> float:
 
 def breve_closed(sys: PhysicalSystem) -> float:
     """Closed-form decohered plateau (m^2): L v_T t_b sqrt(2/pi) J(1 / (2 u^2)),
-    with v_T t_b = hbar sqrt(beta / m) and u = L / (v_T t_b); below u = 1 it is
-    J's series, 2 (L u)^2 _J_series(u^2), which stays in range where J underflows."""
+    with v_T t_b = hbar sqrt(beta / m) and u = L / (v_T t_b); below u = 1, where
+    J is its series, it is 2 (L u)^2 _J_series(u^2)."""
     L = sys.L
-    # hbar sqrt(beta / m), in factors that stay in range; v_T t_b would carry
-    # the rounding of v_T = 1 / sqrt(beta m) where beta m is subnormal
+    # v_T * t_b rounds differently, and moves the cold digests
     vt = math.sqrt(derive_scales(sys).beta) * (CONST.hbar / math.sqrt(sys.mass))
     u = L / vt
     if u < 1.0:
@@ -100,11 +99,11 @@ def msd_collision_model(sys: PhysicalSystem, alpha: float, t):
     a collision pins the MSD at the plateau value; the blend averages
     over the one-sided Maxwell-Boltzmann speed distribution.
     """
-    _require_positive("alpha", alpha)
+    check_domain("alpha", alpha)
     t = validate_times(t)
-    # z may overflow to inf (erf = 1), and at t = 0 it is inf, or 0/0 where
-    # alpha L underflows; that point is replaced by 0 below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # z overflows to inf (erf = 1) at a time as small as 1e-300 s, and at
+    # t = 0 it is inf, a point replaced by 0 below
+    with np.errstate(divide="ignore", over="ignore"):
         z = alpha * sys.L / (math.sqrt(2.0) * derive_scales(sys).v_T * t)
     # math.erf per point: numpy has none, and math.erf keeps the numbers
     # of the scalar form

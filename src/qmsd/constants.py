@@ -1,5 +1,5 @@
-"""Physical constants, unit conversions, characteristic scales and the
-checks of times and time grids.
+"""Physical constants, unit conversions, the physical domain, characteristic
+scales and the checks of times and time grids.
 
 Internal unit system is SI throughout. ``PhysicalSystem.from_user_units``
 accepts atomic mass units, kelvin and picometres and converts once at the
@@ -40,22 +40,36 @@ ANGSTROM_TO_M = 1e-10
 J_TO_MEV = 1e3 / 1.602176634e-19
 
 
-def _require_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+# The physical domain: quantity -> (low, high, unit, SI value of the unit).
+# Each input is checked against it where it enters; inside it every derived
+# scale, and every square that the closed forms form, is a normal double
+# with a margin of at least 1e100 (README, "Physical domain").
+DOMAIN = {
+    "mass_u": (1e-4, 1e6, "u", U_TO_KG),
+    "temperature_K": (1e-9, 1e6, "K", 1.0),
+    "lattice_pm": (1.0, 1e6, "pm", PM_TO_M),
+    "n_cells": (1, 10**6, "cells", 1),
+    "t_s": (0.0, 1e6, "s", 1.0),
+    "q_inv_angstrom": (1e-6, 100.0, "1/Angstrom", 1.0 / ANGSTROM_TO_M),
+    "alpha": (1e-6, 1e6, "L", 1.0),
+}
+
+
+def check_domain(key: str, value) -> None:
+    """Refuse a value (in SI units) outside DOMAIN[key], naming the bound."""
+    lo, hi, unit, si = DOMAIN[key]
+    if not lo * si <= value <= hi * si:  # NaN fails too
+        raise ValidationError(f"{key} = {value / si:.15g} {unit} is outside the physical "
+                              f"domain [{lo:g}, {hi:g}] {unit}")
 
 
 def validate_times(times) -> np.ndarray:
-    """Check times (s) are finite and nonnegative; return them as a float
-    array of the input's shape (0-d for a scalar)."""
+    """Check times (s) lie in DOMAIN's t_s, finite and nonnegative; return
+    them as a float array of the input's shape (0-d for a scalar)."""
     times = np.asarray(times, dtype=float)
-    finite = np.isfinite(times)
-    if not finite.all():
-        # at most nan, inf and -inf
-        bad = np.unique(times[~finite]).tolist()
-        raise ValidationError(f"time grid must be finite, got {bad}")
-    if np.any(times < 0):
-        raise ValidationError("time grid must be nonnegative")
+    # a NaN is the min and the max; initial=0.0 stands in for no times
+    check_domain("t_s", np.min(times, initial=0.0))
+    check_domain("t_s", np.max(times, initial=0.0))
     return times
 
 
@@ -80,14 +94,12 @@ class PhysicalSystem:
     n_cells: int
 
     def __post_init__(self):
-        _require_positive("mass", self.mass)
-        _require_positive("temperature", self.temperature)
-        _require_positive("lattice_a", self.lattice_a)
-        if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
-            raise ValidationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
-        # MSDs are reported over a^2 and the plateau takes L^2 (a <= L)
-        _require_positive("lattice_a^2", self.lattice_a * self.lattice_a)
-        _require_positive("L^2", self.L * self.L)
+        check_domain("mass_u", self.mass)
+        check_domain("temperature_K", self.temperature)
+        check_domain("lattice_pm", self.lattice_a)
+        if not isinstance(self.n_cells, int):
+            raise ValidationError(f"n_cells must be an integer, got {self.n_cells!r}")
+        check_domain("n_cells", self.n_cells)
 
     @property
     def L(self) -> float:
@@ -116,32 +128,17 @@ class CharacteristicScales:
     D_q: float       # m^2/s, hbar/2m
     Q_approx: float  # dimensionless, continuum partition function
 
-    def __post_init__(self):
-        # positive for every valid system, but they can leave the float range
-        for name, value in vars(self).items():
-            _require_positive(f"derived scale {name}", value)
-
 
 def derive_scales(sys: PhysicalSystem) -> CharacteristicScales:
     """Derive all characteristic scales from a physical system."""
     hbar = CONST.hbar
-    # each denominator below can underflow to 0 (k_B T below about 1e-300
-    # K; beta m at a subnormal mass and a huge temperature)
-    kT = CONST.k_B * sys.temperature
-    if kT == 0.0:
-        raise ValidationError(f"k_B T underflows to 0 at temperature {sys.temperature!r} K")
-    beta = 1.0 / kT
-    if beta * sys.mass == 0.0:
-        raise ValidationError(f"beta * mass underflows to 0 at mass {sys.mass!r} kg "
-                              f"and temperature {sys.temperature!r} K")
+    beta = 1.0 / (CONST.k_B * sys.temperature)
     t_b = hbar * beta
     t_c = sys.L * math.sqrt(sys.mass * beta)
     v_T = 1.0 / math.sqrt(beta * sys.mass)
     lambda_T = math.sqrt(hbar**2 * beta / (2.0 * math.pi * sys.mass))
     D_q = hbar / (2.0 * sys.mass)
-    # 2 pi beta hbar^2 underflows to 0 above about 2e279 K
-    den = 2.0 * math.pi * beta * hbar**2
-    Q_approx = sys.L * math.sqrt(sys.mass / den) if den else math.inf
+    Q_approx = sys.L * math.sqrt(sys.mass / (2.0 * math.pi * beta * hbar**2))
     return CharacteristicScales(
         beta=beta, t_b=t_b, t_c=t_c, v_T=v_T,
         lambda_T=lambda_T, D_q=D_q, Q_approx=Q_approx,

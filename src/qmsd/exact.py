@@ -73,7 +73,7 @@ def _theta_outer(system: PhysicalSystem, n_times: int):
     """
     c = cell_stiffness(system)
     a = 0.5 * c
-    d_max = math.sqrt(2.0 * TAIL / c) if c > 0.0 else math.inf
+    d_max = math.sqrt(2.0 * TAIL / c)
     if not (d_max <= MAX_OUTER and d_max * n_times <= MAX_WORK):
         raise ValidationError(f"the theta series needs d_max = {d_max:.4g} at {n_times} "
                               f"time(s), past its limits of {MAX_OUTER} outer terms "
@@ -132,13 +132,9 @@ def _theta_msd(system: PhysicalSystem, times: np.ndarray) -> np.ndarray:
             b = ed[:, None] * t[None, first:]
             # one layer per k = -width..width
             nu = np.rint(b / math.pi) + np.arange(-width, width + 1.0)[:, None, None]
-            # at a huge b, b - pi nu is of the order of b's ulp, and its square
-            # can overflow to inf, a q that the cut drops
-            with np.errstate(over="ignore"):
-                q = (b - math.pi * nu)**2 * inv4a
-            # nu = 0 is the expm1 term; a NaN q (b overflowed) is kept, as
-            # the dense series' NaN * 0 would be
-            i = np.flatnonzero((nu != 0.0) & ~(q > TAIL))
+            q = (b - math.pi * nu)**2 * inv4a
+            # nu = 0 is the expm1 term
+            i = np.flatnonzero((nu != 0.0) & (q <= TAIL))
             e = i % b.size
             row = e // n
             nu = nu.ravel()[i]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, partition_function
+from .basis import MAX_K, EigenBasis, partition_function
 from .constants import CONST, ValidationError, validate_grid
 
 _HBAR = CONST.hbar
@@ -58,11 +58,9 @@ _LANE_INC = sum(pow(_PCG_MULT, i, 1 << 128) for i in range(_LANES)) % (1 << 128)
 # next_double's bits times 2 pi
 _TWO_PI_ULP = 2.0 * math.pi / 9007199254740992.0
 _MAX_MEMBERS = 2**32
-# the largest ensemble run admitted: the K x K coupling matrix takes 8 K^2
-# bytes (about 4 times that while it is built), and x(t) 8 bytes per member
-# and time (3 times that with the squared displacements and their spread);
-# mc-verify peaked at 166 MiB at K = 2049 and at 413 MiB at 2**24 - 1 x(t)
-MAX_K = 2049
+# the largest ensemble run admitted: basis.MAX_K states, and x(t) 8 bytes
+# per member and time (3 times that with the squared displacements and their
+# spread); mc-verify peaked at 413 MiB at 2**24 - 1 x(t)
 MAX_MEMBER_TIMES = 1 << 24
 # ensemble members per block of the position kernel; each worker thread's
 # two complex (K, MEMBER_BLOCK) buffers take 0.4 MiB each at K = 201 and its

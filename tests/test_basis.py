@@ -6,6 +6,8 @@ import pytest
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, build_basis,
                   converged_basis, derive_scales, partition_function)
+from qmsd.basis import MAX_K
+from test_constants import domain_pattern
 
 
 # The closed-form position matrix elements. No command evaluates them (the
@@ -78,29 +80,57 @@ def test_beta_is_the_scales_beta(co_system, co_basis):
 
 
 def test_underflowing_k_B_T_refused():
-    # at 1e-302 K, k_B T underflows to 0; beta is not formed from it
-    with pytest.raises(ValidationError, match="k_B T underflows to 0"):
+    # at 1e-302 K, k_B T would underflow to 0; the temperature is outside
+    # the domain, and refused before any basis or scale is formed
+    with pytest.raises(ValidationError, match=domain_pattern("temperature_K")):
         build_basis(PhysicalSystem.from_user_units(28, 1e-302, 256, 10), 100)
+
+
+# the domain's corner of the largest energies: the lightest particle on the
+# shortest cell, at the lowest temperature, where beta eps = 9.6e19
+TINY_CELL = dict(mass_u=1e-4, temperature_K=1e-9, lattice_pm=1.0, n_cells=1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("make", [lambda sys: build_basis(sys, 20), converged_basis],
                          ids=["build_basis", "converged_basis"])
 def test_energies_past_the_float_range_refused(make):
-    # eps = hbar^2 (2 pi/L)^2 / 2m overflows at 1e-200 u on a 1e-152 m cell
-    sys = PhysicalSystem.from_user_units(1e-200, 190, 1e-140, 1)
-    with pytest.raises(ValidationError, match=r"the basis energies hbar\^2 q_n\^2 / 2m "
-                                              r"\(n = -\d+\.\.\d+\) leave the float range"):
-        make(sys)
+    # eps = hbar^2 (2 pi/L)^2 / 2m would overflow at 1e-200 u on a 1e-152 m
+    # cell, which the domain refuses; at its tiny-cell corner every energy
+    # is finite, and every weight but w(0) is exactly 0
+    with pytest.raises(ValidationError, match=domain_pattern("mass_u")):
+        make(PhysicalSystem.from_user_units(1e-200, 190, 1e-140, 1))
+    basis = make(PhysicalSystem.from_user_units(**TINY_CELL))
+    assert np.all(np.isfinite(basis.E)) and np.all(basis.E < 1e-2)
+    assert basis.w.tolist() == [0.0] * basis.M + [1.0] + [0.0] * basis.M
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weight_whose_exponent_overflows_is_zero():
-    # beta = 7.2e306 at 1e-284 K, and E(n = 1) = 472 J on a 1e-22 m cell,
-    # so beta E overflows: those weights are exactly 0, without a warning
-    basis = build_basis(PhysicalSystem.from_user_units(28, 1e-284, 1e-10, 1), 20)
-    assert np.all(np.isfinite(basis.E)) and math.isinf(basis.beta * float(basis.E[basis.M + 1]))
+    # beta E would overflow at 1e-284 K, which the domain refuses; at 1e-9 K
+    # on a 1 pm cell beta E(n = 1) = 3.4e14 for CO, past exp's range, so
+    # those weights are exactly 0, without a warning
+    with pytest.raises(ValidationError, match=domain_pattern("temperature_K")):
+        PhysicalSystem.from_user_units(28, 1e-284, 1e-10, 1)
+    basis = build_basis(PhysicalSystem.from_user_units(28, 1e-9, 1.0, 1), 20)
+    assert np.all(np.isfinite(basis.E)) and basis.beta * float(basis.E[basis.M + 1]) > 1e14
     assert basis.w.tolist() == [0.0] * basis.M + [1.0] + [0.0] * basis.M
+
+
+def test_basis_past_max_k_refused_before_it_is_allocated(monkeypatch):
+    # K = 2M + 1 is known before np.arange runs: 1e15 functions per cell
+    # (a PiB of plane waves) is refused at once
+    sys = PhysicalSystem.from_user_units(28, 190, 256, 1)
+    assert build_basis(sys, MAX_K).K == MAX_K
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("basis allocated")
+
+    monkeypatch.setattr(np, "arange", unreachable)
+    for funcs_per_cell, K in ((MAX_K + 1, MAX_K + 2), (10**15, 10**15 + 1)):
+        with pytest.raises(ValidationError, match=rf"^the basis has K = {K} states, "
+                                                  rf"past its limit of {MAX_K}$"):
+            build_basis(sys, funcs_per_cell)
 
 
 def test_converged_reads_the_relative_floor(co_basis, mc_basis):
@@ -241,7 +271,14 @@ class TestPartitionFunction:
         # (DLMF §20.7) it equals sqrt(pi/c) (1 + 2 sum_nu e^(-pi^2 nu^2/c)),
         # c = beta hbar^2 (2 pi/L)^2 / 2m; nu <= 15 is exact in double at c <= 15
         sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, n_cells)
-        basis = build_basis(sys, funcs_per_cell)
+        if funcs_per_cell * n_cells < MAX_K:
+            basis = build_basis(sys, funcs_per_cell)
+        else:
+            # past MAX_K build_basis refuses; the converged basis (K = 3 109
+            # at 40a, 6 217 at 80a) is the same sum, truncated past w = 1e-18
+            with pytest.raises(ValidationError, match=f"past its limit of {MAX_K}"):
+                build_basis(sys, funcs_per_cell)
+            basis = converged_basis(sys)
         assert basis.w[0] < 1e-17
         c = basis.beta * CONST.hbar**2 * (2.0 * math.pi / basis.L) ** 2 / (2.0 * basis.mass)
         nu = np.arange(1, 16)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -15,8 +16,10 @@ import pytest
 import qmsd
 from qmsd import svgplot
 from qmsd.cli import COMMANDS, FLAGS, READS, Run, _build_parser, main, parse_grid
-from qmsd.constants import ValidationError
+from qmsd.basis import MAX_K
+from qmsd.constants import DOMAIN, ValidationError
 from qmsd.output import config_hash, write_csv, write_json_meta
+from test_constants import SYSTEM_KEYS, domain_pattern
 
 
 def format_number(x) -> str:
@@ -178,6 +181,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_domain_refusal(tmp_path, capsys, argv, key):
+    """argv exits 2 with the message that names DOMAIN[key]'s bound, and
+    makes no output directory."""
+    out = tmp_path / "refused"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert re.search("config error: " + domain_pattern(key), capsys.readouterr().err)
+    assert not out.exists()
+
+
+# the largest time of the domain in t_b units for CO at 190 K (t_b = 4.02e-14
+# s), rounded down so that the grid's scaled end stays within 1e6 s
+CO_T_MAX_TB = "2.4e19"
+
+
 def run_python(*args):
     """A fresh interpreter that imports this checkout's qmsd."""
     src = str(Path(qmsd.__file__).resolve().parents[1])
@@ -295,55 +312,51 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["scales", "--temperature-K", "1e-302"], "k_B T underflows to 0"),
-        (["exact", "--temperature-K", "1e-302"], "k_B T underflows to 0"),
+        (["scales", "--temperature-K", "1e-302"],
+         "temperature_K = 1e-302 K is outside the physical domain [1e-09, 1e+06] K"),
+        (["exact", "--temperature-K", "1e-302"],
+         "temperature_K = 1e-302 K is outside the physical domain [1e-09, 1e+06] K"),
+        # 1e-290 u is a subnormal mass in kg, with 15 digits left
         (["scales", "--mass-u", "1e-290", "--temperature-K", "1e280"],
-         "beta * mass underflows to 0"),
+         "mass_u = 9.99999854849403e-291 u is outside the physical domain [0.0001, 1e+06] u"),
     ], ids=["scales-1e-302K", "exact-1e-302K", "scales-1e-290u-1e280K"])
     def test_config_error_denominator_underflows(self, tmp_path, capsys, argv, message):
-        # derive_scales divides by k_B T and by sqrt(beta m); each is refused
-        # where it underflows to 0, not divided by
+        # derive_scales divides by k_B T and by sqrt(beta m), which would
+        # underflow to 0 here; the domain refuses such a system first
         out = tmp_path / "o"
         assert run_cli(*argv, "--out", str(out)) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert f"config error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
-    # at 1e-200 u on one 1e-140 pm cell (figure2: on its own cells), eps =
-    # hbar^2 (2 pi/L)^2 / 2m overflows, and every basis is refused before its
-    # weights are formed; the ideal MSD in a^2 overflows (exit 4), the DSF
-    # window cannot be resolved (exit 2), and the closed forms stay finite
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command,code", [
-        ("scales", 0), ("ideal", 4), ("exact", 2), ("breve", 2), ("collision", 0),
-        ("mc-verify", 2), ("scattering", 2), ("figure1", 0), ("figure2", 2)])
-    def test_every_command_ends_with_an_exit_code_on_a_tiny_cell(self, tmp_path, capsys,
-                                                                command, code):
-        cells = [] if command == "figure2" else ["--n-cells", "1"]
-        out = tmp_path / "o"
-        assert run_cli(command, "--mass-u", "1e-200", "--lattice-pm", "1e-140", *cells,
-                       "--out", str(out)) == code
-        assert out.exists() == (code == 0)
-        refused = "config error: the basis energies hbar^2 q_n^2 / 2m (n = "
-        assert (refused in capsys.readouterr().err) == (
-            command in ("exact", "breve", "mc-verify", "figure2"))
-
-    # the theta images' q = (b - pi nu)^2 / 4a overflows, and the cut drops it
+    # the theta images' q = (b - pi nu)^2 / 4a would overflow at 1e300 t_b,
+    # which is past the domain's 1e6 s and refused naming the bound; at the
+    # domain's largest time q stays below 1e25, and the run is silent
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["exact", "--grid", "linear:0:1e300:2"],
                                       ["figure2", "--grid", "linear:0:1e300:3"]],
                              ids=" ".join)
-    def test_theta_images_overflow_without_a_warning(self, tmp_path, argv):
-        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    def test_theta_images_overflow_without_a_warning(self, tmp_path, capsys, argv):
+        assert_domain_refusal(tmp_path, capsys, argv, "t_s")
+        count = argv[-1].rsplit(":", 1)[1]
+        assert run_cli(argv[0], "--grid", f"linear:0:{CO_T_MAX_TB}:{count}",
+                       "--out", str(tmp_path)) == 0
 
     # d_max = sqrt(2 TAIL/c) grows as L sqrt(mT): 5.9e7 at 1e12 K on L = 10a,
-    # 8.2e9 on 1e8 cells; refused before the series allocates
+    # 8.2e9 on 1e8 cells, both outside the domain and refused naming its
+    # bound. Inside it, the command on the hottest, longest cell (2.3e13 on
+    # 1e6 cells of 1e6 pm at 1e6 K; 2.3e8 for figure2's 40a) is refused
+    # before the series allocates
     @pytest.mark.parametrize("argv", [
         *([command, "--temperature-K", "1e12"] for command in ("exact", "breve", "figure2")),
         ["exact", "--n-cells", "100000000"]], ids=" ".join)
     def test_theta_series_past_its_limits_refused(self, tmp_path, capsys, argv):
+        key = "n_cells" if "--n-cells" in argv else "temperature_K"
+        assert_domain_refusal(tmp_path, capsys, argv, key)
+        cells = [] if argv[0] == "figure2" else ["--n-cells", "1000000"]
         out = tmp_path / "o"
         t0 = time.perf_counter()
-        assert run_cli(*argv, "--out", str(out)) == 2
+        assert run_cli(argv[0], "--temperature-K", "1e6", "--lattice-pm", "1e6", *cells,
+                       "--out", str(out)) == 2
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "config error: the theta series needs d_max = " in err
@@ -351,16 +364,20 @@ class TestExitCodes:
         assert not out.exists()
 
     # the K x K coupling matrix of K = 100 001 and of 200 001 states would take
-    # 74.5 and 298 GiB, and x(t) of 2**32 - 1 members at 21 times 672 GiB
+    # 74.5 and 298 GiB, and x(t) of 2**32 - 1 members at 21 times 672 GiB;
+    # the basis of 1e16 + 1 plane waves alone would take 80 PB, and
+    # build_basis refuses it before np.arange runs
     @pytest.mark.parametrize("argv,message", [
         (["--n-cells", "100000", "--funcs-per-cell", "1"],
-         "the Monte-Carlo basis has K = 100001 states, past its limit of 2049"),
+         "the basis has K = 100001 states, past its limit of 2049"),
         (["--funcs-per-cell", "20000"],
-         "the Monte-Carlo basis has K = 200001 states, past its limit of 2049"),
+         "the basis has K = 200001 states, past its limit of 2049"),
+        (["--funcs-per-cell", "1000000000000000"],
+         "the basis has K = 10000000000000001 states, past its limit of 2049"),
         (["--members", "4294967295"],
          "the Monte-Carlo ensemble needs x(t) at 4294967295 members x 21 times = "
          "90194313195, past its limit of 16777216 members x times")],
-        ids=["n-cells", "funcs-per-cell", "members"])
+        ids=["n-cells", "funcs-per-cell", "funcs-per-cell-1e15", "members"])
     def test_mc_verify_past_its_limits_refused(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         t0 = time.perf_counter()
@@ -488,12 +505,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,csv", [
         ("collision", "collision.csv"), ("figure2", "figure2_collision_L10a.csv")])
-    def test_collision_finite_where_t_squared_overflows(self, tmp_path, command, csv):
-        # (t / t_b)^2 overflows beyond about 1.3e154; the model tends to
-        # its plateau there and must stay finite, without a warning
+    def test_collision_finite_where_t_squared_overflows(self, tmp_path, capsys, command,
+                                                        csv):
+        # (t / t_b)^2 would overflow beyond about 1.3e154, far past the
+        # domain's 1e6 s, which refuses such a grid naming its bound; toward
+        # 1e6 s the model tends to its plateau, finite and without a warning
+        assert_domain_refusal(tmp_path, capsys, [command, "--grid", "linear:0:1e160:3"],
+                              "t_s")
         with np.errstate(over="raise", invalid="raise"):
             assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
-                           "--grid", "linear:0:1e160:3") == 0
+                           "--grid", f"linear:0:{CO_T_MAX_TB}:3") == 0
         rows = (tmp_path / csv).read_text().splitlines()[2:]
         msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, 2]
         assert np.all(np.isfinite(msd)) and msd[1] == msd[2] > 0
@@ -501,47 +522,71 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,csv,column", [
         ("ideal", "ideal.csv", 2), ("figure1", "figure1.csv", 1),
         ("figure2", "figure2_ideal.csv", 2), ("scattering", "isf.csv", 1)])
-    def test_ideal_finite_where_t_squared_overflows(self, tmp_path, command, csv, column):
-        # t^2 in seconds overflows beyond about 1.3e154 s (3.4e167 t_b);
-        # the ideal MSD tends to (hbar/m) t there and the ISF amplitude to 0
+    def test_ideal_finite_where_t_squared_overflows(self, tmp_path, capsys, command, csv,
+                                                    column):
+        # t^2 in seconds would overflow beyond about 1.3e154 s (3.4e167 t_b),
+        # which the domain refuses naming its bound; toward its 1e6 s the
+        # ideal MSD tends to (hbar/m) t and the ISF amplitude to 0
+        assert_domain_refusal(tmp_path, capsys, [command, "--grid", "linear:0:1e168:3"],
+                              "t_s")
         with np.errstate(over="raise", invalid="raise"):
             assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
-                           "--grid", "linear:0:1e168:3") == 0
+                           "--grid", f"linear:0:{CO_T_MAX_TB}:3") == 0
         rows = (tmp_path / csv).read_text().splitlines()[2:]
         values = np.array([[float(v) for v in row.split(",")] for row in rows])[:, column]
         assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("command,grid", [
         ("collision", "linear:0:100:8"), ("figure2", "linear:0:1:3")])
-    def test_collision_finite_where_t_b_squared_overflows(self, tmp_path, command, grid):
-        # t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows
+    def test_collision_finite_where_t_b_squared_overflows(self, tmp_path, capsys, command,
+                                                          grid):
+        # t_b = hbar beta would be 7.6e188 s at 1e-200 K, so that t_b^2
+        # overflows; the domain refuses that temperature naming its bound,
+        # and at its coldest, 1e-9 K (t_b = 7.6e-3 s), the model is finite
+        assert_domain_refusal(tmp_path, capsys,
+                              [command, "--temperature-K", "1e-200", "--grid", grid],
+                              "temperature_K")
         assert run_cli(command, "--out", str(tmp_path), "--formats", "csv",
-                       "--temperature-K", "1e-200", "--grid", grid) == 0
+                       "--temperature-K", "1e-9", "--grid", grid) == 0
         assert_collision_csvs_finite(tmp_path)
 
-    # 2 beta / (pi m) = 6e319 overflows at 1e-200 u and 4.4e-71 K; the
-    # plateau, and the collision model with it, stays finite
+    # 2 beta / (pi m) would be 6e319 at 1e-200 u and 4.4e-71 K, outside the
+    # domain; at its lightest and coldest corner the plateau, and the
+    # collision model with it, is finite and silent
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["breve", "collision"])
-    def test_plateau_finite_where_two_beta_over_pi_m_overflows(self, tmp_path, command):
-        assert run_cli(command, "--mass-u", "1e-200", "--temperature-K", "4.4e-71",
+    def test_plateau_finite_where_two_beta_over_pi_m_overflows(self, tmp_path, capsys,
+                                                               command):
+        assert_domain_refusal(tmp_path, capsys,
+                              [command, "--mass-u", "1e-200", "--temperature-K", "4.4e-71"],
+                              "mass_u")
+        assert run_cli(command, "--mass-u", "1e-4", "--temperature-K", "1e-9",
                        "--out", str(tmp_path), "--formats", "csv") == 0
+        rows = (tmp_path / f"{command}.csv").read_text().splitlines()[2:]
+        assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
 
-    # z = alpha L / (sqrt(2) v_T t) overflows to inf (erf = 1) at alpha = 1e308;
-    # at alpha = 5e-324, alpha L underflows to 0 and t = 0 gives 0/0
+    # alpha = 1e308 and 5e-324 are outside the domain's alpha, and refused
+    # naming its bound. Inside it, z = alpha L / (sqrt(2) v_T t) still
+    # overflows to inf (erf = 1) at the largest alpha and L, the smallest
+    # v_T, and a time of 7.6e-303 s, which the domain admits; it is silent
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["collision", "--alpha", "1e308"],
         ["collision", "--alpha", "5e-324"],
         ["figure2", "--alpha", "1e308", "--grid", "linear:0:1:3"]], ids=" ".join)
-    def test_collision_finite_at_extreme_alpha(self, tmp_path, argv):
-        assert run_cli(*argv, "--out", str(tmp_path), "--formats", "csv") == 0
+    def test_collision_finite_at_extreme_alpha(self, tmp_path, capsys, argv):
+        assert_domain_refusal(tmp_path, capsys, argv, "alpha")
+        alpha = str(DOMAIN["alpha"][0 if float(argv[2]) < 1 else 1])
+        cells = [] if argv[0] == "figure2" else ["--n-cells", "1000000"]
+        assert run_cli(argv[0], "--alpha", alpha, "--mass-u", "1e6", "--temperature-K", "1e-9",
+                       "--lattice-pm", "1e6", *cells, "--grid", "geometric:1e-300:1:3",
+                       "--out", str(tmp_path), "--formats", "csv") == 0
         assert_collision_csvs_finite(tmp_path)
 
     @pytest.mark.parametrize("argv,svgs", [
-        # the one time is 1e20 t_b: the linear t axis holds one value, and
+        # the one time is 1e19 t_b: the linear t axis holds one value, and
         # lo + 1 rounds back to lo there
-        (["collision", "--grid", "linear:1e20:1e20:1"], ["collision.svg"]),
+        (["collision", "--grid", "linear:1e19:1e19:1"], ["collision.svg"]),
         # the one time is t = 0, so the log axes have no positive point
         (["ideal", "--grid", "linear:0:1:1"], ["ideal.svg"])])
     def test_svg_on_collapsed_axis(self, tmp_path, argv, svgs):
@@ -551,16 +596,24 @@ class TestExitCodes:
             assert "nan" not in text and "inf" not in text
 
     # axes a few ulps wide at a large magnitude, where a tick step is below
-    # the spacing of doubles: the t axis at 1e24 t_b, and the collision
-    # plateau's y axis at 1e15 t_b
+    # the spacing of doubles: the t axis at 1e22 t_b at 1e6 K (7.6e4 s), and
+    # the collision plateau's y axis at 1e15 t_b. The t axis at 1e24 t_b is
+    # 4e10 s for CO at 190 K, past the domain's 1e6 s, and refused naming it
     @pytest.mark.parametrize("argv,svg", [
         (["exact", "--grid", "linear:1e24:1.0000000000000004e24:3"], "exact.svg"),
         (["collision", "--grid", "linear:1e24:1.0000000000000004e24:3"], "collision.svg"),
         (["figure2", "--grid", "linear:1e24:1.0000000000000004e24:3"], "figure2.svg"),
         (["scattering", "--grid", "linear:1e24:1.0000000000000004e24:3"], "isf.svg"),
+        *(([command, "--temperature-K", "1e6", "--grid",
+            "linear:1e22:1.0000000000000004e22:3"], svg)
+          for command, svg in (("exact", "exact.svg"), ("collision", "collision.svg"),
+                               ("figure2", "figure2.svg"), ("scattering", "isf.svg"))),
         (["collision", "--grid", "linear:1e15:1.000000000000001e15:3"], "collision.svg")],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-    def test_svg_on_an_axis_a_few_ulps_wide(self, tmp_path, argv, svg):
+    def test_svg_on_an_axis_a_few_ulps_wide(self, tmp_path, capsys, argv, svg):
+        if argv[-1].startswith("linear:1e24"):
+            assert_domain_refusal(tmp_path, capsys, argv, "t_s")
+            return
         # a hang fails here by the alarm instead of stalling the suite;
         # pytest.fail's exception is not one that main turns into an exit code
         def hung(signum, frame):
@@ -576,11 +629,14 @@ class TestExitCodes:
         text = (tmp_path / svg).read_text()
         assert text.endswith("</svg>\n") and "nan" not in text
 
-    def test_dsf_finite_where_q_squared_underflows(self, tmp_path):
-        # v_T^2 q^2 underflows to 0 at 1e-300 / Angstrom, while the width
-        # v_T |q| is a normal double
+    def test_dsf_finite_where_q_squared_underflows(self, tmp_path, capsys):
+        # v_T^2 q^2 would underflow to 0 at 1e-300 / Angstrom, below the
+        # domain, which refuses it naming its bound; at its smallest |q|
+        # the DSF is finite and holds its area
+        assert_domain_refusal(tmp_path, capsys, ["scattering", "--q-inv-angstrom", "1e-300"],
+                              "q_inv_angstrom")
         assert run_cli("scattering", "--out", str(tmp_path), "--formats", "csv",
-                       "--q-inv-angstrom", "1e-300") == 0
+                       "--q-inv-angstrom", str(DOMAIN["q_inv_angstrom"][0])) == 0
         rows = (tmp_path / "dsf.csv").read_text().splitlines()[2:]
         omega, _, s = np.array([[float(v) for v in row.split(",")] for row in rows]).T
         assert np.all(np.isfinite(s)) and np.all(s > 0)
@@ -595,6 +651,73 @@ class TestExitCodes:
         assert run_cli("scattering", "--out", str(tmp_path)) == 4
         assert "dsf.csv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+CORNERS = list(itertools.product(*(DOMAIN[key][:2] for key in SYSTEM_KEYS)))
+
+
+class TestDomain:
+    """The physical domain is checked where input enters: every command runs
+    at each of its corners, and a value outside it exits 2 naming its bound."""
+
+    # the light commands, and exact on 3 points; each exits 0 with finite
+    # CSVs, or refuses a theta series past its limits (on the hot, heavy,
+    # long cells), also under -W error::RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("corner", CORNERS,
+                             ids=lambda c: "{:g}u-{:g}K-{:g}pm-{:d}".format(*c))
+    def test_every_command_at_a_corner(self, tmp_path, capsys, corner):
+        flags = [arg for key, value in zip(SYSTEM_KEYS, corner)
+                 for arg in ("--" + key.replace("_", "-"), str(value))]
+        for command in ("scales", "ideal", "breve", "collision", "figure1", "scattering",
+                        "exact"):
+            out = tmp_path / command
+            grid = ["--grid", "linear:0:30:3"] if command == "exact" else []
+            code = run_cli(command, *flags, *grid, "--out", str(out), "--formats", "csv")
+            err = capsys.readouterr().err
+            if code == 2:
+                assert command in ("breve", "exact")
+                assert err.startswith("config error: the theta series needs d_max = ")
+                continue
+            assert code == 0, (command, err)
+            for path in out.glob("*.csv"):
+                rows = path.read_text().splitlines()[2:]
+                assert np.all(np.isfinite([[float(v) for v in row.split(",")]
+                                           for row in rows])), path.name
+        # every derived scale's square is a normal double with 1e100 to spare
+        scales = np.array((tmp_path / "scales" / "scales.csv").read_text()
+                          .splitlines()[2].split(","), dtype=float)
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        assert np.all((scales * scales > 1e100 * tiny) & (scales * scales < huge / 1e100))
+
+    @pytest.mark.parametrize("argv,key", [
+        (["scattering", "--q-inv-angstrom", "1e4"], "q_inv_angstrom"),
+        (["breve", "--mass-u", "3.4e-244", "--temperature-K", "1e76"], "mass_u"),
+        (["ideal", "--mass-u", "6e-74", "--temperature-K", "1e-250"], "mass_u"),
+        (["ideal", "--mass-u", "28", "--temperature-K", "1e-250"], "temperature_K"),
+        (["figure2", "--lattice-pm", "1e-3"], "lattice_pm"),
+        (["exact", "--n-cells", "1000001"], "n_cells"),
+        (["collision", "--alpha", "1e7"], "alpha"),
+        (["mc-verify", "--grid", "linear:0:1e20:3"], "t_s"),
+        # every command on 1e-200 u and one 1e-140 pm cell (figure2: its own cells)
+        *(([command, "--mass-u", "1e-200", "--lattice-pm", "1e-140",
+            *([] if command == "figure2" else ["--n-cells", "1"])], "mass_u")
+          for command in COMMANDS)], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_outside_the_domain_refused(self, tmp_path, capsys, argv, key):
+        assert_domain_refusal(tmp_path, capsys, argv, key)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_names_each_range(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        for key in READS[command]:
+            if key in DOMAIN:
+                lo, hi = DOMAIN[key][:2]
+                assert re.search(rf"--{key.replace('_', '-')} \S+ (?:(?!--).)*, in "
+                                 + re.escape(f"[{lo:g}, {hi:g}]"), text), key
+        if "grid" in READS[command]:
+            assert f"times at most {DOMAIN['t_s'][1]:g} s" in text
 
 
 class TestConfigResolution:

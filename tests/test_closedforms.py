@@ -1,16 +1,19 @@
 import dataclasses
+import itertools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, breve_closed,
                   derive_scales, msd_collision_model, msd_ideal)
 from qmsd.closedforms import I_ab, J, J_AT_ZERO
+from qmsd.constants import DOMAIN
+from test_constants import SYSTEM_KEYS, domain_pattern, log_range
 
 # erf reference values computed once at 40 decimal digits and frozen
 ERF_TABLE = [
@@ -183,10 +186,14 @@ class TestBreveClosed:
 
     @pytest.mark.parametrize("mass_u,temperature_K,lattice_pm", [
         (28.0, 190.0, 256.0),
-        # 2 beta / (pi m) = 2.8e309 overflows; hbar sqrt(beta / m) does not
+        # 2 beta / (pi m) = 2.8e309 would overflow: outside the domain
         (1e-200, 1e-60, 1e134)])
     def test_a_function_of_y_alone(self, mass_u, temperature_K, lattice_pm):
         # breve = L^2 (2/sqrt(pi)) sqrt(y) J(y), y = hbar^2 beta / (2 m L^2)
+        if mass_u < DOMAIN["mass_u"][0]:
+            with pytest.raises(ValidationError, match=domain_pattern("mass_u")):
+                PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, 10)
+            return
         sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, 10)
         beta, L = derive_scales(sys).beta, sys.L
         y = CONST.hbar**2 * beta / (2.0 * sys.mass * L * L)
@@ -195,40 +202,38 @@ class TestBreveClosed:
             L * L * 2.0 / math.sqrt(math.pi) * math.sqrt(y) * J(y), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("mass_u,temperature_K,lattice_pm,n_cells", [
-        # 2 beta / (pi m) = 6e319 overflows
+        # 2 beta / (pi m) = 6e319 would overflow
         (1e-200, 4.4e-71, 256.0, 10),
-        # 2 m L^2 underflows to 0
+        # 2 m L^2 would underflow to 0
         (1e-200, 190.0, 1e-140, 1)])
     def test_finite_where_its_form_leaves_the_float_range(self, mass_u, temperature_K,
                                                          lattice_pm, n_cells):
-        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
-        value = breve_closed(sys)
-        assert math.isfinite(value) and value >= 0.0
+        # such a system is outside the domain, and refused naming its bound;
+        # at each of the domain's 16 corners the plateau is finite and positive
+        with pytest.raises(ValidationError, match=domain_pattern("mass_u")):
+            PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
+        for corner in itertools.product(*(DOMAIN[key][:2] for key in SYSTEM_KEYS)):
+            value = breve_closed(PhysicalSystem.from_user_units(*corner))
+            assert math.isfinite(value) and value > 0.0
 
-    # over the masses, temperatures, lattices and cell counts derive_scales
-    # admits, with the tiny-mass systems above among them: at 1e-200 u and
-    # 4.4e-71 K, u = L / (v_T t_b) is 2.4e-135, and J(1/(2u^2)) underflows to
-    # 0 while the plateau is 1.1e-288 m^2; a subnormal plateau is held to
-    # 1e-14 of the smallest normal double
-    @given(st.floats(-300.0, 300.0).map(lambda v: 10.0**v),
-           st.floats(-284.0, 300.0).map(lambda v: 10.0**v),
-           st.floats(-140.0, 150.0).map(lambda v: 10.0**v),
-           st.integers(1, 10**4))
+    # over the domain's masses, temperatures, lattices and cell counts, its
+    # corners among them: at 1e-4 u, 1e-9 K and 1 pm, u = L / (v_T t_b) is
+    # 4.5e-10, far below J's series switch at u = 1
+    @given(st.floats(*log_range("mass_u")).map(lambda v: 10.0**v),
+           st.floats(*log_range("temperature_K")).map(lambda v: 10.0**v),
+           st.floats(*log_range("lattice_pm")).map(lambda v: 10.0**v),
+           st.integers(*DOMAIN["n_cells"][:2]))
     @example(28.0, 190.0, 256.0, 10)
     @example(28.0, 5e-5, 256.0, 10)
-    @example(1e-200, 4.4e-71, 256.0, 10)
-    @example(1e-200, 1e-60, 1e134, 10)
-    @example(1e-200, 190.0, 1e-140, 1)
+    @example(1e-4, 1e-9, 1.0, 1)
+    @example(1e-4, 1e6, 1e6, 10**6)
+    @example(1e6, 1e-9, 1.0, 10**6)
+    @example(1e6, 1e6, 1e6, 1)
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_matches_decimal_oracle(self, mass_u, temperature_K, lattice_pm, n_cells):
-        try:
-            sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
-            derive_scales(sys)
-        except ValidationError:
-            reject()
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, lattice_pm, n_cells)
         exact = breve_exact(sys)
-        tol = Decimal("1e-14") * max(exact, Decimal(np.finfo(float).tiny))
-        assert abs(Decimal(breve_closed(sys)) - exact) <= tol
+        assert abs(Decimal(breve_closed(sys)) - exact) <= Decimal("1e-14") * exact
 
     def test_agrees_with_discrete_sum(self, co_system, co_basis):
         from qmsd import breve_basis_sum
@@ -256,9 +261,8 @@ class TestCollisionModel:
         # array; -0.0 is a time, and the times need not be sorted
         sys, s = co
         for t in (-1e-18, np.nan, np.inf, -np.inf):
-            rule = "nonnegative" if np.isfinite(t) else "finite"
             for arg in (t, [0.0, t]):
-                with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+                with pytest.raises(ValidationError, match=domain_pattern("t_s")):
                     msd_collision_model(sys, ALPHA, arg)
         assert msd_collision_model(sys, ALPHA, -0.0) == 0.0
         unsorted = [2 * s.t_b, 0.0, s.t_b]
@@ -315,12 +319,15 @@ class TestCollisionModel:
                 msd_collision_model(sys, alpha, s.t_b)
 
     def test_finite_where_t_squared_overflows(self, co):
-        # (t / t_b)^2 overflows beyond about 1.3e154; x^2 / (sqrt(x^2 + 1) + 1)
-        # tends to x there, and the model to its long-time limit
+        # (t / t_b)^2 would overflow beyond about 1.3e154, past the domain's
+        # 1e6 s (2.5e19 t_b), which refuses such times naming its bound;
+        # toward 1e6 s the model tends to its long-time limit
         sys, s = co
         limit = (breve_closed(sys)
                  + math.sqrt(2 / math.pi) * ALPHA * sys.L * s.v_T * s.t_b)
-        x = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
+        with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+            msd_collision_model(sys, ALPHA, np.array([1e150, 1e300]) * s.t_b)
+        x = np.array([1e15, 1e17, 2e19])
         with np.errstate(over="raise", invalid="raise"):
             got = msd_collision_model(sys, ALPHA, x * s.t_b)
         np.testing.assert_allclose(got, limit, rtol=1e-6, atol=0)

@@ -1,10 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qmsd import CONST, PhysicalSystem, ValidationError, derive_scales
-from qmsd.constants import PM_TO_M, U_TO_KG
+from qmsd.constants import DOMAIN, PM_TO_M, U_TO_KG, validate_times
+
+
+def domain_pattern(key: str) -> str:
+    """The regex of the ValidationError message that refuses a value of key
+    outside DOMAIN, naming the quantity, its value and the bound."""
+    lo, hi, unit, _ = DOMAIN[key]
+    return (rf"{key} = \S+ {re.escape(unit)} is outside the physical domain "
+            + re.escape(f"[{lo:g}, {hi:g}] {unit}"))
+
+
+def log_range(key):
+    """(log10 low, log10 high) of DOMAIN[key]."""
+    return tuple(math.log10(v) for v in DOMAIN[key][:2])
+
+
+# the PhysicalSystem fields, in from_user_units order
+SYSTEM_KEYS = ("mass_u", "temperature_K", "lattice_pm", "n_cells")
 
 
 def test_defining_constants_exact():
@@ -31,8 +49,42 @@ def test_super_cell_length():
     (dict(mass=1e-26, temperature=190.0, lattice_a=1e-10, n_cells=0), "n_cells"),
 ])
 def test_validation_names_offending_field(kwargs, field):
-    with pytest.raises(ValidationError, match=field):
+    # each field is named by its DOMAIN key, the flag that sets it
+    key = dict(zip(("mass", "temperature", "lattice_a", "n_cells"), SYSTEM_KEYS))[field]
+    with pytest.raises(ValidationError, match=domain_pattern(key)):
         PhysicalSystem(**kwargs)
+
+
+@pytest.mark.parametrize("key", SYSTEM_KEYS)
+def test_system_domain_bounds_admitted_and_the_next_value_refused(key):
+    # from_user_units multiplies by the unit as check_domain does, so each
+    # bound written in its unit is admitted, and the next double past it
+    # (the next integer for n_cells) is not
+    lo, hi, _, _ = DOMAIN[key]
+    base = dict(mass_u=28.0, temperature_K=190.0, lattice_pm=256.0, n_cells=10)
+    past = ((lo - 1, hi + 1) if key == "n_cells"
+            else (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)))
+    for value in (lo, hi):
+        PhysicalSystem.from_user_units(**{**base, key: value})
+    for value in (*past, *([] if key == "n_cells" else [math.nan])):
+        with pytest.raises(ValidationError, match=domain_pattern(key)):
+            PhysicalSystem.from_user_units(**{**base, key: value})
+
+
+def test_time_domain_is_an_absolute_bound_in_seconds():
+    hi = DOMAIN["t_s"][1]
+    assert validate_times([0.0, hi]).tolist() == [0.0, hi]
+    with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+        validate_times([0.0, math.nextafter(hi, math.inf)])
+
+
+def test_domain_message_gives_the_value_in_its_unit():
+    # converted to kg and back, 3.1e-30 u reads 3.0999999999999996e-30;
+    # 15 digits give the value as it was written
+    with pytest.raises(ValidationError, match=r"^mass_u = 3\.1e-30 u is outside the "
+                                              r"physical domain \[0\.0001, 1e\+06\] u$"):
+        PhysicalSystem.from_user_units(3.1e-30, 190, 256, 10)
+
 
 
 def test_co_thermal_time():
@@ -81,12 +133,14 @@ def test_derive_scales_deterministic(co_system):
     assert derive_scales(co_system) == derive_scales(co_system)
 
 
-@pytest.mark.parametrize("mass_u,temperature_K,message", [
+@pytest.mark.parametrize("mass_u,temperature_K,underflow", [
     (28.0, 1e-302, "k_B T underflows to 0"),
     (1e-290, 1e280, "beta \\* mass underflows to 0"),
 ])
-def test_zero_denominator_refused(mass_u, temperature_K, message):
-    # valid fields whose k_B T, or beta m, underflows to 0
-    sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256, 10)
-    with pytest.raises(ValidationError, match=message):
-        derive_scales(sys)
+def test_zero_denominator_refused(mass_u, temperature_K, underflow):
+    # a system whose k_B T, or beta m, would underflow to 0 in derive_scales
+    # is outside the domain, and refused where it is built; the first field
+    # outside it is named
+    key = "mass_u" if mass_u < DOMAIN["mass_u"][0] else "temperature_K"
+    with pytest.raises(ValidationError, match=domain_pattern(key)):
+        PhysicalSystem.from_user_units(mass_u, temperature_K, 256, 10)

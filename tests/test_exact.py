@@ -11,7 +11,9 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum,
                   partition_function)
 from qmsd.exact import (_BLOCK_ELEMS, TAIL, X_CUT, _theta_outer, blocked_sum, msd_reduce,
                         pair_arrays)
+from qmsd.constants import DOMAIN
 from test_basis import x_element
+from test_constants import domain_pattern
 
 
 def brute_force_msd(basis, Q, t):
@@ -86,7 +88,7 @@ def test_non_finite_time_rejected(request, co_system, fixture, path, grid):
         assert exact_params(co_system)["path"] == "theta"
         routes.append(lambda g: msd_exact_curve(co_system, g))
     for route in routes:
-        with pytest.raises(ValidationError, match="time grid must be finite"):
+        with pytest.raises(ValidationError, match=domain_pattern("t_s")):
             route(grid)
 
 
@@ -303,8 +305,11 @@ def _pruning_grid(name, sys, s):
         t_rev = sys.mass * sys.L**2 / (2 * math.pi * CONST.hbar)
         return t_rev * np.array([0.99, 0.999, 1.0, 1.001, 1.01,
                                  1.99, 1.999, 2.0, 2.001, 2.01])
-    # 1e160 t_b: b^2 overflows, and pi nu rounds far from b; at 1e300 t_b
-    # (b - pi nu)^2 overflows too
+    if name == "t-max":
+        # the domain's largest time: b reaches 6e19 (L = 1a), where pi nu rounds far
+        # from b, and (b - pi nu)^2 / 4a stays far below the float range
+        return np.linspace(0.0, DOMAIN["t_s"][1], 3)
+    # 1e160 t_b and 1e300 t_b, where b^2 and (b - pi nu)^2 would overflow
     return np.linspace(0.0, float(name) * s.t_b, 3)
 
 
@@ -315,9 +320,15 @@ class TestPrunedThetaSeries:
     # L = 1a has A_MAX/4 <= a < A_MAX: width 1, three images per element
     @pytest.mark.parametrize("n_cells", [1, 10, 20, 40, 80])
     @pytest.mark.parametrize("grid", ["figure2-30", "figure2-300", "plateau",
-                                      "revivals", "1e160", "1e300"])
+                                      "revivals", "t-max", "1e160", "1e300"])
     def test_bit_identical_to_dense_series(self, n_cells, grid):
-        self._check(*_co_cell(n_cells), grid)
+        sys, s = _co_cell(n_cells)
+        if grid in ("1e160", "1e300"):
+            # past the domain's 1e6 s: refused, naming the bound
+            with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+                msd_exact_curve(sys, _pruning_grid(grid, sys, s))
+            return
+        self._check(sys, s, grid)
 
     # at 100 K on L = 1a, a = 0.97 A_MAX: both neighbours of the nearest
     # image are kept on most elements, and the order in which the three
@@ -331,8 +342,7 @@ class TestPrunedThetaSeries:
         times = _pruning_grid(grid, sys, s)
         curve = msd_exact_curve(sys, times)
         assert exact_params(sys)["path"] == "theta"
-        with np.errstate(over="ignore"):
-            want = dense_theta_msd(sys, times)
+        want = dense_theta_msd(sys, times)
         assert np.all(np.isfinite(want))
         np.testing.assert_array_equal(curve.view(np.uint64),
                                       want.view(np.uint64))

@@ -12,7 +12,9 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales,
                   msd_ideal, msd_ideal_curve)
 from qmsd import cli
 from qmsd.cli import main
+from qmsd.constants import DOMAIN
 from qmsd.scattering import _delta2
+from test_constants import domain_pattern, log_range
 
 # CO at 190 K; the ideal MSD does not depend on the cell
 CO = PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10)
@@ -52,9 +54,8 @@ def test_negative_time_rejected():
     # a nan, an inf or a negative time is refused, alone or in an array;
     # -0.0 is a time, and the times need not be sorted
     for t in (-1e-15, np.nan, np.inf, -np.inf):
-        rule = "nonnegative" if np.isfinite(t) else "finite"
         for arg in (t, [0.0, t]):
-            with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+            with pytest.raises(ValidationError, match=domain_pattern("t_s")):
                 msd_ideal(CO, arg)
     assert msd_ideal(CO, -0.0) == 0.0
     unsorted = [2 * T_B, 0.0, T_B]
@@ -64,12 +65,12 @@ def test_negative_time_rejected():
 @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
                          ids=["nan", "inf", "0-inf"])
 def test_non_finite_time_rejected(grid):
-    with pytest.raises(ValidationError, match="time grid must be finite"):
+    with pytest.raises(ValidationError, match=domain_pattern("t_s")):
         msd_ideal_curve(CO, grid)
 
 
 def test_nan_after_a_finite_time_named_as_such():
-    with pytest.raises(ValidationError, match=r"finite, got \[nan\]"):
+    with pytest.raises(ValidationError, match=r"^t_s = nan s is outside"):
         msd_ideal_curve(CO, [1.0, np.nan])
 
 
@@ -85,9 +86,10 @@ def grid_refusal(tmp_path, capsys, spec, *argv):
 
 
 # The CLI scales each spec time by t_b. A nan or inf in the spec is refused
-# as it is parsed; a finite time whose scaled value overflows (1e300 t_b,
-# with t_b = 7.6e8 s at 1e-20 K) is refused before numpy's linspace or
-# geomspace warns on it. A finite time times t_b is never nan.
+# as it is parsed; a finite time whose scaled value is past the domain's
+# 1e6 s (1e300 t_b, with t_b = 7.6e-3 s at 1e-9 K) is refused by the time
+# rule, naming the bound. t_b is at most 7.6e-3 s in the domain, so a finite
+# spec time is never scaled to inf or nan.
 @pytest.mark.parametrize("kind", ["linear", "geometric"], ids=lambda kind: f"{kind}_grid")
 @pytest.mark.parametrize("start,stop", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
 def test_grid_endpoints_must_be_finite(tmp_path, capsys, kind, start, stop):
@@ -98,9 +100,9 @@ def test_grid_endpoints_must_be_finite(tmp_path, capsys, kind, start, stop):
         return
     scaled = [("1e300" if np.isinf(v) else str(v)) for v in (start, stop)]
     err = grid_refusal(tmp_path, capsys, f"{kind}:{scaled[0]}:{scaled[1]}:3",
-                       "--temperature-K", "1e-20")
-    assert re.search(r"grid endpoints must be finite, got \S+ and inf$", err.strip())
-    assert ("got inf and inf" in err) == np.isinf(start)
+                       "--temperature-K", "1e-9")
+    assert re.search(domain_pattern("t_s") + "$", err.strip())
+    assert "t_s = 7.63823258225774e+297 s" in err
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -148,68 +150,85 @@ def assert_within_oracle(got, exact: Decimal, rel: str):
     assert abs(Decimal(float(got)) - exact) <= Decimal(rel) * exact, (got, exact)
 
 
-# t_b = hbar beta is 7.6e188 s at 1e-200 K, so t_b^2 overflows although t^2
-# does not; at 7.64e-166 K t_b^2 = 1.0e308 is finite, and t^2 + t_b^2
-# overflows from about t = 0.9 t_b
+# t_b = hbar beta would be 7.6e188 s at 1e-200 K, so that t_b^2 overflows,
+# and at 7.64e-166 K t^2 + t_b^2 would overflow from about t = 0.9 t_b; both
+# temperatures are outside the domain, and refused naming its bound. At its
+# coldest, 1e-9 K, t_b = 7.6e-3 s, and the same grids match the oracle
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("temperature,grid", [("1e-200", "geometric:1e-90:1e-10:3"),
                                               ("7.64e-166", "linear:0:1.2:4")])
-def test_matches_decimal_oracle_where_t_b_squared_leaves_the_range(tmp_path, temperature,
-                                                                   grid):
+def test_matches_decimal_oracle_where_t_b_squared_leaves_the_range(tmp_path, capsys,
+                                                                   temperature, grid):
+    out = tmp_path / "refused"
     assert main(["ideal", "--temperature-K", temperature, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert re.search(domain_pattern("temperature_K"), capsys.readouterr().err)
+    assert not out.exists()
+    coldest = str(DOMAIN["temperature_K"][0])
+    assert main(["ideal", "--temperature-K", coldest, "--grid", grid,
                  "--out", str(tmp_path), "--formats", "csv"]) == 0
     rows = (tmp_path / "ideal.csv").read_text().splitlines()[2:]
     t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
-    system = dataclasses.replace(CO, temperature=float(temperature))
+    system = dataclasses.replace(CO, temperature=float(coldest))
     assert np.all(msd[t > 0] > 0)
     np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
     np.testing.assert_array_equal(msd_ideal(system, t), msd)
 
 
-# t_b = 7.6e-212 s at 1e200 K, so t^2 and t_b^2 underflow to 0 on every
-# default grid; the collision model's weight g is 1 there (alpha L / v_T t
-# is about 1e101), so it is the ideal MSD, checked here against the oracle
-# rather than against msd_ideal
+# t^2 and t_b^2 would underflow at 1e200 K (t_b = 7.6e-212 s), which is
+# outside the domain and refused naming its bound. At its hottest, 1e6 K
+# (t_b = 7.6e-18 s), the collision model's weight g is 1 at every t > 0 of
+# the default grid (alpha L / (sqrt(2) v_T t) is at least 160), so it is
+# the ideal MSD, checked here against the oracle rather than against msd_ideal
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["ideal", "collision"])
-def test_matches_decimal_oracle_where_the_squares_underflow(tmp_path, command):
-    assert main([command, "--temperature-K", "1e200", "--out", str(tmp_path),
+def test_matches_decimal_oracle_where_the_squares_underflow(tmp_path, capsys, command):
+    out = tmp_path / "refused"
+    assert main([command, "--temperature-K", "1e200", "--out", str(out)]) == 2
+    assert re.search(domain_pattern("temperature_K"), capsys.readouterr().err)
+    assert not out.exists()
+    hottest = DOMAIN["temperature_K"][1]
+    assert main([command, "--temperature-K", str(hottest), "--out", str(tmp_path),
                  "--formats", "csv"]) == 0
     rows = (tmp_path / f"{command}.csv").read_text().splitlines()[2:]
     t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
-    system = dataclasses.replace(CO, temperature=1e200)
+    system = dataclasses.replace(CO, temperature=hottest)
     assert np.all(msd[t > 0] > 0)
     np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
 
 
 def test_finite_where_t_squared_overflows():
-    # t * t overflows beyond about 1.3e154 s, where the MSD tends to
-    # (hbar/m) t; below it every point is within 4e-16 of the oracle
-    t = np.array([1e150, 1.3e154, 1.35e154, 1e160, 1e300])
+    # t * t would overflow beyond about 1.3e154 s, past the domain's 1e6 s,
+    # which refuses such times naming its bound; toward 1e6 s the MSD tends
+    # to (hbar/m) t, and up to it every point is within 4e-16 of the oracle
+    for t in (1e150, 1e160, 1e300):
+        with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+            msd_ideal(CO, t)
+    t = np.array([1e2, 1e4, 1e6])
     with np.errstate(over="raise", invalid="raise"):
         got = msd_ideal(CO, t)
     np.testing.assert_allclose(got, CONST.hbar / CO.mass * t, rtol=1e-15, atol=0)
-    assert isinstance(msd_ideal(CO, 1e160), float)
-    t = np.concatenate((np.geomspace(1e-30, 1e154, 200), [0.0, 1.3e154]))
+    assert isinstance(msd_ideal(CO, 1e6), float)
+    t = np.concatenate((np.geomspace(1e-30, 1e6, 200), [0.0]))
     for x, got in zip(t, msd_ideal(CO, t)):
         assert_within_oracle(got, msd_ideal_exact(CO, x), "4e-16")
 
 
-# from t and t_b whose squares underflow (below about 1.5e-154 s) to t and
-# t_b whose squares overflow (above about 1.3e154 s): derive_scales admits CO
-# from 1e-284 K (t_b = 7.6e272 s) to 1e278 K (7.6e-290 s), and t runs from
-# 1e-300 t_b to 1e300 t_b; a subnormal MSD carries no 4e-16, so the points
-# below 2.2e-308 m^2 are left out
-@given(st.floats(min_value=-284.0, max_value=278.0),
-       st.floats(min_value=-300.0, max_value=300.0))
-@example(log_T=200.0, log_x=0.0)
-@example(log_T=-200.0, log_x=-90.0)
+# over the domain's masses and temperatures, with t from 1e-300 t_b to its
+# 1e6 s (1.3e23 t_b at 1e6 K); a subnormal MSD carries no 4e-16, so the
+# points below 2.2e-308 m^2 are left out
+@given(st.floats(*log_range("mass_u")), st.floats(*log_range("temperature_K")),
+       st.floats(min_value=-300.0, max_value=24.0))
+@example(log_m=-4.0, log_T=-9.0, log_x=0.0)
+@example(log_m=-4.0, log_T=6.0, log_x=23.0)
+@example(log_m=6.0, log_T=-9.0, log_x=-90.0)
+@example(log_m=6.0, log_T=6.0, log_x=23.0)
 @settings(max_examples=150, derandomize=True, deadline=None)
-def test_matches_decimal_oracle_across_the_float_range(log_T, log_x):
-    system = dataclasses.replace(CO, temperature=10.0**log_T)
+def test_matches_decimal_oracle_across_the_float_range(log_m, log_T, log_x):
+    system = PhysicalSystem.from_user_units(10.0**log_m, 10.0**log_T, 256.0, 10)
     t = 10.0**log_x * derive_scales(system).t_b
     exact = msd_ideal_exact(system, t)
-    assume(math.isfinite(t) and exact > Decimal(np.finfo(float).tiny))
+    assume(t <= DOMAIN["t_s"][1] and exact > Decimal(np.finfo(float).tiny))
     assert_within_oracle(msd_ideal(system, t), exact, "4e-16")
 
 
@@ -254,10 +273,12 @@ def test_classical_limit_vanishes_linearly(eps):
     # that is T -> T/eps; at fixed t the MSD then sits in its linear regime
     # and shrinks like eps (hbar/m) t, with a relative correction of order
     # eps t_b / t
-    p = dataclasses.replace(CO, mass=CO.mass / eps, temperature=CO.temperature / eps)
-    t = 5 * T_B
+    # (0.5 u at 0.5 K, so that m / eps and T / eps stay in the domain)
+    base = PhysicalSystem.from_user_units(0.5, 0.5, 256.0, 10)
+    p = dataclasses.replace(base, mass=base.mass / eps, temperature=base.temperature / eps)
+    t = 5 * derive_scales(base).t_b
     assert msd_ideal(p, t) == pytest.approx(
-        eps * (CONST.hbar / CO.mass) * t, rel=eps, abs=0)
+        eps * (CONST.hbar / base.mass) * t, rel=eps, abs=0)
 
 
 def test_curve_single_point_and_consistency():

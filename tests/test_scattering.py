@@ -4,13 +4,55 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales, dsf, isf,
                   isf_phase, pair_correlation_self)
+from qmsd.constants import DOMAIN
+from test_constants import domain_pattern, log_range
 
 ANGSTROM_INV = 1e10
 Q = 1.0 * ANGSTROM_INV  # 1/m, the momentum transfer of the Xe checks
+# the domain's |q|, 1e4 to 1e12 1/m
+Q_MIN, Q_MAX = (v * ANGSTROM_INV for v in DOMAIN["q_inv_angstrom"][:2])
+U = 2.0**-53  # unit roundoff
+
+
+def dsf_tolerance(sys: PhysicalSystem, q: float) -> float:
+    """The relative error allowed to dsf over omega0 +- 5 widths at the
+    recoil ratio r = D_q |q| / v_T = omega0 / width.
+
+    omega0 = D_q q^2 is rounded twice (q^2, to at most 0.52 ulp in libm's
+    pow, and the product), so it is off by at most 2.04 U omega0 = 2.04 U r
+    widths; that moves z by as much, and exp(-z^2/2) by |z| <= 5 times that,
+    10.2 U r relative. The other roundings (z, z^2, exp, the prefactor) do
+    not grow with r, and 1e-14 holds them. Where r <= 10 the bound stays at
+    the 1e-14 that the whole sum is held to there.
+    """
+    s = derive_scales(sys)
+    r = s.D_q * abs(q) / s.v_T
+    return 1e-14 if r <= 10.0 else 1e-14 + 10.2 * U * r
+
+
+def dsf_decimal(sys: PhysicalSystem, q: float, omega) -> list:
+    """Independent oracle: the DSF Gaussian at the float D_q, v_T, q and
+    omega, in 60-digit decimal arithmetic."""
+    s = derive_scales(sys)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v_T, q_, D_q = Decimal(s.v_T), Decimal(q), Decimal(s.D_q)
+        var = v_T * v_T * q_ * q_
+        two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
+        return [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
+                      / (two_pi * var).sqrt()) for w in omega]
+
+
+def dsf_window(sys: PhysicalSystem, q: float) -> np.ndarray:
+    """21 points over omega0 +- 5 widths."""
+    s = derive_scales(sys)
+    return s.D_q * q**2 + np.linspace(-5.0, 5.0, 21) * (s.v_T * q)
 
 
 @pytest.fixture(scope="module")
@@ -91,44 +133,62 @@ class TestDsf:
 
     @pytest.mark.parametrize("q", [1e-150, 1e-160, 1e-300, 2.73e-311, 1e-310, 1e-309,
                                    1e-308, 1e-100, 1.0, 1e10, 3e10, 1e12])
-    def test_tiny_q_matches_decimal_oracle(self, xe, xs, q):
-        # from just above the q at which the peak overflows (2.72e-311 / m;
-        # the width v_T |q| is subnormal up to about 3e-310) to 100 / Angstrom,
-        # over omega0 +- 5 widths; v_T^2 q^2 is a normal double at 1e-150 / m,
-        # subnormal at 1e-160 and 0 below. One ulp of omega0 = D_q q^2 is
-        # D_q q / v_T ulps of a width (3 at 1e12 / m), and 5 widths out it
-        # moves S by 5 times that: above about 1e13 / m more than 1e-14
-        width = xs.v_T * q
-        omega = xs.D_q * q**2 + np.linspace(-5.0, 5.0, 21) * width
-        with localcontext() as ctx:
-            ctx.prec = 40
-            v_T, q_, D_q = Decimal(xs.v_T), Decimal(q), Decimal(xs.D_q)
-            var = v_T * v_T * q_ * q_
-            two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
-            ref = [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
-                         / (two_pi * var).sqrt()) for w in omega]
-        assert dsf(xe, q, omega) == pytest.approx(ref, rel=1e-14, abs=0)
+    def test_tiny_q_matches_decimal_oracle(self, xe, q):
+        # q below the domain's 1e4 / m (1e-6 / Angstrom), where the width
+        # v_T |q| would be subnormal and the peak could overflow, is refused
+        # naming the bound; inside it, over omega0 +- 5 widths, r is at most
+        # 3.0 for Xe at 105 K, and dsf is within 1e-14 of the oracle
+        if q < Q_MIN:
+            with pytest.raises(ValidationError, match=domain_pattern("q_inv_angstrom")):
+                dsf(xe, q, 0.0)
+            return
+        omega = dsf_window(xe, q)
+        assert dsf_tolerance(xe, q) == 1e-14
+        assert dsf(xe, q, omega) == pytest.approx(dsf_decimal(xe, q, omega), rel=1e-14, abs=0)
+
+    # over the domain's masses, temperatures and |q|, with the systems of the
+    # README's table at 1e12 / m as examples: r reaches 1.1e9
+    @given(st.floats(*log_range("mass_u")), st.floats(*log_range("temperature_K")),
+           st.floats(math.log10(Q_MIN), math.log10(Q_MAX)))
+    @example(math.log10(28.0), math.log10(190.0), 12.0)
+    @example(math.log10(131.0), math.log10(105.0), 12.0)
+    @example(math.log10(1.008), 1.0, 12.0)
+    @example(math.log10(28.0), math.log10(5e-5), 12.0)
+    @example(-4.0, -9.0, 12.0)
+    @example(6.0, 6.0, 4.0)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_decimal_oracle_over_the_domain(self, log_m, log_T, log_q):
+        sys = PhysicalSystem.from_user_units(10.0**log_m, 10.0**log_T, 256.0, 10)
+        q = 10.0**log_q
+        omega = dsf_window(sys, q)
+        assert dsf(sys, q, omega) == pytest.approx(dsf_decimal(sys, q, omega),
+                                                   rel=dsf_tolerance(sys, q), abs=0)
 
     @pytest.mark.parametrize("q", [1e152, 1e153, 1e154])
     def test_huge_q_peak_finite(self, xe, xs, q):
-        # v_T^2 q^2 overflows above about 1.6e152 / m, while q^2 and the
-        # width v_T |q| are finite: the peak is 1 / (sqrt(2 pi) v_T |q|)
-        omega0 = xs.D_q * q**2
-        peak = dsf(xe, q, omega0)
-        assert peak == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * xs.v_T * q),
+        # v_T^2 q^2 would overflow above about 1.6e152 / m, far past the
+        # domain's 1e12 / m, which refuses such q naming its bound; at 1e12 /m
+        # the peak is 1 / (sqrt(2 pi) v_T |q|)
+        with pytest.raises(ValidationError, match=domain_pattern("q_inv_angstrom")):
+            dsf(xe, q, xs.D_q * q**2)
+        omega0 = xs.D_q * Q_MAX**2
+        peak = dsf(xe, Q_MAX, omega0)
+        assert peak == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * xs.v_T * Q_MAX),
                                      rel=1e-15, abs=0)
-        assert np.all(np.isfinite(dsf(xe, q, omega0 * np.array([0.0, 0.5, 2.0]))))
+        assert np.all(np.isfinite(dsf(xe, Q_MAX, omega0 * np.array([0.0, 0.5, 2.0]))))
 
-    @pytest.mark.parametrize("q,omega", [
-        pytest.param(1e150, lambda D_q: 2 * D_q * 1e150**2, id="var-square"),
-        pytest.param(1e-160, lambda D_q: 1e200, id="z-divide"),
+    # the ids name the two forms of an earlier dsf; both cases are now z's:
+    # z^2 overflows at a large omega, and z itself at the largest omega on
+    # the domain's narrowest window (1e6 u at 1e-9 K, |q| = 1e4 / m)
+    @pytest.mark.parametrize("mass_u,temperature_K,q,omega", [
+        pytest.param(28.0, 190.0, Q_MAX, 1e200, id="var-square"),
+        pytest.param(1e6, 1e-9, Q_MIN, 1.7e308, id="z-divide"),
     ])
-    def test_far_tail_is_zero_without_warning(self, co_system, co_scales, q, omega):
-        # (omega - omega0)^2 on the var path, and z = (omega - omega0) / (v_T |q|)
-        # on the z path, overflow to inf where the Gaussian is an exact 0
+    def test_far_tail_is_zero_without_warning(self, mass_u, temperature_K, q, omega):
+        sys = PhysicalSystem.from_user_units(mass_u, temperature_K, 256.0, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dsf(co_system, q, omega(co_scales.D_q)) == 0.0
+            assert dsf(sys, q, omega) == 0.0
 
     def test_zero_q_rejected(self, xe):
         with pytest.raises(ValidationError):
@@ -136,23 +196,26 @@ class TestDsf:
 
     @pytest.mark.parametrize("q", [5e-324, 1e-315, -1e-315])
     def test_overflowing_peak_rejected(self, xe, q):
-        # 1 / (sqrt(2 pi) v_T |q|) exceeds the largest double
-        with pytest.raises(ValidationError, match="q = "):
+        # 1 / (sqrt(2 pi) v_T |q|) would exceed the largest double; such a q
+        # is far below the domain, which refuses it naming its bound
+        with pytest.raises(ValidationError, match=domain_pattern("q_inv_angstrom")):
             dsf(xe, q, 0.0)
 
     def test_finite_or_rejected_at_the_peak_limit(self, xe, xs):
-        # across the q where the peak leaves the float range, dsf either
-        # refuses q or returns a finite peak (no overflow warning either)
-        edge = 1.0 / np.finfo(float).max / math.sqrt(2.0 * math.pi) / xs.v_T
+        # across the domain's lower |q|, dsf either refuses q or returns a
+        # finite peak 1 / (sqrt(2 pi) v_T |q|), without a warning
         outcomes = set()
-        for q in edge * np.linspace(0.5, 2.0, 61):
+        for q in Q_MIN * np.linspace(0.5, 2.0, 61):
             q = float(q)
             try:
                 peak = dsf(xe, q, xs.D_q * q**2)
             except ValidationError:
+                assert q < Q_MIN
                 outcomes.add("rejected")
             else:
-                assert math.isfinite(peak) and peak > 1e307
+                assert q >= Q_MIN
+                assert peak == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * xs.v_T * q),
+                                             rel=1e-15, abs=0)
                 outcomes.add("finite")
         assert outcomes == {"rejected", "finite"}
 
@@ -181,9 +244,8 @@ class TestIsf:
         unsorted = [2 * xs.t_b, 0.0, xs.t_b]
         for fn in (isf, isf_phase):
             for t in (-1e-15, np.nan, np.inf, -np.inf):
-                rule = "nonnegative" if np.isfinite(t) else "finite"
                 for arg in (t, [0.0, t]):
-                    with pytest.raises(ValidationError, match=f"time grid must be {rule}"):
+                    with pytest.raises(ValidationError, match=domain_pattern("t_s")):
                         fn(xe, Q, arg)
             assert fn(xe, Q, -0.0) == fn(xe, Q, 0.0)
             assert fn(xe, Q, unsorted).tolist() == [fn(xe, Q, t) for t in unsorted]
@@ -228,9 +290,11 @@ class TestFourierConsistency:
 
 
 def test_params_validation(xe, xs):
-    # q^2 overflows beyond about 1.34e154 / m; the DSF is taken at its peak
-    for route, x in ((isf, 0.0), (isf_phase, 0.0), (dsf, xs.D_q * 1e154**2)):
-        assert math.isfinite(abs(route(xe, 1e154, x)))
-        for q in (math.nan, math.inf, -math.inf, 1e155, -1e155):
-            with pytest.raises(ValidationError, match="q"):
+    # |q| past the domain's 1e12 / m (q^2 would overflow beyond about
+    # 1.34e154 / m) is refused; the DSF is taken at its peak
+    for route, x in ((isf, 0.0), (isf_phase, 0.0), (dsf, xs.D_q * Q_MAX**2)):
+        assert math.isfinite(abs(route(xe, Q_MAX, x)))
+        assert math.isfinite(abs(route(xe, -Q_MAX, x)))
+        for q in (math.nan, math.inf, -math.inf, 1e155, -1e155, 1.0000000000000002e12):
+            with pytest.raises(ValidationError, match=domain_pattern("q_inv_angstrom")):
                 route(xe, q, x)
