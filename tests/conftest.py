@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsd import (PhysicalSystem, build_basis, derive_scales,
-                  partition_function)
+from qmsd import PhysicalSystem, build_basis, derive_scales
 
 
 @pytest.fixture(scope="session")
@@ -19,11 +18,6 @@ def co_scales(co_system):
 @pytest.fixture(scope="session")
 def co_basis(co_system):
     return build_basis(co_system, 100)
-
-
-@pytest.fixture(scope="session")
-def co_Q(co_basis):
-    return partition_function(co_basis)
 
 
 @pytest.fixture(scope="session")

@@ -14,25 +14,10 @@ import numpy as np
 import pytest
 
 import qmsd
-from qmsd import svgplot
+from qmsd import cli, svgplot
 from qmsd.cli import COMMANDS, FLAGS, READS, Run, _build_parser, main, parse_grid
-from qmsd.basis import MAX_K
 from qmsd.constants import DOMAIN, ValidationError
-from qmsd.output import config_hash, write_csv, write_json_meta
-from test_constants import SYSTEM_KEYS, domain_pattern
-
-
-def format_number(x) -> str:
-    """One CSV number, 17 significant digits: the per-value oracle of write_csv."""
-    return f"{float(x):.17g}"
-
-
-def csv_by_value(header, columns, cfg_hash) -> str:
-    """The CSV text write_csv gives, built one value at a time."""
-    cols = [list(c) for c in columns]
-    lines = [f"# config_hash: {cfg_hash}", ",".join(header)]
-    lines += [",".join(format_number(c[i]) for c in cols) for i in range(len(cols[0]))]
-    return "\n".join(lines) + "\n"
+from oracles import SYSTEM_KEYS, csv_by_value, domain_pattern, polylines_by_point
 
 
 def assert_collision_csvs_finite(outdir: Path):
@@ -42,41 +27,6 @@ def assert_collision_csvs_finite(outdir: Path):
     for path in csvs:
         rows = path.read_text().splitlines()[2:]
         assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
-
-
-def pix_by_point(axis, v: float) -> float:
-    """One value's pixel coordinate in Python float arithmetic: the
-    per-point oracle of _Axis.to_pix."""
-    x = math.log10(v) if axis.scale == "log" else v
-    f = (x - axis.lo) / (axis.hi - axis.lo)
-    return axis.pix_lo + f * (axis.pix_hi - axis.pix_lo)
-
-
-def polylines_by_point(series, monkeypatch, **kw):
-    """(polyline point lists of line_plot, the same built one point at a
-    time)."""
-    axes = []
-
-    class Recorded(svgplot._Axis):
-        def __init__(self, *args):
-            super().__init__(*args)
-            axes.append(self)
-
-    monkeypatch.setattr(svgplot, "_Axis", Recorded)
-    text = svgplot.line_plot(series, **kw)
-    ax, ay = axes
-    expected = []
-    for s in series:
-        x = np.asarray(s["x"], dtype=float)
-        y = np.asarray(s["y"], dtype=float)
-        ok = np.ones(x.size, dtype=bool)
-        if kw.get("xscale") == "log":
-            ok &= x > 0
-        if kw.get("yscale") == "log":
-            ok &= y > 0
-        expected.append(" ".join(f"{pix_by_point(ax, xi):.2f},{pix_by_point(ay, yi):.2f}"
-                                 for xi, yi in zip(x[ok], y[ok])))
-    return re.findall(r'<polyline points="([^"]*)"', text), expected
 
 
 class TestParseGrid:
@@ -94,100 +44,25 @@ class TestParseGrid:
             parse_grid(bad)
 
 
-class TestOutputHelpers:
-    def test_hash_stable_and_order_free(self):
-        a = config_hash({"x": 1, "y": 2.0})
-        b = config_hash({"y": 2.0, "x": 1})
-        assert a == b
-        assert len(a) == 16
-        assert a != config_hash({"x": 1, "y": 2.1})
-
-    def test_number_round_trip(self):
-        for x in [0.1, math.pi, 1e-30, -2.5e17]:
-            assert float(format_number(x)) == x
-
-    def test_csv_shape_guard(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0], [1.0, 2.0]],
-                      "deadbeef")
-
-    @pytest.mark.parametrize("columns", [
-        [[10, 20, 40], [-0.0, 5e-324, 1.7976931348623157e308],
-         [0.1 + 0.2, -1e-300, 2.0**53 + 1]],
-        [np.array([0.1, 1 / 3, 7e-8], dtype=np.float32), np.array([1.0, np.pi, -2.5e17]),
-         [float("inf"), float("-inf"), float("nan")]],
-        [[math.pi], np.array([-0.0]), [3]],
-    ], ids=["python", "numpy", "one-row"])
-    def test_csv_equals_per_value_formatting(self, tmp_path, columns):
-        header = [f"c{i}" for i in range(len(columns))]
-        write_csv(tmp_path / "t.csv", header, columns, "0123456789abcdef")
-        assert (tmp_path / "t.csv").read_text() == csv_by_value(
-            header, columns, "0123456789abcdef")
-
-    def test_zero_row_csv_is_hash_and_header(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [[], np.array([])], "0123456789abcdef")
-        assert (tmp_path / "t.csv").read_bytes() == b"# config_hash: 0123456789abcdef\na,b\n"
-
-    def test_json_meta_bytes(self, tmp_path):
-        meta = {"z": [1.5, -0.0], "a": {"y": 2, "x": "\u00e9"}, "p": tmp_path}
-        write_json_meta(tmp_path / "m.json", meta, "0123456789abcdef")
-        text = json.dumps({**meta, "config_hash": "0123456789abcdef"}, indent=2,
-                          sort_keys=True, default=str) + "\n"
-        assert (tmp_path / "m.json").read_bytes() == text.encode("utf-8")
-
-    @pytest.mark.parametrize("scale", ["linear", "log"])
-    def test_axis_maps_arrays_like_floats(self, scale):
-        # bit for bit, on values where numpy's log10 and math.log10 differ
-        v = np.exp(np.random.default_rng(5).uniform(-40.0, 40.0, 4000))
-        axis = svgplot._Axis(1e-17, 1e17, 470, 30, scale)
-        assert axis.to_pix(v).tolist() == [pix_by_point(axis, u) for u in v.tolist()]
-
-    @pytest.mark.parametrize("xscale,yscale", [("linear", "linear"), ("log", "linear"),
-                                               ("linear", "log"), ("log", "log")])
-    def test_polylines_equal_per_point_rendering(self, monkeypatch, xscale, yscale):
-        rng = np.random.default_rng(11)
-        x = np.concatenate(([0.0, -1.0], np.geomspace(1e-3, 1e3, 97)))
-        series = [
-            {"x": x, "y": rng.uniform(-0.5, 3.0, x.size) * x, "label": "a"},
-            {"x": x[::-1], "y": np.cos(x), "dash": "6 3"},
-            {"x": [2.0], "y": [0.75], "label": "one point"},
-        ]
-        got, expected = polylines_by_point(series, monkeypatch, xscale=xscale,
-                                           yscale=yscale)
-        assert got == expected
-        # the log masks drop points, and the one-point series stays a point
-        assert (len(got[0].split()) < x.size) == ("log" in (xscale, yscale))
-        assert got[2].count(",") == 1
-
-    def test_series_without_points_on_a_log_axis(self, monkeypatch):
-        series = [{"x": [1.0, 2.0, 3.0], "y": [-1.0, 0.0, -2.0], "label": "none"},
-                  {"x": [], "y": []},
-                  {"x": [1.0, 10.0], "y": [2.0, 5.0]}]
-        got, expected = polylines_by_point(series, monkeypatch, xscale="log",
-                                           yscale="log")
-        assert got == expected
-        assert got[:2] == ["", ""]
-
-    def test_log_polyline_rounding_uses_math_log10(self, monkeypatch):
-        # the middle point lands within an ulp of a .xx5 pixel: 333.33 with
-        # math.log10, 333.34 with numpy 2.4's SIMD log10 on AVX-512
-        series = [{"x": [1.0, 3.7766477332060533, 24.02501798281538],
-                   "y": [1.0, 2.0, 3.0]}]
-        got, expected = polylines_by_point(series, monkeypatch, xscale="log")
-        assert got == expected
-
-
 def run_cli(*argv):
     return main(list(argv))
+
+
+def config_error(tmp_path, capsys, *argv) -> str:
+    """The config error of argv; asserts that it exits 2 and makes no
+    output directory."""
+    out = tmp_path / "refused"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
 
 
 def assert_domain_refusal(tmp_path, capsys, argv, key):
     """argv exits 2 with the message that names DOMAIN[key]'s bound, and
     makes no output directory."""
-    out = tmp_path / "refused"
-    assert run_cli(*argv, "--out", str(out)) == 2
-    assert re.search("config error: " + domain_pattern(key), capsys.readouterr().err)
-    assert not out.exists()
+    assert re.search("config error: " + domain_pattern(key), config_error(tmp_path, capsys, *argv))
 
 
 # the largest time of the domain in t_b units for CO at 190 K (t_b = 4.02e-14
@@ -214,6 +89,49 @@ def co_weight_floor(n_cells: int, temperature: float = 190.0) -> float:
     q = 2.0 * math.pi * np.array([1]) / L
     w1 = np.exp(-beta * (hbar**2 * q**2 / (2.0 * mass)))
     return 1e-18 * float(w1[0])
+
+
+# The CLI scales each spec time by t_b. A nan or inf in the spec is refused
+# as it is parsed; a finite time whose scaled value is past the domain's
+# 1e6 s (1e300 t_b, with t_b = 7.6e-3 s at 1e-9 K) is refused by the time
+# rule, naming the bound. t_b is at most 7.6e-3 s in the domain, so a finite
+# spec time is never scaled to inf or nan.
+@pytest.mark.parametrize("kind", ["linear", "geometric"], ids=lambda kind: f"{kind}_grid")
+@pytest.mark.parametrize("start,stop", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
+def test_grid_endpoints_must_be_finite(tmp_path, capsys, kind, start, stop):
+    spec = f"{kind}:{start}:{stop}:3"
+    assert f"bad grid spec {spec!r}: bounds must be finite" in config_error(
+        tmp_path, capsys, "ideal", "--grid", spec)
+    if np.isnan(stop):
+        return
+    scaled = [("1e300" if np.isinf(v) else str(v)) for v in (start, stop)]
+    err = config_error(tmp_path, capsys, "ideal", "--grid",
+                       f"{kind}:{scaled[0]}:{scaled[1]}:3", "--temperature-K", "1e-9")
+    assert re.search(domain_pattern("t_s") + "$", err.strip())
+    assert "t_s = 7.63823258225774e+297 s" in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("linear:0:1:0", "grid count must be >= 1"),
+    ("geometric:1:2:-3", "grid count must be >= 1"),
+    ("geometric:0:1:5", "geometric grid requires positive endpoints"),
+    ("geometric:-1:1:5", "geometric grid requires positive endpoints"),
+    ("geometric:1:-1:5", "geometric grid requires positive endpoints"),
+])
+def test_grid_count_and_geometric_positivity(tmp_path, capsys, spec, message):
+    assert config_error(tmp_path, capsys, "ideal", "--grid", spec).strip() == (
+        f"config error: {message}")
+
+
+def test_grid_count_past_the_limit_refused(tmp_path, capsys, monkeypatch):
+    # 2^20 points, 2048 times the largest default grid, is the most a grid
+    # may hold; one more is refused before its times are allocated
+    assert cli.MAX_GRID_POINTS == 2**20
+    err = config_error(tmp_path, capsys, "ideal", "--grid", f"linear:0:1:{2**20 + 1}")
+    assert err.strip() == "config error: grid count 1048577 is past the limit of 1048576 points"
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    config_error(tmp_path, capsys, "ideal", "--grid", "geometric:1:2:9")
+    assert main(["ideal", "--grid", "geometric:1:2:8", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestExitCodes:
@@ -306,10 +224,7 @@ class TestExitCodes:
     def test_config_error_scale_out_of_range(self, tmp_path, capsys, argv):
         # finite flags whose derived scales or squared lengths are not
         # finite and non-zero
-        out = tmp_path / "o"
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+        config_error(tmp_path, capsys, *argv)
 
     @pytest.mark.parametrize("argv,message", [
         (["scales", "--temperature-K", "1e-302"],
@@ -323,10 +238,7 @@ class TestExitCodes:
     def test_config_error_denominator_underflows(self, tmp_path, capsys, argv, message):
         # derive_scales divides by k_B T and by sqrt(beta m), which would
         # underflow to 0 here; the domain refuses such a system first
-        out = tmp_path / "o"
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert f"config error: {message}\n" == capsys.readouterr().err
-        assert not out.exists()
+        assert f"config error: {message}\n" == config_error(tmp_path, capsys, *argv)
 
     # the theta images' q = (b - pi nu)^2 / 4a would overflow at 1e300 t_b,
     # which is past the domain's 1e6 s and refused naming the bound; at the
@@ -379,12 +291,10 @@ class TestExitCodes:
          "90194313195, past its limit of 16777216 members x times")],
         ids=["n-cells", "funcs-per-cell", "funcs-per-cell-1e15", "members"])
     def test_mc_verify_past_its_limits_refused(self, tmp_path, capsys, argv, message):
-        out = tmp_path / "o"
         t0 = time.perf_counter()
-        assert run_cli("mc-verify", *argv, "--out", str(out)) == 2
+        err = config_error(tmp_path, capsys, "mc-verify", *argv)
         assert time.perf_counter() - t0 < 1.0
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        assert f"config error: {message}" in err
 
     @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--funcs-per-cell", "20000"]],
                              ids=" ".join)
@@ -450,8 +360,6 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
-        import qmsd.cli
-
         def broken(*args, **kwargs):
             raise ValueError("internal defect")
 
@@ -470,7 +378,6 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_numerical_error_non_finite_output(self, tmp_path, capsys, monkeypatch):
-        import qmsd.cli
         real = qmsd.cli.msd_exact_curve
 
         def poisoned(*args, **kwargs):
@@ -488,7 +395,6 @@ class TestExitCodes:
                                                         monkeypatch):
         # the ideal curve is checked after the six per-cell CSVs; none of
         # them may be written when it is refused
-        import qmsd.cli
         real = qmsd.cli.msd_ideal_curve
 
         def poisoned(*args, **kwargs):
@@ -645,7 +551,6 @@ class TestExitCodes:
         assert area == pytest.approx(1.0, rel=1e-5, abs=0)
 
     def test_non_finite_dsf_leaves_no_isf_file(self, tmp_path, capsys, monkeypatch):
-        import qmsd.cli
         monkeypatch.setattr(qmsd.cli, "dsf",
                             lambda system, q, omegas: np.full(omegas.shape, np.nan))
         assert run_cli("scattering", "--out", str(tmp_path)) == 4
@@ -973,10 +878,11 @@ class TestArtifacts:
                        "--members", "1500", "--grid", "linear:1:10:5") == 0
         out = capsys.readouterr().out
         meta = json.loads((tmp_path / "mc_verify.json").read_text())
-        assert (f"MC vs exact: max |z| = {meta['max_abs_z']:.2f} over 5 points, "
-                f"below z* = {meta['gate_z']:.2f} (family-wise false-alarm rate 0.001)"
-                in out)
+        assert (f"MC vs exact: max |z| = {meta['max_abs_z']:.2f} over 5 points and plateau "
+                f"z = {meta['plateau_z']:.2f}, below z* = {meta['gate_z']:.2f} (family of "
+                f"5 points plus the plateau, family-wise false-alarm rate 0.001)" in out)
         assert meta["max_abs_z"] < meta["gate_z"]
+        assert abs(meta["plateau_z"]) < meta["gate_z"]
         # the decohered plateau comes from the ensemble's x(0), which has
         # no time of its own
         est, err = meta["rerandomized_estimate_m2"], meta["rerandomized_stderr_m2"]
@@ -985,7 +891,8 @@ class TestArtifacts:
         assert (f"decohered plateau from x(0), 2 <x(0)^2> = {est:.4e} +- {err:.1e} m^2 "
                 f"(breve_sum = {meta['breve_sum_m2']:.4e} m^2)" in out)
         # z* = Phi^-1(1 - alpha / 2n) for alpha = 1e-3 over n = 5 points
-        assert meta["gate_z"] == pytest.approx(3.7190, abs=1e-4)
+        # plus the plateau
+        assert meta["gate_z"] == pytest.approx(3.7648, abs=1e-4)
         assert meta["gate_false_alarm"] == 1e-3
         assert meta["members"] == 1500
         assert meta["K"] == 201
@@ -1038,7 +945,6 @@ class TestArtifacts:
                                                      monkeypatch):
         # a 10 % scale error in the exact sum on the basis is refused at the
         # defaults
-        import qmsd.cli
         real = qmsd.cli.msd_basis_curve
 
         def scaled(*args, **kwargs):
@@ -1049,6 +955,20 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert "Monte-Carlo estimate departs from the exact sum" in err
         assert not (tmp_path / "mc_verify.csv").exists()
+
+    # the plateau's factor 2 dropped (z = -68.5), and a 10 % scale error in
+    # its exact sum (z = -6.33): each is refused at the defaults
+    @pytest.mark.parametrize("name,wrong", [
+        ("sample_msd_rerandomized", lambda real: lambda res: tuple(v / 2 for v in real(res))),
+        ("breve_basis_sum", lambda real: lambda basis: 1.10 * real(basis))],
+        ids=["factor-2-dropped", "breve-sum-scaled"])
+    def test_mc_verify_gate_refuses_a_wrong_plateau(self, tmp_path, capsys, monkeypatch,
+                                                    name, wrong):
+        monkeypatch.setattr(qmsd.cli, name, wrong(getattr(qmsd.cli, name)))
+        assert run_cli("mc-verify", "--out", str(tmp_path)) == 4
+        assert ("Monte-Carlo estimate departs from the exact sum: the plateau's z = "
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_figure1_and_figure2(self, tmp_path):
         assert run_cli("figure1", "--out", str(tmp_path),

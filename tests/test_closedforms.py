@@ -1,19 +1,233 @@
 import dataclasses
 import itertools
 import math
-from decimal import Decimal, localcontext
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qmsd import (CONST, PhysicalSystem, ValidationError, breve_closed,
-                  derive_scales, msd_collision_model, msd_ideal)
+from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum, breve_closed,
+                  derive_scales, msd_collision_model, msd_ideal, msd_ideal_curve)
+from qmsd.cli import main
 from qmsd.closedforms import I_ab, J, J_AT_ZERO
 from qmsd.constants import DOMAIN
-from test_constants import SYSTEM_KEYS, domain_pattern, log_range
+from oracles import (SYSTEM_KEYS, J_decimal, J_quadrature, assert_within_oracle, breve_exact,
+                     domain_pattern, log_range, msd_ideal_decimal, msd_ideal_exact)
+
+# CO at 190 K; the ideal MSD does not depend on the cell
+CO = PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 10)
+T_B = derive_scales(CO).t_b  # 4.020122411714599e-14 s
+
+
+def test_zero_at_zero():
+    assert msd_ideal(CO, 0.0) == 0.0
+
+
+def test_value_at_thermal_time():
+    expected = (CONST.hbar / CO.mass) * T_B * (math.sqrt(2) - 1)
+    assert msd_ideal(CO, T_B) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_long_time_slope_approaches_hbar_over_m():
+    t = 1000 * T_B
+    dt = 1e-3 * T_B
+    slope = (msd_ideal(CO, t + dt) - msd_ideal(CO, t - dt)) / (2 * dt)
+    assert slope == pytest.approx(CONST.hbar / CO.mass, rel=1e-3, abs=0)
+
+
+def test_short_time_quadratic_law():
+    # (k_B T / 2m) t^2 with k_B T = hbar / t_b
+    t = 0.01 * T_B
+    quadratic = (CONST.hbar / T_B) / (2 * CO.mass) * t * t
+    assert msd_ideal(CO, t) == pytest.approx(quadratic, rel=1e-4, abs=0)
+
+
+def test_cancellation_safe_at_tiny_times():
+    t = 1e-8 * T_B
+    quadratic = (CONST.hbar / T_B) / (2 * CO.mass) * t * t
+    assert msd_ideal(CO, t) == pytest.approx(quadratic, rel=1e-10, abs=0)
+
+
+def test_negative_time_rejected():
+    # a nan, an inf or a negative time is refused, alone or in an array;
+    # -0.0 is a time, and the times need not be sorted
+    for t in (-1e-15, np.nan, np.inf, -np.inf):
+        for arg in (t, [0.0, t]):
+            with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+                msd_ideal(CO, arg)
+    assert msd_ideal(CO, -0.0) == 0.0
+    unsorted = [2 * T_B, 0.0, T_B]
+    assert msd_ideal(CO, unsorted).tolist() == [msd_ideal(CO, t) for t in unsorted]
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.inf]],
+                         ids=["nan", "inf", "0-inf"])
+def test_non_finite_time_rejected(grid):
+    with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+        msd_ideal_curve(CO, grid)
+
+
+def test_nan_after_a_finite_time_named_as_such():
+    with pytest.raises(ValidationError, match=r"^t_s = nan s is outside"):
+        msd_ideal_curve(CO, [1.0, np.nan])
+
+
+# t_b = hbar beta would be 7.6e188 s at 1e-200 K, so that t_b^2 overflows,
+# and at 7.64e-166 K t^2 + t_b^2 would overflow from about t = 0.9 t_b; both
+# temperatures are outside the domain, and refused naming its bound. At its
+# coldest, 1e-9 K, t_b = 7.6e-3 s, and the same grids match the oracle
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature,grid", [("1e-200", "geometric:1e-90:1e-10:3"),
+                                              ("7.64e-166", "linear:0:1.2:4")])
+def test_matches_decimal_oracle_where_t_b_squared_leaves_the_range(tmp_path, capsys,
+                                                                   temperature, grid):
+    out = tmp_path / "refused"
+    assert main(["ideal", "--temperature-K", temperature, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert re.search(domain_pattern("temperature_K"), capsys.readouterr().err)
+    assert not out.exists()
+    coldest = str(DOMAIN["temperature_K"][0])
+    assert main(["ideal", "--temperature-K", coldest, "--grid", grid,
+                 "--out", str(tmp_path), "--formats", "csv"]) == 0
+    rows = (tmp_path / "ideal.csv").read_text().splitlines()[2:]
+    t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
+    system = dataclasses.replace(CO, temperature=float(coldest))
+    assert np.all(msd[t > 0] > 0)
+    np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(msd_ideal(system, t), msd)
+
+
+# t^2 and t_b^2 would underflow at 1e200 K (t_b = 7.6e-212 s), which is
+# outside the domain and refused naming its bound. At its hottest, 1e6 K
+# (t_b = 7.6e-18 s), the collision model's weight g is 1 at every t > 0 of
+# the default grid (alpha L / (sqrt(2) v_T t) is at least 160), so it is
+# the ideal MSD, checked here against the oracle rather than against msd_ideal
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["ideal", "collision"])
+def test_matches_decimal_oracle_where_the_squares_underflow(tmp_path, capsys, command):
+    out = tmp_path / "refused"
+    assert main([command, "--temperature-K", "1e200", "--out", str(out)]) == 2
+    assert re.search(domain_pattern("temperature_K"), capsys.readouterr().err)
+    assert not out.exists()
+    hottest = DOMAIN["temperature_K"][1]
+    assert main([command, "--temperature-K", str(hottest), "--out", str(tmp_path),
+                 "--formats", "csv"]) == 0
+    rows = (tmp_path / f"{command}.csv").read_text().splitlines()[2:]
+    t, msd = np.array([[float(v) for v in row.split(",")] for row in rows])[:, [0, 2]].T
+    system = dataclasses.replace(CO, temperature=hottest)
+    assert np.all(msd[t > 0] > 0)
+    np.testing.assert_allclose(msd, [msd_ideal_decimal(system, x) for x in t], rtol=1e-15, atol=0)
+
+
+def test_finite_where_t_squared_overflows():
+    # t * t would overflow beyond about 1.3e154 s, past the domain's 1e6 s,
+    # which refuses such times naming its bound; toward 1e6 s the MSD tends
+    # to (hbar/m) t, and up to it every point is within 4e-16 of the oracle
+    for t in (1e150, 1e160, 1e300):
+        with pytest.raises(ValidationError, match=domain_pattern("t_s")):
+            msd_ideal(CO, t)
+    t = np.array([1e2, 1e4, 1e6])
+    with np.errstate(over="raise", invalid="raise"):
+        got = msd_ideal(CO, t)
+    np.testing.assert_allclose(got, CONST.hbar / CO.mass * t, rtol=1e-15, atol=0)
+    assert isinstance(msd_ideal(CO, 1e6), float)
+    t = np.concatenate((np.geomspace(1e-30, 1e6, 200), [0.0]))
+    for x, got in zip(t, msd_ideal(CO, t)):
+        assert_within_oracle(got, msd_ideal_exact(CO, x), "4e-16")
+
+
+# over the domain's masses and temperatures, with t from 1e-300 t_b to its
+# 1e6 s (1.3e23 t_b at 1e6 K); a subnormal MSD carries no 4e-16, so the
+# points below 2.2e-308 m^2 are left out
+@given(st.floats(*log_range("mass_u")), st.floats(*log_range("temperature_K")),
+       st.floats(min_value=-300.0, max_value=24.0))
+@example(log_m=-4.0, log_T=-9.0, log_x=0.0)
+@example(log_m=-4.0, log_T=6.0, log_x=23.0)
+@example(log_m=6.0, log_T=-9.0, log_x=-90.0)
+@example(log_m=6.0, log_T=6.0, log_x=23.0)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_matches_decimal_oracle_across_the_float_range(log_m, log_T, log_x):
+    system = PhysicalSystem.from_user_units(10.0**log_m, 10.0**log_T, 256.0, 10)
+    t = 10.0**log_x * derive_scales(system).t_b
+    exact = msd_ideal_exact(system, t)
+    assume(t <= DOMAIN["t_s"][1] and exact > Decimal(np.finfo(float).tiny))
+    assert_within_oracle(msd_ideal(system, t), exact, "4e-16")
+
+
+@given(st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=200)
+def test_strictly_increasing_and_convex(x1, x2):
+    # the slope grows monotonically from 0 toward hbar/m, so the curve
+    # is convex: every midpoint lies below the chord
+    lo, hi = sorted((x1, x2))
+    if hi - lo < 1e-6:
+        return
+    mid = 0.5 * (lo + hi)
+    f = lambda x: msd_ideal(CO, x * T_B)
+    assert f(hi) > f(lo)
+    chord = 0.5 * (f(lo) + f(hi))
+    assert f(mid) <= chord * (1 + 1e-12)
+
+
+@given(st.floats(min_value=0.0, max_value=1e4))
+@settings(max_examples=200)
+def test_bounded_by_linear_envelope(x):
+    t = x * T_B
+    assert msd_ideal(CO, t) <= (CONST.hbar / CO.mass) * t * (1 + 1e-12)
+
+
+# x is 0 or at least 1e-100: below about 7e-142 the MSD (4.6e-23 x^2 / c m^2)
+# is subnormal at c = 1e3, and no subnormal carries 12 significant digits
+@given(st.floats(min_value=1e-3, max_value=1e3),
+       st.just(0.0) | st.floats(min_value=1e-100, max_value=1e2))
+@settings(max_examples=100)
+def test_mass_scaling(c, x):
+    t = x * T_B
+    # t_b = hbar beta does not depend on the mass
+    scaled = dataclasses.replace(CO, mass=CO.mass * c)
+    assert msd_ideal(scaled, t) == pytest.approx(msd_ideal(CO, t) / c, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_classical_limit_vanishes_linearly(eps):
+    # hbar -> hbar eps is equivalent to mass -> mass/eps with t_b -> t_b eps,
+    # that is T -> T/eps; at fixed t the MSD then sits in its linear regime
+    # and shrinks like eps (hbar/m) t, with a relative correction of order
+    # eps t_b / t
+    # (0.5 u at 0.5 K, so that m / eps and T / eps stay in the domain)
+    base = PhysicalSystem.from_user_units(0.5, 0.5, 256.0, 10)
+    p = dataclasses.replace(base, mass=base.mass / eps, temperature=base.temperature / eps)
+    t = 5 * derive_scales(base).t_b
+    assert msd_ideal(p, t) == pytest.approx(
+        eps * (CONST.hbar / base.mass) * t, rel=eps, abs=0)
+
+
+def test_curve_single_point_and_consistency():
+    c0 = msd_ideal_curve(CO, np.array([0.0]))
+    assert c0.tolist() == [0.0]
+    c = msd_ideal_curve(CO, np.array([T_B, 2 * T_B]))
+    assert c.dtype == np.float64
+    np.testing.assert_allclose(
+        c, [msd_ideal(CO, T_B), msd_ideal(CO, 2 * T_B)], rtol=1e-15)
+
+
+def test_curve_monotone_on_figure_grid():
+    grid = np.linspace(0.0, 10 * T_B, 512)
+    c = msd_ideal_curve(CO, grid)
+    assert np.all(np.diff(c) >= 0)
+
+
+def test_curve_rejects_empty_and_decreasing():
+    with pytest.raises(ValueError):
+        msd_ideal_curve(CO, np.array([]))
+    with pytest.raises(ValueError):
+        msd_ideal_curve(CO, np.array([2e-14, 1e-14]))
+
 
 # erf reference values computed once at 40 decimal digits and frozen
 ERF_TABLE = [
@@ -38,65 +252,6 @@ class TestErf:
         for x in (0.3, 1.7, 4.0):
             assert math.erf(-x) == -math.erf(x)
         assert math.erf(50.0) == 1.0
-
-
-def J_quadrature(y):
-    """Independent oracle: the defining integral of the plateau shape
-    function, 2 int_0^inf exp(-y x^2) X(x)^2 dx with the dimensionless
-    matrix-element profile X."""
-    f = lambda x: 2 * np.exp(-y * x * x) * (
-        np.sin(x / np.sqrt(2)) / x**2
-        - np.cos(x / np.sqrt(2)) / (np.sqrt(2) * x)) ** 2
-    val, err = quad(f, 0, np.inf, limit=2000)
-    assert err < 1e-6
-    return val
-
-
-PI_100 = Decimal("3.14159265358979323846264338327950288419716939937510"
-                 "58209749445923078164062862089986280348253421170679")
-
-
-def J_exact(y) -> Decimal:
-    """Independent oracle: J's closed form in decimal arithmetic, at a float
-    or Decimal y > 0, as sqrt(pi) ((sqrt(2)/6) S + (2/3) sqrt(y) ((1 - e) y
-    - (3 - e)/4)), with u = 1/sqrt(2y), e = e^(-u^2) and
-    S = (sqrt(pi)/2) erf(u) = e^(-u^2) sum_n (2 u^2)^n u / (2n+1)!!, a series
-    of positive terms. The two terms cancel to O(u^3) as y grows, about
-    3 log10(y) digits, so the bracket is summed with that many digits more
-    than 100; pi is a factor outside it, so 100 of its digits suffice."""
-    y = Decimal(y)
-    with localcontext() as ctx:
-        ctx.prec = 100 + 3 * max(0, y.adjusted())
-        u2 = 1 / (2 * y)
-        e = (-u2).exp()
-        if u2 > 240:
-            # erfc(u) < e^(-u^2) < 1e-104
-            S = PI_100.sqrt() / 2
-        else:
-            term = total = u2.sqrt()
-            n = 0
-            while n < u2 or term > total.scaleb(-ctx.prec):
-                n += 1
-                term *= 2 * u2 / (2 * n + 1)
-                total += term
-            S = e * total
-        return PI_100.sqrt() * (Decimal(2).sqrt() / 6 * S
-                                + 2 * y.sqrt() / 3 * ((1 - e) * y - (3 - e) / 4))
-
-
-def J_decimal(y: float) -> float:
-    return float(J_exact(y))
-
-
-def breve_exact(sys: PhysicalSystem) -> Decimal:
-    """Independent oracle: the plateau L hbar sqrt(2 beta / (pi m))
-    J(hbar^2 beta / (2 m L^2)) at the float hbar, beta, m and L, in decimal
-    arithmetic, where no factor leaves the range."""
-    hbar, beta, m, L = map(Decimal, (CONST.hbar, derive_scales(sys).beta, sys.mass, sys.L))
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return (L * hbar * (2 * beta / (PI_100 * m)).sqrt()
-                * J_exact(hbar * hbar * beta / (2 * m * L * L)))
 
 
 class TestJ:
@@ -236,7 +391,6 @@ class TestBreveClosed:
         assert abs(Decimal(breve_closed(sys)) - exact) <= Decimal("1e-14") * exact
 
     def test_agrees_with_discrete_sum(self, co_system, co_basis):
-        from qmsd import breve_basis_sum
         # the closed form is a continuum approximation that improves with
         # L; at L = 10a it sits ~0.6% above the discrete sum
         assert breve_closed(co_system) == pytest.approx(breve_basis_sum(co_basis), rel=1e-2, abs=0)
@@ -244,8 +398,7 @@ class TestBreveClosed:
 
 @pytest.fixture(scope="module")
 def co():
-    sys = PhysicalSystem.from_user_units(28, 190, 256, 10)
-    return sys, derive_scales(sys)
+    return CO, derive_scales(CO)
 
 
 ALPHA = 0.35

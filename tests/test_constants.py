@@ -1,28 +1,10 @@
 import math
-import re
 
-import numpy as np
 import pytest
 
 from qmsd import CONST, PhysicalSystem, ValidationError, derive_scales
 from qmsd.constants import DOMAIN, PM_TO_M, U_TO_KG, validate_times
-
-
-def domain_pattern(key: str) -> str:
-    """The regex of the ValidationError message that refuses a value of key
-    outside DOMAIN, naming the quantity, its value and the bound."""
-    lo, hi, unit, _ = DOMAIN[key]
-    return (rf"{key} = \S+ {re.escape(unit)} is outside the physical domain "
-            + re.escape(f"[{lo:g}, {hi:g}] {unit}"))
-
-
-def log_range(key):
-    """(log10 low, log10 high) of DOMAIN[key]."""
-    return tuple(math.log10(v) for v in DOMAIN[key][:2])
-
-
-# the PhysicalSystem fields, in from_user_units order
-SYSTEM_KEYS = ("mass_u", "temperature_K", "lattice_pm", "n_cells")
+from oracles import SYSTEM_KEYS, domain_pattern
 
 
 def test_defining_constants_exact():

@@ -9,57 +9,10 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum,
                   breve_sum, build_basis, converged_basis, derive_scales,
                   exact_params, msd_basis_curve, msd_exact_curve, msd_ideal,
                   partition_function)
-from qmsd.exact import (_BLOCK_ELEMS, TAIL, X_CUT, _theta_outer, blocked_sum, msd_reduce,
-                        pair_arrays)
+from qmsd.exact import TAIL, X_CUT, blocked_sum, msd_reduce, pair_arrays
 from qmsd.constants import DOMAIN
-from test_basis import x_element
-from test_constants import domain_pattern
-
-
-def brute_force_msd(basis, Q, t):
-    """Unfolded double sum over all n != j, complex arithmetic throughout."""
-    total = 0.0
-    for i, n in enumerate(basis.indices):
-        for k, j in enumerate(basis.indices):
-            if n == j:
-                continue
-            x = x_element(n, j, basis.L)
-            arg = (basis.E[i] - basis.E[k]) * t / (2 * CONST.hbar)
-            total += basis.w[i] * basis.w[k] * abs(x) ** 2 * math.sin(arg) ** 2
-    return 4.0 / Q**2 * total
-
-
-def direct_sum(basis, Q, times):
-    """The O(K^2) pair sum over n < j, the oracle for the theta series."""
-    wprod, half_omega = pair_arrays(basis)
-    return 8.0 / Q**2 * msd_reduce(wprod, half_omega, np.asarray(times, dtype=float))
-
-
-def direct_breve(basis, Q):
-    return 4.0 / Q**2 * blocked_sum(pair_arrays(basis)[0])
-
-
-def dense_theta_msd(system, times):
-    """The theta series evaluated on every (d, t) element: expm1, rint, exp
-    and the image mask everywhere, in the same blocks. The oracle that the
-    pruned series in qmsd.exact must equal bit for bit."""
-    d, p, g, eps_over_hbar, a = _theta_outer(system, times.size)
-    p = p[:, None]
-    inv4a = 0.25 / a
-    width = math.floor(math.sqrt(4.0 * a * TAIL) / math.pi + 0.5)
-    out = np.empty(times.size)
-    step = max(1, _BLOCK_ELEMS // d.size)
-    for lo in range(0, times.size, step):
-        b = eps_over_hbar * d[:, None] * times[None, lo:lo + step]
-        bracket = -np.expm1(-b * b * inv4a)
-        centre = np.rint(b / math.pi)
-        for k in range(-width, width + 1):
-            nu = centre + k
-            q = (b - math.pi * nu)**2 * inv4a
-            bracket -= (np.exp(-q) * ((nu != 0.0) & (q <= TAIL))
-                        * (1.0 - 2.0 * p * (nu % 2.0)))
-        out[lo:lo + step] = g @ bracket
-    return out
+from oracles import (brute_force_msd, dense_theta_msd, domain_pattern, pairwise_bound,
+                     position_matrix, unpruned_wprod)
 
 
 # H at 10 K on one 256 pm cell, about 5 thermal lengths long: a >= A_MAX, so
@@ -210,13 +163,8 @@ class TestBreveSum:
 
     def test_equals_sin2_replaced_by_half(self, small_basis):
         Q = partition_function(small_basis)
-        total = 0.0
-        for i, n in enumerate(small_basis.indices):
-            for k, j in enumerate(small_basis.indices):
-                if n == j:
-                    continue
-                x = x_element(n, j, small_basis.L)
-                total += small_basis.w[i] * small_basis.w[k] * abs(x) ** 2
+        w = small_basis.w
+        total = np.sum(w[:, None] * w[None, :] * np.abs(position_matrix(small_basis)) ** 2)
         assert breve_basis_sum(small_basis) == pytest.approx(
             2.0 / Q**2 * total, rel=1e-12, abs=0)
 
@@ -247,7 +195,7 @@ class TestThetaPath:
         assert msd_exact_curve(sys, [0.0])[0] == 0.0
         assert breve_sum(sys) == pytest.approx(breve_basis_sum(basis), rel=1e-12, abs=0)
 
-    def test_revivals(self, co_system, co_basis, co_Q):
+    def test_revivals(self, co_system, co_basis):
         # at the revival time m L^2 / (2 pi hbar) every sin^2 is 0 or 1, and
         # at twice it every one is 0; the images nu >= 1 carry these points
         t_rev = co_system.mass * co_system.L**2 / (2 * math.pi * CONST.hbar)
@@ -255,7 +203,7 @@ class TestThetaPath:
                                   1.99, 1.999, 2.0, 2.001, 2.01])
         got = msd_exact_curve(co_system, times)
         bs = breve_sum(co_system)
-        assert np.max(np.abs(got - direct_sum(co_basis, co_Q, times))) <= 1e-12 * bs
+        assert np.max(np.abs(got - msd_basis_curve(co_basis, times))) <= 1e-12 * bs
         assert got[7] <= 1e-12 * bs
         assert got[2] > 0.5 * bs
 
@@ -265,13 +213,10 @@ class TestThetaPath:
         # route of its system does not read it
         basis = request.getfixturevalue(fixture)
         assert basis.w[0] > 1e-18 and not basis.converged
-        Q = partition_function(basis)
         times = np.linspace(0.0, 20.0, 11) * CONST.hbar * basis.beta
         curve = msd_basis_curve(basis, times)
-        np.testing.assert_array_equal(curve, direct_sum(basis, Q, times))
-        assert (msd_basis_curve(basis, [times[4]])[0]
-                == direct_sum(basis, Q, times[4:5])[0])
-        assert breve_basis_sum(basis) == direct_breve(basis, Q)
+        Q = partition_function(basis)
+        assert curve[4] == pytest.approx(brute_force_msd(basis, Q, times[4]), rel=1e-12, abs=1e-40)
         sys = dataclasses.replace(co_system, n_cells=round(basis.L / co_system.lattice_a))
         assert exact_params(sys)["path"] == "theta"
         assert not np.allclose(msd_exact_curve(sys, times[1:]), curve[1:], rtol=1e-6, atol=0)
@@ -284,7 +229,7 @@ class TestThetaPath:
         times = np.array([0.0, CONST.hbar * basis.beta])
         assert exact_params(H_CELL)["path"] == "direct"
         np.testing.assert_array_equal(msd_exact_curve(H_CELL, times),
-                                      direct_sum(basis, partition_function(basis), times))
+                                      msd_basis_curve(basis, times))
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,3 +297,112 @@ class TestPrunedThetaSeries:
         x = np.concatenate([np.linspace(X_CUT, X_CUT + 1.0, 1_000_001),
                             np.linspace(X_CUT, 800.0, 1_000_001), [np.inf]])
         assert np.all(-np.expm1(-x) == 1.0)
+
+
+class TestPairArrays:
+    def test_counts_and_signs(self, small_basis):
+        # every state of this truncated basis is above the weight floor
+        assert small_basis.w.min() >= small_basis.weight_floor
+        wprod, half_omega = pair_arrays(small_basis)
+        K = small_basis.K
+        assert wprod.size == K * (K - 1) // 2
+        assert half_omega.size == wprod.size
+        assert np.all(wprod > 0)
+
+    def test_weight_floor_prunes(self, co_basis):
+        pruned, _ = pair_arrays(co_basis)
+        kept = np.count_nonzero(co_basis.w >= co_basis.weight_floor)
+        assert kept < co_basis.K
+        assert pruned.size == kept * (kept - 1) // 2
+
+    def test_state_at_the_floor_is_kept(self, small_basis):
+        # n = +-10 moved to exactly the floor, which reads w(n = 1) alone
+        w = small_basis.w.copy()
+        w[0] = w[-1] = small_basis.weight_floor
+        basis = dataclasses.replace(small_basis, w=w)
+        assert basis.weight_floor == small_basis.weight_floor
+        K = basis.K
+        assert pair_arrays(basis)[0].size == K * (K - 1) // 2
+
+    def test_zero_weights_dropped_at_floor_zero(self):
+        # at 5e-5 K w(n = 1) underflows, so the floor is 0 and only n = 0
+        # has a weight: no pair is left (keeping w >= 0 gave all 500 500)
+        basis = build_basis(PhysicalSystem.from_user_units(28.0, 5e-5, 256.0, 10), 100)
+        assert basis.weight_floor == 0.0 and basis.K == 1001
+        assert np.count_nonzero(basis.w) == 1
+        wprod, half_omega = pair_arrays(basis)
+        assert wprod.size == half_omega.size == 0
+
+    def test_pruning_preserves_total(self, co_basis):
+        pruned, _ = pair_arrays(co_basis)
+        assert blocked_sum(pruned) == pytest.approx(
+            blocked_sum(unpruned_wprod(co_basis)), rel=1e-12, abs=0)
+
+
+@pytest.fixture(scope="module")
+def reduce_data(co_basis, co_scales):
+    wprod, half_omega = pair_arrays(co_basis)
+    times = np.linspace(0.0, 20.0, 17) * co_scales.t_b
+    return wprod, half_omega, times
+
+
+class TestMsdReduceTwins:
+    def test_deterministic_across_calls(self, reduce_data):
+        wprod, half_omega, times = reduce_data
+        a = msd_reduce(wprod, half_omega, times)
+        b = msd_reduce(wprod, half_omega, times)
+        assert np.array_equal(a, b)
+
+    def test_matches_plain_sum(self, reduce_data):
+        wprod, half_omega, times = reduce_data
+        got = msd_reduce(wprod, half_omega, times)
+        want = np.array([np.sum(wprod * np.sin(half_omega * t) ** 2)
+                         for t in times])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_scalar_time_accepted(self, reduce_data):
+        wprod, half_omega, _ = reduce_data
+        out = msd_reduce(wprod, half_omega, 0.0)
+        assert out.shape == (1,)
+        assert out[0] == 0.0
+
+
+# numpy's pairwise block is 128 values; 20 100 is mc-verify's K = 201
+PAIR_COUNTS = [0, 1, 2, 127, 128, 129, 20100]
+
+
+class TestBlockedSum:
+    """msd_reduce and blocked_sum against math.fsum of the same float terms,
+    within pairwise_bound."""
+
+    @pytest.mark.parametrize("n", PAIR_COUNTS)
+    def test_msd_reduce_matches_fsum(self, n):
+        rng = np.random.default_rng(n)
+        wprod = rng.uniform(0.5, 1.0, n)
+        half_omega = rng.uniform(-1.0, 1.0, n)
+        times = np.array([0.0, 0.3, 2.0, 17.0])
+        got = msd_reduce(wprod, half_omega, times)
+        for it, t in enumerate(times):
+            s = np.sin(half_omega * t)
+            terms = wprod * s * s
+            assert abs(got[it] - math.fsum(terms)) <= pairwise_bound(terms)
+
+    def test_small_and_block_boundary_sizes(self):
+        rng = np.random.default_rng(0)
+        for n in PAIR_COUNTS:
+            v = rng.standard_normal(n)
+            assert abs(blocked_sum(v) - math.fsum(v)) <= pairwise_bound(v)
+
+    def test_mc_verify_pairs_match_fsum(self, mc_basis):
+        wprod, half_omega = pair_arrays(mc_basis)
+        assert wprod.size == 20100
+        assert abs(blocked_sum(wprod) - math.fsum(wprod)) <= pairwise_bound(wprod)
+        t = 3.0 * CONST.hbar * mc_basis.beta
+        s = np.sin(half_omega * t)
+        terms = wprod * s * s
+        got = msd_reduce(wprod, half_omega, t)[0]
+        assert abs(got - math.fsum(terms)) <= pairwise_bound(terms)
+
+    def test_deterministic(self):
+        v = np.random.default_rng(1).standard_normal(40965)
+        assert blocked_sum(v) == blocked_sum(v)

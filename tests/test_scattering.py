@@ -1,6 +1,5 @@
 import math
 import warnings
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,42 +10,13 @@ from scipy.integrate import quad
 from qmsd import (CONST, PhysicalSystem, ValidationError, derive_scales, dsf, isf,
                   isf_phase, pair_correlation_self)
 from qmsd.constants import DOMAIN
-from test_constants import domain_pattern, log_range
+from qmsd.scattering import _delta2
+from oracles import domain_pattern, dsf_decimal, dsf_tolerance, log_range
 
 ANGSTROM_INV = 1e10
 Q = 1.0 * ANGSTROM_INV  # 1/m, the momentum transfer of the Xe checks
 # the domain's |q|, 1e4 to 1e12 1/m
 Q_MIN, Q_MAX = (v * ANGSTROM_INV for v in DOMAIN["q_inv_angstrom"][:2])
-U = 2.0**-53  # unit roundoff
-
-
-def dsf_tolerance(sys: PhysicalSystem, q: float) -> float:
-    """The relative error allowed to dsf over omega0 +- 5 widths at the
-    recoil ratio r = D_q |q| / v_T = omega0 / width.
-
-    omega0 = D_q q^2 is rounded twice (q^2, to at most 0.52 ulp in libm's
-    pow, and the product), so it is off by at most 2.04 U omega0 = 2.04 U r
-    widths; that moves z by as much, and exp(-z^2/2) by |z| <= 5 times that,
-    10.2 U r relative. The other roundings (z, z^2, exp, the prefactor) do
-    not grow with r, and 1e-14 holds them. Where r <= 10 the bound stays at
-    the 1e-14 that the whole sum is held to there.
-    """
-    s = derive_scales(sys)
-    r = s.D_q * abs(q) / s.v_T
-    return 1e-14 if r <= 10.0 else 1e-14 + 10.2 * U * r
-
-
-def dsf_decimal(sys: PhysicalSystem, q: float, omega) -> list:
-    """Independent oracle: the DSF Gaussian at the float D_q, v_T, q and
-    omega, in 60-digit decimal arithmetic."""
-    s = derive_scales(sys)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        v_T, q_, D_q = Decimal(s.v_T), Decimal(q), Decimal(s.D_q)
-        var = v_T * v_T * q_ * q_
-        two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
-        return [float((-(Decimal(w) - D_q * q_ * q_) ** 2 / (2 * var)).exp()
-                      / (two_pi * var).sqrt()) for w in omega]
 
 
 def dsf_window(sys: PhysicalSystem, q: float) -> np.ndarray:
@@ -218,6 +188,28 @@ class TestDsf:
                                              rel=1e-15, abs=0)
                 outcomes.add("finite")
         assert outcomes == {"rejected", "finite"}
+
+
+class TestComplexSquaredLength:
+    """scattering._delta2, the squared width shared by isf and
+    pair_correlation_self."""
+
+    def test_zero(self, co_system):
+        assert _delta2(co_system, 0.0) == 0j
+
+    def test_components(self, co_system, co_scales):
+        t = 3e-14
+        z = _delta2(co_system, t)
+        assert z.real == pytest.approx(co_scales.v_T**2 * t**2, rel=1e-14, abs=0)
+        assert z.imag == pytest.approx(-2 * co_scales.D_q * t, rel=1e-14, abs=0)
+
+    def test_real_equals_abs_imag_at_thermal_time(self, co_system, co_scales):
+        z = _delta2(co_system, co_scales.t_b)
+        assert z.real == pytest.approx(abs(z.imag), rel=1e-10, abs=0)
+
+    def test_classical_correspondence_at_long_times(self, co_system, co_scales):
+        z = _delta2(co_system, 1e4 * co_scales.t_b)
+        assert abs(z.imag) / z.real < 1e-3
 
 
 class TestIsf:
