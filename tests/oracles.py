@@ -1,6 +1,7 @@
 """The test suite's independent references, in one module that pytest does
 not collect. Each says what makes it independent of the code it checks, and
-its own error bound; test_oracles.py checks them."""
+its own error bound; test_oracles.py checks them. It also holds the few
+helpers that more than one test file shares."""
 
 import math
 import re
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from qmsd import CONST, EigenBasis, PhysicalSystem, derive_scales, svgplot
 from qmsd.constants import DOMAIN
 from qmsd.exact import _BLOCK_ELEMS, TAIL, _theta_outer
+from qmsd.montecarlo import _ensemble_setup, ensemble_positions, sample_phases
 
 U = 2.0**-53  # unit roundoff
 
@@ -194,6 +196,20 @@ def brute_position(member, basis, Q, t):
     total = np.conj(a) @ position_matrix(basis) @ a
     assert abs(total.imag) < 1e-18
     return total.real
+
+
+def kernel_inputs(basis, members, seed, times):
+    """Helper, not a reference: ensemble_positions' arguments on the basis,
+    the phases of members drawn at seed, and the times that times(eom)
+    gives."""
+    wt, eom, A, pref = _ensemble_setup(basis)
+    return wt, sample_phases(basis, members, seed), eom, times(eom), A, pref
+
+
+def one_draw_positions(basis, times, n_members, seed):
+    """x(t) of every member from one draw of all members and one
+    kernel call."""
+    return ensemble_positions(*kernel_inputs(basis, n_members, seed, lambda _: np.asarray(times)))
 
 
 # The ideal MSD.

@@ -7,7 +7,7 @@ import pytest
 from qmsd import (CONST, PhysicalSystem, ValidationError, build_basis,
                   converged_basis, derive_scales, partition_function)
 from qmsd.basis import MAX_K
-from oracles import domain_pattern
+from oracles import domain_pattern, x_element, x_element_general
 
 
 def test_k_rounded_up_to_odd(co_basis):
@@ -187,3 +187,75 @@ class TestPartitionFunction:
             assert Q >= 1.0
             assert Q > prev
             prev = Q
+
+
+class TestXElement:
+    L = 2.56e-9
+
+    def test_diagonal_zero(self):
+        for n in (-3, 0, 11):
+            assert x_element(n, n, self.L) == 0j
+
+    def test_adjacent_value(self):
+        assert x_element(1, 0, self.L) == pytest.approx(
+            1j * self.L / (2 * math.pi), rel=1e-14, abs=0)
+
+    def test_gap_two_magnitude(self):
+        v = x_element(2, 0, self.L)
+        assert abs(v) ** 2 == pytest.approx((self.L / (4 * math.pi)) ** 2, rel=1e-13, abs=0)
+
+    def test_hermitian_and_imaginary(self):
+        for n, j in [(0, 1), (-4, 7), (10, -10), (500, 499)]:
+            v = x_element(n, j, self.L)
+            assert x_element(j, n, self.L) == np.conj(v)
+            assert v.real == 0.0
+
+    def test_magnitude_squared_is_inverse_gap_squared(self):
+        for n, j in [(3, 1), (-2, 5), (100, -100)]:
+            dq = 2 * math.pi * (n - j) / self.L
+            assert abs(x_element(n, j, self.L)) ** 2 == pytest.approx(
+                1.0 / dq**2, rel=1e-13, abs=0)
+
+
+class TestXElementGeneral:
+    L = 2.56e-9
+
+    def test_vanishes_at_origin(self):
+        assert x_element_general(0.0, self.L) == 0.0
+
+    def test_odd(self):
+        q = 1.7 / self.L
+        assert x_element_general(-q, self.L) == pytest.approx(
+            -x_element_general(q, self.L), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("gap,expected_over_L", [
+        (1, 1 / (2 * math.pi)),
+        (2, 1 / (4 * math.pi)),
+    ])
+    def test_lattice_gap_magnitudes(self, gap, expected_over_L):
+        q = 2 * math.pi * gap / self.L
+        assert abs(x_element_general(q, self.L)) == pytest.approx(
+            expected_over_L * self.L, rel=1e-12, abs=0)
+
+    def test_matches_x_element_at_all_sampled_gaps(self):
+        for gap in range(1, 40):
+            q = 2 * math.pi * gap / self.L
+            assert abs(x_element_general(q, self.L)) == pytest.approx(
+                abs(x_element(gap, 0, self.L)), rel=1e-10, abs=0)
+
+    # X(z)/L at 50 decimal digits; the direct formula loses ~10 digits
+    # to cancellation at these z, so the references are frozen instead
+    X_OVER_L = [
+        (0.5e-4, 0.000004166666666406250000005813),
+        (2e-4, 0.00001666666665000000000595238),
+        (0.009, 0.0007499984812510983812845355),
+        (0.011, 0.0009166638937529957386492122),
+        (0.05, 0.004166406255812804745675966),
+    ]
+
+    @pytest.mark.parametrize("z,expected_over_L", X_OVER_L)
+    def test_series_and_direct_branches_accurate(self, z, expected_over_L):
+        # spans both sides of the series/direct switch at |Lq| = 1e-2
+        q = z / self.L
+        assert x_element_general(q, self.L) == pytest.approx(
+            expected_over_L * self.L, rel=1e-9, abs=0)

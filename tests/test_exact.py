@@ -9,10 +9,9 @@ from qmsd import (CONST, PhysicalSystem, ValidationError, breve_basis_sum,
                   breve_sum, build_basis, converged_basis, derive_scales,
                   exact_params, msd_basis_curve, msd_exact_curve, msd_ideal,
                   partition_function)
-from qmsd.exact import TAIL, X_CUT, blocked_sum, msd_reduce, pair_arrays
+from qmsd.exact import TAIL, X_CUT
 from qmsd.constants import DOMAIN
-from oracles import (brute_force_msd, dense_theta_msd, domain_pattern, pairwise_bound,
-                     position_matrix, unpruned_wprod)
+from oracles import brute_force_msd, dense_theta_msd, domain_pattern, position_matrix
 
 
 # H at 10 K on one 256 pm cell, about 5 thermal lengths long: a >= A_MAX, so
@@ -298,111 +297,3 @@ class TestPrunedThetaSeries:
                             np.linspace(X_CUT, 800.0, 1_000_001), [np.inf]])
         assert np.all(-np.expm1(-x) == 1.0)
 
-
-class TestPairArrays:
-    def test_counts_and_signs(self, small_basis):
-        # every state of this truncated basis is above the weight floor
-        assert small_basis.w.min() >= small_basis.weight_floor
-        wprod, half_omega = pair_arrays(small_basis)
-        K = small_basis.K
-        assert wprod.size == K * (K - 1) // 2
-        assert half_omega.size == wprod.size
-        assert np.all(wprod > 0)
-
-    def test_weight_floor_prunes(self, co_basis):
-        pruned, _ = pair_arrays(co_basis)
-        kept = np.count_nonzero(co_basis.w >= co_basis.weight_floor)
-        assert kept < co_basis.K
-        assert pruned.size == kept * (kept - 1) // 2
-
-    def test_state_at_the_floor_is_kept(self, small_basis):
-        # n = +-10 moved to exactly the floor, which reads w(n = 1) alone
-        w = small_basis.w.copy()
-        w[0] = w[-1] = small_basis.weight_floor
-        basis = dataclasses.replace(small_basis, w=w)
-        assert basis.weight_floor == small_basis.weight_floor
-        K = basis.K
-        assert pair_arrays(basis)[0].size == K * (K - 1) // 2
-
-    def test_zero_weights_dropped_at_floor_zero(self):
-        # at 5e-5 K w(n = 1) underflows, so the floor is 0 and only n = 0
-        # has a weight: no pair is left (keeping w >= 0 gave all 500 500)
-        basis = build_basis(PhysicalSystem.from_user_units(28.0, 5e-5, 256.0, 10), 100)
-        assert basis.weight_floor == 0.0 and basis.K == 1001
-        assert np.count_nonzero(basis.w) == 1
-        wprod, half_omega = pair_arrays(basis)
-        assert wprod.size == half_omega.size == 0
-
-    def test_pruning_preserves_total(self, co_basis):
-        pruned, _ = pair_arrays(co_basis)
-        assert blocked_sum(pruned) == pytest.approx(
-            blocked_sum(unpruned_wprod(co_basis)), rel=1e-12, abs=0)
-
-
-@pytest.fixture(scope="module")
-def reduce_data(co_basis, co_scales):
-    wprod, half_omega = pair_arrays(co_basis)
-    times = np.linspace(0.0, 20.0, 17) * co_scales.t_b
-    return wprod, half_omega, times
-
-
-class TestMsdReduceTwins:
-    def test_deterministic_across_calls(self, reduce_data):
-        wprod, half_omega, times = reduce_data
-        a = msd_reduce(wprod, half_omega, times)
-        b = msd_reduce(wprod, half_omega, times)
-        assert np.array_equal(a, b)
-
-    def test_matches_plain_sum(self, reduce_data):
-        wprod, half_omega, times = reduce_data
-        got = msd_reduce(wprod, half_omega, times)
-        want = np.array([np.sum(wprod * np.sin(half_omega * t) ** 2)
-                         for t in times])
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_scalar_time_accepted(self, reduce_data):
-        wprod, half_omega, _ = reduce_data
-        out = msd_reduce(wprod, half_omega, 0.0)
-        assert out.shape == (1,)
-        assert out[0] == 0.0
-
-
-# numpy's pairwise block is 128 values; 20 100 is mc-verify's K = 201
-PAIR_COUNTS = [0, 1, 2, 127, 128, 129, 20100]
-
-
-class TestBlockedSum:
-    """msd_reduce and blocked_sum against math.fsum of the same float terms,
-    within pairwise_bound."""
-
-    @pytest.mark.parametrize("n", PAIR_COUNTS)
-    def test_msd_reduce_matches_fsum(self, n):
-        rng = np.random.default_rng(n)
-        wprod = rng.uniform(0.5, 1.0, n)
-        half_omega = rng.uniform(-1.0, 1.0, n)
-        times = np.array([0.0, 0.3, 2.0, 17.0])
-        got = msd_reduce(wprod, half_omega, times)
-        for it, t in enumerate(times):
-            s = np.sin(half_omega * t)
-            terms = wprod * s * s
-            assert abs(got[it] - math.fsum(terms)) <= pairwise_bound(terms)
-
-    def test_small_and_block_boundary_sizes(self):
-        rng = np.random.default_rng(0)
-        for n in PAIR_COUNTS:
-            v = rng.standard_normal(n)
-            assert abs(blocked_sum(v) - math.fsum(v)) <= pairwise_bound(v)
-
-    def test_mc_verify_pairs_match_fsum(self, mc_basis):
-        wprod, half_omega = pair_arrays(mc_basis)
-        assert wprod.size == 20100
-        assert abs(blocked_sum(wprod) - math.fsum(wprod)) <= pairwise_bound(wprod)
-        t = 3.0 * CONST.hbar * mc_basis.beta
-        s = np.sin(half_omega * t)
-        terms = wprod * s * s
-        got = msd_reduce(wprod, half_omega, t)[0]
-        assert abs(got - math.fsum(terms)) <= pairwise_bound(terms)
-
-    def test_deterministic(self):
-        v = np.random.default_rng(1).standard_normal(40965)
-        assert blocked_sum(v) == blocked_sum(v)

@@ -13,18 +13,13 @@ import numpy as np
 import pytest
 
 import qmsd.montecarlo
-from qmsd import CONST, PhysicalSystem, build_basis, sample_msd, sample_msd_rerandomized
+from qmsd import (CONST, PhysicalSystem, build_basis, sample_msd, sample_msd_rerandomized,
+                  sample_phases)
 from qmsd.exact import blocked_sum, msd_reduce, pair_arrays
 from qmsd.montecarlo import (_CIS_N, _TWO_PI, MEMBER_BLOCK, _cis, _ensemble_setup,
-                             _pool_size, antisym_coupling_matrix, ensemble_positions,
-                             sample_phases)
-
-
-def unpruned_wprod(basis):
-    """w_n w_j |x_nj|^2 over every pair n < j of the basis, none dropped."""
-    i, j = np.triu_indices(basis.K, k=1)
-    dq = basis.q[i] - basis.q[j]
-    return basis.w[i] * basis.w[j] / (dq * dq)
+                             _pool_size, antisym_coupling_matrix, ensemble_positions)
+from oracles import (kernel_inputs, one_draw_positions, pairwise_bound, plain_positions,
+                     unpruned_wprod)
 
 
 class TestPairArrays:
@@ -95,27 +90,6 @@ class TestMsdReduceTwins:
         assert out[0] == 0.0
 
 
-def pairwise_bound(terms) -> float:
-    """Bound on |np.sum(terms) - math.fsum(terms)|.
-
-    np.sum adds float64 values by numpy's pairwise summation: fewer than 8
-    values in order; up to 128 into 8 accumulators of at most 16 values,
-    added as a tree of depth 3, then the last n mod 8 values in order, so
-    that a value takes part in at most 15 + 3 + 7 = 25 additions; above 128,
-    two halves summed so and then added, one more addition per halving, of
-    which there are at most ceil(log2 n); and the reduction adds its first
-    value last, one more. Each value thus carries at most h = 26 +
-    ceil(log2 n) rounding factors (1 + d), |d| <= u = 2^-53, and |np.sum -
-    s| <= gamma_h sum |x_i| with gamma_h = h u / (1 - h u) (N. J. Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
-    sec. 4.2). math.fsum is s correctly rounded, within u |s| of it.
-    """
-    terms = np.asarray(terms, dtype=np.float64)
-    u = 2.0**-53
-    h = 26 + math.ceil(math.log2(max(terms.size, 1)))
-    return (h * u / (1.0 - h * u) + u) * math.fsum(np.abs(terms))
-
-
 # numpy's pairwise block is 128 values; 20 100 is mc-verify's K = 201
 PAIR_COUNTS = [0, 1, 2, 127, 128, 129, 20100]
 
@@ -175,11 +149,7 @@ class TestAntisymCouplingMatrix:
 
 @pytest.fixture(scope="module")
 def position_data(mc_basis):
-    wt, eom, A, pref = _ensemble_setup(mc_basis)
-    thetas = sample_phases(mc_basis, 32, seed=17)
-    t_b = 1.0 / eom[2]
-    times = np.linspace(0.0, 40.0, 5) * t_b
-    return wt, thetas, eom, times, A, pref
+    return kernel_inputs(mc_basis, 32, 17, lambda eom: np.linspace(0.0, 40.0, 5) * (1.0 / eom[2]))
 
 
 class TestEnsemblePositionsTwins:
@@ -191,24 +161,11 @@ class TestEnsemblePositionsTwins:
         np.testing.assert_allclose(one[0], full[0], rtol=1e-13)
 
 
-def plain_positions(wt, thetas, eom, times, A, pref):
-    """Oracle: the position form evaluated directly at each time."""
-    out = np.empty((thetas.shape[0], times.size))
-    for it, t in enumerate(times):
-        phi = thetas - eom[None, :] * t
-        u = wt[None, :] * np.cos(phi)
-        v = wt[None, :] * np.sin(phi)
-        out[:, it] = pref * np.einsum("mk,mk->m", v, u @ A.T)
-    return out
-
-
 @pytest.fixture(scope="module")
 def oracle_data(mc_basis):
-    wt, eom, A, pref = _ensemble_setup(mc_basis)
-    thetas = sample_phases(mc_basis, 1030, seed=23)
     t_b = CONST.hbar * mc_basis.beta
-    times = np.concatenate(([0.0], np.geomspace(1e-2, 1e3, 12))) * t_b
-    return wt, thetas, eom, times, A, pref
+    return kernel_inputs(mc_basis, 1030, 23,
+                         lambda eom: np.concatenate(([0.0], np.geomspace(1e-2, 1e3, 12))) * t_b)
 
 
 class TestEnsemblePositionsOracle:
@@ -294,6 +251,21 @@ class TestEnsemblePositionsDomain:
                                    atol=1e-13 * np.abs(want).max())
 
 
+def patch_cis(monkeypatch, record, fail_off_main=False):
+    """Make each _cis call append record() to the list returned, and, with
+    fail_off_main, raise in every thread but the main one."""
+    real, seen = qmsd.montecarlo._cis, []
+
+    def patched(*args):
+        seen.append(record())
+        if fail_off_main and threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        real(*args)
+
+    monkeypatch.setattr(qmsd.montecarlo, "_cis", patched)
+    return seen
+
+
 def with_workers(monkeypatch, n):
     """Make ensemble_positions share its blocks over n workers, or fewer
     when there are fewer blocks."""
@@ -302,10 +274,7 @@ def with_workers(monkeypatch, n):
 
 @pytest.fixture(scope="module")
 def pool_data(mc_basis):
-    wt, eom, A, pref = _ensemble_setup(mc_basis)
-    thetas = sample_phases(mc_basis, 4101, seed=29)
-    times = np.array([0.0, 1.0, 7.0, 300.0]) / eom[2]
-    return wt, thetas, eom, times, A, pref
+    return kernel_inputs(mc_basis, 4101, 29, lambda eom: np.array([0.0, 1.0, 7.0, 300.0]) / eom[2])
 
 
 class TestEnsemblePositionsPool:
@@ -363,14 +332,7 @@ class TestEnsemblePositionsPool:
         # an error inside a worker thread reaches the caller once every
         # worker is joined
         wt, thetas, eom, times, A, pref = pool_data
-        real = qmsd.montecarlo._cis
-
-        def failing_off_main(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker failed")
-            real(*args)
-
-        monkeypatch.setattr(qmsd.montecarlo, "_cis", failing_off_main)
+        patch_cis(monkeypatch, lambda: None, fail_off_main=True)
         with_workers(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="worker failed"):
@@ -417,10 +379,8 @@ def custom_data():
     where the GEMM's bits depend on the BLAS thread count."""
     basis = build_basis(PhysicalSystem.from_user_units(28.0, 300.0, 256.0, 20), 60)
     assert basis.K == 1201
-    wt, eom, A, pref = _ensemble_setup(basis)
-    thetas = sample_phases(basis, 4 * MEMBER_BLOCK, seed=7)
-    times = np.linspace(0.0, 12.0, 18) * CONST.hbar * basis.beta
-    return wt, thetas, eom, times, A, pref
+    return kernel_inputs(basis, 4 * MEMBER_BLOCK, 7,
+                         lambda eom: np.linspace(0.0, 12.0, 18) * CONST.hbar * basis.beta)
 
 
 class TestBlasThreads:
@@ -443,17 +403,8 @@ class TestBlasThreads:
         # block records the count it runs at
         get, set_ = blas
         wt, thetas, eom, times, A, pref = pool_data
-        real = qmsd.montecarlo._cis
-        seen = []
-
-        def failing_off_main(*args):
-            seen.append(get())
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker failed")
-            real(*args)
-
         set_(2)
-        monkeypatch.setattr(qmsd.montecarlo, "_cis", failing_off_main)
+        seen = patch_cis(monkeypatch, get, fail_off_main=True)
         with_workers(monkeypatch, 2)
         with pytest.raises(FloatingPointError, match="worker failed"):
             ensemble_positions(wt, thetas[:4 * MEMBER_BLOCK], eom, times, A, pref)
@@ -466,15 +417,8 @@ class TestBlasThreads:
         wt, thetas, eom, times, A, pref = pool_data
         set_(1)
         want = ensemble_positions(wt, thetas, eom, times, A, pref)
-        real = qmsd.montecarlo._cis
-        seen = []
-
-        def recording(*args):
-            seen.append((threading.current_thread(), get()))
-            real(*args)
-
         monkeypatch.setattr(qmsd.montecarlo, "_openblas", lambda: None)
-        monkeypatch.setattr(qmsd.montecarlo, "_cis", recording)
+        seen = patch_cis(monkeypatch, lambda: (threading.current_thread(), get()))
         for n in (2, 1):
             set_(n)
             seen.clear()
@@ -569,9 +513,7 @@ class TestStreamZeroReuse:
         # phases drawn afresh and evaluated at t = 0 alone
         grid = np.linspace(1.0, 5.0, 3) * CONST.hbar * mc_basis.beta
         res = sample_msd(mc_basis, grid, n_members=600, seed=3)
-        wt, eom, A, pref = _ensemble_setup(mc_basis)
-        x0 = ensemble_positions(wt, sample_phases(mc_basis, 600, 3), eom,
-                                np.array([0.0]), A, pref)[:, 0]
+        x0 = one_draw_positions(mc_basis, [0.0], 600, 3)[:, 0]
         two_x0_sq = 2.0 * x0 ** 2
         np.testing.assert_array_equal(res.x0, x0)
         assert sample_msd_rerandomized(res) == (
@@ -582,10 +524,8 @@ def small_inputs(K, members, seed):
     """Kernel inputs on a single-cell basis of K states, with phases."""
     basis = build_basis(PhysicalSystem.from_user_units(28.0, 190.0, 256.0, 1), K)
     assert basis.K == K
-    wt, eom, A, pref = _ensemble_setup(basis)
-    thetas = sample_phases(basis, members, seed=seed)
-    times = np.array([0.0, 0.3, 2.0, 50.0]) * CONST.hbar * basis.beta
-    return wt, thetas, eom, times, A, pref
+    return kernel_inputs(basis, members, seed,
+                         lambda eom: np.array([0.0, 0.3, 2.0, 50.0]) * CONST.hbar * basis.beta)
 
 
 class TestEnsemblePositionsParity:
