@@ -291,6 +291,14 @@ def cmd_mc_verify(run: Run):
     basis = build_basis(run.system, run.cfg["funcs_per_cell"])
     res = sample_msd(basis, grid, run.cfg["members"], run.cfg["seed"])
     exact = msd_basis_curve(basis, grid)
+    # x(t) is of order L and sums K terms, so a displacement below K eps L
+    # is rounding; a nonzero exact MSD below its square cannot be checked
+    floor = (basis.K * np.finfo(float).eps * basis.L) ** 2
+    unresolved = (exact != 0.0) & (exact < floor)
+    if np.any(unresolved):
+        raise ValidationError(
+            f"the exact MSD reads {exact[unresolved].min():.3g} m^2, below the floor "
+            f"(K eps L)^2 = {floor:.3g} m^2 that the Monte-Carlo x(t) resolves")
     est, err = sample_msd_rerandomized(res)
     bs = breve_basis_sum(basis)
     # one family: the curve's n points and the decohered plateau

@@ -9,6 +9,7 @@ boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,10 @@ class PhysicalSystem:
         check_domain("mass_u", self.mass)
         check_domain("temperature_K", self.temperature)
         check_domain("lattice_pm", self.lattice_a)
-        if not isinstance(self.n_cells, int):
+        # any integer type but bool (True is not one cell), stored as an int
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
             raise ValidationError(f"n_cells must be an integer, got {self.n_cells!r}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         check_domain("n_cells", self.n_cells)
 
     @property

@@ -389,7 +389,8 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
     e^(i theta_-p)) (ze_0 = wt_0 e^(i theta_0)) and zo = -i wt_p
     (e^(i theta_p) - e^(i theta_-p)) are formed once. Since eom is even,
     each time point rotates both by e^(-i eom_p t) in one complex multiply
-    over K rows (t = 0 reads them unrotated); then y = B ze is one real GEMM for re and im together,
+    over K rows, t = 0 alike (its rotation by 1 - 0i moves only the sign of
+    a zero part); then y = B ze is one real GEMM for re and im together,
     half the flops of the unfolded K x K product, and
     x = pref Re(zo . conj(y)). Members are processed MEMBER_BLOCK at a
     time in reused buffers stored (row, member), so the float view of ze
@@ -472,13 +473,8 @@ def ensemble_positions(wt, thetas, eom, times, A, pref, out=None) -> np.ndarray:
             np.multiply(z0.real, wz, out=z0.real)
             np.multiply(z0.imag, wz, out=z0.imag)
             for it in range(times.size):
-                if times[it] == 0.0:
-                    # the rotation by 1 + 0i gives z0 up to the sign of a zero part
-                    z = z0
-                else:
-                    z = zt
-                    np.multiply(z0, rot[it, :, None], out=zt)
-                ze, zo = z[:M + 1], z[M + 1:]
+                np.multiply(z0, rot[it, :, None], out=zt)
+                ze, zo = zt[:M + 1], zt[M + 1:]
                 np.matmul(B, ze.view(np.float64), out=y.view(np.float64))
                 np.einsum("pk,pk->k", zo.view(np.float64), y.view(np.float64),
                           out=cols[it])
@@ -520,34 +516,29 @@ def _ensemble_setup(basis: EigenBasis):
     return wt, eom, A, pref
 
 
-def _ensemble_chunks(basis: EigenBasis, n_members: int, seed: int,
-                     times: np.ndarray) -> np.ndarray:
-    """x(t) of members 0..n-1, shape (members, times).
+def sample_msd(basis: EigenBasis, grid, n_members: int, seed: int = 42) -> EnsembleResult:
+    """Ensemble-averaged MSD over a time grid, with standard errors.
 
     The members are drawn and evaluated PHASE_CHUNK at a time, so no
     (K x members) phase array is held.
     """
+    if n_members < 2:
+        raise ValidationError("n_members must be >= 2")
+    times = validate_grid(grid)
+    # baseline x(0) prepended so displacements share one evaluation pass
+    times0 = np.concatenate(([0.0], times))
     _check_members(seed, 0, n_members)
-    _check_ensemble(basis.K, n_members, times.size)
+    _check_ensemble(basis.K, n_members, times0.size)
     wt, eom, A, pref = _ensemble_setup(basis)
-    X = np.empty((n_members, times.size))
+    X = np.empty((n_members, times0.size))
     for lo in range(0, n_members, PHASE_CHUNK):
         b = min(PHASE_CHUNK, n_members - lo)
         # the phases are freed before the next chunk's are drawn, so their
         # memory is reused; two chunks alive at once cost mc-verify about
         # 1 800 more page faults per run
         ensemble_positions(wt, sample_phases(basis, b, seed, first=lo), eom,
-                           times, A, pref, out=X[lo:lo + b])
-    return X
-
-
-def sample_msd(basis: EigenBasis, grid, n_members: int, seed: int = 42) -> EnsembleResult:
-    """Ensemble-averaged MSD over a time grid, with standard errors."""
-    if n_members < 2:
-        raise ValidationError("n_members must be >= 2")
-    times = validate_grid(grid)
-    # baseline x(0) prepended so displacements share one evaluation pass
-    X = _ensemble_chunks(basis, n_members, seed, np.concatenate(([0.0], times)))
+                           times0, A, pref, out=X[lo:lo + b])
+    del wt, eom, A  # the K x K coupling matrix goes before disp_sq comes
     disp_sq = X[:, 1:] - X[:, :1]
     np.multiply(disp_sq, disp_sq, out=disp_sq)
     mean = disp_sq.mean(axis=0)

@@ -5,7 +5,6 @@ per-criterion lines on success). The heavy coherent curves are computed
 once per super-cell size and shared across criteria.
 """
 
-import json
 import math
 import time
 

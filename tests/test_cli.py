@@ -288,8 +288,12 @@ class TestExitCodes:
          "the basis has K = 10000000000000001 states, past its limit of 2049"),
         (["--members", "4294967295"],
          "the Monte-Carlo ensemble needs x(t) at 4294967295 members x 21 times = "
-         "90194313195, past its limit of 16777216 members x times")],
-        ids=["n-cells", "funcs-per-cell", "funcs-per-cell-1e15", "members"])
+         "90194313195, past its limit of 16777216 members x times"),
+        # one hot, heavy 1 um cell: x(t) ~ L = 1e-6 m, rounded to about
+        # K eps L, so a displacement of 1.2e-23 m at t_b is rounding
+        (["--mass-u", "1e6", "--temperature-K", "1e6", "--lattice-pm", "1e6", "--n-cells", "1"],
+         "the exact MSD reads 1.54e-46 m^2, below the floor (K eps L)^2 = 2.17e-41 m^2")],
+        ids=["n-cells", "funcs-per-cell", "funcs-per-cell-1e15", "members", "rounding-floor"])
     def test_mc_verify_past_its_limits_refused(self, tmp_path, capsys, argv, message):
         t0 = time.perf_counter()
         err = config_error(tmp_path, capsys, "mc-verify", *argv)
@@ -565,9 +569,20 @@ class TestDomain:
     """The physical domain is checked where input enters: every command runs
     at each of its corners, and a value outside it exits 2 naming its bound."""
 
-    # the light commands, and exact on 3 points; each exits 0 with finite
-    # CSVs, or refuses a theta series past its limits (on the hot, heavy,
-    # long cells), also under -W error::RuntimeWarning
+    # the light commands, exact on 3 points and mc-verify at its default
+    # members and seed; each exits 0 with finite CSVs, or refuses with exit 2
+    # a theta series past its limits (on the hot, heavy, long cells), a
+    # Monte-Carlo basis past MAX_K (10^6 cells) or an exact MSD below the
+    # rounding floor of x(t) (the hot, heavy, long single cell), never exit
+    # 4, also under -W error::RuntimeWarning; an exact MSD of 0 (the cold
+    # corners) is admitted, so a refused one reads a nonzero value
+    REFUSALS = {
+        "breve": "config error: the theta series needs d_max = ",
+        "exact": "config error: the theta series needs d_max = ",
+        "mc-verify": ("config error: (the basis has K = 20000001 states"
+                      "|the exact MSD reads [1-9])"),
+    }
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("corner", CORNERS,
                              ids=lambda c: "{:g}u-{:g}K-{:g}pm-{:d}".format(*c))
@@ -575,14 +590,14 @@ class TestDomain:
         flags = [arg for key, value in zip(SYSTEM_KEYS, corner)
                  for arg in ("--" + key.replace("_", "-"), str(value))]
         for command in ("scales", "ideal", "breve", "collision", "figure1", "scattering",
-                        "exact"):
+                        "exact", "mc-verify"):
             out = tmp_path / command
             grid = ["--grid", "linear:0:30:3"] if command == "exact" else []
             code = run_cli(command, *flags, *grid, "--out", str(out), "--formats", "csv")
             err = capsys.readouterr().err
             if code == 2:
-                assert command in ("breve", "exact")
-                assert err.startswith("config error: the theta series needs d_max = ")
+                assert command in self.REFUSALS, (command, err)
+                assert re.match(self.REFUSALS[command], err), (command, err)
                 continue
             assert code == 0, (command, err)
             for path in out.glob("*.csv"):

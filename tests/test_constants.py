@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from qmsd import CONST, PhysicalSystem, ValidationError, derive_scales
@@ -67,6 +69,21 @@ def test_domain_message_gives_the_value_in_its_unit():
                                               r"physical domain \[0\.0001, 1e\+06\] u$"):
         PhysicalSystem.from_user_units(3.1e-30, 190, 256, 10)
 
+
+@pytest.mark.parametrize("n_cells", [np.int64(10), np.int32(10)], ids=lambda n: type(n).__name__)
+def test_numpy_integer_cells_admitted(n_cells):
+    # stored as a Python int, so L is the plain int's bit for bit
+    sys = PhysicalSystem.from_user_units(28, 190, 256, n_cells)
+    assert type(sys.n_cells) is int
+    assert sys.L.hex() == PhysicalSystem.from_user_units(28, 190, 256, 10).L.hex()
+
+
+@pytest.mark.parametrize("n_cells", [True, 10.0], ids=repr)
+def test_non_integer_cells_refused(n_cells):
+    # True is an int to isinstance, and is not one cell
+    with pytest.raises(ValidationError,
+                       match=f"^n_cells must be an integer, got {re.escape(repr(n_cells))}$"):
+        PhysicalSystem.from_user_units(28, 190, 256, n_cells)
 
 
 def test_co_thermal_time():

@@ -1,9 +1,10 @@
 """The references in oracles.py checked on their own, and the layout of the
 tests: one test file per module of qmsd, besides the cross-cutting files,
-and no test file that imports another."""
+no test file that imports another, and no import that is never read."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,33 @@ def imported_modules(path: Path):
             yield node.module.split(".")[0]
 
 
+def unused_imports(path: Path):
+    """(line, name) of each name that path imports at any depth and never
+    reads; a name in __all__, or imported on a line marked # noqa: F401,
+    counts as read. A name read anywhere in the file counts, whatever its
+    scope."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, (ast.Store, ast.Del))}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any(re.search(r"#\s*noqa:[^#]*\bF401\b", line)
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read:
+                yield node.lineno, name
+
+
 class TestLayout:
     """Each test file mirrors one module of qmsd, and the references live in
     oracles.py alone, so no test file imports another."""
@@ -56,6 +84,13 @@ class TestLayout:
     def test_no_test_file_imports_another(self):
         found = {path.name: name for path in TESTS.glob("*.py")
                  for name in imported_modules(path) if name.startswith("test_")}
+        assert found == {}
+
+    def test_no_unused_import(self):
+        roots = (Path(qmsd.__file__).parent, TESTS, TESTS.parent / "benchmarks")
+        found = {f"{root.name}/{path.name}:{line}": name
+                 for root in roots for path in sorted(root.glob("*.py"))
+                 for line, name in unused_imports(path)}
         assert found == {}
 
     def test_each_test_file_names_a_module(self):
